@@ -1,0 +1,200 @@
+"""Golden digests: the sha256 of every file the CLI writes for two small
+seeded logs, across every subcommand.
+
+Any change to these bytes changes what ocad computes or writes, so a
+refactor or a speed-up must leave them alone. ``run.json`` is hashed with
+its ``log`` parameter dropped, because that is a temporary path. After a
+deliberate change of an output format, print the new table with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from ocad.cli import main
+
+SEED = "5"
+
+LOGS = {
+    "p2p": ("generate", "--n-orders", "40", "--maverick-rate", "0.1", "--postmortem-rate", "0.1",
+            "--double-invoice-rate", "0.1", "--reopen-rate", "0.1", "--seed", "3"),
+    "blocked": ("generate", "--variant", "blocked-invoices", "--n-orders", "40", "--blocked-rate", "0.1",
+                "--seed", "4"),
+}
+
+COMMANDS = {
+    "features": ("features", "--object-type", "order"),
+    "detect": ("detect", "--object-type", "order"),
+    "detect-fastmap": ("detect", "--object-type", "order", "--reducer", "fastmap"),
+    "aggregate-invoice": ("aggregate", "--object-type", "invoice", "--propagate-from", "order"),
+    "aggregate-order-median": ("aggregate", "--object-type", "order", "--propagate-from", "invoice",
+                               "--agg", "median"),
+    "abstract": ("abstract", "--object-type", "order"),
+}
+
+
+def tree_digests(root: Path) -> dict[str, str]:
+    out = {}
+    for p in sorted(root.rglob("*")):
+        if not p.is_file():
+            continue
+        data = p.read_bytes()
+        if p.name == "run.json":
+            manifest = json.loads(data)
+            manifest["params"].pop("log", None)
+            data = json.dumps(manifest, indent=2, sort_keys=True).encode()
+        out[p.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+def run_all(work: Path) -> dict[str, dict[str, str]]:
+    """Digests of every (log, command) output tree, keyed ``log/command``."""
+    digests = {}
+    for log_name, gen_argv in LOGS.items():
+        gen_out = work / log_name / "generate"
+        assert main([*gen_argv, "--out", str(gen_out)]) == 0
+        digests[f"{log_name}/generate"] = tree_digests(gen_out)
+        for cmd_name, argv in COMMANDS.items():
+            out = work / log_name / cmd_name
+            code = main([*argv, "--log", str(gen_out / "log.json"), "--seed", SEED, "--out", str(out)])
+            assert code == 0, (log_name, cmd_name)
+            digests[f"{log_name}/{cmd_name}"] = tree_digests(out)
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return run_all(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("key", [f"{log}/{cmd}" for log in LOGS for cmd in ("generate", *COMMANDS)])
+def test_golden_digests(digests, key):
+    assert digests[key] == GOLDEN[key]
+
+
+GOLDEN = {
+    "p2p/generate": {
+        "ground_truth.csv": "0ada91612acd3ff5971b3b55a8d0ae18892f1fae7102bd3722ddea930bebaeef",
+        "log.json": "0a50d2032506824e1676fbf167140b8ef6295701c7ea6841f58a3c8c2d1a2525",
+        "run.json": "b176b215beb6ee7fbc3b729de79eb5760c0e12a07aeaf877266cc84546c86719"
+    },
+    "p2p/features": {
+        "features.csv": "748c16f589f4438b2ade881ace05f3b1fc89443fa4cde67a9b6753ffcf0d0373",
+        "run.json": "f86c8e7cd71c98f379b96e575e575a608a08a26a8ad85a7fca0e8c5b7ea9e7be"
+    },
+    "p2p/detect": {
+        "lifecycles/rank000_po-00004.txt": "1da249ab9edf6bce14ad86b0832ebfb5bea774c153aea8a78aaba25a3e2704ee",
+        "lifecycles/rank001_po-00022.txt": "3d99134f673299ec4c82be40f9128044829803d66eb4b7440e7a8c7b95446c8d",
+        "lifecycles/rank002_po-00003.txt": "d9dc888ec89cb4ebd61c418a209ebd5570488fdaba801be13c69b9952ed2c670",
+        "lifecycles/rank003_po-00023.txt": "1832614e77597942a2ee24bfb580380df06e3cbd12dd65c124524351938cd8a7",
+        "lifecycles/rank004_po-00021.txt": "0f4a1374d761bfdb1805a03074c6cd2a6977e05c5e815bd5b7d05e03af11a2ee",
+        "lifecycles/rank005_po-00002.txt": "eaf66bfc9974fc05d97bc82cc4bd4e9f3726860fb8b5dd25907e6156adaa6c27",
+        "lifecycles/rank006_po-00038.txt": "f0319d4736a95dd544c2cd6c27f6d9777bab2ef72bcad06744366e3636bb086c",
+        "lifecycles/rank007_po-00030.txt": "5ecbd6ce1820035769928df12ba0275fad55c7fc27ba9439e52b2eb64ec5801a",
+        "lifecycles/rank008_po-00017.txt": "a2d30c216c6b0a3380be6ce1f02689a564e85b41294b5ce717e4f93de14b0b23",
+        "lifecycles/rank009_po-00029.txt": "78aea02567f4aff4306b85db1bd0bbaa13fce4e4a5d6d41189b065dd659b1420",
+        "ranks.csv": "dbc02ff26ada40954f0700bcebb69d351ab7a2dbaef896eb3a758acc52f219c9",
+        "run.json": "34b1a1e42ee04e7c46e00bed4427a307c7f30db8dbd44f44e02210e08a4729ab",
+        "scores.csv": "69d28de4c3a10d08697470e19229e0909d85725e452acff95e778407a948d9d4"
+    },
+    "p2p/detect-fastmap": {
+        "lifecycles/rank000_po-00004.txt": "1da249ab9edf6bce14ad86b0832ebfb5bea774c153aea8a78aaba25a3e2704ee",
+        "lifecycles/rank001_po-00038.txt": "f0319d4736a95dd544c2cd6c27f6d9777bab2ef72bcad06744366e3636bb086c",
+        "lifecycles/rank002_po-00025.txt": "89bef3959ac137b609a9dfdc091c24bcf807e128567f9ecef70eeb5fddc45e16",
+        "lifecycles/rank003_po-00022.txt": "3d99134f673299ec4c82be40f9128044829803d66eb4b7440e7a8c7b95446c8d",
+        "lifecycles/rank004_po-00030.txt": "5ecbd6ce1820035769928df12ba0275fad55c7fc27ba9439e52b2eb64ec5801a",
+        "lifecycles/rank005_po-00021.txt": "0f4a1374d761bfdb1805a03074c6cd2a6977e05c5e815bd5b7d05e03af11a2ee",
+        "lifecycles/rank006_po-00033.txt": "21e11b107e177300481a05419ebd023fbc2f7997a9c9519499de617b33478d0e",
+        "lifecycles/rank007_po-00012.txt": "f6edde68d95d22c96d75b513352120fdcd48a59f59986bf06d2b06b565013aab",
+        "lifecycles/rank008_po-00029.txt": "78aea02567f4aff4306b85db1bd0bbaa13fce4e4a5d6d41189b065dd659b1420",
+        "lifecycles/rank009_po-00011.txt": "6b2bdfe27d6f4440dee372f3885edfb3c0e540c8e6e67f2f1b269765edd9ba2b",
+        "ranks.csv": "407f710e1b9f22b7080d4da292da8e9c1f2af2cefe7f36bb9bd5bbcd670fc0c5",
+        "run.json": "71a3297565e7ed059517c7ccf06e02376ee8fabcb0ced2bccbf36adab62dabd3",
+        "scores.csv": "c084f07416e8432e5618deaa20a06e7e1d5592d4e2e1a5dbe1b5530d5bdf6c29"
+    },
+    "p2p/aggregate-invoice": {
+        "feature_scores.csv": "113b7a865c85c1027218bcaa7993ef22e573cced48dcd949a0b7982d207cb143",
+        "feature_scores.txt": "244cf490178c30a0393de53fc1cf90a033bb96e0cdcc3c6083f2fcfad40cdb02",
+        "run.json": "40da9d36177985b3be943e7f5464edbc4d9648c7ba8b009450d36a1e3b4b78e4"
+    },
+    "p2p/aggregate-order-median": {
+        "feature_scores.csv": "81c5e8f4446148902b58e3d6b1c78073398c78c8106f100b1197aec0c3353a1b",
+        "feature_scores.txt": "1bb7b1de10f781b382bb1c810f6beee5f3ce664890c7e5aa3d2f5c74e17f93d0",
+        "run.json": "2475ace82f78413af8a07e6d37d950bfb64ac4844ebe9f9d48a07a0b71e13b05"
+    },
+    "p2p/abstract": {
+        "feature_summary.txt": "85ec2f17f5a5ef9894a65e3e2746ff365b62e5df73c40b6a1e0f11aceb1f75a3",
+        "oracle_verdicts.csv": "37cd0021d9d716774f770ea236ec323c1bad779fc09070c75eb4fe03e140a831",
+        "run.json": "d0f7902600c6fe089c23c2d4da1e45bfecf421222e41019cb5ebe6acbec4e541"
+    },
+    "blocked/generate": {
+        "ground_truth.csv": "3d91579139eeac7fe3c632edc71d30ff8ed0925420b19dce0832c4eb74639e03",
+        "log.json": "1275f5b60839a6cd19e6df918ab3fc7dbaacafbeb4a541849125baf436cdf904",
+        "run.json": "c048c4443d268490dcef504d658eee7f347d39810b07f30c17461656b12b5b67"
+    },
+    "blocked/features": {
+        "features.csv": "babf2d1165b3b72757c21d9292dd6c0223557aeeca645c6811d025b3d00d3dd7",
+        "run.json": "881476c98441e599b826cd0cc2e85a3fa8374eeca0a9a14797fcbaa11ec8f009"
+    },
+    "blocked/detect": {
+        "lifecycles/rank000_po-00039.txt": "60694b950abc60de40221278f60dd9e76da21898cc0b114af7ca566e68086df2",
+        "lifecycles/rank001_po-00016.txt": "35ae79e5fdf18f24ddd1e784b50cec6f6a1489a6ac92eab8e64dbd58358e03f6",
+        "lifecycles/rank002_po-00023.txt": "7fdea587fb3a7d8473e639dc25385ac86ffd3e4be00bc00f0dba077569fa0311",
+        "lifecycles/rank003_po-00031.txt": "851d2d49b672e889352f37c6227ca02545a42994a32280fe337ddca9641b8722",
+        "lifecycles/rank004_po-00000.txt": "eebba260431864fc7fe95d588c7cadf16ba7b7327451d942e48cc19af3e4e9aa",
+        "lifecycles/rank005_po-00017.txt": "45f5bf805aedc2fb929af62658c265ab44411b27db530054ac941a4e49309d5f",
+        "lifecycles/rank006_po-00001.txt": "dbd9883425d922e93690b227bdf42f6a7356b0f51d33821deb6ac77e4e46dfcc",
+        "lifecycles/rank007_po-00002.txt": "aedcf1b272783bc827301dd530dc999cd660aa8a56dcd53dc4fcfbb792903bc0",
+        "lifecycles/rank008_po-00005.txt": "6aaa3b27c49cb45e415a14752b0d826924fb195f9fe6384a0554a13035d7b6c5",
+        "lifecycles/rank009_po-00037.txt": "a248f8a4039a1afa79973ffc5bca1a51f0393788e9306653d525a348257da5fe",
+        "ranks.csv": "44f1aecaebcc9bf762248cd9a0f77855c73840904fd8456910607285853d15af",
+        "run.json": "524c84b6b71c34a42ded36495787886a850116fde0710ec438a4773d16a179e2",
+        "scores.csv": "6f51ac8e32ade77a23a6c303201ef9c1ac28d143f0bc0b370410b305d1d2d221"
+    },
+    "blocked/detect-fastmap": {
+        "lifecycles/rank000_po-00016.txt": "35ae79e5fdf18f24ddd1e784b50cec6f6a1489a6ac92eab8e64dbd58358e03f6",
+        "lifecycles/rank001_po-00023.txt": "7fdea587fb3a7d8473e639dc25385ac86ffd3e4be00bc00f0dba077569fa0311",
+        "lifecycles/rank002_po-00031.txt": "851d2d49b672e889352f37c6227ca02545a42994a32280fe337ddca9641b8722",
+        "lifecycles/rank003_po-00039.txt": "60694b950abc60de40221278f60dd9e76da21898cc0b114af7ca566e68086df2",
+        "lifecycles/rank004_po-00038.txt": "5f3f6a0eeec00f107b1c601e59a48767b1eefad3122db1e0271ea66f782a2086",
+        "lifecycles/rank005_po-00000.txt": "eebba260431864fc7fe95d588c7cadf16ba7b7327451d942e48cc19af3e4e9aa",
+        "lifecycles/rank006_po-00017.txt": "45f5bf805aedc2fb929af62658c265ab44411b27db530054ac941a4e49309d5f",
+        "lifecycles/rank007_po-00002.txt": "aedcf1b272783bc827301dd530dc999cd660aa8a56dcd53dc4fcfbb792903bc0",
+        "lifecycles/rank008_po-00001.txt": "dbd9883425d922e93690b227bdf42f6a7356b0f51d33821deb6ac77e4e46dfcc",
+        "lifecycles/rank009_po-00035.txt": "c4e434ef1bfaf34f6c7566b72afbaf66decf14d0e05e1e6d0481f6a30ea382a3",
+        "ranks.csv": "c8c50e308d0f8a8cab4d419ae257b9f6807180efd8237957f24b784118f5ee8b",
+        "run.json": "a17682865bbd78823045bcf4e104e9f26b8486bcd46a240ebb572e58754234bb",
+        "scores.csv": "09e721298eb48b6d21b358a8f07ca10b17583b870b854604586a775132544a31"
+    },
+    "blocked/aggregate-invoice": {
+        "feature_scores.csv": "84ae1d5f550fa1c9a5640afd96f340410c0e21776f3d8321d33167d761893785",
+        "feature_scores.txt": "eb5c766eaaf960e2351e54a77bd76d606dad152edf733e56fe564e829c755fdb",
+        "run.json": "a391ae7445a6655aa6bbf246b70513d1463cb9a81885e2fa1f693498270775b5"
+    },
+    "blocked/aggregate-order-median": {
+        "feature_scores.csv": "df3460ba89d42255b07b9a037e5f1d58da6fcd0318442e7ef09b533ea641e65b",
+        "feature_scores.txt": "3ebbe313c9e5331adc7ef146da4e7dcfbd28d42260fa985eb034a80736a51a1b",
+        "run.json": "5c7b091ae220643deb02ad10c1f2ac97bf30a5954def1ca67cb812a8639356d3"
+    },
+    "blocked/abstract": {
+        "feature_summary.txt": "060b9f6a87bce599cf1e3fc088dbb26547007514b27d9f09d883c9e6becff321",
+        "oracle_verdicts.csv": "3f4e06fa2a3130c5d814ead51cbcfe546b15c698917822ba07f7ef89c7d446c6",
+        "run.json": "e14b1aeb64f736980d57e1d34af668e14f5fb41742fcc103c78108405842e61b"
+    }
+}
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        table = run_all(Path(tmp))
+    print(json.dumps(table, indent=4))
