@@ -38,7 +38,7 @@ def main() -> None:
     print(f"log: {len(log.events)} events, {len(log.objects)} objects, "
           f"{sum(1 for k in truth.labels.values() if k)} anomalous orders\n")
 
-    Fn = build_matrix(log, PipelineParams(object_type="order", seed=args.seed))
+    _, Fn = build_matrix(log, PipelineParams(object_type="order", seed=args.seed))
     sv_if = isolation_forest(Fn, seed=args.seed)
     embedding = fastmap(Fn, k=min(8, len(Fn.columns)), seed=args.seed)
     sv_lof = lof(embedding, k=20)

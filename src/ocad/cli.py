@@ -27,8 +27,8 @@ from pathlib import Path
 from . import __version__
 from .aggregate import anomalous_feature_report
 from .detect import bottom_k, rank_csv_bytes, score_csv_bytes
-from .errors import OcadError
-from .features import ExtractionConfig, extract_features, feature_csv_bytes, propagate_features
+from .errors import InvalidConfig, OcadError
+from .features import feature_csv_bytes
 from .ocel import OcelLog, parse_ocel_json, serialize_ocel_json
 from .oracle import (
     abstract_lifecycle,
@@ -37,7 +37,7 @@ from .oracle import (
     statistical_oracle,
     summarize_features,
 )
-from .pipeline import PipelineParams, build_matrix, detect_objects
+from .pipeline import PipelineParams, build_matrix, detect_objects, score_matrix
 from .prompts import FEATURE_TABLE_PREAMBLE
 from .synthgen import AnomalyKind, SynthConfig, generate_blocked_invoices, generate_p2p
 
@@ -136,7 +136,7 @@ def _cmd_generate(args) -> int:
 def _cmd_features(args) -> int:
     log, digest = _load_log(args.log)
     params = _pipeline_params(args)
-    Fn = build_matrix(log, params)
+    _, Fn = build_matrix(log, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_atomic(out / "features.csv", feature_csv_bytes(Fn))
@@ -146,6 +146,10 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    if args.top_k < 0:
+        raise InvalidConfig(f"top_k must be >= 0, got {args.top_k}")
+    if args.max_events < 1:
+        raise InvalidConfig(f"max_events must be >= 1, got {args.max_events}")
     log, digest = _load_log(args.log)
     params = _pipeline_params(args)
     _, scores, ranks = detect_objects(log, params)
@@ -170,11 +174,8 @@ def _cmd_detect(args) -> int:
 def _cmd_aggregate(args) -> int:
     log, digest = _load_log(args.log)
     params = _pipeline_params(args)
-    cfg = ExtractionConfig(include_cobirth_codeath=params.include_cobirth_codeath)
-    F = extract_features(log, params.object_type, cfg)
-    if params.propagate_from:
-        F = propagate_features(log, F, extract_features(log, params.propagate_from, cfg), agg=params.agg)
-    _, scores, _ = detect_objects(log, params)
+    F, Fn = build_matrix(log, params)
+    scores = score_matrix(Fn, params)
     table = anomalous_feature_report(log, F, scores, top_n=args.top_n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,7 +190,7 @@ def _cmd_aggregate(args) -> int:
 def _cmd_abstract(args) -> int:
     log, digest = _load_log(args.log)
     params = _pipeline_params(args)
-    Fn = build_matrix(log, params)
+    _, Fn = build_matrix(log, params)
     summary = summarize_features(Fn)
     text = summary.render()
     if args.raw_table:

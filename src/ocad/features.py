@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -118,8 +117,7 @@ def _common_attribute_columns(log: OcelLog, ot: str, objs: tuple[str, ...]):
     object of the type. Mixed numeric/string use of one attribute is an
     error rather than a silent coercion."""
     names: list[str] = []
-    cols: list[np.ndarray] = []
-    n = len(objs)
+    blocks: list[np.ndarray] = []
     for att in sorted(log.common_attributes(ot)):
         values = [log.ovmap[o][att] for o in objs]
         kinds = {isinstance(v, str) for v in values}
@@ -129,78 +127,80 @@ def _common_attribute_columns(log: OcelLog, ot: str, objs: tuple[str, ...]):
             )
         if kinds == {False}:
             names.append(f"numvalue{att}")
-            cols.append(np.asarray(values, dtype=np.float64))
+            blocks.append(np.asarray(values, dtype=np.float64)[:, None])
         else:
-            for v in sorted(set(values)):
-                names.append(f"strvalue{att}_{v}")
-                col = np.zeros(n)
-                for i, got in enumerate(values):
-                    if got == v:
-                        col[i] = 1.0
-                cols.append(col)
-    return names, cols
+            distinct = sorted(set(values))
+            names += [f"strvalue{att}_{v}" for v in distinct]
+            code = {v: j for j, v in enumerate(distinct)}
+            hot = np.asarray([code[v] for v in values])[:, None] == np.arange(len(distinct))
+            blocks.append(hot.astype(np.float64))
+    return names, blocks
+
+
+def _counts(rows: np.ndarray, keys: np.ndarray, n: int, width: int) -> np.ndarray:
+    """(n, width) float matrix counting each (row, key) pair."""
+    return np.bincount(rows * width + keys, minlength=n * width).reshape(n, width).astype(np.float64)
 
 
 def extract_features(
     log: OcelLog, ot: str, cfg: ExtractionConfig | None = None
 ) -> FeatureMatrix:
-    """Build the feature matrix for all objects of type ``ot``."""
+    """Build the feature matrix for all objects of type ``ot``.
+
+    Every family is computed for all rows at once from ``log.index``; a
+    family's columns are generated for every activity, edge or type code and
+    the all-zero ones are dropped with the rest at the end.
+    """
     cfg = cfg or ExtractionConfig()
     objs = log.objects_of_type(ot)
     if not objs:
         raise NoObjectsOfType(f"no objects of type {ot!r} in the log")
     n = len(objs)
+    ix = log.index
+    codes = ix.codes(objs)
+    acts, types = log.activities, log.object_types
+    n_act, n_type = len(acts), len(types)
 
-    names, cols = _common_attribute_columns(log, ot, objs)
+    names, blocks = _common_attribute_columns(log, ot, objs)
 
-    lifecycles = [log.lifecycle(o) for o in objs]
-    act_counts = [Counter(log.act[e] for e in lc) for lc in lifecycles]
-    observed_acts = sorted(set().union(*[set(c) for c in act_counts]) if act_counts else set())
-    for a in observed_acts:
-        names.append(f"lifecyclecontains{a}")
-        cols.append(np.asarray([c.get(a, 0) for c in act_counts], dtype=np.float64))
+    events, row = ix.lifecycles(codes)
+    ev_act = ix.ev_act[events]
+    names += [f"lifecyclecontains{a}" for a in acts]
+    blocks.append(_counts(row, ev_act, n, n_act))
 
-    start_acts = [log.act[lc[0]] if lc else None for lc in lifecycles]
-    for a in sorted({a for a in start_acts if a is not None}):
-        names.append(f"lifecyclestartswith{a}")
-        cols.append(np.asarray([1.0 if sa == a else 0.0 for sa in start_acts]))
+    lo = ix.lc_ptr[codes]
+    has_events = np.flatnonzero(ix.lc_ptr[codes + 1] > lo)
+    starts_with = np.zeros((n, n_act))
+    starts_with[has_events, ix.ev_act[ix.lc_ev[lo[has_events]]]] = 1.0
+    names += [f"lifecyclestartswith{a}" for a in acts]
+    blocks.append(starts_with)
 
-    starts = np.asarray([log.time[lc[0]] if lc else 0.0 for lc in lifecycles])
-    ends = np.asarray([log.time[lc[-1]] if lc else 0.0 for lc in lifecycles])
+    starts, ends = ix.t_start[codes], ix.t_end[codes]
     names += ["lifecyclestarttime", "lifecycleendtime", "lifecycleduration"]
-    cols += [starts, ends, ends - starts]
+    blocks.append(np.column_stack([starts, ends, ends - starts]))
 
-    dfg_counts: list[Counter] = []
-    for lc in lifecycles:
-        dfg_counts.append(Counter((log.act[e1], log.act[e2]) for e1, e2 in zip(lc, lc[1:])))
-    observed_edges = sorted(set().union(*[set(c) for c in dfg_counts]) if dfg_counts else set())
-    for a1, a2 in observed_edges:
-        names.append(f"dfg_{a1}_{a2}")
-        cols.append(np.asarray([c.get((a1, a2), 0) for c in dfg_counts], dtype=np.float64))
+    # Directly-follows edges: consecutive lifecycle events of the same row.
+    same = row[1:] == row[:-1]
+    edges, edge_of = np.unique(ev_act[:-1][same] * n_act + ev_act[1:][same], return_inverse=True)
+    names += [f"dfg_{acts[e // n_act]}_{acts[e % n_act]}" for e in edges.tolist()]
+    blocks.append(_counts(row[:-1][same], edge_of, n, len(edges)))
 
-    sets_by_type = {
-        ot2: [log.interaction_sets(o, ot2) for o in objs] for ot2 in log.object_types
-    }
-    for ot2 in log.object_types:
-        names.append(f"interactions{ot2}")
-        cols.append(np.asarray([len(s.interact) for s in sets_by_type[ot2]], dtype=np.float64))
-    for ot2 in log.object_types:
-        names.append(f"creation{ot2}")
-        cols.append(np.asarray([len(s.creation) for s in sets_by_type[ot2]], dtype=np.float64))
+    partners, prow = ix.partners(codes)
+    ptype = ix.obj_type[partners]
+    p_start = ix.t_start[partners]
+    families = [("interactions", np.ones(len(partners), dtype=bool)), ("creation", starts[prow] < p_start)]
     if cfg.include_cobirth_codeath:
-        for ot2 in log.object_types:
-            names.append(f"cobirth{ot2}")
-            cols.append(np.asarray([len(s.cobirth) for s in sets_by_type[ot2]], dtype=np.float64))
-        for ot2 in log.object_types:
-            names.append(f"codeath{ot2}")
-            cols.append(np.asarray([len(s.codeath) for s in sets_by_type[ot2]], dtype=np.float64))
+        families += [("cobirth", starts[prow] == p_start), ("codeath", ends[prow] == ix.t_end[partners])]
+    for prefix, mask in families:
+        names += [f"{prefix}{t}" for t in types]
+        blocks.append(_counts(prow[mask], ptype[mask], n, n_type))
 
-    values = np.column_stack(cols) if cols else np.zeros((n, 0))
-    nonzero = [i for i in range(values.shape[1]) if np.any(values[:, i] != 0.0)]
+    values = np.hstack(blocks)
+    nonzero = np.flatnonzero(np.any(values != 0.0, axis=0))
     return FeatureMatrix(
         object_type=ot,
         row_ids=objs,
-        columns=tuple(names[i] for i in nonzero),
+        columns=tuple(names[i] for i in nonzero.tolist()),
         values=values[:, nonzero],
     )
 
@@ -212,6 +212,11 @@ def propagate_features(
     objects. For each neighbor column ``c`` a column ``prop<c>`` is added
     holding ``agg`` over the values of the interacting neighbor-type objects;
     objects with no neighbors get 0.
+
+    The neighbor rows of every base row are gathered at once, partners in
+    ascending id order. Rows with the same number of partners are stacked and
+    reduced along one axis by the same numpy function as a per-row call, so
+    every float equals the per-row result.
     """
     if base.object_type == neighbor.object_type:
         raise TypeMismatch("propagation requires two distinct object types")
@@ -219,19 +224,31 @@ def propagate_features(
         raise ValueError(f"agg must be one of {AGGREGATIONS}, got {agg!r}")
     fn = {"mean": np.mean, "median": np.median, "min": np.min, "max": np.max, "sum": np.sum}[agg]
 
-    neighbor_row = {o: i for i, o in enumerate(neighbor.row_ids)}
+    ix = log.index
+    partners, seg = ix.partners(ix.codes(base.row_ids))
+    keep = ix.obj_type[partners] == ix.type_code.get(neighbor.object_type, -1)
+    partners, seg = partners[keep], seg[keep]
+
+    neighbor_row = np.full(len(log.objects), -1)
+    for i, o in enumerate(neighbor.row_ids):
+        if o in ix.obj_code:
+            neighbor_row[ix.obj_code[o]] = i
+    rows = neighbor_row[partners]
+    missing = np.flatnonzero(rows < 0)
+    if len(missing):
+        k = missing[0]
+        raise RowMismatch(
+            f"object {log.objects[partners[k]]!r} interacts with {base.row_ids[seg[k]]!r} "
+            "but is missing from the neighbor matrix"
+        )
+
     prop = np.zeros((len(base.row_ids), len(neighbor.columns)))
-    for i, o in enumerate(base.row_ids):
-        partners = log.interaction_sets(o, neighbor.object_type).interact
-        if not partners:
-            continue
-        try:
-            rows = [neighbor_row[p] for p in sorted(partners)]
-        except KeyError as exc:
-            raise RowMismatch(
-                f"object {exc.args[0]!r} interacts with {o!r} but is missing from the neighbor matrix"
-            ) from exc
-        prop[i, :] = fn(neighbor.values[rows, :], axis=0)
+    count = np.bincount(seg, minlength=len(base.row_ids))
+    first = np.cumsum(count) - count
+    for size in np.unique(count[count > 0]).tolist():
+        sel = np.flatnonzero(count == size)
+        stacked = neighbor.values[rows[first[sel][:, None] + np.arange(size)], :]
+        prop[sel, :] = fn(stacked, axis=1)
 
     return FeatureMatrix(
         object_type=base.object_type,

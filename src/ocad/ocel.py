@@ -9,15 +9,30 @@ interaction sets) are defined relative to that order.
 Timestamps are real seconds since the Unix epoch. Serialization re-emits them
 as ISO-8601 UTC with millisecond precision, so parse(serialize(log)) is the
 identity for logs whose timestamps are millisecond-quantized.
+
+The derivations read a :class:`LogIndex`, an integer view of the log built
+once, on first use, by ``OcelLog.index``. Objects are coded by their position
+in ``objects``, types and activities by their position in the sorted
+``object_types`` and ``activities``, events by their position in the total
+order. The index holds each object's type code, each event's time and
+activity code, the lifecycles as CSR (compressed sparse row) arrays of event
+positions per object, and every pair of distinct objects sharing an event as
+two arrays sorted by (object, partner). Feature extraction and propagation
+compute on these arrays for all objects of a type at once. The index is not
+a field of the log, so equality, serialization and ``ocad generate`` never
+build it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 from .errors import DanglingReference, DuplicateId, MalformedDocument, UnknownObject
 
@@ -48,6 +63,120 @@ class InteractionSets:
     continuation: frozenset[str]
     cobirth: frozenset[str]
     codeath: frozenset[str]
+
+
+@dataclass(frozen=True)
+class LogIndex:
+    """Integer arrays over one log; see the module docstring for the codes.
+
+    ``lc_ev[lc_ptr[c]:lc_ptr[c + 1]]`` are the positions of object ``c``'s
+    events in ascending (total) order. ``t_start``/``t_end`` are the times of
+    each object's first and last event, 0.0 for an empty lifecycle. Every
+    ``(pair_a[k], pair_b[k])`` is a pair of distinct objects sharing at least
+    one event; the pairs are unique, sorted by ``(a, b)``, and come in both
+    orientations.
+    """
+
+    obj_code: dict[str, int]
+    type_code: dict[str, int]
+    obj_type: np.ndarray
+    by_type: dict[str, tuple[str, ...]]
+    ev_time: np.ndarray
+    ev_act: np.ndarray
+    lc_ptr: np.ndarray
+    lc_ev: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+
+    @staticmethod
+    def build(log: "OcelLog") -> "LogIndex":
+        n = len(log.objects)
+        obj_code = {o: i for i, o in enumerate(log.objects)}
+        type_code = {t: i for i, t in enumerate(log.object_types)}
+        act_code = {a: i for i, a in enumerate(log.activities)}
+        otypes = [log.otyp[o] for o in log.objects]
+        obj_type = np.array([type_code[t] for t in otypes], dtype=np.int32)
+        by_type: dict[str, list[str]] = {t: [] for t in log.object_types}
+        for o, t in zip(log.objects, otypes):
+            by_type[t].append(o)
+        n_ev = len(log.events)
+        ev_time = np.array([log.time[e] for e in log.events], dtype=np.float64)
+        ev_act = np.array([act_code[log.act[e]] for e in log.events], dtype=np.int32)
+
+        # (object, event) relations in event order; each event's objects are contiguous.
+        omaps = [log.omap[e] for e in log.events]
+        sizes = np.array([len(m) for m in omaps], dtype=np.int64)
+        rel_obj = np.array([obj_code[o] for m in omaps for o in m], dtype=np.int32)
+        del omaps
+        rel_ev = np.repeat(np.arange(n_ev, dtype=np.int32), sizes)
+
+        order = np.argsort(rel_obj, kind="stable")
+        lc_ev = rel_ev[order]
+        lc_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rel_obj, minlength=n), out=lc_ptr[1:])
+        del order
+        has_events = lc_ptr[1:] > lc_ptr[:-1]
+        t_start = np.zeros(n)
+        t_end = np.zeros(n)
+        t_start[has_events] = ev_time[lc_ev[lc_ptr[:-1][has_events]]]
+        t_end[has_events] = ev_time[lc_ev[lc_ptr[1:][has_events] - 1]]
+
+        # Every relation paired with every relation of its event, then the
+        # self-pairs dropped and repeats across events merged.
+        ev_ptr = np.zeros(n_ev + 1, dtype=np.int64)
+        np.cumsum(sizes, out=ev_ptr[1:])
+        b, rel = _gather(rel_obj, ev_ptr[rel_ev], ev_ptr[rel_ev + 1])
+        a = rel_obj[rel].astype(np.int64)
+        del rel
+        keep = a != b
+        pair_a, pair_b = np.divmod(np.unique(a[keep] * n + b[keep]), n)
+        del a, b, keep
+        return LogIndex(
+            obj_code=obj_code,
+            type_code=type_code,
+            obj_type=obj_type,
+            by_type={t: tuple(objs) for t, objs in by_type.items()},
+            ev_time=ev_time,
+            ev_act=ev_act,
+            lc_ptr=lc_ptr,
+            lc_ev=lc_ev,
+            t_start=t_start,
+            t_end=t_end,
+            pair_a=pair_a.astype(np.int32),
+            pair_b=pair_b.astype(np.int32),
+        )
+
+    def codes(self, objs: Iterable[str]) -> np.ndarray:
+        """Object codes of ``objs``; raises :class:`UnknownObject` for an id
+        that is not in the log."""
+        try:
+            return np.fromiter((self.obj_code[o] for o in objs), dtype=np.int64)
+        except KeyError as exc:
+            raise UnknownObject(f"unknown object id {exc.args[0]!r}") from None
+
+    def lifecycles(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Event positions of the objects ``codes``, concatenated in the
+        order given, and the index into ``codes`` of each one."""
+        return _gather(self.lc_ev, self.lc_ptr[codes], self.lc_ptr[codes + 1])
+
+    def partners(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interaction partners (any type) of the objects ``codes``,
+        concatenated in the order given with ascending codes per object, and
+        the index into ``codes`` of each one."""
+        lo = np.searchsorted(self.pair_a, codes, side="left")
+        hi = np.searchsorted(self.pair_a, codes, side="right")
+        return _gather(self.pair_b, lo, hi)
+
+
+def _gather(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values[lo[i]:hi[i]]`` concatenated over ``i``, and the ``i`` of each
+    entry."""
+    lens = hi - lo
+    seg = np.repeat(np.arange(len(lo)), lens)
+    offsets = np.cumsum(lens) - lens
+    return values[np.arange(int(lens.sum())) + np.repeat(lo - offsets, lens)], seg
 
 
 @dataclass(frozen=True)
@@ -124,32 +253,27 @@ class OcelLog:
     def activities(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.act.values())))
 
+    @cached_property
+    def index(self) -> LogIndex:
+        return LogIndex.build(self)
+
     def objects_of_type(self, ot: str) -> tuple[str, ...]:
-        return tuple(o for o in self.objects if self.otyp[o] == ot)
+        return self.index.by_type.get(ot, ())
 
-    @cached_property
-    def _lifecycles(self) -> dict[str, tuple[str, ...]]:
-        per_object: dict[str, list[str]] = {o: [] for o in self.objects}
-        for e in self.events:
-            for o in self.omap[e]:
-                per_object[o].append(e)
-        return {o: tuple(es) for o, es in per_object.items()}
-
-    @cached_property
-    def _event_pos(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.events)}
-
-    def _require_object(self, o: str) -> None:
-        if o not in self.otyp:
-            raise UnknownObject(f"unknown object id {o!r}")
+    def _code(self, o: str) -> int:
+        try:
+            return self.index.obj_code[o]
+        except KeyError:
+            raise UnknownObject(f"unknown object id {o!r}") from None
 
     # ------------------------------------------------------------ derivations
 
     def lifecycle(self, o: str) -> tuple[str, ...]:
         """All events relating to ``o``, in total order. Empty when no event
         references the object."""
-        self._require_object(o)
-        return self._lifecycles[o]
+        c = self._code(o)
+        ix = self.index
+        return tuple(self.events[i] for i in ix.lc_ev[ix.lc_ptr[c]:ix.lc_ptr[c + 1]].tolist())
 
     def start_event(self, o: str) -> str | None:
         lc = self.lifecycle(o)
@@ -171,46 +295,25 @@ class OcelLog:
         dfg = frozenset(zip(lc, lc[1:]))
         return dfg, efg
 
-    def interacting(self, o: str) -> frozenset[str]:
-        """All objects (any type) sharing at least one event with ``o``,
-        excluding ``o`` itself."""
-        self._require_object(o)
-        partners: set[str] = set()
-        for e in self._lifecycles[o]:
-            partners |= self.omap[e]
-        partners.discard(o)
-        return frozenset(partners)
-
     def interaction_sets(self, o: str, ot: str) -> InteractionSets:
         """Interaction, creation, continuation, co-birth and co-death sets of
         ``o`` restricted to objects of type ``ot``."""
-        self._require_object(o)
-        interact = frozenset(p for p in self.interacting(o) if self.otyp[p] == ot)
-        lc = self._lifecycles[o]
-        if not lc or not interact:
-            empty = frozenset()
-            return InteractionSets(interact, empty, empty, empty, empty)
-        t_start = self.time[lc[0]]
-        t_end = self.time[lc[-1]]
-        creation, continuation, cobirth, codeath = set(), set(), set(), set()
-        for p in interact:
-            plc = self._lifecycles[p]
-            p_start = self.time[plc[0]]
-            p_end = self.time[plc[-1]]
-            if t_start < p_start:
-                creation.add(p)
-            if t_end == p_start:
-                continuation.add(p)
-            if t_start == p_start:
-                cobirth.add(p)
-            if t_end == p_end:
-                codeath.add(p)
+        c = self._code(o)
+        ix = self.index
+        partners, _ = ix.partners(np.array([c]))
+        partners = partners[ix.obj_type[partners] == ix.type_code.get(ot, -1)]
+        t_start, t_end = ix.t_start[c], ix.t_end[c]
+        p_start, p_end = ix.t_start[partners], ix.t_end[partners]
+
+        def pick(mask: np.ndarray) -> frozenset[str]:
+            return frozenset(self.objects[p] for p in partners[mask].tolist())
+
         return InteractionSets(
-            interact,
-            frozenset(creation),
-            frozenset(continuation),
-            frozenset(cobirth),
-            frozenset(codeath),
+            interact=pick(np.ones(len(partners), dtype=bool)),
+            creation=pick(t_start < p_start),
+            continuation=pick(t_end == p_start),
+            cobirth=pick(t_start == p_start),
+            codeath=pick(t_end == p_end),
         )
 
     def common_attributes(self, ot: str) -> frozenset[str]:
@@ -228,7 +331,7 @@ class OcelLog:
 # --------------------------------------------------------------------- JSON
 
 def _parse_iso(ts: str) -> float:
-    s = ts.strip()
+    s = _string(ts, "timestamp").strip()
     if s.endswith("Z") or s.endswith("z"):
         s = s[:-1] + "+00:00"
     try:
@@ -247,12 +350,27 @@ def format_iso(t: float) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%S") + f".{ms:03d}Z"
 
 
+def _string(v: object, what: str) -> str:
+    # Ids, types and names are compared and sorted with each other.
+    if not isinstance(v, str):
+        raise MalformedDocument(f"{what} must be a string, got {type(v).__name__}")
+    return v
+
+
 def _coerce_value(v: object, where: str) -> AttributeValue:
     # JSON booleans are neither numeric nor string attribute values.
     if isinstance(v, bool):
         raise MalformedDocument(f"boolean attribute value in {where}")
     if isinstance(v, (int, float)):
-        return float(v)
+        # json.loads reads NaN, Infinity and out-of-range literals such as
+        # 1e999; none of them gives a meaningful feature.
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            raise MalformedDocument(f"non-finite numeric attribute value in {where}")
+        return x
     if isinstance(v, str):
         return v
     raise MalformedDocument(f"unsupported attribute value {v!r} in {where}")
@@ -282,14 +400,14 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
     object_records = []
     for entry in doc["objects"]:
         try:
-            oid = entry["id"]
-            ot = entry["type"]
+            oid = _string(entry["id"], "object id")
+            ot = _string(entry["type"], "object type")
         except (TypeError, KeyError) as exc:
             raise MalformedDocument(f"object entry missing id/type: {entry!r}") from exc
         latest: dict[str, tuple[float, int, AttributeValue]] = {}
         for seq, att in enumerate(entry.get("attributes") or []):
             try:
-                name = att["name"]
+                name = _string(att["name"], "attribute name")
                 value = _coerce_value(att["value"], f"object {oid!r}")
             except (TypeError, KeyError) as exc:
                 raise MalformedDocument(f"bad attribute on object {oid!r}") from exc
@@ -302,21 +420,21 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
     event_records = []
     for entry in doc["events"]:
         try:
-            eid = entry["id"]
-            activity = entry["type"]
+            eid = _string(entry["id"], "event id")
+            activity = _string(entry["type"], "event type")
             ts = _parse_iso(entry["time"])
         except (TypeError, KeyError) as exc:
             raise MalformedDocument(f"event entry missing id/type/time: {entry!r}") from exc
         attrs = {}
         for att in entry.get("attributes") or []:
             try:
-                attrs[att["name"]] = _coerce_value(att["value"], f"event {eid!r}")
+                attrs[_string(att["name"], "attribute name")] = _coerce_value(att["value"], f"event {eid!r}")
             except (TypeError, KeyError) as exc:
                 raise MalformedDocument(f"bad attribute on event {eid!r}") from exc
         oids = []
         for rel in entry.get("relationships") or []:
             try:
-                oids.append(rel["objectId"])
+                oids.append(_string(rel["objectId"], "relationship objectId"))
             except (TypeError, KeyError) as exc:
                 raise MalformedDocument(f"bad relationship on event {eid!r}") from exc
         event_records.append((eid, activity, ts, oids, attrs))

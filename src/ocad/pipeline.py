@@ -14,10 +14,11 @@ from .detect import (
     lof,
     rank,
 )
-from .errors import AllColumnsDropped
+from .errors import AllColumnsDropped, InvalidConfig
 from .features import (
     DEFAULT_EPSILON,
     ExtractionConfig,
+    FeatureMatrix,
     NormalizedFeatureMatrix,
     extract_features,
     normalize,
@@ -47,12 +48,20 @@ class PipelineParams:
     seed: int = 0
     include_cobirth_codeath: bool = False
 
+    def __post_init__(self):
+        for name, least in (("n_trees", 1), ("subsample", 2), ("lof_k", 1), ("reduce_k", 1), ("pivot_iters", 1)):
+            if getattr(self, name) < least:
+                raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not self.epsilon > 0:
+            raise InvalidConfig(f"epsilon must be > 0, got {self.epsilon}")
 
-def build_matrix(log: OcelLog, params: PipelineParams) -> NormalizedFeatureMatrix:
+
+def build_matrix(log: OcelLog, params: PipelineParams) -> tuple[FeatureMatrix, NormalizedFeatureMatrix]:
     """extract -> optional propagate -> normalize -> variance filter.
 
-    Falls back to the unfiltered normalized matrix when the variance filter
-    would drop every column.
+    Returns the raw matrix (extracted and propagated, before normalization)
+    and the normalized, filtered one. Falls back to the unfiltered normalized
+    matrix when the variance filter would drop every column.
     """
     cfg = ExtractionConfig(include_cobirth_codeath=params.include_cobirth_codeath)
     F = extract_features(log, params.object_type, cfg)
@@ -61,9 +70,9 @@ def build_matrix(log: OcelLog, params: PipelineParams) -> NormalizedFeatureMatri
         F = propagate_features(log, F, neighbor, agg=params.agg)
     Fn = normalize(F, epsilon=params.epsilon)
     try:
-        return variance_filter(Fn, params.min_variance)
+        return F, variance_filter(Fn, params.min_variance)
     except AllColumnsDropped:
-        return Fn
+        return F, Fn
 
 
 def score_matrix(Fn: NormalizedFeatureMatrix, params: PipelineParams) -> ScoreVector:
@@ -86,6 +95,6 @@ def score_matrix(Fn: NormalizedFeatureMatrix, params: PipelineParams) -> ScoreVe
 
 
 def detect_objects(log: OcelLog, params: PipelineParams) -> tuple[NormalizedFeatureMatrix, ScoreVector, RankVector]:
-    Fn = build_matrix(log, params)
+    _, Fn = build_matrix(log, params)
     scores = score_matrix(Fn, params)
     return Fn, scores, rank(scores)

@@ -43,9 +43,14 @@ def ocel_doc(events=(), objects=()):
     ).encode("utf-8")
 
 
-def random_log(seed, n_objects=12, n_events=20, n_types=3, n_activities=5):
-    """Small random log exercising shared events and attributes."""
+def random_log(seed, n_objects=12, n_events=20, n_types=3, n_activities=5, activities=None, tie_share=0.0):
+    """Small random log exercising shared events and attributes.
+
+    ``activities`` replaces the ``act<k>`` names; with ``tie_share`` > 0 about
+    that share of the events repeat the previous event's timestamp.
+    """
     rng = np.random.default_rng(seed)
+    names = list(activities) if activities else [f"act{k}" for k in range(n_activities)]
     objects = []
     for i in range(n_objects):
         attrs = {"amount": round(float(rng.uniform(1, 100)), 2)}
@@ -55,12 +60,13 @@ def random_log(seed, n_objects=12, n_events=20, n_types=3, n_activities=5):
     events = []
     t = 1000.0
     for i in range(n_events):
-        t = round(t + float(rng.exponential(10.0)), 3)
+        if not (tie_share and rng.random() < tie_share):
+            t = round(t + float(rng.exponential(10.0)), 3)
         related = rng.choice(n_objects, size=int(rng.integers(0, 4)), replace=False)
         events.append(
             (
                 f"e{i:03d}",
-                f"act{int(rng.integers(n_activities))}",
+                names[int(rng.integers(len(names)))],
                 t,
                 [f"o{int(j):03d}" for j in related],
                 {},

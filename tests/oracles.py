@@ -149,6 +149,21 @@ def assert_matrix_matches_naive(F, objs, rows, time_tol=1e-9):
                 assert got == expected, (o, c, got, expected)
 
 
+def brute_propagate(naive, base, neighbor, agg):
+    """Per-object propagation: for each base row, ``agg`` over the neighbor
+    rows of its interaction partners of the neighbor type, in sorted id
+    order, zeros without partners. Returns ``(columns, values)``."""
+    fn = {"mean": np.mean, "median": np.median, "min": np.min, "max": np.max, "sum": np.sum}[agg]
+    row_of = {o: i for i, o in enumerate(neighbor.row_ids)}
+    prop = np.zeros((len(base.row_ids), len(neighbor.columns)))
+    for i, o in enumerate(base.row_ids):
+        partners = sorted(naive.interaction_sets(o, neighbor.object_type)[0])
+        if partners:
+            prop[i, :] = fn(neighbor.values[[row_of[p] for p in partners], :], axis=0)
+    columns = tuple(base.columns) + tuple(f"prop{c}" for c in neighbor.columns)
+    return columns, np.hstack([base.values, prop])
+
+
 def brute_lof(X, k):
     """Straight-line LOF on a full distance matrix, emitted negated."""
     X = [list(map(float, row)) for row in X]

@@ -157,7 +157,7 @@ def test_c06_fastmap_distances():
             AnomalyKind.REOPEN_LONG_GAP: 0.02,
         }, seed=seed)
         log, _ = generate_p2p(cfg)
-        Fn = build_matrix(log, PipelineParams(object_type="order", seed=seed))
+        _, Fn = build_matrix(log, PipelineParams(object_type="order", seed=seed))
         emb = fastmap(Fn, k=8, seed=seed)
         iu = np.triu_indices(len(Fn.row_ids), 1)
         corr = np.corrcoef(_pairwise(Fn.values)[iu], _pairwise(emb.coords)[iu])[0, 1]

@@ -145,6 +145,46 @@ def test_features_on_empty_log_is_validation_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n-trees", "0"],
+        ["--subsample", "1"],
+        ["--lof-k", "0", "--detector", "lof"],
+        ["--reduce-k", "0", "--reducer", "pca"],
+        ["--top-k", "-3"],
+        ["--max-events", "0"],
+    ],
+)
+def test_detect_rejects_invalid_knobs(generated, tmp_path, capsys, flags):
+    out = tmp_path / "det"
+    code = main(["detect", "--log", str(generated / "log.json"), "--object-type", "order", *flags,
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "scores.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        ocel_doc(objects=[{"id": "o1", "type": "order", "attributes": [{"name": "x", "value": float("nan")}]}]),
+        ocel_doc(objects=[{"id": 1, "type": "order"}, {"id": "o1", "type": "order"}]),
+        ocel_doc(events=[{"id": "e1", "type": "A", "time": "2024-01-01T00:00:00Z"},
+                         {"id": 2, "type": "A", "time": "2024-01-01T00:00:00Z"}]),
+    ],
+    ids=["nan-attribute", "int-object-id", "int-event-id"],
+)
+def test_malformed_log_is_one_line_validation_error(tmp_path, capsys, doc):
+    log = tmp_path / "bad.json"
+    log.write_bytes(doc)
+    code = main(["features", "--log", str(log), "--object-type", "order", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_input_is_io_error(tmp_path):
     code = main(["features", "--log", str(tmp_path / "nope.json"), "--object-type", "order", "--out", str(tmp_path / "o")])
     assert code == 2

@@ -108,6 +108,45 @@ def test_parse_rejects_boolean_attribute():
         parse_ocel_json(doc)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("on", ["object", "event"])
+def test_parse_rejects_non_finite_attribute(value, on):
+    if on == "object":
+        doc = ocel_doc(objects=[_object("o1", "a", attrs=[("x", value)])])
+    else:
+        doc = ocel_doc(events=[_event("e1", "A", "2024-01-01T00:00:00Z", attrs=[("x", value)])])
+    with pytest.raises(MalformedDocument, match="non-finite"):
+        parse_ocel_json(doc)
+
+
+@pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400], ids=["float", "int"])
+def test_parse_rejects_out_of_range_number(literal):
+    doc = ocel_doc(objects=[_object("o1", "a", attrs=[("x", 0.0)])]).replace(b"0.0", literal.encode())
+    with pytest.raises(MalformedDocument, match="non-finite"):
+        parse_ocel_json(doc)
+
+
+_GOOD_EVENT = {"id": "e1", "type": "A", "time": "2024-01-01T00:00:00Z", "relationships": [{"objectId": "o1"}]}
+
+
+@pytest.mark.parametrize(
+    "objects, events",
+    [
+        ([{"id": 1, "type": "a"}, {"id": "o1", "type": "a"}], []),
+        ([{"id": "o1", "type": 7}], []),
+        ([{"id": "o1", "type": "a", "attributes": [{"name": 3, "value": 1.0}]}], []),
+        ([{"id": "o1", "type": "a"}], [_GOOD_EVENT, {**_GOOD_EVENT, "id": 2}]),
+        ([{"id": "o1", "type": "a"}], [{**_GOOD_EVENT, "type": None}]),
+        ([{"id": "o1", "type": "a"}], [{**_GOOD_EVENT, "relationships": [{"objectId": 5}]}]),
+        ([{"id": "o1", "type": "a"}], [{**_GOOD_EVENT, "relationships": [{"objectId": ["o1"]}]}]),
+        ([{"id": "o1", "type": "a"}], [{**_GOOD_EVENT, "time": 1700000000}]),
+    ],
+)
+def test_parse_rejects_non_string_ids_types_and_times(objects, events):
+    with pytest.raises(MalformedDocument, match="must be a string"):
+        parse_ocel_json(ocel_doc(events=events, objects=objects))
+
+
 def test_parse_keeps_latest_object_attribute_value():
     doc = ocel_doc(
         objects=[
