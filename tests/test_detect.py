@@ -13,6 +13,7 @@ from ocad.detect import (
     lof,
     rank,
     render_score_table,
+    score_csv_bytes,
 )
 from ocad.errors import DegenerateMatrixWarning, KTooLarge, TooFewRows
 
@@ -164,9 +165,22 @@ def test_rank_simple():
 
 
 def test_rank_tie_breaks_lexicographically():
-    sv = ScoreVector(("b", "a"), np.array([-1.0, -1.0]), "IF", {})
-    rv = rank(sv)
-    assert dict(zip(rv.object_ids, rv.ranks)) == {"a": 0, "b": 1}
+    cases = [
+        (("b", "a"), [-1.0, -1.0], {"a": 0, "b": 1}),
+        (("a\x00", "a"), [-1.0, -1.0], {"a": 0, "a\x00": 1}),  # a trailing NUL still sorts after
+        (("b", "a"), [-0.0, 0.0], {"a": 0, "b": 1}),  # -0.0 ties with 0.0
+        (("a", "b"), [0.0, -0.0], {"a": 0, "b": 1}),
+    ]
+    for ids, scores, expected in cases:
+        sv = ScoreVector(ids, np.array(scores), "IF", {})
+        rv = rank(sv)
+        assert dict(zip(rv.object_ids, rv.ranks)) == expected
+        by_rank = sorted(expected, key=expected.get)
+        assert bottom_k(rv, len(ids)) == by_rank
+        rows = score_csv_bytes(sv).decode().splitlines()[1:]
+        assert [r.rsplit(",", 1)[0] for r in rows] == by_rank
+        table = render_score_table([sv]).splitlines()[1:]
+        assert [line.split()[0] for line in table] == by_rank
 
 
 def test_rank_strict_order_all_pairs():

@@ -32,10 +32,13 @@ COMMANDS = {
     "features": ("features", "--object-type", "order"),
     "detect": ("detect", "--object-type", "order"),
     "detect-fastmap": ("detect", "--object-type", "order", "--reducer", "fastmap"),
+    "detect-pca": ("detect", "--object-type", "order", "--reducer", "pca"),
+    "detect-lof-raw": ("detect", "--object-type", "order", "--detector", "lof", "--cobirth-codeath"),
     "aggregate-invoice": ("aggregate", "--object-type", "invoice", "--propagate-from", "order"),
     "aggregate-order-median": ("aggregate", "--object-type", "order", "--propagate-from", "invoice",
                                "--agg", "median"),
     "abstract": ("abstract", "--object-type", "order"),
+    "abstract-raw": ("abstract", "--object-type", "order", "--raw-table", "--max-rows", "30"),
 }
 
 
@@ -118,6 +121,36 @@ GOLDEN = {
         "run.json": "71a3297565e7ed059517c7ccf06e02376ee8fabcb0ced2bccbf36adab62dabd3",
         "scores.csv": "c084f07416e8432e5618deaa20a06e7e1d5592d4e2e1a5dbe1b5530d5bdf6c29"
     },
+    "p2p/detect-pca": {
+        "lifecycles/rank000_po-00030.txt": "5ecbd6ce1820035769928df12ba0275fad55c7fc27ba9439e52b2eb64ec5801a",
+        "lifecycles/rank001_po-00002.txt": "eaf66bfc9974fc05d97bc82cc4bd4e9f3726860fb8b5dd25907e6156adaa6c27",
+        "lifecycles/rank002_po-00022.txt": "3d99134f673299ec4c82be40f9128044829803d66eb4b7440e7a8c7b95446c8d",
+        "lifecycles/rank003_po-00003.txt": "d9dc888ec89cb4ebd61c418a209ebd5570488fdaba801be13c69b9952ed2c670",
+        "lifecycles/rank004_po-00020.txt": "c147a536c86755aa7951fdaf349e8d5c73fdb15e73a0a7cd1a0df9db20f1afc9",
+        "lifecycles/rank005_po-00021.txt": "0f4a1374d761bfdb1805a03074c6cd2a6977e05c5e815bd5b7d05e03af11a2ee",
+        "lifecycles/rank006_po-00032.txt": "63f9aabf4fbe0c0766dcd3a52674a23cbf0caf28ce240ae1dc32582d8f431ab3",
+        "lifecycles/rank007_po-00017.txt": "a2d30c216c6b0a3380be6ce1f02689a564e85b41294b5ce717e4f93de14b0b23",
+        "lifecycles/rank008_po-00023.txt": "1832614e77597942a2ee24bfb580380df06e3cbd12dd65c124524351938cd8a7",
+        "lifecycles/rank009_po-00004.txt": "1da249ab9edf6bce14ad86b0832ebfb5bea774c153aea8a78aaba25a3e2704ee",
+        "ranks.csv": "ffb5466040567b2965e8851b67a41437eeb8aa670420c8f568c32191dad80290",
+        "run.json": "cc2d385b6dea6f5d70c4508aca35a1a415eb31d0f8de77781ed264166c8b8293",
+        "scores.csv": "48031aedf990ed211f56f6446d79672a6c74017d15ff82597f4764ac54a66488"
+    },
+    "p2p/detect-lof-raw": {
+        "lifecycles/rank000_po-00004.txt": "1da249ab9edf6bce14ad86b0832ebfb5bea774c153aea8a78aaba25a3e2704ee",
+        "lifecycles/rank001_po-00038.txt": "f0319d4736a95dd544c2cd6c27f6d9777bab2ef72bcad06744366e3636bb086c",
+        "lifecycles/rank002_po-00025.txt": "89bef3959ac137b609a9dfdc091c24bcf807e128567f9ecef70eeb5fddc45e16",
+        "lifecycles/rank003_po-00022.txt": "3d99134f673299ec4c82be40f9128044829803d66eb4b7440e7a8c7b95446c8d",
+        "lifecycles/rank004_po-00030.txt": "5ecbd6ce1820035769928df12ba0275fad55c7fc27ba9439e52b2eb64ec5801a",
+        "lifecycles/rank005_po-00021.txt": "0f4a1374d761bfdb1805a03074c6cd2a6977e05c5e815bd5b7d05e03af11a2ee",
+        "lifecycles/rank006_po-00012.txt": "f6edde68d95d22c96d75b513352120fdcd48a59f59986bf06d2b06b565013aab",
+        "lifecycles/rank007_po-00029.txt": "78aea02567f4aff4306b85db1bd0bbaa13fce4e4a5d6d41189b065dd659b1420",
+        "lifecycles/rank008_po-00011.txt": "6b2bdfe27d6f4440dee372f3885edfb3c0e540c8e6e67f2f1b269765edd9ba2b",
+        "lifecycles/rank009_po-00033.txt": "21e11b107e177300481a05419ebd023fbc2f7997a9c9519499de617b33478d0e",
+        "ranks.csv": "706061e2e879e3d8b37d1a75e90069841ea3c239256d84194ee4a488b8ee5800",
+        "run.json": "6b767f700c3b750e20897119e9a117030d2bc7e9fe527838e2525c470e86438c",
+        "scores.csv": "566612b9769709b87ec6f5f06286fc46add17fb2226d1ae03514619ef55cbb1a"
+    },
     "p2p/aggregate-invoice": {
         "feature_scores.csv": "113b7a865c85c1027218bcaa7993ef22e573cced48dcd949a0b7982d207cb143",
         "feature_scores.txt": "244cf490178c30a0393de53fc1cf90a033bb96e0cdcc3c6083f2fcfad40cdb02",
@@ -132,6 +165,11 @@ GOLDEN = {
         "feature_summary.txt": "85ec2f17f5a5ef9894a65e3e2746ff365b62e5df73c40b6a1e0f11aceb1f75a3",
         "oracle_verdicts.csv": "37cd0021d9d716774f770ea236ec323c1bad779fc09070c75eb4fe03e140a831",
         "run.json": "d0f7902600c6fe089c23c2d4da1e45bfecf421222e41019cb5ebe6acbec4e541"
+    },
+    "p2p/abstract-raw": {
+        "feature_summary.txt": "7199b872ac17667f20409351485a6a127860f2083eec1fe8b5422f01e6d8a047",
+        "oracle_verdicts.csv": "37cd0021d9d716774f770ea236ec323c1bad779fc09070c75eb4fe03e140a831",
+        "run.json": "7cde569f3756b4e49bcc10ca16ee7813f514e66bfa8684508341511734aed200"
     },
     "blocked/generate": {
         "ground_truth.csv": "3d91579139eeac7fe3c632edc71d30ff8ed0925420b19dce0832c4eb74639e03",
@@ -172,6 +210,36 @@ GOLDEN = {
         "run.json": "a17682865bbd78823045bcf4e104e9f26b8486bcd46a240ebb572e58754234bb",
         "scores.csv": "09e721298eb48b6d21b358a8f07ca10b17583b870b854604586a775132544a31"
     },
+    "blocked/detect-pca": {
+        "lifecycles/rank000_po-00016.txt": "35ae79e5fdf18f24ddd1e784b50cec6f6a1489a6ac92eab8e64dbd58358e03f6",
+        "lifecycles/rank001_po-00039.txt": "60694b950abc60de40221278f60dd9e76da21898cc0b114af7ca566e68086df2",
+        "lifecycles/rank002_po-00000.txt": "eebba260431864fc7fe95d588c7cadf16ba7b7327451d942e48cc19af3e4e9aa",
+        "lifecycles/rank003_po-00023.txt": "7fdea587fb3a7d8473e639dc25385ac86ffd3e4be00bc00f0dba077569fa0311",
+        "lifecycles/rank004_po-00031.txt": "851d2d49b672e889352f37c6227ca02545a42994a32280fe337ddca9641b8722",
+        "lifecycles/rank005_po-00017.txt": "45f5bf805aedc2fb929af62658c265ab44411b27db530054ac941a4e49309d5f",
+        "lifecycles/rank006_po-00035.txt": "c4e434ef1bfaf34f6c7566b72afbaf66decf14d0e05e1e6d0481f6a30ea382a3",
+        "lifecycles/rank007_po-00005.txt": "6aaa3b27c49cb45e415a14752b0d826924fb195f9fe6384a0554a13035d7b6c5",
+        "lifecycles/rank008_po-00002.txt": "aedcf1b272783bc827301dd530dc999cd660aa8a56dcd53dc4fcfbb792903bc0",
+        "lifecycles/rank009_po-00038.txt": "5f3f6a0eeec00f107b1c601e59a48767b1eefad3122db1e0271ea66f782a2086",
+        "ranks.csv": "864d7e1644f5ac8336a23a31cb0d824af5b11434499604ad477dbe5647c9eced",
+        "run.json": "1d9be8b0279169b6b41ff4e1500fc41ccd64c1e3442ac57977838998bf2d0f81",
+        "scores.csv": "714d1307e01d3a563d4f7fe7312afe20f8baceafd13adafcbeb237a988cab86f"
+    },
+    "blocked/detect-lof-raw": {
+        "lifecycles/rank000_po-00016.txt": "35ae79e5fdf18f24ddd1e784b50cec6f6a1489a6ac92eab8e64dbd58358e03f6",
+        "lifecycles/rank001_po-00023.txt": "7fdea587fb3a7d8473e639dc25385ac86ffd3e4be00bc00f0dba077569fa0311",
+        "lifecycles/rank002_po-00031.txt": "851d2d49b672e889352f37c6227ca02545a42994a32280fe337ddca9641b8722",
+        "lifecycles/rank003_po-00039.txt": "60694b950abc60de40221278f60dd9e76da21898cc0b114af7ca566e68086df2",
+        "lifecycles/rank004_po-00038.txt": "5f3f6a0eeec00f107b1c601e59a48767b1eefad3122db1e0271ea66f782a2086",
+        "lifecycles/rank005_po-00000.txt": "eebba260431864fc7fe95d588c7cadf16ba7b7327451d942e48cc19af3e4e9aa",
+        "lifecycles/rank006_po-00017.txt": "45f5bf805aedc2fb929af62658c265ab44411b27db530054ac941a4e49309d5f",
+        "lifecycles/rank007_po-00002.txt": "aedcf1b272783bc827301dd530dc999cd660aa8a56dcd53dc4fcfbb792903bc0",
+        "lifecycles/rank008_po-00001.txt": "dbd9883425d922e93690b227bdf42f6a7356b0f51d33821deb6ac77e4e46dfcc",
+        "lifecycles/rank009_po-00035.txt": "c4e434ef1bfaf34f6c7566b72afbaf66decf14d0e05e1e6d0481f6a30ea382a3",
+        "ranks.csv": "c8c50e308d0f8a8cab4d419ae257b9f6807180efd8237957f24b784118f5ee8b",
+        "run.json": "3a1ea35fa246c16c1a46f80df981a49a8515a61d00762d7f05646c0500037c0e",
+        "scores.csv": "cc67f138aedad8e60523b1e4df86393b25889c1b60c1876636fe54fcf42d37a1"
+    },
     "blocked/aggregate-invoice": {
         "feature_scores.csv": "84ae1d5f550fa1c9a5640afd96f340410c0e21776f3d8321d33167d761893785",
         "feature_scores.txt": "eb5c766eaaf960e2351e54a77bd76d606dad152edf733e56fe564e829c755fdb",
@@ -186,6 +254,11 @@ GOLDEN = {
         "feature_summary.txt": "060b9f6a87bce599cf1e3fc088dbb26547007514b27d9f09d883c9e6becff321",
         "oracle_verdicts.csv": "3f4e06fa2a3130c5d814ead51cbcfe546b15c698917822ba07f7ef89c7d446c6",
         "run.json": "e14b1aeb64f736980d57e1d34af668e14f5fb41742fcc103c78108405842e61b"
+    },
+    "blocked/abstract-raw": {
+        "feature_summary.txt": "f28cc73ff67e84667cdcc1e56ef6ca5fb28d002b2c92803743edebcdb0e20fe9",
+        "oracle_verdicts.csv": "3f4e06fa2a3130c5d814ead51cbcfe546b15c698917822ba07f7ef89c7d446c6",
+        "run.json": "7a6ce5769a6f612a12c7b57a77a2df7760e3bc1101e4a9aaa9d8c106b203a1ed"
     }
 }
 
