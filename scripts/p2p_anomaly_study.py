@@ -41,7 +41,7 @@ def main() -> None:
     _, Fn = build_matrix(log, PipelineParams(object_type="order", seed=args.seed))
     sv_if = isolation_forest(Fn, seed=args.seed)
     embedding = fastmap(Fn, k=min(8, len(Fn.columns)), seed=args.seed)
-    sv_lof = lof(embedding, k=20)
+    sv_lof = lof(embedding.matrix, k=20)
 
     table = render_score_table([sv_if, sv_lof]).splitlines()
     print("most anomalous orders (isolation forest | LOF on FastMap):")

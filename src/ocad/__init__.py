@@ -5,9 +5,7 @@ __version__ = "0.1.0"
 from .aggregate import FeatureScoreTable, anomalous_feature_report, feature_scores
 from .detect import RankVector, ScoreVector, bottom_k, isolation_forest, lof, rank
 from .features import (
-    ExtractionConfig,
     FeatureMatrix,
-    NormalizedFeatureMatrix,
     explode_values,
     extract_features,
     filter_activities,
@@ -30,12 +28,10 @@ from .synthgen import AnomalyKind, SynthConfig, SynthGroundTruth, generate_block
 __all__ = [
     "AnomalyKind",
     "Embedding",
-    "ExtractionConfig",
     "FeatureMatrix",
     "FeatureScoreTable",
     "FeatureSummary",
     "InteractionSets",
-    "NormalizedFeatureMatrix",
     "OcelLog",
     "OracleVerdict",
     "RankVector",

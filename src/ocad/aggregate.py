@@ -8,22 +8,12 @@ co-occur with anomalous objects, which is what the report surfaces.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
-import numpy as np
-
-from .detect import ScoreVector
+from ._csv import csv_bytes
+from .detect import ScoreVector, _order
 from .errors import RowMismatch
-from .features import (
-    DEFAULT_EPSILON,
-    FeatureMatrix,
-    NormalizedFeatureMatrix,
-    explode_values,
-    normalize,
-)
+from .features import DEFAULT_EPSILON, FeatureMatrix, explode_values, normalize
 from .ocel import OcelLog
 
 _EXACT_NAMES = ("lifecyclestarttime", "lifecycleendtime", "lifecycleduration")
@@ -53,12 +43,10 @@ class FeatureScoreTable:
     rows: tuple[FeatureScoreRow, ...]
 
     def to_csv_bytes(self) -> bytes:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["feature", "count", "fea_score"])
-        for r in self.rows:
-            w.writerow([r.feature_name, r.support_count, repr(r.fea_score)])
-        return buf.getvalue().encode("utf-8")
+        return csv_bytes(
+            ["feature", "count", "fea_score"],
+            ([r.feature_name, r.support_count, repr(r.fea_score)] for r in self.rows),
+        )
 
     def to_text(self) -> str:
         header = ("Feature (with Value)", "Count", "FEA_SCORE")
@@ -69,26 +57,19 @@ class FeatureScoreTable:
             lines.append(f"{name.ljust(widths[0])}  {count.rjust(widths[1])}  {score.rjust(widths[2])}")
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_csv_bytes())
 
+def feature_scores(F: FeatureMatrix, scores: ScoreVector, epsilon: float = DEFAULT_EPSILON) -> FeatureScoreTable:
+    """Score every column of ``F``, normalized with ``epsilon``, against
+    object scores.
 
-def feature_scores(Fnorm: NormalizedFeatureMatrix, scores: ScoreVector) -> FeatureScoreTable:
-    """Score every column of a normalized matrix against object scores.
-
-    Support counts are taken on the pre-normalization values (number of
-    objects where the feature is nonzero).
+    Support counts are taken on the values of ``F`` before normalization
+    (number of objects where the feature is nonzero).
     """
-    if tuple(Fnorm.row_ids) != tuple(scores.object_ids):
+    if tuple(F.row_ids) != tuple(scores.object_ids):
         raise RowMismatch("row ids of the matrix and the score vector differ")
-    n = len(Fnorm.row_ids)
-    fea = (scores.scores @ Fnorm.values) / n
-    support = (Fnorm.source_values != 0.0).sum(axis=0)
-    rows = [
-        FeatureScoreRow(name, int(support[j]), float(fea[j]))
-        for j, name in enumerate(Fnorm.columns)
-    ]
-    rows.sort(key=lambda r: (r.fea_score, r.feature_name))
+    fea = (scores.scores @ normalize(F, epsilon).values) / len(F.row_ids)
+    support = (F.values != 0.0).sum(axis=0)
+    rows = (FeatureScoreRow(F.columns[j], int(support[j]), float(fea[j])) for j in _order(F.columns, fea).tolist())
     return FeatureScoreTable(rows=tuple(rows))
 
 
@@ -135,7 +116,7 @@ def anomalous_feature_report(
     if missing:
         raise RowMismatch(f"matrix rows not in the log: {missing[:3]!r}")
     exploded = explode_values(F, max_distinct=max_distinct)
-    table = feature_scores(normalize(exploded, epsilon), scores)
+    table = feature_scores(exploded, scores, epsilon)
     variances = {
         name: float(exploded.values[:, j].var()) for j, name in enumerate(exploded.columns)
     }

@@ -15,20 +15,19 @@ reproduces the outputs byte-identically. Outputs are written atomically
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
+from ._csv import csv_bytes
 from .aggregate import anomalous_feature_report
-from .detect import bottom_k, rank_csv_bytes, score_csv_bytes
+from .detect import DEFAULT_LOF_K, DEFAULT_N_TREES, DEFAULT_SUBSAMPLE, bottom_k, rank_csv_bytes, score_csv_bytes
 from .errors import InvalidConfig, OcadError
-from .features import feature_csv_bytes
+from .features import AGGREGATIONS, feature_csv_bytes
 from .ocel import OcelLog, parse_ocel_json, serialize_ocel_json
 from .oracle import (
     abstract_lifecycle,
@@ -39,6 +38,7 @@ from .oracle import (
 )
 from .pipeline import PipelineParams, build_matrix, detect_objects, score_matrix
 from .prompts import FEATURE_TABLE_PREAMBLE
+from .reduce import DEFAULT_FASTMAP_K
 from .synthgen import AnomalyKind, SynthConfig, generate_blocked_invoices, generate_p2p
 
 LLM_KEY_ENV = "OCAD_LLM_API_KEY"
@@ -202,12 +202,8 @@ def _cmd_abstract(args) -> int:
 
     if args.oracle == "statistical":
         verdicts = statistical_oracle(summary, whisker=args.whisker)
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["feature", "fence_lo", "fence_hi", "rationale"])
-        for v in verdicts:
-            w.writerow([v.feature_name, repr(v.fence_lo), repr(v.fence_hi), v.rationale])
-        _write_atomic(out / "oracle_verdicts.csv", buf.getvalue().encode())
+        rows = ([v.feature_name, repr(v.fence_lo), repr(v.fence_hi), v.rationale] for v in verdicts)
+        _write_atomic(out / "oracle_verdicts.csv", csv_bytes(["feature", "fence_lo", "fence_hi", "rationale"], rows))
         outputs.append("oracle_verdicts.csv")
     else:
         reply = llm_oracle(
@@ -238,12 +234,12 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    help="default: iforest, or lof when --reducer fastmap")
     p.add_argument("--reducer", choices=["none", "pca", "fastmap"], default="none")
     p.add_argument("--propagate-from", default=None, help="neighbor object type whose features are propagated")
-    p.add_argument("--agg", choices=["mean", "median", "min", "max", "sum"], default="mean")
+    p.add_argument("--agg", choices=AGGREGATIONS, default="mean")
     p.add_argument("--min-variance", type=float, default=0.0)
-    p.add_argument("--reduce-k", type=int, default=8)
-    p.add_argument("--n-trees", type=int, default=100)
-    p.add_argument("--subsample", type=int, default=256)
-    p.add_argument("--lof-k", type=int, default=20)
+    p.add_argument("--reduce-k", type=int, default=DEFAULT_FASTMAP_K)
+    p.add_argument("--n-trees", type=int, default=DEFAULT_N_TREES)
+    p.add_argument("--subsample", type=int, default=DEFAULT_SUBSAMPLE)
+    p.add_argument("--lof-k", type=int, default=DEFAULT_LOF_K)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cobirth-codeath", action="store_true", help="include co-birth/co-death count features")
     p.add_argument("--out", required=True, help="output directory")

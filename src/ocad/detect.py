@@ -8,15 +8,13 @@ Isolation Forest emits ``0.5 - s(x)`` with the standard anomaly measure
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 from math import ceil, log2
-from pathlib import Path
 
 import numpy as np
 
+from ._csv import csv_bytes
 from .errors import DegenerateMatrixWarning, KTooLarge, TooFewRows
 
 DEFAULT_N_TREES = 100
@@ -168,13 +166,21 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     )
 
 
+def _order(ids, scores) -> np.ndarray:
+    """Positions ascending by (score, id): the ids are sorted first, then a
+    stable sort of the scores keeps that order among ties (-0.0 ties 0.0).
+    The ids are compared as Python strings; a numpy string array would drop
+    trailing NULs."""
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    return by_id[np.argsort(np.asarray(scores)[by_id], kind="stable")]
+
+
 def rank(scores: ScoreVector) -> RankVector:
     """Injective rank: ascending by (score, object id); rank 0 is the most
     anomalous object, ties broken lexicographically."""
-    order = sorted(range(len(scores.object_ids)), key=lambda i: (scores.scores[i], scores.object_ids[i]))
+    order = _order(scores.object_ids, scores.scores)
     ranks = np.empty(len(order), dtype=np.int64)
-    for r, i in enumerate(order):
-        ranks[i] = r
+    ranks[order] = np.arange(len(order))
     return RankVector(object_ids=scores.object_ids, ranks=ranks)
 
 
@@ -183,39 +189,25 @@ def bottom_k(ranks: RankVector, k: int) -> list[str]:
     n = len(ranks.object_ids)
     if k > n:
         raise KTooLarge(f"k={k} exceeds {n} ranked objects")
-    by_rank = sorted(range(n), key=lambda i: ranks.ranks[i])
-    return [ranks.object_ids[i] for i in by_rank[:k]]
+    return [ranks.object_ids[i] for i in np.argsort(ranks.ranks, kind="stable")[:k].tolist()]
 
 
 # ------------------------------------------------------------------- output
 
 def score_csv_bytes(scores: ScoreVector) -> bytes:
     """Two-column CSV, most anomalous first."""
-    order = sorted(range(len(scores.object_ids)), key=lambda i: (scores.scores[i], scores.object_ids[i]))
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["object_id", "score"])
-    for i in order:
-        w.writerow([scores.object_ids[i], repr(float(scores.scores[i]))])
-    return buf.getvalue().encode("utf-8")
+    order = _order(scores.object_ids, scores.scores)
+    ids = scores.object_ids
+    rows = ([ids[i], repr(x)] for i, x in zip(order.tolist(), scores.scores[order].tolist()))
+    return csv_bytes(["object_id", "score"], rows)
 
 
 def rank_csv_bytes(ranks: RankVector) -> bytes:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["object_id", "rank"])
-    by_rank = sorted(range(len(ranks.object_ids)), key=lambda i: ranks.ranks[i])
-    for i in by_rank:
-        w.writerow([ranks.object_ids[i], int(ranks.ranks[i])])
-    return buf.getvalue().encode("utf-8")
-
-
-def write_score_csv(scores: ScoreVector, path: str | Path) -> None:
-    Path(path).write_bytes(score_csv_bytes(scores))
-
-
-def write_rank_csv(ranks: RankVector, path: str | Path) -> None:
-    Path(path).write_bytes(rank_csv_bytes(ranks))
+    """Two-column CSV in rank order."""
+    order = np.argsort(ranks.ranks, kind="stable")
+    ids = ranks.object_ids
+    rows = ([ids[i], int(r)] for i, r in zip(order.tolist(), ranks.ranks[order].tolist()))
+    return csv_bytes(["object_id", "rank"], rows)
 
 
 def render_score_table(vectors: list[ScoreVector]) -> str:
@@ -225,7 +217,7 @@ def render_score_table(vectors: list[ScoreVector]) -> str:
     for v in vectors[1:]:
         if v.object_ids != ids:
             raise ValueError("score vectors are not aligned")
-    order = sorted(range(len(ids)), key=lambda i: (vectors[0].scores[i], ids[i]))
+    order = _order(ids, vectors[0].scores).tolist()
     header = ["Object ID"] + [f"{v.method} Score" for v in vectors]
     rows = [[ids[i]] + [f"{v.scores[i]:.6f}" for v in vectors] for i in order]
     widths = [max(len(h), *(len(r[c]) for r in rows)) if rows else len(h) for c, h in enumerate(header)]

@@ -10,7 +10,7 @@ Column families and their naming scheme:
 * ``lifecyclestarttime`` / ``lifecycleendtime`` / ``lifecycleduration``
 * ``dfg_<a1>_<a2>``            directly-follows edge counts between activities
 * ``interactions<ot>`` / ``creation<ot>``   interaction / creation counts per type
-* ``cobirth<ot>`` / ``codeath<ot>``         optional, behind a config flag
+* ``cobirth<ot>`` / ``codeath<ot>``         optional, behind the ``cobirth_codeath`` flag
 * ``prop<name>``               aggregated neighbor feature added by propagation
 
 Objects with an empty lifecycle get zeros for all lifecycle-derived columns.
@@ -21,13 +21,13 @@ matrix finite without an explicit activity/type whitelist.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._csv import csv_bytes
 from .errors import (
     AllColumnsDropped,
     EmptyKeepSet,
@@ -41,18 +41,6 @@ from .ocel import OcelLog
 DEFAULT_EPSILON = 1e-9
 
 AGGREGATIONS = ("mean", "median", "min", "max", "sum")
-
-
-@dataclass(frozen=True)
-class ExtractionConfig:
-    """Knobs for :func:`extract_features`.
-
-    ``include_cobirth_codeath`` adds per-type co-birth/co-death count columns
-    (objects starting or ending their lifecycle simultaneously); they are not
-    part of the default feature set.
-    """
-
-    include_cobirth_codeath: bool = False
 
 
 @dataclass(frozen=True)
@@ -76,39 +64,6 @@ class FeatureMatrix:
             self,
             columns=tuple(self.columns[i] for i in keep),
             values=self.values[:, keep],
-        )
-
-
-@dataclass(frozen=True)
-class NormalizedFeatureMatrix:
-    """Feature matrix rescaled per column into [-1, 1].
-
-    Keeps the per-column (min, max) and epsilon of the rescaling plus the raw
-    source values, so downstream consumers (feature-score support counts) can
-    refer back to the original scale.
-    """
-
-    object_type: str
-    row_ids: tuple[str, ...]
-    columns: tuple[str, ...]
-    values: np.ndarray
-    epsilon: float
-    col_min: np.ndarray
-    col_max: np.ndarray
-    source_values: np.ndarray = field(repr=False)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.columns.index(name)]
-
-    def select_columns(self, keep: Sequence[int]) -> "NormalizedFeatureMatrix":
-        keep = list(keep)
-        return replace(
-            self,
-            columns=tuple(self.columns[i] for i in keep),
-            values=self.values[:, keep],
-            col_min=self.col_min[keep],
-            col_max=self.col_max[keep],
-            source_values=self.source_values[:, keep],
         )
 
 
@@ -142,16 +97,16 @@ def _counts(rows: np.ndarray, keys: np.ndarray, n: int, width: int) -> np.ndarra
     return np.bincount(rows * width + keys, minlength=n * width).reshape(n, width).astype(np.float64)
 
 
-def extract_features(
-    log: OcelLog, ot: str, cfg: ExtractionConfig | None = None
-) -> FeatureMatrix:
+def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> FeatureMatrix:
     """Build the feature matrix for all objects of type ``ot``.
 
     Every family is computed for all rows at once from ``log.index``; a
     family's columns are generated for every activity, edge or type code and
     the all-zero ones are dropped with the rest at the end.
+    ``cobirth_codeath`` adds per-type co-birth/co-death count columns
+    (objects starting or ending their lifecycle simultaneously); they are not
+    part of the default feature set.
     """
-    cfg = cfg or ExtractionConfig()
     objs = log.objects_of_type(ot)
     if not objs:
         raise NoObjectsOfType(f"no objects of type {ot!r} in the log")
@@ -189,7 +144,7 @@ def extract_features(
     ptype = ix.obj_type[partners]
     p_start = ix.t_start[partners]
     families = [("interactions", np.ones(len(partners), dtype=bool)), ("creation", starts[prow] < p_start)]
-    if cfg.include_cobirth_codeath:
+    if cobirth_codeath:
         families += [("cobirth", starts[prow] == p_start), ("codeath", ends[prow] == ix.t_end[partners])]
     for prefix, mask in families:
         names += [f"{prefix}{t}" for t in types]
@@ -258,7 +213,7 @@ def propagate_features(
     )
 
 
-def normalize(F: FeatureMatrix, epsilon: float = DEFAULT_EPSILON) -> NormalizedFeatureMatrix:
+def normalize(F: FeatureMatrix, epsilon: float = DEFAULT_EPSILON) -> FeatureMatrix:
     """Rescale each column to [-1, 1]:  -1 + 2*(v - min) / (max - min + eps).
 
     The per-column minimum maps to exactly -1; constant columns map uniformly
@@ -271,25 +226,13 @@ def normalize(F: FeatureMatrix, epsilon: float = DEFAULT_EPSILON) -> NormalizedF
         raise NoObjectsOfType("cannot normalize an empty matrix")
     lo = F.values.min(axis=0) if F.values.shape[1] else np.zeros(0)
     hi = F.values.max(axis=0) if F.values.shape[1] else np.zeros(0)
-    out = -1.0 + 2.0 * (F.values - lo) / (hi - lo + epsilon)
-    return NormalizedFeatureMatrix(
-        object_type=F.object_type,
-        row_ids=F.row_ids,
-        columns=F.columns,
-        values=out,
-        epsilon=epsilon,
-        col_min=lo,
-        col_max=hi,
-        source_values=F.values,
-    )
+    return replace(F, values=-1.0 + 2.0 * (F.values - lo) / (hi - lo + epsilon))
 
 
-def variance_filter(F, min_variance: float = 0.0):
-    """Keep columns whose population variance exceeds ``min_variance``.
-
-    Works on raw and normalized matrices alike and preserves column order.
-    Raises :class:`AllColumnsDropped` when nothing survives, so callers can
-    fall back to the unfiltered matrix.
+def variance_filter(F: FeatureMatrix, min_variance: float = 0.0) -> FeatureMatrix:
+    """Keep columns whose population variance exceeds ``min_variance``, in
+    their order. Raises :class:`AllColumnsDropped` when nothing survives, so
+    callers can fall back to the unfiltered matrix.
     """
     var = F.values.var(axis=0)
     keep = [i for i in range(len(F.columns)) if var[i] > min_variance]
@@ -346,19 +289,11 @@ def explode_values(F: FeatureMatrix, max_distinct: int = 20) -> FeatureMatrix:
 
 # ----------------------------------------------------------------------- CSV
 
-def feature_csv_bytes(F) -> bytes:
+def feature_csv_bytes(F: FeatureMatrix) -> bytes:
     """CSV with an ``object_id`` first column; floats keep full round-trip
-    precision. Accepts raw and normalized matrices."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["object_id", *F.columns])
-    for i, o in enumerate(F.row_ids):
-        w.writerow([o, *(repr(float(x)) for x in F.values[i, :])])
-    return buf.getvalue().encode("utf-8")
-
-
-def write_feature_csv(F, path: str | Path) -> None:
-    Path(path).write_bytes(feature_csv_bytes(F))
+    precision."""
+    rows = ([o, *map(repr, row)] for o, row in zip(F.row_ids, F.values.tolist()))
+    return csv_bytes(["object_id", *F.columns], rows)
 
 
 def read_feature_csv(path: str | Path, object_type: str = "") -> FeatureMatrix:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import requests
 
 from .errors import EmptyMatrix, LlmHttpError, LlmSchemaError, LlmTimeout, UnknownObject
 from .ocel import OcelLog, format_iso
@@ -162,12 +161,9 @@ def abstract_lifecycle(log: OcelLog, o: str, max_events: int = DEFAULT_MAX_EVENT
     duration = (log.time[lc[-1]] - log.time[lc[0]]) if lc else 0.0
     lines.append(f"events: {len(lc)}")
     lines.append(f"duration_seconds: {duration:g}")
+    sets = [(ot, log.interaction_sets(o, ot)) for ot in log.object_types]
     for kind in ("interact", "creation", "continuation", "cobirth", "codeath"):
-        parts = []
-        for ot in log.object_types:
-            sets = log.interaction_sets(o, ot)
-            parts.append(f"{ot}={len(getattr(sets, kind))}")
-        lines.append(f"{kind}: " + " ".join(parts))
+        lines.append(f"{kind}: " + " ".join(f"{ot}={len(getattr(s, kind))}" for ot, s in sets))
     return "\n".join(lines) + "\n"
 
 
@@ -197,6 +193,8 @@ def llm_oracle(
     failures surface as :class:`LlmTimeout` / :class:`LlmHttpError` /
     :class:`LlmSchemaError` and are never retried silently.
     """
+    import requests  # deferred: only this transport needs it, and importing it is slow
+
     payload = {
         "model": model,
         "messages": [

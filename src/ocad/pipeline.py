@@ -17,9 +17,7 @@ from .detect import (
 from .errors import AllColumnsDropped, InvalidConfig
 from .features import (
     DEFAULT_EPSILON,
-    ExtractionConfig,
     FeatureMatrix,
-    NormalizedFeatureMatrix,
     extract_features,
     normalize,
     propagate_features,
@@ -56,17 +54,16 @@ class PipelineParams:
             raise InvalidConfig(f"epsilon must be > 0, got {self.epsilon}")
 
 
-def build_matrix(log: OcelLog, params: PipelineParams) -> tuple[FeatureMatrix, NormalizedFeatureMatrix]:
+def build_matrix(log: OcelLog, params: PipelineParams) -> tuple[FeatureMatrix, FeatureMatrix]:
     """extract -> optional propagate -> normalize -> variance filter.
 
     Returns the raw matrix (extracted and propagated, before normalization)
     and the normalized, filtered one. Falls back to the unfiltered normalized
     matrix when the variance filter would drop every column.
     """
-    cfg = ExtractionConfig(include_cobirth_codeath=params.include_cobirth_codeath)
-    F = extract_features(log, params.object_type, cfg)
+    F = extract_features(log, params.object_type, params.include_cobirth_codeath)
     if params.propagate_from:
-        neighbor = extract_features(log, params.propagate_from, cfg)
+        neighbor = extract_features(log, params.propagate_from, params.include_cobirth_codeath)
         F = propagate_features(log, F, neighbor, agg=params.agg)
     Fn = normalize(F, epsilon=params.epsilon)
     try:
@@ -75,15 +72,14 @@ def build_matrix(log: OcelLog, params: PipelineParams) -> tuple[FeatureMatrix, N
         return F, Fn
 
 
-def score_matrix(Fn: NormalizedFeatureMatrix, params: PipelineParams) -> ScoreVector:
+def score_matrix(Fn: FeatureMatrix, params: PipelineParams) -> ScoreVector:
     """Optional reduction followed by the chosen detector."""
     data = Fn
+    k = min(params.reduce_k, len(Fn.row_ids), len(Fn.columns))
     if params.reducer == "pca":
-        k = min(params.reduce_k, len(Fn.row_ids), len(Fn.columns))
-        data = pca(Fn, k)
+        data = pca(Fn, k).matrix
     elif params.reducer == "fastmap":
-        k = min(params.reduce_k, len(Fn.row_ids), len(Fn.columns))
-        data = fastmap(Fn, k, pivot_iters=params.pivot_iters, seed=params.seed)
+        data = fastmap(Fn, k, pivot_iters=params.pivot_iters, seed=params.seed).matrix
     elif params.reducer != "none":
         raise ValueError(f"unknown reducer {params.reducer!r}")
 
@@ -94,7 +90,7 @@ def score_matrix(Fn: NormalizedFeatureMatrix, params: PipelineParams) -> ScoreVe
     raise ValueError(f"unknown detector {params.detector!r}")
 
 
-def detect_objects(log: OcelLog, params: PipelineParams) -> tuple[NormalizedFeatureMatrix, ScoreVector, RankVector]:
+def detect_objects(log: OcelLog, params: PipelineParams) -> tuple[FeatureMatrix, ScoreVector, RankVector]:
     _, Fn = build_matrix(log, params)
     scores = score_matrix(Fn, params)
     return Fn, scores, rank(scores)

@@ -15,13 +15,3 @@ FEATURE_TABLE_PREAMBLE = (
     "often, and rare activities worth investigating. Answer as a numbered "
     "list of findings with short justifications."
 )
-
-LIFECYCLE_PREAMBLE = (
-    "You are given the chronological lifecycle of a single business object "
-    "from an object-centric event log: one line per event with timestamp, "
-    "activity and related objects, followed by interaction summaries. "
-    "Identify anomalous patterns: duplicate timestamps, unusual event "
-    "orderings, abnormally long gaps or lifecycle durations, and rare "
-    "activities. Answer as a numbered list of findings with short "
-    "justifications."
-)

@@ -1,23 +1,23 @@
 """Dimensionality reduction: PCA and FastMap.
 
-Both take any matrix-like with ``row_ids`` and ``values`` and return an
-:class:`Embedding`. PCA is the classical covariance eigendecomposition with a
-deterministic sign convention. FastMap picks pivot pairs with the seeded
-farthest-pair heuristic and projects onto the pivot line axis by axis,
-carrying residual distances forward; it is contractive on Euclidean inputs
-and never needs the full pairwise distance matrix.
+Both take a :class:`FeatureMatrix` and return an :class:`Embedding` whose
+``matrix`` has the same rows and the columns ``dim_0 .. dim_{k-1}``, so it
+feeds the detectors and the feature CSV like any other matrix. PCA is the
+classical covariance eigendecomposition with a deterministic sign
+convention. FastMap picks pivot pairs with the seeded farthest-pair
+heuristic and projects onto the pivot line axis by axis, carrying residual
+distances forward; it is contractive on Euclidean inputs and never needs the
+full pairwise distance matrix.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import TooFewRows
+from .features import FeatureMatrix
 
 DEFAULT_FASTMAP_K = 8
 DEFAULT_PIVOT_ITERS = 5
@@ -25,20 +25,19 @@ DEFAULT_PIVOT_ITERS = 5
 
 @dataclass(frozen=True)
 class Embedding:
-    row_ids: tuple[str, ...]
-    coords: np.ndarray  # shape (n, k)
+    matrix: FeatureMatrix  # the input's rows, columns dim_0..dim_{k-1}
     method: str  # "PCA" | "FastMap"
     component_vectors: np.ndarray | None = None  # PCA: (k, d), orthonormal rows
     explained_variance: np.ndarray | None = None  # PCA: per component
     pivot_pairs: tuple[tuple[str, str], ...] | None = None  # FastMap: per axis
 
-    @property
-    def values(self) -> np.ndarray:
-        """Alias so embeddings feed the detectors like feature matrices."""
-        return self.coords
+
+def _coords_matrix(F: FeatureMatrix, coords: np.ndarray) -> FeatureMatrix:
+    columns = tuple(f"dim_{i}" for i in range(coords.shape[1]))
+    return FeatureMatrix(object_type=F.object_type, row_ids=tuple(F.row_ids), columns=columns, values=coords)
 
 
-def pca(F, k: int) -> Embedding:
+def pca(F: FeatureMatrix, k: int) -> Embedding:
     """Project onto the top-``k`` principal components.
 
     Components are eigenvectors of the population covariance matrix in
@@ -59,15 +58,16 @@ def pca(F, k: int) -> Embedding:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
     return Embedding(
-        row_ids=tuple(F.row_ids),
-        coords=Xc @ components.T,
+        matrix=_coords_matrix(F, Xc @ components.T),
         method="PCA",
         component_vectors=components,
         explained_variance=np.maximum(eigval[order], 0.0),
     )
 
 
-def fastmap(F, k: int = DEFAULT_FASTMAP_K, pivot_iters: int = DEFAULT_PIVOT_ITERS, seed: int = 0) -> Embedding:
+def fastmap(
+    F: FeatureMatrix, k: int = DEFAULT_FASTMAP_K, pivot_iters: int = DEFAULT_PIVOT_ITERS, seed: int = 0
+) -> Embedding:
     """Distance-preserving projection into ``k`` dimensions.
 
     Per axis: pivots (a, b) come from ``pivot_iters`` alternating
@@ -110,23 +110,5 @@ def fastmap(F, k: int = DEFAULT_FASTMAP_K, pivot_iters: int = DEFAULT_PIVOT_ITER
         coords[:, axis] = (d2a + d2ab - d2b) / (2.0 * np.sqrt(d2ab))
         pivots.append((F.row_ids[a], F.row_ids[b]))
 
-    return Embedding(
-        row_ids=tuple(F.row_ids),
-        coords=coords,
-        method="FastMap",
-        pivot_pairs=tuple(pivots),
-    )
+    return Embedding(matrix=_coords_matrix(F, coords), method="FastMap", pivot_pairs=tuple(pivots))
 
-
-def embedding_csv_bytes(E: Embedding) -> bytes:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    k = E.coords.shape[1]
-    w.writerow(["object_id", *(f"dim_{i}" for i in range(k))])
-    for i, o in enumerate(E.row_ids):
-        w.writerow([o, *(repr(float(x)) for x in E.coords[i, :])])
-    return buf.getvalue().encode("utf-8")
-
-
-def write_embedding_csv(E: Embedding, path: str | Path) -> None:
-    Path(path).write_bytes(embedding_csv_bytes(E))

@@ -13,13 +13,13 @@ function of its config.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from ._csv import csv_bytes
 from .errors import InvalidConfig
 from .ocel import OcelLog
 
@@ -81,15 +81,10 @@ class SynthGroundTruth:
         return frozenset(o for o, kinds in self.labels.items() if kind in kinds)
 
     def to_csv_bytes(self) -> bytes:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["object_id", "anomaly_kinds"])
-        for o in sorted(self.labels):
-            w.writerow([o, ";".join(sorted(k.value for k in self.labels[o]))])
-        return buf.getvalue().encode("utf-8")
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_csv_bytes())
+        return csv_bytes(
+            ["object_id", "anomaly_kinds"],
+            ([o, ";".join(sorted(k.value for k in self.labels[o]))] for o in sorted(self.labels)),
+        )
 
     @staticmethod
     def from_csv(path: str | Path) -> "SynthGroundTruth":

@@ -72,11 +72,12 @@ def test_c02_normalization_and_feature_score_suite():
     worst = 0.0
     for _ in range(100):
         X = rng.normal(size=(25, 10)) * rng.uniform(0.1, 50.0)
-        N = normalize(make_matrix(X), epsilon=1e-9)
+        F = make_matrix(X)
+        N = normalize(F, epsilon=1e-9)
         assert np.all(N.values >= -1.0) and np.all(N.values <= 1.0)
         assert np.all(N.values.min(axis=0) == -1.0)
         s = rng.normal(size=25)
-        table = feature_scores(N, ScoreVector(N.row_ids, s, "IF", {}))
+        table = feature_scores(F, ScoreVector(N.row_ids, s, "IF", {}), epsilon=1e-9)
         expected = dict(zip(N.columns, brute_fea_scores(N.values, s)))
         worst = max(worst, max(abs(r.fea_score - expected[r.feature_name]) for r in table.rows))
     assert worst <= 1e-12
@@ -142,12 +143,12 @@ def test_c05_iforest_planted_outliers():
 def test_c06_fastmap_distances():
     tri = make_matrix(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
     emb = fastmap(tri, k=2, seed=0)
-    assert np.all(np.abs(_pairwise(emb.coords) - _pairwise(tri.values)) <= 1e-9)
+    assert np.all(np.abs(_pairwise(emb.matrix.values) - _pairwise(tri.values)) <= 1e-9)
 
     rng = np.random.default_rng(6)
     X = rng.normal(size=(100, 12))
     emb = fastmap(make_matrix(X), k=8, seed=1)
-    assert np.all(_pairwise(emb.coords) <= _pairwise(X) + 1e-9)
+    assert np.all(_pairwise(emb.matrix.values) <= _pairwise(X) + 1e-9)
 
     correlations = []
     for seed in range(5):
@@ -160,8 +161,8 @@ def test_c06_fastmap_distances():
         _, Fn = build_matrix(log, PipelineParams(object_type="order", seed=seed))
         emb = fastmap(Fn, k=8, seed=seed)
         iu = np.triu_indices(len(Fn.row_ids), 1)
-        corr = np.corrcoef(_pairwise(Fn.values)[iu], _pairwise(emb.coords)[iu])[0, 1]
-        assert np.all(_pairwise(emb.coords) <= _pairwise(Fn.values) + 1e-9)
+        corr = np.corrcoef(_pairwise(Fn.values)[iu], _pairwise(emb.matrix.values)[iu])[0, 1]
+        assert np.all(_pairwise(emb.matrix.values) <= _pairwise(Fn.values) + 1e-9)
         assert corr >= 0.8, f"seed {seed}: corr {corr}"
         correlations.append(corr)
     print(f"\nACCEPTANCE 6 PASS fastmap exact triangle, contractive, corr >= 0.8 (min {min(correlations):.3f})")

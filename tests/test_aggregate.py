@@ -22,15 +22,15 @@ def _scores(ids, values):
 
 
 def test_zero_scores_give_zero_feature_scores():
-    N = normalize(make_matrix([[1.0, 5.0], [2.0, 3.0], [4.0, 0.0]]))
-    table = feature_scores(N, _scores(N.row_ids, [0, 0, 0]))
+    F = make_matrix([[1.0, 5.0], [2.0, 3.0], [4.0, 0.0]])
+    table = feature_scores(F, _scores(F.row_ids, [0, 0, 0]))
     assert all(r.fea_score == 0.0 for r in table.rows)
 
 
 def test_single_object_feature_score_is_product():
-    N = normalize(make_matrix([[7.0]]))
-    v = N.values[0, 0]
-    table = feature_scores(N, _scores(N.row_ids, [-0.3]))
+    F = make_matrix([[7.0]])
+    v = normalize(F).values[0, 0]
+    table = feature_scores(F, _scores(F.row_ids, [-0.3]))
     assert table.rows[0].fea_score == pytest.approx(-0.3 * v, abs=1e-15)
 
 
@@ -38,9 +38,10 @@ def test_feature_scores_match_double_loop_oracle():
     rng = np.random.default_rng(1)
     for _ in range(20):
         X = rng.normal(size=(25, 10))
-        N = normalize(make_matrix(X))
+        F = make_matrix(X)
+        N = normalize(F)
         s = rng.normal(size=25)
-        table = feature_scores(N, _scores(N.row_ids, s))
+        table = feature_scores(F, _scores(N.row_ids, s))
         expected = dict(zip(N.columns, brute_fea_scores(N.values, s)))
         for r in table.rows:
             assert abs(r.fea_score - expected[r.feature_name]) <= 1e-12
@@ -49,12 +50,12 @@ def test_feature_scores_match_double_loop_oracle():
 def test_feature_scores_linearity():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(15, 4))
-    N = normalize(make_matrix(X))
+    F = make_matrix(X)
     s1, s2 = rng.normal(size=15), rng.normal(size=15)
     a, b = 2.5, -0.75
-    combined = feature_scores(N, _scores(N.row_ids, a * s1 + b * s2))
-    t1 = {r.feature_name: r.fea_score for r in feature_scores(N, _scores(N.row_ids, s1)).rows}
-    t2 = {r.feature_name: r.fea_score for r in feature_scores(N, _scores(N.row_ids, s2)).rows}
+    combined = feature_scores(F, _scores(F.row_ids, a * s1 + b * s2))
+    t1 = {r.feature_name: r.fea_score for r in feature_scores(F, _scores(F.row_ids, s1)).rows}
+    t2 = {r.feature_name: r.fea_score for r in feature_scores(F, _scores(F.row_ids, s2)).rows}
     for r in combined.rows:
         assert r.fea_score == pytest.approx(a * t1[r.feature_name] + b * t2[r.feature_name], abs=1e-12)
 
@@ -65,9 +66,9 @@ def test_feature_scores_invariant_under_row_permutation():
     s = rng.normal(size=12)
     ids = [f"o{i:02d}" for i in range(12)]
     perm = rng.permutation(12)
-    t1 = feature_scores(normalize(make_matrix(X, row_ids=ids)), _scores(ids, s))
+    t1 = feature_scores(make_matrix(X, row_ids=ids), _scores(ids, s))
     t2 = feature_scores(
-        normalize(make_matrix(X[perm], row_ids=[ids[i] for i in perm])),
+        make_matrix(X[perm], row_ids=[ids[i] for i in perm]),
         _scores([ids[i] for i in perm], s[perm]),
     )
     for r1, r2 in zip(t1.rows, t2.rows):
@@ -77,23 +78,23 @@ def test_feature_scores_invariant_under_row_permutation():
 
 
 def test_constant_feature_inherits_negated_mean_score():
-    N = normalize(make_matrix([[4.0, 1.0], [4.0, 2.0], [4.0, 3.0]], columns=["const", "varies"]))
+    F = make_matrix([[4.0, 1.0], [4.0, 2.0], [4.0, 3.0]], columns=["const", "varies"])
     s = np.array([-0.5, 0.25, 0.55])
-    table = feature_scores(N, _scores(N.row_ids, s))
+    table = feature_scores(F, _scores(F.row_ids, s))
     by_name = {r.feature_name: r.fea_score for r in table.rows}
     assert by_name["const"] == pytest.approx(-s.mean(), abs=1e-12)
 
 
 def test_support_counts_use_pre_normalization_values():
-    N = normalize(make_matrix([[0.0], [2.0], [5.0]], columns=["c"]))
-    table = feature_scores(N, _scores(N.row_ids, [0, 0, 0]))
+    F = make_matrix([[0.0], [2.0], [5.0]], columns=["c"])
+    table = feature_scores(F, _scores(F.row_ids, [0, 0, 0]))
     assert table.rows[0].support_count == 2  # two nonzero raw values
 
 
 def test_row_mismatch():
-    N = normalize(make_matrix([[1.0], [2.0]]))
+    F = make_matrix([[1.0], [2.0]])
     with pytest.raises(RowMismatch):
-        feature_scores(N, _scores(("x", "y"), [0.0, 0.0]))
+        feature_scores(F, _scores(("x", "y"), [0.0, 0.0]))
 
 
 # ----------------------------------------------------------------- report

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ocad
 from ocad.cli import main
 
 from conftest import ocel_doc
@@ -257,3 +262,11 @@ def test_abstract_raw_table_flag(generated, tmp_path):
     text = (out / "feature_summary.txt").read_text()
     assert "object_id\t" in text
     assert "rows elided" in text
+
+
+def test_import_cli_does_not_load_requests():
+    """Only the LLM oracle's transport needs requests; the CLI imports it lazily."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ocad.__file__).resolve().parents[1])}
+    code = "import sys, ocad.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -13,7 +13,6 @@ from ocad.errors import (
     TypeMismatch,
 )
 from ocad.features import (
-    ExtractionConfig,
     FeatureMatrix,
     explode_values,
     extract_features,
@@ -70,7 +69,7 @@ def test_extraction_replay_with_cobirth_codeath():
     for ot in log.object_types:
         if not log.objects_of_type(ot):
             continue
-        F = extract_features(log, ot, ExtractionConfig(include_cobirth_codeath=True))
+        F = extract_features(log, ot, cobirth_codeath=True)
         objs, rows = naive.feature_map(ot, include_cobirth_codeath=True)
         assert_matrix_matches_naive(F, objs, rows)
 

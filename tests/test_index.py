@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocad.errors import RowMismatch, UnknownObject
-from ocad.features import AGGREGATIONS, ExtractionConfig, extract_features, propagate_features
+from ocad.features import AGGREGATIONS, extract_features, propagate_features
 from ocad.ocel import serialize_ocel_json
 from ocad.synthgen import SynthConfig, generate_p2p
 
@@ -47,9 +47,8 @@ def test_derivations_match_naive(log):
 @settings(max_examples=60, deadline=None)
 def test_extract_features_matches_naive(log, cobirth_codeath):
     naive = NaiveDerivations(log)
-    cfg = ExtractionConfig(include_cobirth_codeath=cobirth_codeath)
     for ot in log.object_types:
-        F = extract_features(log, ot, cfg)
+        F = extract_features(log, ot, cobirth_codeath)
         objs, rows = naive.feature_map(ot, include_cobirth_codeath=cobirth_codeath)
         assert_matrix_matches_naive(F, objs, rows, time_tol=0.0)
 

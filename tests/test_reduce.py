@@ -33,7 +33,7 @@ def test_pca_recovers_single_direction():
 def test_pca_identical_rows():
     X = np.ones((8, 4)) * 2.5
     emb = pca(make_matrix(X), k=2)
-    assert np.allclose(emb.coords, 0.0)
+    assert np.allclose(emb.matrix.values, 0.0)
     assert np.allclose(emb.explained_variance, 0.0)
 
 
@@ -77,7 +77,7 @@ def test_pca_coords_are_centered_projection():
     F = make_matrix(X)
     emb = pca(F, k=3)
     Xc = X - X.mean(axis=0)
-    assert np.allclose(emb.coords, Xc @ emb.component_vectors.T, atol=1e-12)
+    assert np.allclose(emb.matrix.values, Xc @ emb.component_vectors.T, atol=1e-12)
 
 
 def test_pca_row_permutation_permutes_coords():
@@ -86,7 +86,7 @@ def test_pca_row_permutation_permutes_coords():
     perm = rng.permutation(12)
     emb = pca(make_matrix(X), k=2)
     emb_perm = pca(make_matrix(X[perm]), k=2)
-    assert np.allclose(emb_perm.coords, emb.coords[perm], atol=1e-12)
+    assert np.allclose(emb_perm.matrix.values, emb.matrix.values[perm], atol=1e-12)
 
 
 def test_pca_rejects_oversized_k():
@@ -99,21 +99,21 @@ def test_pca_rejects_oversized_k():
 def test_fastmap_two_points():
     X = np.array([[0.0, 0.0], [0.0, 4.0]])
     emb = fastmap(make_matrix(X), k=1, seed=1)
-    assert sorted(emb.coords[:, 0]) == [0.0, 4.0]
+    assert sorted(emb.matrix.values[:, 0]) == [0.0, 4.0]
     assert len(emb.pivot_pairs) == 1
 
 
 def test_fastmap_identical_points():
     X = np.ones((5, 3))
     emb = fastmap(make_matrix(X), k=4, seed=0)
-    assert np.all(emb.coords == 0.0)
+    assert np.all(emb.matrix.values == 0.0)
 
 
 def test_fastmap_345_triangle_exact():
     X = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     emb = fastmap(make_matrix(X), k=2, seed=0)
     orig = _pairwise(X)
-    got = _pairwise(emb.coords)
+    got = _pairwise(emb.matrix.values)
     assert np.all(np.abs(got - orig) <= 1e-9)
 
 
@@ -122,7 +122,7 @@ def test_fastmap_contractive_on_random_data():
     X = rng.normal(size=(100, 10))
     emb = fastmap(make_matrix(X), k=4, seed=2)
     orig = _pairwise(X)
-    got = _pairwise(emb.coords)
+    got = _pairwise(emb.matrix.values)
     assert np.all(got <= orig + 1e-9)
 
 
@@ -139,9 +139,9 @@ def test_fastmap_contractive_and_deterministic(X, seed):
     F = make_matrix(X)
     emb1 = fastmap(F, k=3, seed=seed)
     emb2 = fastmap(F, k=3, seed=seed)
-    assert np.array_equal(emb1.coords, emb2.coords)  # bit-for-bit
+    assert np.array_equal(emb1.matrix.values, emb2.matrix.values)  # bit-for-bit
     orig = _pairwise(X)
-    got = _pairwise(emb1.coords)
+    got = _pairwise(emb1.matrix.values)
     assert np.all(got <= orig + 1e-9)
 
 
@@ -151,11 +151,11 @@ def test_fastmap_rejects_single_row():
 
 
 def test_embedding_csv_layout(tmp_path):
-    from ocad.reduce import write_embedding_csv
+    from ocad.features import feature_csv_bytes
 
     emb = fastmap(make_matrix(np.array([[0.0, 0.0], [0.0, 4.0]]), row_ids=["a", "b"]), k=2, seed=0)
     path = tmp_path / "emb.csv"
-    write_embedding_csv(emb, path)
+    path.write_bytes(feature_csv_bytes(emb.matrix))
     lines = path.read_text().splitlines()
     assert lines[0] == "object_id,dim_0,dim_1"
     assert lines[1].startswith("a,") and lines[2].startswith("b,")

@@ -132,7 +132,7 @@ def test_ground_truth_csv_round_trip(tmp_path):
     cfg = SynthConfig(n_orders=20, anomaly_rates={AnomalyKind.DOUBLE_INVOICE: 0.2}, seed=6)
     _, truth = generate_p2p(cfg)
     path = tmp_path / "gt.csv"
-    truth.write_csv(path)
+    path.write_bytes(truth.to_csv_bytes())
     assert SynthGroundTruth.from_csv(path) == truth
 
 
