@@ -7,9 +7,11 @@ anomalous objects), ``aggregate`` (feature-score report) and ``abstract``
 
 Every run writes a ``run.json`` manifest with the command, all parameters,
 the seed and the input digest; re-running with the manifest's parameters
-reproduces the outputs byte-identically. Outputs are written atomically
-(temp file + rename) and inputs are never modified. Exit codes: 0 success,
-1 validation error, 2 I/O error.
+reproduces the outputs byte-identically. A subcommand computes all of its
+outputs and checks their names before it writes the first one, each
+atomically (temp file + rename), so a run that fails with exit 1 writes
+nothing; inputs are never modified. Exit codes: 0 success, 1 validation
+error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .errors import InvalidConfig, OcadError
 from .features import AGGREGATIONS, feature_csv_bytes
 from .ocel import OcelLog, parse_ocel_json, serialize_ocel_json
 from .oracle import (
+    DEFAULT_MAX_EVENTS,
+    DEFAULT_WHISKER,
     abstract_lifecycle,
     llm_oracle,
     render_feature_table,
@@ -39,9 +43,11 @@ from .oracle import (
 from .pipeline import PipelineParams, build_matrix, detect_objects, score_matrix
 from .prompts import FEATURE_TABLE_PREAMBLE
 from .reduce import DEFAULT_FASTMAP_K
-from .synthgen import AnomalyKind, SynthConfig, generate_blocked_invoices, generate_p2p
+from .synthgen import DEFAULT_MEAN_GAP, AnomalyKind, SynthConfig, generate_blocked_invoices, generate_p2p
 
 LLM_KEY_ENV = "OCAD_LLM_API_KEY"
+LIFECYCLE_DIR = "lifecycles"
+NAME_MAX = 255  # bytes in one file name on the common Linux file systems
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -54,14 +60,26 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, params: dict, input_digest: str, outputs: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "params": params,
-        "input_sha256": input_digest,
-        "outputs": sorted(outputs),
-        "version": __version__,
-    }
+def _write_run(out: Path, command: str, params: dict, input_digest: str, files: dict[str, bytes]) -> None:
+    """Write ``files`` (names relative to ``out``), then the ``run.json``
+    manifest that lists them. Every name must be one file directly in ``out``
+    or in ``out/lifecycles`` (lifecycle names embed object ids from the log);
+    all are checked before the first write, so a rejected name writes nothing."""
+    for name in files:
+        *parent, base = name.split("/")
+        try:
+            fits = len(os.fsencode(base + ".tmp")) <= NAME_MAX
+        except UnicodeEncodeError:
+            fits = False
+        if parent not in ([], [LIFECYCLE_DIR]) or base in ("", ".", "..") or "\0" in name or not fits:
+            raise InvalidConfig(f"cannot write output {name!r}: not a file name in --out or --out/{LIFECYCLE_DIR}")
+    manifest = {"command": command, "params": params, "input_sha256": input_digest, "outputs": sorted(files),
+                "version": __version__}
+    out.mkdir(parents=True, exist_ok=True)
+    if command == "detect":
+        (out / LIFECYCLE_DIR).mkdir(exist_ok=True)
+    for name, data in files.items():
+        _write_atomic(out / name, data)
     _write_atomic(out / "run.json", (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
@@ -92,13 +110,6 @@ def _pipeline_params(args) -> PipelineParams:
     )
 
 
-def _params_dict(params: PipelineParams, extra: dict | None = None) -> dict:
-    d = dataclasses.asdict(params)
-    if extra:
-        d.update(extra)
-    return d
-
-
 # ------------------------------------------------------------- subcommands
 
 def _cmd_generate(args) -> int:
@@ -115,11 +126,6 @@ def _cmd_generate(args) -> int:
     cfg = SynthConfig(n_orders=args.n_orders, anomaly_rates=rates, seed=args.seed, mean_gap=args.mean_gap)
     generator = generate_blocked_invoices if args.variant == "blocked-invoices" else generate_p2p
     log, truth = generator(cfg)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "log.json", serialize_ocel_json(log))
-    _write_atomic(out / "ground_truth.csv", truth.to_csv_bytes())
     params = {
         "variant": args.variant,
         "n_orders": args.n_orders,
@@ -127,8 +133,9 @@ def _cmd_generate(args) -> int:
         "seed": args.seed,
         "mean_gap": args.mean_gap,
     }
-    _write_manifest(out, "generate", params, _digest(json.dumps(params, sort_keys=True).encode()),
-                    ["log.json", "ground_truth.csv"])
+    out = Path(args.out)
+    _write_run(out, "generate", params, _digest(json.dumps(params, sort_keys=True).encode()),
+               {"log.json": serialize_ocel_json(log), "ground_truth.csv": truth.to_csv_bytes()})
     print(f"wrote {out / 'log.json'} ({len(log.events)} events, {len(log.objects)} objects)")
     return 0
 
@@ -138,9 +145,8 @@ def _cmd_features(args) -> int:
     params = _pipeline_params(args)
     _, Fn = build_matrix(log, params)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "features.csv", feature_csv_bytes(Fn))
-    _write_manifest(out, "features", _params_dict(params, {"log": args.log}), digest, ["features.csv"])
+    _write_run(out, "features", {**dataclasses.asdict(params), "log": args.log}, digest,
+               {"features.csv": feature_csv_bytes(Fn)})
     print(f"wrote {out / 'features.csv'} ({len(Fn.row_ids)} rows, {len(Fn.columns)} columns)")
     return 0
 
@@ -153,20 +159,14 @@ def _cmd_detect(args) -> int:
     log, digest = _load_log(args.log)
     params = _pipeline_params(args)
     _, scores, ranks = detect_objects(log, params)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "scores.csv", score_csv_bytes(scores))
-    _write_atomic(out / "ranks.csv", rank_csv_bytes(ranks))
-    outputs = ["scores.csv", "ranks.csv"]
-    lifecycle_dir = out / "lifecycles"
-    lifecycle_dir.mkdir(exist_ok=True)
+    files = {"scores.csv": score_csv_bytes(scores), "ranks.csv": rank_csv_bytes(ranks)}
     for r, o in enumerate(bottom_k(ranks, min(args.top_k, len(ranks.object_ids)))):
-        name = f"rank{r:03d}_{o}.txt"
-        _write_atomic(lifecycle_dir / name, abstract_lifecycle(log, o, max_events=args.max_events).encode())
-        outputs.append(f"lifecycles/{name}")
-    _write_manifest(out, "detect",
-                    _params_dict(params, {"log": args.log, "top_k": args.top_k, "max_events": args.max_events}),
-                    digest, outputs)
+        text = abstract_lifecycle(log, o, max_events=args.max_events)
+        files[f"{LIFECYCLE_DIR}/rank{r:03d}_{o}.txt"] = text.encode()
+    out = Path(args.out)
+    _write_run(out, "detect",
+               {**dataclasses.asdict(params), "log": args.log, "top_k": args.top_k, "max_events": args.max_events},
+               digest, files)
     print(f"wrote {out / 'ranks.csv'}; lifecycle texts for bottom {args.top_k} objects")
     return 0
 
@@ -175,14 +175,10 @@ def _cmd_aggregate(args) -> int:
     log, digest = _load_log(args.log)
     params = _pipeline_params(args)
     F, Fn = build_matrix(log, params)
-    scores = score_matrix(Fn, params)
-    table = anomalous_feature_report(log, F, scores, top_n=args.top_n)
+    table = anomalous_feature_report(log, F, score_matrix(Fn, params), top_n=args.top_n)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "feature_scores.csv", table.to_csv_bytes())
-    _write_atomic(out / "feature_scores.txt", table.to_text().encode())
-    _write_manifest(out, "aggregate", _params_dict(params, {"log": args.log, "top_n": args.top_n}),
-                    digest, ["feature_scores.csv", "feature_scores.txt"])
+    _write_run(out, "aggregate", {**dataclasses.asdict(params), "log": args.log, "top_n": args.top_n}, digest,
+               {"feature_scores.csv": table.to_csv_bytes(), "feature_scores.txt": table.to_text().encode()})
     print(f"wrote {out / 'feature_scores.csv'} ({len(table.rows)} rows)")
     return 0
 
@@ -195,32 +191,25 @@ def _cmd_abstract(args) -> int:
     text = summary.render()
     if args.raw_table:
         text += "\n" + render_feature_table(Fn, max_rows=args.max_rows)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "feature_summary.txt", text.encode())
-    outputs = ["feature_summary.txt"]
-
+    files = {"feature_summary.txt": text.encode()}
     if args.oracle == "statistical":
         verdicts = statistical_oracle(summary, whisker=args.whisker)
         rows = ([v.feature_name, repr(v.fence_lo), repr(v.fence_hi), v.rationale] for v in verdicts)
-        _write_atomic(out / "oracle_verdicts.csv", csv_bytes(["feature", "fence_lo", "fence_hi", "rationale"], rows))
-        outputs.append("oracle_verdicts.csv")
+        files["oracle_verdicts.csv"] = csv_bytes(["feature", "fence_lo", "fence_hi", "rationale"], rows)
     else:
-        reply = llm_oracle(
+        files["llm_reply.txt"] = llm_oracle(
             endpoint=args.llm_endpoint,
             api_key=os.environ.get(LLM_KEY_ENV, ""),
             prompt=text,
             timeout=args.llm_timeout,
             model=args.llm_model,
             preamble=FEATURE_TABLE_PREAMBLE,
-        )
-        _write_atomic(out / "llm_reply.txt", reply.encode())
-        outputs.append("llm_reply.txt")
-
-    _write_manifest(out, "abstract",
-                    _params_dict(params, {"log": args.log, "oracle": args.oracle, "whisker": args.whisker,
-                                          "raw_table": args.raw_table}),
-                    digest, outputs)
+        ).encode()
+    out = Path(args.out)
+    _write_run(out, "abstract",
+               {**dataclasses.asdict(params), "log": args.log, "oracle": args.oracle, "whisker": args.whisker,
+                "raw_table": args.raw_table},
+               digest, files)
     print(f"wrote {out / 'feature_summary.txt'}")
     return 0
 
@@ -257,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--double-invoice-rate", type=float, default=0.0)
     g.add_argument("--reopen-rate", type=float, default=0.0)
     g.add_argument("--blocked-rate", type=float, default=0.0)
-    g.add_argument("--mean-gap", type=float, default=3600.0)
+    g.add_argument("--mean-gap", type=float, default=DEFAULT_MEAN_GAP)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
@@ -269,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("detect", help="score and rank objects; write lifecycle texts for the worst")
     _add_pipeline_flags(d)
     d.add_argument("--top-k", type=int, default=10)
-    d.add_argument("--max-events", type=int, default=50)
+    d.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS)
     d.set_defaults(func=_cmd_detect)
 
     a = sub.add_parser("aggregate", help="aggregate object scores into a feature-score report")
@@ -280,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("abstract", help="feature summary text and oracle verdicts")
     _add_pipeline_flags(b)
     b.add_argument("--oracle", choices=["statistical", "llm"], default="statistical")
-    b.add_argument("--whisker", type=float, default=1.5)
+    b.add_argument("--whisker", type=float, default=DEFAULT_WHISKER)
     b.add_argument("--raw-table", action="store_true", help="append the raw feature table to the summary")
     b.add_argument("--max-rows", type=int, default=200)
     b.add_argument("--llm-endpoint", default="http://localhost:8000/v1/chat/completions")

@@ -260,20 +260,14 @@ class OcelLog:
     def objects_of_type(self, ot: str) -> tuple[str, ...]:
         return self.index.by_type.get(ot, ())
 
-    def _code(self, o: str) -> int:
-        try:
-            return self.index.obj_code[o]
-        except KeyError:
-            raise UnknownObject(f"unknown object id {o!r}") from None
-
     # ------------------------------------------------------------ derivations
 
     def lifecycle(self, o: str) -> tuple[str, ...]:
         """All events relating to ``o``, in total order. Empty when no event
         references the object."""
-        c = self._code(o)
         ix = self.index
-        return tuple(self.events[i] for i in ix.lc_ev[ix.lc_ptr[c]:ix.lc_ptr[c + 1]].tolist())
+        pos, _ = ix.lifecycles(ix.codes([o]))
+        return tuple(self.events[i] for i in pos.tolist())
 
     def start_event(self, o: str) -> str | None:
         lc = self.lifecycle(o)
@@ -298,9 +292,10 @@ class OcelLog:
     def interaction_sets(self, o: str, ot: str) -> InteractionSets:
         """Interaction, creation, continuation, co-birth and co-death sets of
         ``o`` restricted to objects of type ``ot``."""
-        c = self._code(o)
         ix = self.index
-        partners, _ = ix.partners(np.array([c]))
+        codes = ix.codes([o])
+        c = codes[0]
+        partners, _ = ix.partners(codes)
         partners = partners[ix.obj_type[partners] == ix.type_code.get(ot, -1)]
         t_start, t_end = ix.t_start[c], ix.t_end[c]
         p_start, p_end = ix.t_start[partners], ix.t_end[partners]

@@ -113,12 +113,22 @@ def _assign_kinds(cfg: SynthConfig, rng) -> dict[int, AnomalyKind]:
     return assignment
 
 
+def _build_log(raw_events: list, objects: list) -> OcelLog:
+    """Sort ``(time, order, step, activity, oids, attrs)`` records by their
+    first three fields and number them ``e000000``, ``e000001``, ..."""
+    raw_events.sort(key=lambda rec: rec[:3])
+    return OcelLog.build(
+        [(f"e{n:06d}", activity, t, oids, attrs) for n, (t, _, _, activity, oids, attrs) in enumerate(raw_events)],
+        objects,
+    )
+
+
 def generate_p2p(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
     """Generate a purchase-to-pay log with planted order-level anomalies.
 
     The happy path per order is a 7-event chain (requisition creation and
     approval, order creation, submission and approval, invoicing, payment).
-    Planted kinds deviate as follows:
+    Each planted kind edits that chain:
 
     * MaverickBuying: invoicing and payment happen before any approval event
     * PostMortemPRChange: a requisition change (linked to the order) occurs
@@ -151,64 +161,26 @@ def generate_p2p(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
         objects.append((inv, "invoice", {"amount": amount}))
         objects.append((pay, "payment", {"amount": amount}))
 
+        chain = [
+            (ACT_CREATE_REQ, [req], {}),
+            (ACT_APPROVE_REQ, [req], {"user": approver_req}),
+            (ACT_CREATE_PO, [req, po], {}),
+            (ACT_SUBMIT_PO, [po], {}),
+            (ACT_APPROVE_PO, [po], {"user": approver_po}),
+            (ACT_RECEIVE_INVOICE, [po, inv], {}),
+            (ACT_PAY_INVOICE, [inv, pay], {}),
+        ]
         if kind is AnomalyKind.MAVERICK_BUYING:
-            chain = [
-                (ACT_CREATE_REQ, [req], {}),
-                (ACT_CREATE_PO, [req, po], {}),
-                (ACT_RECEIVE_INVOICE, [po, inv], {}),
-                (ACT_PAY_INVOICE, [inv, pay], {}),
-                (ACT_SUBMIT_PO, [po], {}),
-                (ACT_APPROVE_PO, [po], {"user": approver_po}),
-                (ACT_APPROVE_REQ, [req], {"user": approver_req}),
-            ]
+            chain = [chain[k] for k in (0, 2, 5, 6, 3, 4, 1)]
         elif kind is AnomalyKind.POST_MORTEM_PR_CHANGE:
-            chain = [
-                (ACT_CREATE_REQ, [req], {}),
-                (ACT_APPROVE_REQ, [req], {"user": approver_req}),
-                (ACT_CREATE_PO, [req, po], {}),
-                (ACT_SUBMIT_PO, [po], {}),
-                (ACT_APPROVE_PO, [po], {"user": approver_po}),
-                (ACT_CHANGE_REQ, [req, po], {}),
-                (ACT_RECEIVE_INVOICE, [po, inv], {}),
-                (ACT_PAY_INVOICE, [inv, pay], {}),
-            ]
+            chain.insert(5, (ACT_CHANGE_REQ, [req, po], {}))
         elif kind is AnomalyKind.DOUBLE_INVOICE:
             inv2, pay2 = f"inv-{i:05d}b", f"pay-{i:05d}b"
             objects.append((inv2, "invoice", {"amount": amount}))
             objects.append((pay2, "payment", {"amount": amount}))
-            chain = [
-                (ACT_CREATE_REQ, [req], {}),
-                (ACT_APPROVE_REQ, [req], {"user": approver_req}),
-                (ACT_CREATE_PO, [req, po], {}),
-                (ACT_SUBMIT_PO, [po], {}),
-                (ACT_APPROVE_PO, [po], {"user": approver_po}),
-                (ACT_RECEIVE_INVOICE, [po, inv], {}),
-                (ACT_PAY_INVOICE, [inv, pay], {}),
-                (ACT_RECEIVE_INVOICE, [po, inv2], {}),
-                (ACT_PAY_INVOICE, [inv2, pay2], {}),
-            ]
+            chain += [(ACT_RECEIVE_INVOICE, [po, inv2], {}), (ACT_PAY_INVOICE, [inv2, pay2], {})]
         elif kind is AnomalyKind.REOPEN_LONG_GAP:
-            chain = [
-                (ACT_CREATE_REQ, [req], {}),
-                (ACT_APPROVE_REQ, [req], {"user": approver_req}),
-                (ACT_CREATE_PO, [req, po], {}),
-                (ACT_SUBMIT_PO, [po], {}),
-                (ACT_APPROVE_PO, [po], {"user": approver_po}),
-                (ACT_RECEIVE_INVOICE, [po, inv], {}),
-                (ACT_PAY_INVOICE, [inv, pay], {}),
-                (ACT_CLOSE_PO, [po], {}),
-                (ACT_REOPEN_PO, [po], {}),
-            ]
-        else:
-            chain = [
-                (ACT_CREATE_REQ, [req], {}),
-                (ACT_APPROVE_REQ, [req], {"user": approver_req}),
-                (ACT_CREATE_PO, [req, po], {}),
-                (ACT_SUBMIT_PO, [po], {}),
-                (ACT_APPROVE_PO, [po], {"user": approver_po}),
-                (ACT_RECEIVE_INVOICE, [po, inv], {}),
-                (ACT_PAY_INVOICE, [inv, pay], {}),
-            ]
+            chain += [(ACT_CLOSE_PO, [po], {}), (ACT_REOPEN_PO, [po], {})]
 
         t = chain_start
         for seq, (activity, oids, attrs) in enumerate(chain):
@@ -219,18 +191,11 @@ def generate_p2p(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
                 t += gap
             raw_events.append((_quantize(t), i, seq, activity, oids, attrs))
 
-    raw_events.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
-    event_records = [
-        (f"e{n:06d}", activity, t, oids, attrs)
-        for n, (t, _, _, activity, oids, attrs) in enumerate(raw_events)
-    ]
-    log = OcelLog.build(event_records, objects)
-
     labels = {
         f"po-{i:05d}": (frozenset([assignment[i]]) if i in assignment else frozenset())
         for i in range(cfg.n_orders)
     }
-    return log, SynthGroundTruth(labels=labels)
+    return _build_log(raw_events, objects), SynthGroundTruth(labels=labels)
 
 
 def generate_blocked_invoices(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
@@ -262,20 +227,15 @@ def generate_blocked_invoices(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTru
         objects.append((inv, "invoice", {"amount": amount}))
         objects.append((pay, "payment", {"amount": amount}))
 
+        chain = [
+            (ACT_CREATE_PO, [po], {}),
+            (ACT_SUBMIT_PO, [po], {}),
+            (ACT_APPROVE_PO, [po], {"user": approver}),
+            (ACT_RECEIVE_INVOICE, [po, inv], {}),
+            (ACT_PAY_INVOICE, [inv, pay], {}),
+        ]
         if i in blocked:
-            chain = [
-                (ACT_CREATE_PO, [po], {}),
-                (ACT_RECEIVE_INVOICE, [po, inv], {}),
-                (ACT_PAY_INVOICE, [inv, pay], {}),
-            ]
-        else:
-            chain = [
-                (ACT_CREATE_PO, [po], {}),
-                (ACT_SUBMIT_PO, [po], {}),
-                (ACT_APPROVE_PO, [po], {"user": approver}),
-                (ACT_RECEIVE_INVOICE, [po, inv], {}),
-                (ACT_PAY_INVOICE, [inv, pay], {}),
-            ]
+            del chain[1:3]  # no submission, no approval
         # Invoice-local timing is drawn identically for both arms so invoice
         # features carry no label signal.
         invoice_gaps = [float(rng.exponential(cfg.mean_gap)) for _ in range(2)]
@@ -291,9 +251,4 @@ def generate_blocked_invoices(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTru
             raw_events.append((_quantize(t), i, seq, activity, oids, attrs))
         labels[inv] = frozenset([AnomalyKind.BLOCKED_INVOICE]) if i in blocked else frozenset()
 
-    raw_events.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
-    event_records = [
-        (f"e{n:06d}", activity, t, oids, attrs)
-        for n, (t, _, _, activity, oids, attrs) in enumerate(raw_events)
-    ]
-    return OcelLog.build(event_records, objects), SynthGroundTruth(labels=labels)
+    return _build_log(raw_events, objects), SynthGroundTruth(labels=labels)

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import ocad
+import ocad.cli
 from ocad.cli import main
+from ocad.errors import LlmTimeout
 
 from conftest import ocel_doc
 
@@ -262,6 +264,44 @@ def test_abstract_raw_table_flag(generated, tmp_path):
     text = (out / "feature_summary.txt").read_text()
     assert "object_id\t" in text
     assert "rows elided" in text
+
+
+@pytest.mark.parametrize(
+    "bad_id",
+    ["x/../../../../escaped", "a\x00b", "\ud800", "o" * 250],
+    ids=["path-escape", "nul", "lone-surrogate", "too-long"],
+)
+def test_detect_rejects_unusable_output_name_before_writing(tmp_path, capsys, bad_id):
+    """Lifecycle file names embed object ids; an id that cannot be one file in
+    --out/lifecycles is a one-line validation error and nothing is written."""
+    ids = ["o1", "o2", "o3", bad_id]
+    events = [
+        {"id": f"e{i}{k}", "type": act, "time": f"2024-01-0{i + 1}T00:0{k}:00Z",
+         "relationships": [{"objectId": o, "qualifier": ""}]}
+        for i, o in enumerate(ids) for k, act in enumerate("AB")
+    ]
+    log = tmp_path / "log.json"
+    log.write_bytes(ocel_doc(events=events, objects=[{"id": o, "type": "order"} for o in ids]))
+    out = tmp_path / "run" / "out"
+    code = main(["detect", "--log", str(log), "--object-type", "order", "--top-k", "4", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["log.json"]
+
+
+def test_abstract_llm_failure_writes_nothing(generated, tmp_path, capsys, monkeypatch):
+    def fail(**_):
+        raise LlmTimeout("no reply from the endpoint within 1s")
+
+    monkeypatch.setattr(ocad.cli, "llm_oracle", fail)
+    out = tmp_path / "abs"
+    code = main(["abstract", "--log", str(generated / "log.json"), "--object-type", "order", "--oracle", "llm",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_import_cli_does_not_load_requests():
