@@ -13,20 +13,8 @@ from dataclasses import dataclass
 from ._csv import csv_bytes
 from .detect import ScoreVector, _order
 from .errors import RowMismatch
-from .features import DEFAULT_EPSILON, FeatureMatrix, explode_values, normalize
+from .features import DEFAULT_EPSILON, FeatureMatrix, column_label, explode_values, normalize
 from .ocel import OcelLog
-
-_EXACT_NAMES = ("lifecyclestarttime", "lifecycleendtime", "lifecycleduration")
-_PREFIXES = (
-    "numvalue",
-    "strvalue",
-    "lifecyclecontains",
-    "lifecyclestartswith",
-    "interactions",
-    "creation",
-    "cobirth",
-    "codeath",
-)
 
 
 @dataclass(frozen=True)
@@ -58,42 +46,25 @@ class FeatureScoreTable:
         return "\n".join(lines) + "\n"
 
 
-def feature_scores(F: FeatureMatrix, scores: ScoreVector, epsilon: float = DEFAULT_EPSILON) -> FeatureScoreTable:
-    """Score every column of ``F``, normalized with ``epsilon``, against
-    object scores.
-
-    Support counts are taken on the values of ``F`` before normalization
-    (number of objects where the feature is nonzero).
-    """
+def _score_columns(F: FeatureMatrix, scores: ScoreVector, epsilon: float) -> tuple:
+    """Feature score and raw support count of every column of ``F`` (two
+    arrays), and the column positions ascending by (score, header)."""
     if tuple(F.row_ids) != tuple(scores.object_ids):
         raise RowMismatch("row ids of the matrix and the score vector differ")
     fea = (scores.scores @ normalize(F, epsilon).values) / len(F.row_ids)
     support = (F.values != 0.0).sum(axis=0)
-    rows = (FeatureScoreRow(F.columns[j], int(support[j]), float(fea[j])) for j in _order(F.columns, fea).tolist())
-    return FeatureScoreTable(rows=tuple(rows))
+    return fea, support, _order(F.columns, fea).tolist()
 
 
-def render_feature_name(name: str) -> str:
-    """Human-readable form of a feature (or exploded feature-value) name,
-    e.g. ``(lifecyclecontainsCancel Order=1)`` becomes
-    ``(lifecyclecontains Cancel Order = 1)``."""
-    if name.startswith("(") and name.endswith(")") and "=" in name:
-        inner, value = name[1:-1].rsplit("=", 1)
-        return f"({render_feature_name(inner)} = {value})"
-    if name.startswith("prop"):
-        return "prop " + render_feature_name(name[4:])
-    if name in _EXACT_NAMES:
-        return name
-    if name.startswith("dfg_"):
-        rest = name[4:]
-        if "_" in rest:
-            a1, a2 = rest.split("_", 1)
-            return f"dfg {a1} -> {a2}"
-        return f"dfg {rest}"
-    for prefix in _PREFIXES:
-        if name.startswith(prefix) and len(name) > len(prefix):
-            return f"{prefix} {name[len(prefix):]}"
-    return name
+def feature_scores(F: FeatureMatrix, scores: ScoreVector, epsilon: float = DEFAULT_EPSILON) -> FeatureScoreTable:
+    """Score every column of ``F``, normalized with ``epsilon``, against
+    object scores; rows are named by column header.
+
+    Support counts are taken on the values of ``F`` before normalization
+    (number of objects where the feature is nonzero).
+    """
+    fea, support, order = _score_columns(F, scores, epsilon)
+    return FeatureScoreTable(rows=tuple(FeatureScoreRow(F.columns[j], int(support[j]), float(fea[j])) for j in order))
 
 
 def anomalous_feature_report(
@@ -107,22 +78,18 @@ def anomalous_feature_report(
     """Report of the feature values most correlated with anomalies.
 
     Discrete columns are exploded into per-value indicators, normalized and
-    scored; the ``top_n`` most negative rows are kept with human-readable
-    names. Zero-variance columns are excluded: they would all inherit the
-    negated mean object score without discriminating anything.
+    scored; the ``top_n`` most negative rows are kept, labelled by
+    :func:`~ocad.features.column_label`. Zero-variance columns are excluded
+    after scoring, by position: they would all inherit the negated mean
+    object score without discriminating anything.
     """
     known = set(log.objects_of_type(F.object_type))
     missing = [o for o in F.row_ids if o not in known]
     if missing:
         raise RowMismatch(f"matrix rows not in the log: {missing[:3]!r}")
     exploded = explode_values(F, max_distinct=max_distinct)
-    table = feature_scores(exploded, scores, epsilon)
-    variances = {
-        name: float(exploded.values[:, j].var()) for j, name in enumerate(exploded.columns)
-    }
-    kept = [r for r in table.rows if variances[r.feature_name] > 0.0]
-    rendered = [
-        FeatureScoreRow(render_feature_name(r.feature_name), r.support_count, r.fea_score)
-        for r in kept[: max(top_n, 0)]
-    ]
-    return FeatureScoreTable(rows=tuple(rendered))
+    fea, support, order = _score_columns(exploded, scores, epsilon)
+    varies = exploded.values.var(axis=0) > 0.0
+    kept = [j for j in order if varies[j]][: max(top_n, 0)]
+    rows = (FeatureScoreRow(column_label(exploded.keys[j]), int(support[j]), float(fea[j])) for j in kept)
+    return FeatureScoreTable(rows=tuple(rows))

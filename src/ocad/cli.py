@@ -88,26 +88,16 @@ def _load_log(path: str) -> tuple[OcelLog, str]:
     return parse_ocel_json(data), _digest(data)
 
 
+_PIPELINE_FLAGS = ("object_type", "reducer", "propagate_from", "agg", "min_variance", "reduce_k", "n_trees",
+                   "subsample", "lof_k", "seed")
+
+
 def _pipeline_params(args) -> PipelineParams:
-    detector = args.detector
-    if detector is None:
-        # The effective default pairs the detectors with the features they
-        # work best on: LOF over the FastMap embedding, otherwise iForest.
-        detector = "lof" if args.reducer == "fastmap" else "iforest"
-    return PipelineParams(
-        object_type=args.object_type,
-        detector=detector,
-        reducer=args.reducer,
-        propagate_from=args.propagate_from,
-        agg=args.agg,
-        min_variance=args.min_variance,
-        reduce_k=args.reduce_k,
-        n_trees=args.n_trees,
-        subsample=args.subsample,
-        lof_k=args.lof_k,
-        seed=args.seed,
-        include_cobirth_codeath=args.cobirth_codeath,
-    )
+    # The effective default detector pairs the detectors with the features
+    # they work best on: LOF over the FastMap embedding, otherwise iForest.
+    detector = args.detector or ("lof" if args.reducer == "fastmap" else "iforest")
+    return PipelineParams(detector=detector, include_cobirth_codeath=args.cobirth_codeath,
+                          **{name: getattr(args, name) for name in _PIPELINE_FLAGS})
 
 
 # ------------------------------------------------------------- subcommands

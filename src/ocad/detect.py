@@ -136,6 +136,8 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     neighbor-to-self density ratio. Coincident clusters of more than k points
     get factor 1 via the reachability floor.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     X = np.asarray(F.values, dtype=np.float64)
     n = X.shape[0]
     if n < k + 1:

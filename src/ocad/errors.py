@@ -9,11 +9,11 @@ class MalformedDocument(OcadError):
     """Input document is not valid OCEL 2.0 JSON (bad JSON, missing keys, bad values)."""
 
 
-class DanglingReference(OcadError):
+class DanglingReference(MalformedDocument):
     """An event references an object id that is not declared."""
 
 
-class DuplicateId(OcadError):
+class DuplicateId(MalformedDocument):
     """Two events or two objects share the same identifier."""
 
 
@@ -27,6 +27,10 @@ class NoObjectsOfType(OcadError):
 
 class MixedAttributeType(OcadError):
     """A common attribute is numeric for some objects and string for others."""
+
+
+class ColumnCollision(OcadError):
+    """Two different feature columns would write the same header."""
 
 
 class TypeMismatch(OcadError):

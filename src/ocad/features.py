@@ -1,17 +1,21 @@
 """Feature maps over the objects of one type.
 
 Each object of the chosen type becomes one row of a dense numeric matrix.
-Column families and their naming scheme:
+A column is identified by a key ``(family, *args)``; only this module turns
+keys into header strings (:func:`column_name`) and report labels
+(:func:`column_label`). Column families, as key and header:
 
-* ``numvalue<att>``            numeric common attribute, as-is
-* ``strvalue<att>_<v>``        one-hot per observed value of a string common attribute
-* ``lifecyclecontains<a>``     occurrences of activity ``a`` in the lifecycle
-* ``lifecyclestartswith<a>``   one-hot of the start activity
-* ``lifecyclestarttime`` / ``lifecycleendtime`` / ``lifecycleduration``
-* ``dfg_<a1>_<a2>``            directly-follows edge counts between activities
-* ``interactions<ot>`` / ``creation<ot>``   interaction / creation counts per type
-* ``cobirth<ot>`` / ``codeath<ot>``         optional, behind the ``cobirth_codeath`` flag
-* ``prop<name>``               aggregated neighbor feature added by propagation
+* ``("numvalue", att)``  ``numvalue<att>``: numeric common attribute, as-is
+* ``("strvalue", att, v)``  ``strvalue<att>_<v>``: one-hot per value of a string common attribute
+* ``("lifecyclecontains", a)`` / ``("lifecyclestartswith", a)``: activity count / start one-hot
+* ``("dfg", a1, a2)``  ``dfg_<a1>_<a2>``: directly-follows edge counts between activities
+* ``("interactions", ot)`` / ``("creation", ot)``, and behind ``cobirth_codeath``
+  ``("cobirth", ot)`` / ``("codeath", ot)``: counts of related objects per type
+* ``("prop", key)``  ``prop<header>``: aggregated neighbor feature added by propagation
+* ``("=", key, v)``  ``(<header>=<v:g>)``: per-value indicator made by explosion
+* ``("dim", i)``  ``dim_<i>``: an embedding axis (see :mod:`ocad.reduce`)
+* ``(name,)``  a plain name: ``lifecyclestarttime``, ``lifecycleendtime``, ``lifecycleduration``,
+  or a header read back from a CSV
 
 Objects with an empty lifecycle get zeros for all lifecycle-derived columns.
 Columns that would be all-zero across every row are omitted, which keeps the
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +35,7 @@ import numpy as np
 from ._csv import csv_bytes
 from .errors import (
     AllColumnsDropped,
+    ColumnCollision,
     EmptyKeepSet,
     MixedAttributeType,
     NoObjectsOfType,
@@ -42,36 +48,65 @@ DEFAULT_EPSILON = 1e-9
 
 AGGREGATIONS = ("mean", "median", "min", "max", "sum")
 
+ColumnKey = tuple  # (family, *args); see the module docstring
+
+
+def column_name(key: ColumnKey) -> str:
+    """The header string of a column, e.g. ``dfg_Create PO_Pay``."""
+    family, *args = key
+    if not args:
+        return family
+    if family == "prop":
+        return "prop" + column_name(args[0])
+    if family == "=":
+        return f"({column_name(args[0])}={args[1]:g})"
+    return family + ("_" if family in ("dfg", "dim") else "") + "_".join(args)
+
+
+def column_label(key: ColumnKey) -> str:
+    """The report label of a column, e.g. ``(dfg Create PO -> Pay = 1)``."""
+    family, *args = key
+    if not args:
+        return family
+    if family == "prop":
+        return "prop " + column_label(args[0])
+    if family == "=":
+        return f"({column_label(args[0])} = {args[1]:g})"
+    if family == "dfg":
+        return f"dfg {args[0]} -> {args[1]}"
+    return f"{family} {'_'.join(args)}"
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Named numeric feature columns over the objects of one type."""
+    """Numeric feature columns over the objects of one type, one key each."""
 
     object_type: str
     row_ids: tuple[str, ...]
-    columns: tuple[str, ...]
-    values: np.ndarray  # shape (len(row_ids), len(columns)), float64
+    keys: tuple[ColumnKey, ...]
+    values: np.ndarray  # shape (len(row_ids), len(keys)), float64
 
     def __post_init__(self):
-        assert self.values.shape == (len(self.row_ids), len(self.columns))
+        assert self.values.shape == (len(self.row_ids), len(self.keys))
+
+    @cached_property
+    def columns(self) -> tuple[str, ...]:
+        """The header string of every column."""
+        return tuple(map(column_name, self.keys))
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.columns.index(name)]
 
     def select_columns(self, keep: Sequence[int]) -> "FeatureMatrix":
         keep = list(keep)
-        return replace(
-            self,
-            columns=tuple(self.columns[i] for i in keep),
-            values=self.values[:, keep],
-        )
+        return replace(self, keys=tuple(self.keys[i] for i in keep), values=self.values[:, keep])
 
 
 def _common_attribute_columns(log: OcelLog, ot: str, objs: tuple[str, ...]):
     """Numeric and one-hot string columns for the attributes shared by every
     object of the type. Mixed numeric/string use of one attribute is an
     error rather than a silent coercion."""
-    names: list[str] = []
+    keys: list[ColumnKey] = []
     blocks: list[np.ndarray] = []
     for att in sorted(log.common_attributes(ot)):
         values = [log.ovmap[o][att] for o in objs]
@@ -81,15 +116,15 @@ def _common_attribute_columns(log: OcelLog, ot: str, objs: tuple[str, ...]):
                 f"attribute {att!r} of type {ot!r} is numeric for some objects and string for others"
             )
         if kinds == {False}:
-            names.append(f"numvalue{att}")
+            keys.append(("numvalue", att))
             blocks.append(np.asarray(values, dtype=np.float64)[:, None])
         else:
             distinct = sorted(set(values))
-            names += [f"strvalue{att}_{v}" for v in distinct]
+            keys += [("strvalue", att, v) for v in distinct]
             code = {v: j for j, v in enumerate(distinct)}
             hot = np.asarray([code[v] for v in values])[:, None] == np.arange(len(distinct))
             blocks.append(hot.astype(np.float64))
-    return names, blocks
+    return keys, blocks
 
 
 def _counts(rows: np.ndarray, keys: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -105,7 +140,8 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
     the all-zero ones are dropped with the rest at the end.
     ``cobirth_codeath`` adds per-type co-birth/co-death count columns
     (objects starting or ending their lifecycle simultaneously); they are not
-    part of the default feature set.
+    part of the default feature set. Raises :class:`ColumnCollision` when two
+    kept columns would write the same header.
     """
     objs = log.objects_of_type(ot)
     if not objs:
@@ -116,28 +152,28 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
     acts, types = log.activities, log.object_types
     n_act, n_type = len(acts), len(types)
 
-    names, blocks = _common_attribute_columns(log, ot, objs)
+    keys, blocks = _common_attribute_columns(log, ot, objs)
 
     events, row = ix.lifecycles(codes)
     ev_act = ix.ev_act[events]
-    names += [f"lifecyclecontains{a}" for a in acts]
+    keys += [("lifecyclecontains", a) for a in acts]
     blocks.append(_counts(row, ev_act, n, n_act))
 
     lo = ix.lc_ptr[codes]
     has_events = np.flatnonzero(ix.lc_ptr[codes + 1] > lo)
     starts_with = np.zeros((n, n_act))
     starts_with[has_events, ix.ev_act[ix.lc_ev[lo[has_events]]]] = 1.0
-    names += [f"lifecyclestartswith{a}" for a in acts]
+    keys += [("lifecyclestartswith", a) for a in acts]
     blocks.append(starts_with)
 
     starts, ends = ix.t_start[codes], ix.t_end[codes]
-    names += ["lifecyclestarttime", "lifecycleendtime", "lifecycleduration"]
+    keys += [("lifecyclestarttime",), ("lifecycleendtime",), ("lifecycleduration",)]
     blocks.append(np.column_stack([starts, ends, ends - starts]))
 
     # Directly-follows edges: consecutive lifecycle events of the same row.
     same = row[1:] == row[:-1]
     edges, edge_of = np.unique(ev_act[:-1][same] * n_act + ev_act[1:][same], return_inverse=True)
-    names += [f"dfg_{acts[e // n_act]}_{acts[e % n_act]}" for e in edges.tolist()]
+    keys += [("dfg", acts[e // n_act], acts[e % n_act]) for e in edges.tolist()]
     blocks.append(_counts(row[:-1][same], edge_of, n, len(edges)))
 
     partners, prow = ix.partners(codes)
@@ -147,24 +183,24 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
     if cobirth_codeath:
         families += [("cobirth", starts[prow] == p_start), ("codeath", ends[prow] == ix.t_end[partners])]
     for prefix, mask in families:
-        names += [f"{prefix}{t}" for t in types]
+        keys += [(prefix, t) for t in types]
         blocks.append(_counts(prow[mask], ptype[mask], n, n_type))
 
     values = np.hstack(blocks)
     nonzero = np.flatnonzero(np.any(values != 0.0, axis=0))
-    return FeatureMatrix(
-        object_type=ot,
-        row_ids=objs,
-        columns=tuple(names[i] for i in nonzero.tolist()),
-        values=values[:, nonzero],
-    )
+    F = FeatureMatrix(ot, objs, tuple(keys[i] for i in nonzero.tolist()), values[:, nonzero])
+    first: dict[str, ColumnKey] = {}
+    for key, name in zip(F.keys, F.columns):
+        if first.setdefault(name, key) != key:
+            raise ColumnCollision(f"columns {first[name]!r} and {key!r} both have the header {name!r}")
+    return F
 
 
 def propagate_features(
     log: OcelLog, base: FeatureMatrix, neighbor: FeatureMatrix, agg: str = "mean"
 ) -> FeatureMatrix:
     """Extend ``base`` with aggregated columns of interacting ``neighbor``
-    objects. For each neighbor column ``c`` a column ``prop<c>`` is added
+    objects. For each neighbor column ``c`` a column ``("prop", c)`` is added
     holding ``agg`` over the values of the interacting neighbor-type objects;
     objects with no neighbors get 0.
 
@@ -197,7 +233,7 @@ def propagate_features(
             "but is missing from the neighbor matrix"
         )
 
-    prop = np.zeros((len(base.row_ids), len(neighbor.columns)))
+    prop = np.zeros((len(base.row_ids), len(neighbor.keys)))
     count = np.bincount(seg, minlength=len(base.row_ids))
     first = np.cumsum(count) - count
     for size in np.unique(count[count > 0]).tolist():
@@ -205,12 +241,8 @@ def propagate_features(
         stacked = neighbor.values[rows[first[sel][:, None] + np.arange(size)], :]
         prop[sel, :] = fn(stacked, axis=1)
 
-    return FeatureMatrix(
-        object_type=base.object_type,
-        row_ids=base.row_ids,
-        columns=base.columns + tuple(f"prop{c}" for c in neighbor.columns),
-        values=np.hstack([base.values, prop]),
-    )
+    return replace(base, keys=base.keys + tuple(("prop", k) for k in neighbor.keys),
+                   values=np.hstack([base.values, prop]))
 
 
 def normalize(F: FeatureMatrix, epsilon: float = DEFAULT_EPSILON) -> FeatureMatrix:
@@ -257,34 +289,26 @@ def filter_activities(log: OcelLog, keep: set[str]) -> OcelLog:
     return OcelLog.build(events, objects)
 
 
-def _format_value(v: float) -> str:
-    return format(v, "g")
-
-
 def explode_values(F: FeatureMatrix, max_distinct: int = 20) -> FeatureMatrix:
-    """Replace each discrete column by per-value indicator columns ``(c=v)``.
+    """Replace each discrete column ``c`` by per-value indicator columns
+    ``("=", c, v)``.
 
     Columns taking more than ``max_distinct`` distinct values are treated as
     continuous and passed through unchanged.
     """
-    names: list[str] = []
+    keys: list[ColumnKey] = []
     cols: list[np.ndarray] = []
-    for i, name in enumerate(F.columns):
+    for i, key in enumerate(F.keys):
         col = F.values[:, i]
         distinct = np.unique(col)
         if len(distinct) > max_distinct:
-            names.append(name)
+            keys.append(key)
             cols.append(col)
             continue
-        for v in distinct:
-            names.append(f"({name}={_format_value(v)})")
+        for v in distinct.tolist():
+            keys.append(("=", key, v))
             cols.append((col == v).astype(np.float64))
-    return FeatureMatrix(
-        object_type=F.object_type,
-        row_ids=F.row_ids,
-        columns=tuple(names),
-        values=np.column_stack(cols) if cols else np.zeros((len(F.row_ids), 0)),
-    )
+    return replace(F, keys=tuple(keys), values=np.column_stack(cols) if cols else np.zeros((len(F.row_ids), 0)))
 
 
 # ----------------------------------------------------------------------- CSV
@@ -300,11 +324,10 @@ def read_feature_csv(path: str | Path, object_type: str = "") -> FeatureMatrix:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     header, data = rows[0], rows[1:]
+    values = np.asarray([[float(x) for x in r[1:]] for r in data], dtype=np.float64)
     return FeatureMatrix(
         object_type=object_type,
         row_ids=tuple(r[0] for r in data),
-        columns=tuple(header[1:]),
-        values=np.asarray([[float(x) for x in r[1:]] for r in data], dtype=np.float64)
-        if data
-        else np.zeros((0, len(header) - 1)),
+        keys=tuple((name,) for name in header[1:]),
+        values=values.reshape(len(data), len(header) - 1),
     )

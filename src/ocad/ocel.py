@@ -39,6 +39,9 @@ from .errors import DanglingReference, DuplicateId, MalformedDocument, UnknownOb
 AttributeValue = Union[float, str]
 
 _EPOCH_ISO = "1970-01-01T00:00:00.000Z"
+# The instants that format_iso can write: years 0001 to 9999 in UTC.
+_T_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+_T_MAX = datetime(9999, 12, 31, 23, 59, 59, 999000, tzinfo=timezone.utc).timestamp()
 
 
 @dataclass(frozen=True)
@@ -269,14 +272,6 @@ class OcelLog:
         pos, _ = ix.lifecycles(ix.codes([o]))
         return tuple(self.events[i] for i in pos.tolist())
 
-    def start_event(self, o: str) -> str | None:
-        lc = self.lifecycle(o)
-        return lc[0] if lc else None
-
-    def end_event(self, o: str) -> str | None:
-        lc = self.lifecycle(o)
-        return lc[-1] if lc else None
-
     def object_graphs(self, o: str) -> tuple[frozenset[tuple[str, str]], frozenset[tuple[str, str]]]:
         """Directly-follows and eventually-follows graphs over the lifecycle.
 
@@ -335,21 +330,37 @@ def _parse_iso(ts: str) -> float:
         raise MalformedDocument(f"bad ISO-8601 timestamp {ts!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+    t = dt.timestamp()
+    if not _T_MIN <= t <= _T_MAX:
+        raise MalformedDocument(f"timestamp {ts!r} is outside years 0001-9999 in UTC")
+    return t
 
 
 def format_iso(t: float) -> str:
     ms_total = round(t * 1000)
     secs, ms = divmod(ms_total, 1000)
-    dt = datetime.fromtimestamp(secs, tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%S") + f".{ms:03d}Z"
+    # isoformat, unlike strftime's %Y, pads years before 1000 to four digits.
+    return datetime.fromtimestamp(secs, tz=timezone.utc).isoformat()[:19] + f".{ms:03d}Z"
 
 
 def _string(v: object, what: str) -> str:
-    # Ids, types and names are compared and sorted with each other.
+    # Ids, types and names are compared and sorted with each other. A lone
+    # surrogate (a JSON "\ud800" escape) cannot be written back as UTF-8.
     if not isinstance(v, str):
         raise MalformedDocument(f"{what} must be a string, got {type(v).__name__}")
+    if not v.isascii():
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedDocument(f"{what} contains a lone surrogate: {v!r}") from exc
     return v
+
+
+def _list(entry: dict, key: str) -> list:
+    items = entry.get(key) or []
+    if not isinstance(items, list):
+        raise MalformedDocument(f"{key!r} of {entry['id']!r} must be a list, got {type(items).__name__}")
+    return items
 
 
 def _coerce_value(v: object, where: str) -> AttributeValue:
@@ -367,7 +378,7 @@ def _coerce_value(v: object, where: str) -> AttributeValue:
             raise MalformedDocument(f"non-finite numeric attribute value in {where}")
         return x
     if isinstance(v, str):
-        return v
+        return _string(v, f"attribute value in {where}")
     raise MalformedDocument(f"unsupported attribute value {v!r} in {where}")
 
 
@@ -380,11 +391,9 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
     latest value per attribute name is kept. Event relationship qualifiers
     are parsed and ignored.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("top level must be a JSON object")
@@ -400,7 +409,7 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
         except (TypeError, KeyError) as exc:
             raise MalformedDocument(f"object entry missing id/type: {entry!r}") from exc
         latest: dict[str, tuple[float, int, AttributeValue]] = {}
-        for seq, att in enumerate(entry.get("attributes") or []):
+        for seq, att in enumerate(_list(entry, "attributes")):
             try:
                 name = _string(att["name"], "attribute name")
                 value = _coerce_value(att["value"], f"object {oid!r}")
@@ -421,13 +430,13 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
         except (TypeError, KeyError) as exc:
             raise MalformedDocument(f"event entry missing id/type/time: {entry!r}") from exc
         attrs = {}
-        for att in entry.get("attributes") or []:
+        for att in _list(entry, "attributes"):
             try:
                 attrs[_string(att["name"], "attribute name")] = _coerce_value(att["value"], f"event {eid!r}")
             except (TypeError, KeyError) as exc:
                 raise MalformedDocument(f"bad attribute on event {eid!r}") from exc
         oids = []
-        for rel in entry.get("relationships") or []:
+        for rel in _list(entry, "relationships"):
             try:
                 oids.append(_string(rel["objectId"], "relationship objectId"))
             except (TypeError, KeyError) as exc:

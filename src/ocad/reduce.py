@@ -1,18 +1,18 @@
 """Dimensionality reduction: PCA and FastMap.
 
 Both take a :class:`FeatureMatrix` and return an :class:`Embedding` whose
-``matrix`` has the same rows and the columns ``dim_0 .. dim_{k-1}``, so it
-feeds the detectors and the feature CSV like any other matrix. PCA is the
-classical covariance eigendecomposition with a deterministic sign
-convention. FastMap picks pivot pairs with the seeded farthest-pair
-heuristic and projects onto the pivot line axis by axis, carrying residual
-distances forward; it is contractive on Euclidean inputs and never needs the
-full pairwise distance matrix.
+``matrix`` has the same rows and one column ``("dim", str(i))`` per axis
+(headers ``dim_0 .. dim_{k-1}``), so it feeds the detectors and the feature
+CSV like any other matrix. PCA is the classical covariance eigendecomposition
+with a deterministic sign convention. FastMap picks pivot pairs with the
+seeded farthest-pair heuristic and projects onto the pivot line axis by axis,
+carrying residual distances forward; it is contractive on Euclidean inputs
+and never needs the full pairwise distance matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class Embedding:
 
 
 def _coords_matrix(F: FeatureMatrix, coords: np.ndarray) -> FeatureMatrix:
-    columns = tuple(f"dim_{i}" for i in range(coords.shape[1]))
-    return FeatureMatrix(object_type=F.object_type, row_ids=tuple(F.row_ids), columns=columns, values=coords)
+    return replace(F, keys=tuple(("dim", str(i)) for i in range(coords.shape[1])), values=coords)
 
 
 def pca(F: FeatureMatrix, k: int) -> Embedding:

@@ -19,6 +19,7 @@ def build_log(events, objects):
 
 
 def make_matrix(values, row_ids=None, columns=None, object_type="t"):
+    """``columns`` holds column keys; a plain string ``name`` is the key ``(name,)``."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values[:, None]
@@ -26,7 +27,7 @@ def make_matrix(values, row_ids=None, columns=None, object_type="t"):
     return FeatureMatrix(
         object_type=object_type,
         row_ids=tuple(row_ids or (f"o{i:03d}" for i in range(n))),
-        columns=tuple(columns or (f"f{j}" for j in range(d))),
+        keys=tuple(c if isinstance(c, tuple) else (c,) for c in columns or (f"f{j}" for j in range(d))),
         values=values,
     )
 

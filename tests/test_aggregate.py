@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from ocad.aggregate import (
-    FeatureScoreTable,
-    anomalous_feature_report,
-    feature_scores,
-    render_feature_name,
-)
+from ocad.aggregate import FeatureScoreTable, anomalous_feature_report, feature_scores
 from ocad.detect import ScoreVector
 from ocad.errors import RowMismatch
-from ocad.features import extract_features, normalize
+from ocad.features import column_label, column_name, extract_features, normalize
 
 from conftest import build_log, make_matrix
 from oracles import brute_fea_scores
@@ -116,7 +111,7 @@ def test_report_surfaces_anomaly_correlated_indicator():
     F = make_matrix(
         np.column_stack([flag, noise, np.ones(n)]),
         row_ids=[f"o{i:03d}" for i in range(n)],
-        columns=["lifecyclecontainsCancel Purchase Order", "numvalueamount", "constant"],
+        columns=[("lifecyclecontains", "Cancel Purchase Order"), ("numvalue", "amount"), "constant"],
     )
     table = anomalous_feature_report(log, F, _scores(F.row_ids, scores), top_n=3)
     top_names = [r.feature_name for r in table.rows]
@@ -157,15 +152,19 @@ def test_report_rows_sorted_ascending():
 
 
 def test_render_feature_name_variants():
-    assert (
-        render_feature_name("(lifecyclecontainsCancel Purchase Order=1)")
-        == "(lifecyclecontains Cancel Purchase Order = 1)"
-    )
-    assert render_feature_name("interactionsinvoice") == "interactions invoice"
-    assert render_feature_name("(dfg_Create PO_Receive Invoice=2)") == "(dfg Create PO -> Receive Invoice = 2)"
-    assert render_feature_name("propnumvalueamount") == "prop numvalue amount"
-    assert render_feature_name("lifecyclestarttime") == "lifecyclestarttime"
-    assert render_feature_name("strvaluevendor_Acme") == "strvalue vendor_Acme"
+    """A column key renders to its header string and to its report label."""
+    cases = [
+        (("=", ("lifecyclecontains", "Cancel Purchase Order"), 1.0),
+         "(lifecyclecontainsCancel Purchase Order=1)", "(lifecyclecontains Cancel Purchase Order = 1)"),
+        (("interactions", "invoice"), "interactionsinvoice", "interactions invoice"),
+        (("=", ("dfg", "Create PO", "Receive Invoice"), 2.0),
+         "(dfg_Create PO_Receive Invoice=2)", "(dfg Create PO -> Receive Invoice = 2)"),
+        (("prop", ("numvalue", "amount")), "propnumvalueamount", "prop numvalue amount"),
+        (("lifecyclestarttime",), "lifecyclestarttime", "lifecyclestarttime"),
+        (("strvalue", "vendor", "Acme"), "strvaluevendor_Acme", "strvalue vendor_Acme"),
+    ]
+    for key, name, label in cases:
+        assert (column_name(key), column_label(key)) == (name, label)
 
 
 def test_table_text_and_csv_round():

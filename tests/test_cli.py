@@ -310,3 +310,72 @@ def test_import_cli_does_not_load_requests():
     code = "import sys, ocad.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _event(eid, activity, day, hour, obj):
+    return {"id": eid, "type": activity, "time": f"2024-01-0{day}T0{hour}:00:00Z",
+            "relationships": [{"objectId": obj, "qualifier": ""}]}
+
+
+def _order(oid, attrs=()):
+    return {"id": oid, "type": "order",
+            "attributes": [{"name": n, "time": "1970-01-01T00:00:00Z", "value": v} for n, v in attrs]}
+
+
+def test_names_with_underscores_keep_headers_and_get_exact_labels(tmp_path):
+    """Activity, attribute and value names that contain ``_`` but do not
+    collide keep their header strings, and the report splits a DFG edge at
+    the activity boundary, not at the first ``_``."""
+    terms = ["net_30"] * 3 + ["net_60"] * 3
+    objects = [_order(f"o{i}", [("pay_term", t)]) for i, t in enumerate(terms)]
+    events = [
+        _event(f"e{i}{k}", a, i + 1, k, f"o{i}")
+        for i in range(6) for k, a in enumerate(["Create_PO", "Pay" if i < 4 else "Cancel_PO"])
+    ]
+    log = tmp_path / "log.json"
+    log.write_bytes(ocel_doc(events=events, objects=objects))
+    assert main(["features", "--log", str(log), "--object-type", "order", "--out", str(tmp_path / "f")]) == 0
+    header = (tmp_path / "f" / "features.csv").read_text().splitlines()[0]
+    assert header == (
+        "object_id,strvaluepay_term_net_30,strvaluepay_term_net_60,lifecyclecontainsCancel_PO,"
+        "lifecyclecontainsPay,lifecyclestarttime,lifecycleendtime,dfg_Create_PO_Cancel_PO,dfg_Create_PO_Pay"
+    )
+    assert main(["aggregate", "--log", str(log), "--object-type", "order", "--top-n", "50",
+                 "--out", str(tmp_path / "a")]) == 0
+    lines = (tmp_path / "a" / "feature_scores.csv").read_text().splitlines()
+    labels = {line.rsplit(",", 2)[0] for line in lines[1:]}
+    assert {"(dfg Create_PO -> Pay = 1)", "(dfg Create_PO -> Cancel_PO = 0)", "(strvalue pay_term_net_30 = 1)",
+            "(lifecyclecontains Cancel_PO = 1)"} <= labels
+
+
+_COLLISIONS = {
+    # attribute a_b = c and attribute a = b_c both give strvaluea_b_c
+    "strvalue": (
+        [_order(f"o{i}", [("a_b", "c"), ("a", "b_c")]) for i in range(3)],
+        [_event(f"e{i}{k}", "AB"[k], i + 1, k * (i + 1), f"o{i}") for i in range(3) for k in range(2)],
+        [("strvalue", "a_b", "c"), ("strvalue", "a", "b_c")],
+    ),
+    # edge X_Y -> Z and edge X -> Y_Z both give dfg_X_Y_Z
+    "dfg": (
+        [_order(f"o{i}") for i in range(3)],
+        [_event(f"e{i}{k}", a, i + 1, k, f"o{i}")
+         for i, acts in enumerate([("X_Y", "Z"), ("X", "Y_Z"), ("X", "Z")]) for k, a in enumerate(acts)],
+        [("dfg", "X_Y", "Z"), ("dfg", "X", "Y_Z")],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["features", "detect", "aggregate"])
+@pytest.mark.parametrize("case", sorted(_COLLISIONS))
+def test_colliding_column_names_are_rejected(tmp_path, capsys, case, command):
+    """Two different columns that would write one header are a one-line
+    validation error naming both, and nothing is written."""
+    objects, events, keys = _COLLISIONS[case]
+    log = tmp_path / "log.json"
+    log.write_bytes(ocel_doc(events=events, objects=objects))
+    code = main([command, "--log", str(log), "--object-type", "order", "--out", str(tmp_path / "run" / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(repr(k) in err for k in keys)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["log.json"]

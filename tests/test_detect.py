@@ -156,6 +156,12 @@ def test_lof_too_few_rows():
         lof(make_matrix(np.zeros((5, 2))), k=5)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_lof_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        lof(make_matrix(np.arange(10.0).reshape(5, 2)), k=k)
+
+
 # ------------------------------------------------------------------- rank
 
 def test_rank_simple():

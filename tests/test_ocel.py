@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ocad.errors import (
     DanglingReference,
@@ -145,6 +147,83 @@ _GOOD_EVENT = {"id": "e1", "type": "A", "time": "2024-01-01T00:00:00Z", "relatio
 def test_parse_rejects_non_string_ids_types_and_times(objects, events):
     with pytest.raises(MalformedDocument, match="must be a string"):
         parse_ocel_json(ocel_doc(events=events, objects=objects))
+
+
+@pytest.mark.parametrize(
+    "objects, events",
+    [
+        ([{"id": "o\ud800", "type": "a"}], []),
+        ([{"id": "o1", "type": "\udfffa"}], []),
+        ([_object("o1", "a", attrs=[("x", "v\ud800")])], []),
+        ([{"id": "o1", "type": "a"}], [_event("e1", "A", "2024-01-01T00:00:00Z", attrs=[("x", "\udc80")])]),
+        ([{"id": "o1", "type": "a"}], [_event("e1", "A\ud800", "2024-01-01T00:00:00Z")]),
+    ],
+    ids=["object-id", "object-type", "object-value", "event-value", "activity"],
+)
+def test_parse_rejects_lone_surrogates(objects, events):
+    """A lone surrogate (a JSON ``\\ud800`` escape) cannot be written back as
+    UTF-8, so the parser rejects it instead of the serializer failing later."""
+    with pytest.raises(MalformedDocument, match="surrogate"):
+        parse_ocel_json(ocel_doc(events=events, objects=objects))
+
+
+# Every code point, lone surrogates included; st.text() never draws those.
+_text = st.text(st.characters(codec=None, exclude_categories=()), max_size=4)
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=6,
+)
+_ids = st.sampled_from(["o1", "o2", "e1", ""]) | _text
+_times = (
+    st.datetimes(timezones=st.none() | st.timezones()).map(lambda d: d.isoformat())
+    | st.sampled_from(["2024-01-01T00:00:00Z", "0001-01-01T00:00:00+14:00", "9999-12-31T23:59:59.9999Z"])
+    | _text
+)
+_attribute = st.fixed_dictionaries({"name": _ids, "value": st.integers() | st.floats() | _text | _junk},
+                                   optional={"time": _times})
+_relationship = st.fixed_dictionaries({"objectId": _ids}, optional={"qualifier": _junk})
+
+
+def _entries(entry):
+    """Mostly well-formed entries, sometimes mixed with or replaced by junk."""
+    return st.lists(entry, max_size=4) | st.lists(entry | _junk, max_size=3) | _junk
+
+
+_object_entry = st.fixed_dictionaries({"id": _ids, "type": _ids}, optional={"attributes": _entries(_attribute)})
+_event_entry = st.fixed_dictionaries(
+    {"id": _ids, "type": _ids, "time": _times},
+    optional={"attributes": _entries(_attribute), "relationships": _entries(_relationship)},
+)
+_documents = st.fixed_dictionaries(
+    {"objects": st.lists(_object_entry, max_size=4) | st.lists(_object_entry | _junk, max_size=3),
+     "events": st.lists(_event_entry, max_size=4) | st.lists(_event_entry | _junk, max_size=3)},
+    optional={"objectTypes": _junk},
+)
+
+
+@given(_documents)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_parse_fuzz_parses_or_rejects_and_serializes(doc):
+    """Any JSON document either parses or is rejected as malformed, and every
+    log that parses serializes to a document that parses again (timestamps are
+    written to the millisecond, so only the ids are compared)."""
+    try:
+        log = parse_ocel_json(json.dumps(doc).encode("utf-8"))
+    except MalformedDocument:
+        return
+    again = parse_ocel_json(serialize_ocel_json(log))
+    assert again.objects == log.objects and sorted(again.events) == sorted(log.events)
+
+
+@given(st.binary(max_size=32) | st.sampled_from([b"[" * 100_000, b"\xff{}", b'{"objects": [], "events": {}}']))
+@settings(max_examples=100, deadline=None)
+def test_parse_fuzz_bytes_parse_or_reject(data):
+    """Bytes that are not UTF-8, not JSON or nested too deeply are malformed."""
+    try:
+        parse_ocel_json(data)
+    except MalformedDocument:
+        pass
 
 
 def test_parse_keeps_latest_object_attribute_value():
@@ -357,8 +436,8 @@ def test_lifecycle_sorted_start_end():
         lc = log.lifecycle(o)
         assert list(lc) == sorted(lc, key=positions.get)
         if lc:
-            assert log.start_event(o) == min(lc, key=positions.get)
-            assert log.end_event(o) == max(lc, key=positions.get)
+            assert lc[0] == min(lc, key=positions.get)
+            assert lc[-1] == max(lc, key=positions.get)
 
 
 def test_dfg_transitive_closure_is_efg():
