@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -111,7 +112,7 @@ def _cmd_generate(args) -> int:
         (AnomalyKind.REOPEN_LONG_GAP, args.reopen_rate),
         (AnomalyKind.BLOCKED_INVOICE, args.blocked_rate),
     ):
-        if value > 0:
+        if value != 0:  # an unset rate is dropped; NaN and negatives reach the check
             rates[kind] = value
     cfg = SynthConfig(n_orders=args.n_orders, anomaly_rates=rates, seed=args.seed, mean_gap=args.mean_gap)
     generator = generate_blocked_invoices if args.variant == "blocked-invoices" else generate_p2p
@@ -162,6 +163,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    if args.top_n < 0:
+        raise InvalidConfig(f"top_n must be >= 0, got {args.top_n}")
     log, digest = _load_log(args.log)
     params = _pipeline_params(args)
     F, Fn = build_matrix(log, params)
@@ -174,6 +177,10 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_abstract(args) -> int:
+    if not (math.isfinite(args.whisker) and args.whisker >= 0):
+        raise InvalidConfig(f"whisker must be a finite number >= 0, got {args.whisker}")
+    if args.max_rows < 0:
+        raise InvalidConfig(f"max_rows must be >= 0, got {args.max_rows}")
     log, digest = _load_log(args.log)
     params = _pipeline_params(args)
     _, Fn = build_matrix(log, params)

@@ -26,6 +26,10 @@ DEFAULT_LOF_K = 20
 # exactly 1, and scores stay finite everywhere.
 _REACH_FLOOR = 1e-300
 
+# LOF builds its distance matrix this many entries at a time, in blocks of
+# whole rows: 1 << 20 float64 values are 8 MB per temporary.
+_BLOCK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class ScoreVector:
@@ -135,6 +139,10 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     density is the reciprocal mean reachability; the factor is the mean
     neighbor-to-self density ratio. Coincident clusters of more than k points
     get factor 1 via the reachability floor.
+
+    Identical rows are collapsed into one row with a multiplicity, at
+    distance exactly 0 from each other, and the distances are computed
+    ``_BLOCK_ELEMENTS`` at a time, so memory is O(n*k) plus one block.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -143,29 +151,101 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     if n < k + 1:
         raise TooFewRows(f"lof with k={k} needs at least {k + 1} rows, got {n}")
 
+    # distinct rows in first-occurrence order, so that without copies U is X
+    _, first, inverse, counts = np.unique(X, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    first, counts, inverse = first[order], counts[order], np.argsort(order)[inverse]
+
     sq = (X * X).sum(axis=1)
-    D2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0)
-    D = np.sqrt(D2)
-    np.fill_diagonal(D, np.inf)
-
-    kdist = np.partition(D, k - 1, axis=1)[:, k - 1]
-    neighbors = [np.flatnonzero(D[i] <= kdist[i]) for i in range(n)]
-
-    lrd = np.empty(n)
-    for i in range(n):
-        reach = np.maximum(kdist[neighbors[i]], D[i, neighbors[i]])
-        lrd[i] = 1.0 / max(reach.mean(), _REACH_FLOOR)
-
-    factor = np.empty(n)
-    for i in range(n):
-        factor[i] = (lrd[neighbors[i]] / lrd[i]).mean()
+    U = X if len(first) == n else X[first]
+    rows, cols, dists, weights, kdist = _neighborhoods(U, sq[first], counts, k)
+    reach = np.maximum(kdist[cols], dists)
+    lrd = 1.0 / np.maximum(_row_means(reach, weights, rows), _REACH_FLOOR)
+    factor = _row_means(lrd[cols] / lrd[rows], weights, rows)
 
     return ScoreVector(
         object_ids=tuple(F.row_ids),
-        scores=-factor,
+        scores=-factor[inverse],
         method="LOF",
         params={"k": k, "distance": "euclidean"},
     )
+
+
+def _neighborhoods(U, sq, counts, k):
+    """Tie-inclusive k-neighborhoods of the distinct rows ``U``, whose rows
+    occur ``counts`` times, as entries ``(rows, cols, dists, weights)`` in
+    row-major order, and the k-distance of every row. An entry's weight is
+    the number of copies it stands for.
+
+    One block of rows at a time gets its distances in Gram form,
+    ``sqrt(max((sq_i + sq_j) - 2 * (u_i . u_j), 0))``, with an infinite
+    diagonal, and its k-th smallest distance per row. A row with copies has
+    a zero diagonal instead: its other copies are neighbors at distance 0.
+    Counted with their copies, the k nearest may then lie nearer than that
+    k-th smallest distance, which only bounds the k-distance.
+    """
+    nu = len(U)
+    # Fewer than k + 1 distinct rows occur only with copies; the bound is then
+    # a row's largest distance.
+    kth = min(k, nu) - 1
+    has_copies = counts > 1
+    # A block has two rows or more: numpy computes a one-row product with a
+    # matrix-vector kernel, whose sums may round differently.
+    starts = list(range(0, nu, max(2, _BLOCK_ELEMENTS // nu)))
+    if len(starts) > 1 and starts[-1] == nu - 1:
+        starts.pop()
+    bound = np.empty(nu)
+    row_blocks, col_blocks, dist_blocks = [], [], []
+    for s, e in zip(starts, starts[1:] + [nu]):
+        diag = (np.arange(e - s), np.arange(s, e))
+        D = np.add(sq[s:e, None], sq)
+        G = np.matmul(U[s:e], U.T)
+        np.multiply(2.0, G, out=G)
+        np.subtract(D, G, out=D)
+        np.maximum(D, 0.0, out=D)
+        np.sqrt(D, out=D)
+        D[diag] = np.where(has_copies[s:e], 0.0, np.inf)
+        np.copyto(G, D)
+        G.partition(kth, axis=1)
+        bound[s:e] = G[:, kth]
+        del G
+        near = D <= bound[s:e, None]
+        near[diag] = has_copies[s:e]
+        flat = np.flatnonzero(near)  # far faster than a 2-d nonzero
+        r, c = np.divmod(flat, nu)
+        row_blocks.append(r + s)
+        col_blocks.append(c)
+        dist_blocks.append(D.ravel()[flat])
+        del D, near
+    rows, cols, dists = map(np.concatenate, (row_blocks, col_blocks, dist_blocks))
+    weights = np.where(cols == rows, counts[rows] - 1, counts[cols])
+
+    # Walk each row's entries by distance until their copies add up to k;
+    # without copies that is the bound itself.
+    lengths = np.bincount(rows, minlength=nu)
+    start = np.cumsum(lengths) - lengths
+    by_dist = np.lexsort((dists, rows))
+    total = np.cumsum(weights[by_dist])
+    within = total - np.repeat(total[start] - weights[by_dist][start], lengths)
+    short = np.bincount(rows, weights=within < k, minlength=nu).astype(np.intp)
+    kdist = dists[by_dist][start + short]
+    keep = dists <= kdist[rows]
+    return rows[keep], cols[keep], dists[keep], weights[keep], kdist
+
+
+def _row_means(values, weights, rows) -> np.ndarray:
+    """Weighted mean per row of entries in row-major order, every row
+    nonempty. Rows of equal length are stacked and summed along one axis, so
+    with unit weights every mean equals the per-row ``.mean()`` bit for bit."""
+    lengths = np.bincount(rows)
+    start = np.cumsum(lengths) - lengths
+    out = np.empty(len(lengths))
+    for m in np.unique(lengths).tolist():
+        sel = np.flatnonzero(lengths == m)
+        idx = start[sel, None] + np.arange(m)
+        w = weights[idx]
+        out[sel] = (values[idx] * w).sum(axis=1) / w.sum(axis=1)
+    return out
 
 
 def _order(ids, scores) -> np.ndarray:

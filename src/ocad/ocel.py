@@ -40,8 +40,8 @@ AttributeValue = Union[float, str]
 
 _EPOCH_ISO = "1970-01-01T00:00:00.000Z"
 # The instants that format_iso can write: years 0001 to 9999 in UTC.
-_T_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
-_T_MAX = datetime(9999, 12, 31, 23, 59, 59, 999000, tzinfo=timezone.utc).timestamp()
+T_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+T_MAX = datetime(9999, 12, 31, 23, 59, 59, 999000, tzinfo=timezone.utc).timestamp()
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,7 @@ def _parse_iso(ts: str) -> float:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     t = dt.timestamp()
-    if not _T_MIN <= t <= _T_MAX:
+    if not T_MIN <= t <= T_MAX:
         raise MalformedDocument(f"timestamp {ts!r} is outside years 0001-9999 in UTC")
     return t
 

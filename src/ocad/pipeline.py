@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .detect import (
@@ -52,6 +53,8 @@ class PipelineParams:
                 raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not self.epsilon > 0:
             raise InvalidConfig(f"epsilon must be > 0, got {self.epsilon}")
+        if math.isnan(self.min_variance):
+            raise InvalidConfig("min_variance must be a number, got nan")
 
 
 def build_matrix(log: OcelLog, params: PipelineParams) -> tuple[FeatureMatrix, FeatureMatrix]:

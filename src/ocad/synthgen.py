@@ -13,6 +13,7 @@ function of its config.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from ._csv import csv_bytes
 from .errors import InvalidConfig
-from .ocel import OcelLog
+from .ocel import T_MAX, T_MIN, OcelLog
 
 ACT_CREATE_REQ = "Create Requisition"
 ACT_APPROVE_REQ = "Approve Requisition"
@@ -67,8 +68,8 @@ class SynthConfig:
             raise InvalidConfig("anomaly rates must be fractions in [0, 1]")
         if sum(self.anomaly_rates.values()) > 1.0:
             raise InvalidConfig("anomaly rates must sum to at most 1")
-        if self.mean_gap <= 0:
-            raise InvalidConfig("mean_gap must be positive")
+        if not (math.isfinite(self.mean_gap) and self.mean_gap > 0):
+            raise InvalidConfig(f"mean_gap must be a positive finite number, got {self.mean_gap}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,8 @@ class SynthGroundTruth:
 
 
 def _quantize(t: float) -> float:
+    if not T_MIN <= t <= T_MAX:
+        raise InvalidConfig(f"timestamp {t} falls outside years 0001-9999; mean_gap is too large")
     return round(t * 1000) / 1000.0
 
 

@@ -184,6 +184,21 @@ def brute_lof(X, k):
     return out
 
 
+def dense_lof(X, k):
+    """LOF on the whole n x n Gram-form distance matrix with per-row loops,
+    emitted negated: the arithmetic ``detect.lof`` keeps for rows without
+    copies, in the same order."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    sq = (X * X).sum(axis=1)
+    D = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0))
+    np.fill_diagonal(D, np.inf)
+    kdist = np.partition(D, k - 1, axis=1)[:, k - 1]
+    nbrs = [np.flatnonzero(D[i] <= kdist[i]) for i in range(n)]
+    lrd = np.array([1.0 / max(np.maximum(kdist[nbrs[i]], D[i, nbrs[i]]).mean(), 1e-300) for i in range(n)])
+    return -np.array([(lrd[nbrs[i]] / lrd[i]).mean() for i in range(n)])
+
+
 def brute_fea_scores(norm_values, scores):
     """Double-loop feature-score summation."""
     n = len(norm_values)

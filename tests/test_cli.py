@@ -161,6 +161,7 @@ def test_features_on_empty_log_is_validation_error(tmp_path, capsys):
         ["--reduce-k", "0", "--reducer", "pca"],
         ["--top-k", "-3"],
         ["--max-events", "0"],
+        ["--min-variance", "nan"],
     ],
 )
 def test_detect_rejects_invalid_knobs(generated, tmp_path, capsys, flags):
@@ -190,6 +191,49 @@ def test_malformed_log_is_one_line_validation_error(tmp_path, capsys, doc):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--mean-gap", "inf"],
+        ["--mean-gap", "nan"],
+        ["--mean-gap", "1e308"],
+        ["--maverick-rate", "nan"],
+        ["--reopen-rate", "-0.5"],
+    ],
+)
+def test_generate_rejects_invalid_knobs(tmp_path, capsys, flags):
+    out = tmp_path / "gen"
+    assert main(["generate", "--n-orders", "5", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_generate_drops_zero_rates(tmp_path):
+    out = tmp_path / "gen"
+    assert main(["generate", "--n-orders", "5", "--maverick-rate", "0", "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["params"]["rates"] == {}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abstract", "--whisker", "nan"],
+        ["abstract", "--whisker", "-5"],
+        ["abstract", "--raw-table", "--max-rows", "-1"],
+        ["aggregate", "--top-n", "-1"],
+    ],
+)
+def test_report_commands_reject_invalid_knobs(generated, tmp_path, capsys, argv):
+    out = tmp_path / "rep"
+    code = main([argv[0], "--log", str(generated / "log.json"), "--object-type", "order", *argv[1:],
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_input_is_io_error(tmp_path):

@@ -1,10 +1,13 @@
 """Isolation forest, LOF, rank and bottom-k."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocad import detect
 from ocad.detect import (
     RankVector,
     ScoreVector,
@@ -18,7 +21,7 @@ from ocad.detect import (
 from ocad.errors import DegenerateMatrixWarning, KTooLarge, TooFewRows
 
 from conftest import make_matrix
-from oracles import brute_lof
+from oracles import brute_lof, dense_lof
 
 
 # --------------------------------------------------------- isolation forest
@@ -160,6 +163,72 @@ def test_lof_too_few_rows():
 def test_lof_rejects_k_below_one(k):
     with pytest.raises(ValueError, match="k must be >= 1"):
         lof(make_matrix(np.arange(10.0).reshape(5, 2)), k=k)
+
+
+@pytest.mark.parametrize("n, d, k, decimals", [(300, 3, 20, None), (600, 4, 5, 1), (1000, 8, 20, 1)])
+def test_lof_in_one_block_equals_dense_reference_bit_for_bit(n, d, k, decimals):
+    # up to 1,024 distinct rows lof runs as one block, and without copies it
+    # keeps the whole-matrix arithmetic; rows rounded to 0.1 tie often
+    X = np.random.default_rng(n + d).normal(size=(n, d))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    assert len(np.unique(X, axis=0)) == n
+    assert np.array_equal(lof(make_matrix(X), k=k).scores, dense_lof(X, k))
+
+
+def test_lof_in_blocks_is_close_to_dense_reference():
+    # several blocks: BLAS may round a block's Gram product in the last bit
+    # unlike the whole product, so only closeness is promised
+    X = np.random.default_rng(2508).normal(size=(2500, 8))
+    np.testing.assert_allclose(lof(make_matrix(X), k=20).scores, dense_lof(X, 20), rtol=1e-12, atol=0)
+
+
+@st.composite
+def _tied_matrices(draw):
+    """Small matrices of halves with copied rows: many ties and coincident
+    points. Halves keep every Gram product exact, so no BLAS kernel can round
+    a block's product differently from the whole product; a difference
+    between block sizes is then one of the blocking itself."""
+    n = draw(st.integers(3, 40))
+    d = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(-4, 4), min_size=n * d, max_size=n * d))
+    X = np.array(cells, dtype=np.float64).reshape(n, d) / 2
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        X[dst] = X[src]
+    return X, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tied_matrices())
+def test_lof_in_blocks_matches_brute_force_and_one_block(case):
+    X, k = case
+    F = make_matrix(X)
+    whole = lof(F, k=k).scores
+    # relative as well as absolute: a point beside a coincident cluster of
+    # more than k points scores about -1e300 through the reachability floor
+    np.testing.assert_allclose(whole, brute_lof(X, k), rtol=1e-9, atol=1e-9)
+    distinct = len(np.unique(X, axis=0))
+    for rows in (2, 3, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "_BLOCK_ELEMENTS", rows * distinct)
+            assert np.array_equal(lof(F, k=k).scores, whole)
+
+
+def test_lof_memory_stays_bounded_on_a_coincident_cluster():
+    # 5,000 copies of one point would give 25M tie-inclusive neighbor
+    # entries, and one 6,000 x 6,000 float64 matrix alone takes 288 MB
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(6000, 3))
+    X[:5000] = X[0]
+    F = make_matrix(X)
+    tracemalloc.start()
+    try:
+        sv = lof(F, k=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert np.all(sv.scores[:5000] == -1.0)
 
 
 # ------------------------------------------------------------------- rank

@@ -128,6 +128,14 @@ def test_invalid_configs_rejected():
         generate_p2p(SynthConfig(n_orders=5, anomaly_rates={AnomalyKind.MAVERICK_BUYING: -0.1}))
 
 
+@pytest.mark.parametrize("mean_gap", [float("inf"), float("nan"), 1e308, 1e12])
+def test_mean_gap_that_leaves_the_writable_years_is_rejected(mean_gap):
+    with pytest.raises(InvalidConfig):
+        generate_p2p(SynthConfig(n_orders=5, mean_gap=mean_gap))
+    with pytest.raises(InvalidConfig):
+        generate_blocked_invoices(SynthConfig(n_orders=5, mean_gap=mean_gap))
+
+
 def test_ground_truth_csv_round_trip(tmp_path):
     cfg = SynthConfig(n_orders=20, anomaly_rates={AnomalyKind.DOUBLE_INVOICE: 0.2}, seed=6)
     _, truth = generate_p2p(cfg)
