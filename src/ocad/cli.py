@@ -11,7 +11,8 @@ reproduces the outputs byte-identically. A subcommand computes all of its
 outputs and checks their names before it writes the first one, each
 atomically (temp file + rename), so a run that fails with exit 1 writes
 nothing; inputs are never modified. Exit codes: 0 success, 1 validation
-error, 2 I/O error.
+error, 2 usage or I/O error (argparse exits 2 on a usage error, with the
+usage line and one error line on stderr).
 """
 
 from __future__ import annotations
@@ -181,6 +182,8 @@ def _cmd_abstract(args) -> int:
         raise InvalidConfig(f"whisker must be a finite number >= 0, got {args.whisker}")
     if args.max_rows < 0:
         raise InvalidConfig(f"max_rows must be >= 0, got {args.max_rows}")
+    if not (math.isfinite(args.llm_timeout) and args.llm_timeout > 0):
+        raise InvalidConfig(f"llm_timeout must be a finite number > 0, got {args.llm_timeout}")
     log, digest = _load_log(args.log)
     params = _pipeline_params(args)
     _, Fn = build_matrix(log, params)

@@ -26,6 +26,7 @@ build it.
 from __future__ import annotations
 
 import json
+import json.encoder
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -42,6 +43,7 @@ _EPOCH_ISO = "1970-01-01T00:00:00.000Z"
 # The instants that format_iso can write: years 0001 to 9999 in UTC.
 T_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
 T_MAX = datetime(9999, 12, 31, 23, 59, 59, 999000, tzinfo=timezone.utc).timestamp()
+_MS_MIN, _MS_MAX = round(T_MIN * 1000), round(T_MAX * 1000)
 
 
 @dataclass(frozen=True)
@@ -336,11 +338,18 @@ def _parse_iso(ts: str) -> float:
     return t
 
 
+def _iso_stamps(ts: Iterable[float]) -> list[str]:
+    """ISO-8601 UTC text of each time in ``ts`` to the millisecond, rounded
+    half to even as ``round`` rounds. Raises ``ValueError`` for a time that
+    is not finite or falls outside years 0001-9999."""
+    ms = np.round(np.asarray(ts, dtype=np.float64) * 1000)
+    if not np.all((ms >= _MS_MIN) & (ms <= _MS_MAX)):
+        raise ValueError("timestamp is not finite or falls outside years 0001-9999 in UTC")
+    return [s + "Z" for s in np.datetime_as_string(ms.astype("datetime64[ms]"), unit="ms").tolist()]
+
+
 def format_iso(t: float) -> str:
-    ms_total = round(t * 1000)
-    secs, ms = divmod(ms_total, 1000)
-    # isoformat, unlike strftime's %Y, pads years before 1000 to four digits.
-    return datetime.fromtimestamp(secs, tz=timezone.utc).isoformat()[:19] + f".{ms:03d}Z"
+    return _iso_stamps([t])[0]
 
 
 def _string(v: object, what: str) -> str:
@@ -446,60 +455,66 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
     return OcelLog.build(event_records, object_records)
 
 
-def _value_type_name(v: AttributeValue) -> str:
-    return "float" if isinstance(v, float) else "string"
+# The text of a JSON string, as json.dumps(ensure_ascii=False) writes it.
+_str = json.encoder.encode_basestring
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _value(v: AttributeValue) -> tuple[str, str]:
+    """JSON text and OCEL type name of an attribute value."""
+    if isinstance(v, str):
+        return _str(v), "string"
+    text = float.__repr__(v)
+    return _NON_FINITE.get(text, text), "float"
+
+
+def _array(items: list[str], indent: str) -> str:
+    """JSON list of rendered ``items``, its closing bracket at ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _type_decls(attrs_by_type: dict[str, dict[str, str]]) -> str:
+    """``objectTypes`` or ``eventTypes``: types and attribute names sorted by name."""
+    items = []
+    for name, attrs in sorted(attrs_by_type.items()):
+        rows = [f'        {{\n          "name": {_str(n)},\n          "type": "{t}"\n        }}'
+                for n, t in sorted(attrs.items())]
+        items.append(f'    {{\n      "name": {_str(name)},\n      "attributes": {_array(rows, "      ")}\n    }}')
+    return _array(items, "  ")
 
 
 def serialize_ocel_json(log: OcelLog) -> bytes:
     """Serialize back to OCEL 2.0 JSON (UTF-8, millisecond timestamps).
 
-    Object attribute change times are not modeled, so object attributes are
-    emitted with the epoch as their time.
+    The bytes are those of ``json.dumps(doc, indent=2, ensure_ascii=False)``
+    on the document's dict tree, but written from fixed templates: with
+    ``indent`` set, ``json`` runs its pure-Python encoder. Object attribute
+    change times are not modeled, so object attributes are emitted with the
+    epoch as their time.
     """
     otype_attrs: dict[str, dict[str, str]] = {ot: {} for ot in log.object_types}
+    objects = []
     for o in log.objects:
-        bucket = otype_attrs[log.otyp[o]]
-        for name, value in log.ovmap[o].items():
-            bucket.setdefault(name, _value_type_name(value))
+        bucket, rows = otype_attrs[log.otyp[o]], []
+        for n, v in sorted(log.ovmap[o].items()):
+            text, kind = _value(v)
+            bucket.setdefault(n, kind)
+            rows.append(f'        {{\n          "name": {_str(n)},\n          "time": "{_EPOCH_ISO}",\n'
+                        f'          "value": {text}\n        }}')
+        objects.append(f'    {{\n      "id": {_str(o)},\n      "type": {_str(log.otyp[o])},\n'
+                       f'      "attributes": {_array(rows, "      ")}\n    }}')
     etype_attrs: dict[str, dict[str, str]] = {a: {} for a in log.activities}
-    for e in log.events:
-        bucket = etype_attrs[log.act[e]]
-        for name, value in log.vmap[e].items():
-            bucket.setdefault(name, _value_type_name(value))
-
-    doc = {
-        "objectTypes": [
-            {"name": ot, "attributes": [{"name": n, "type": t} for n, t in sorted(attrs.items())]}
-            for ot, attrs in sorted(otype_attrs.items())
-        ],
-        "eventTypes": [
-            {"name": a, "attributes": [{"name": n, "type": t} for n, t in sorted(attrs.items())]}
-            for a, attrs in sorted(etype_attrs.items())
-        ],
-        "objects": [
-            {
-                "id": o,
-                "type": log.otyp[o],
-                "attributes": [
-                    {"name": n, "time": _EPOCH_ISO, "value": v}
-                    for n, v in sorted(log.ovmap[o].items())
-                ],
-            }
-            for o in log.objects
-        ],
-        "events": [
-            {
-                "id": e,
-                "type": log.act[e],
-                "time": format_iso(log.time[e]),
-                "attributes": [
-                    {"name": n, "value": v} for n, v in sorted(log.vmap[e].items())
-                ],
-                "relationships": [
-                    {"objectId": o, "qualifier": ""} for o in sorted(log.omap[e])
-                ],
-            }
-            for e in log.events
-        ],
-    }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    events = []
+    for e, stamp in zip(log.events, _iso_stamps([log.time[e] for e in log.events])):
+        bucket, rows = etype_attrs[log.act[e]], []
+        for n, v in sorted(log.vmap[e].items()):
+            text, kind = _value(v)
+            bucket.setdefault(n, kind)
+            rows.append(f'        {{\n          "name": {_str(n)},\n          "value": {text}\n        }}')
+        rels = [f'        {{\n          "objectId": {_str(o)},\n          "qualifier": ""\n        }}'
+                for o in sorted(log.omap[e])]
+        events.append(f'    {{\n      "id": {_str(e)},\n      "type": {_str(log.act[e])},\n      "time": "{stamp}",\n'
+                      f'      "attributes": {_array(rows, "      ")},\n'
+                      f'      "relationships": {_array(rels, "      ")}\n    }}')
+    return (f'{{\n  "objectTypes": {_type_decls(otype_attrs)},\n  "eventTypes": {_type_decls(etype_attrs)},\n'
+            f'  "objects": {_array(objects, "  ")},\n  "events": {_array(events, "  ")}\n}}\n').encode("utf-8")

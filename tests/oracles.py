@@ -7,7 +7,9 @@ test.
 
 from __future__ import annotations
 
+import json
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -248,3 +250,67 @@ def brute_quantile(xs, q):
     frac = h - lo
     hi = min(lo + 1, len(s) - 1)
     return s[lo] * (1.0 - frac) + s[hi] * frac
+
+
+def datetime_iso(t):
+    """ISO-8601 UTC text of ``t`` seconds to the millisecond, through
+    ``datetime``; ``round`` rounds half to even."""
+    ms_total = round(t * 1000)
+    secs, ms = divmod(ms_total, 1000)
+    return datetime.fromtimestamp(secs, tz=timezone.utc).isoformat()[:19] + f".{ms:03d}Z"
+
+
+def json_dumps_serialize(log):
+    """The OCEL 2.0 document of ``log`` as a dict tree, written by
+    ``json.dumps(indent=2, ensure_ascii=False)``."""
+
+    def value_type_name(v):
+        return "float" if isinstance(v, float) else "string"
+
+    otype_attrs = {ot: {} for ot in log.object_types}
+    for o in log.objects:
+        bucket = otype_attrs[log.otyp[o]]
+        for name, value in log.ovmap[o].items():
+            bucket.setdefault(name, value_type_name(value))
+    etype_attrs = {a: {} for a in log.activities}
+    for e in log.events:
+        bucket = etype_attrs[log.act[e]]
+        for name, value in log.vmap[e].items():
+            bucket.setdefault(name, value_type_name(value))
+
+    doc = {
+        "objectTypes": [
+            {"name": ot, "attributes": [{"name": n, "type": t} for n, t in sorted(attrs.items())]}
+            for ot, attrs in sorted(otype_attrs.items())
+        ],
+        "eventTypes": [
+            {"name": a, "attributes": [{"name": n, "type": t} for n, t in sorted(attrs.items())]}
+            for a, attrs in sorted(etype_attrs.items())
+        ],
+        "objects": [
+            {
+                "id": o,
+                "type": log.otyp[o],
+                "attributes": [
+                    {"name": n, "time": "1970-01-01T00:00:00.000Z", "value": v}
+                    for n, v in sorted(log.ovmap[o].items())
+                ],
+            }
+            for o in log.objects
+        ],
+        "events": [
+            {
+                "id": e,
+                "type": log.act[e],
+                "time": datetime_iso(log.time[e]),
+                "attributes": [
+                    {"name": n, "value": v} for n, v in sorted(log.vmap[e].items())
+                ],
+                "relationships": [
+                    {"objectId": o, "qualifier": ""} for o in sorted(log.omap[e])
+                ],
+            }
+            for e in log.events
+        ],
+    }
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")

@@ -224,9 +224,15 @@ def test_generate_drops_zero_rates(tmp_path):
         ["abstract", "--whisker", "-5"],
         ["abstract", "--raw-table", "--max-rows", "-1"],
         ["aggregate", "--top-n", "-1"],
+        ["abstract", "--oracle", "llm", "--llm-timeout", "nan"],
+        ["abstract", "--oracle", "llm", "--llm-timeout", "inf"],
+        ["abstract", "--oracle", "llm", "--llm-timeout", "0"],
+        ["abstract", "--oracle", "llm", "--llm-timeout", "-1"],
     ],
 )
-def test_report_commands_reject_invalid_knobs(generated, tmp_path, capsys, argv):
+def test_report_commands_reject_invalid_knobs(generated, tmp_path, capsys, monkeypatch, argv):
+    """Knobs are checked before the log is read."""
+    monkeypatch.setattr(ocad.cli, "_load_log", lambda path: pytest.fail("read the log before checking the knobs"))
     out = tmp_path / "rep"
     code = main([argv[0], "--log", str(generated / "log.json"), "--object-type", "order", *argv[1:],
                  "--out", str(out)])
@@ -234,6 +240,15 @@ def test_report_commands_reject_invalid_knobs(generated, tmp_path, capsys, argv)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["detect"], ["detect", "--bogus"]])
+def test_usage_error_exits_2_without_traceback(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ocad detect") and "error: " in err and "Traceback" not in err
 
 
 def test_missing_input_is_io_error(tmp_path):

@@ -2,8 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ocad.errors import (
@@ -12,10 +13,10 @@ from ocad.errors import (
     MalformedDocument,
     UnknownObject,
 )
-from ocad.ocel import OcelLog, parse_ocel_json, serialize_ocel_json
+from ocad.ocel import T_MAX, T_MIN, OcelLog, _iso_stamps, format_iso, parse_ocel_json, serialize_ocel_json
 
 from conftest import build_log, ocel_doc, random_log
-from oracles import NaiveDerivations
+from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize
 
 
 def _event(eid, etype, time, objs=(), attrs=()):
@@ -212,7 +213,9 @@ def test_parse_fuzz_parses_or_rejects_and_serializes(doc):
         log = parse_ocel_json(json.dumps(doc).encode("utf-8"))
     except MalformedDocument:
         return
-    again = parse_ocel_json(serialize_ocel_json(log))
+    data = serialize_ocel_json(log)
+    assert data == json_dumps_serialize(log)
+    again = parse_ocel_json(data)
     assert again.objects == log.objects and sorted(again.events) == sorted(log.events)
 
 
@@ -468,6 +471,58 @@ def test_round_trip_random_logs():
         again = parse_ocel_json(serialize_ocel_json(log))
         assert again == log
         assert serialize_ocel_json(again) == serialize_ocel_json(log)
+
+
+# Drawn often: characters that json.dumps escapes, characters that it writes
+# raw although other encoders escape them (DEL, U+2028), and non-ASCII ones.
+# st.characters() adds every other code point except lone surrogates.
+_chars = st.sampled_from('"\\\x00\x1f\x7f\n\u2028é名😀') | st.characters(exclude_categories=("Cs",))
+_names = st.text(_chars, max_size=4)
+_attrs = st.dictionaries(_names, st.floats() | st.sampled_from([-0.0, 5e-324, 1e16]) | _names, max_size=3)
+_stamps = (
+    st.floats(T_MIN, T_MAX)
+    | st.sampled_from([T_MIN, T_MAX, -1.5, -0.0005, 0.0005, 0.0025, 1704067200.0125])
+    | st.integers(-(10**12), 10**12).map(lambda halves: halves / 2000)  # half-millisecond ties
+)
+
+
+@st.composite
+def _logs(draw):
+    objects = draw(st.lists(st.tuples(_names, _names, _attrs), max_size=5, unique_by=lambda r: r[0]))
+    related = st.lists(st.sampled_from([o[0] for o in objects]), max_size=3) if objects else st.just([])
+    events = draw(st.lists(st.tuples(_names, _names, _stamps, related, _attrs), max_size=6,
+                           unique_by=lambda r: r[0]))
+    return OcelLog.build(events, objects)
+
+
+@given(_logs())
+@example(build_log([], [("o1", "t")]))
+@example(build_log([("e1", "A", 0.0, [])], []))
+@settings(max_examples=200, deadline=None)
+def test_serialize_matches_json_dumps(log):
+    """The templated writer writes json.dumps(indent=2, ensure_ascii=False)'s bytes."""
+    assert serialize_ocel_json(log) == json_dumps_serialize(log)
+
+
+def test_serialize_matches_json_dumps_on_synthetic_log(p2p_small):
+    log, _ = p2p_small
+    assert serialize_ocel_json(log) == json_dumps_serialize(log)
+
+
+def test_iso_stamps_match_datetime_formatting():
+    rng = np.random.default_rng(0)
+    halves = rng.integers(round(T_MIN * 2000), round(T_MAX * 2000), 2000)  # half-millisecond ties
+    ts = [T_MIN, T_MAX, 0.0, -0.0, -0.0005, 0.0005, 0.0015, 0.0025, -1.2345, 1704067200.0125, -62135596799.9995,
+          *(halves / 2000).tolist(), *rng.uniform(T_MIN, T_MAX, 2000).tolist()]
+    assert _iso_stamps(ts) == [datetime_iso(t) for t in ts]
+    assert [format_iso(t) for t in ts[:11]] == [datetime_iso(t) for t in ts[:11]]
+    assert _iso_stamps([]) == []
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), T_MAX + 0.001, T_MIN - 0.001])
+def test_iso_stamps_reject_times_outside_the_years_they_can_write(t):
+    with pytest.raises(ValueError):
+        _iso_stamps([0.0, t])
 
 
 def test_build_permits_empty_omap():
