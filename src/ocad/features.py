@@ -14,8 +14,7 @@ keys into header strings (:func:`column_name`) and report labels
 * ``("prop", key)``  ``prop<header>``: aggregated neighbor feature added by propagation
 * ``("=", key, v)``  ``(<header>=<v:g>)``: per-value indicator made by explosion
 * ``("dim", i)``  ``dim_<i>``: an embedding axis (see :mod:`ocad.reduce`)
-* ``(name,)``  a plain name: ``lifecyclestarttime``, ``lifecycleendtime``, ``lifecycleduration``,
-  or a header read back from a CSV
+* ``(name,)``  a plain name: ``lifecyclestarttime``, ``lifecycleendtime``, ``lifecycleduration``
 
 Objects with an empty lifecycle get zeros for all lifecycle-derived columns.
 Columns that would be all-zero across every row are omitted, which keeps the
@@ -24,10 +23,8 @@ matrix finite without an explicit activity/type whitelist.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -176,13 +173,13 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
     keys += [("dfg", acts[e // n_act], acts[e % n_act]) for e in edges.tolist()]
     blocks.append(_counts(row[:-1][same], edge_of, n, len(edges)))
 
-    partners, prow = ix.partners(codes)
+    partners, prow = ix.related(codes)
     ptype = ix.obj_type[partners]
-    p_start = ix.t_start[partners]
-    families = [("interactions", np.ones(len(partners), dtype=bool)), ("creation", starts[prow] < p_start)]
+    families = [("interactions", "interact"), ("creation", "creation")]
     if cobirth_codeath:
-        families += [("cobirth", starts[prow] == p_start), ("codeath", ends[prow] == ix.t_end[partners])]
-    for prefix, mask in families:
+        families += [("cobirth", "cobirth"), ("codeath", "codeath")]
+    for prefix, relation in families:
+        mask = ix.relation(relation, codes, partners, prow)
         keys += [(prefix, t) for t in types]
         blocks.append(_counts(prow[mask], ptype[mask], n, n_type))
 
@@ -216,9 +213,7 @@ def propagate_features(
     fn = {"mean": np.mean, "median": np.median, "min": np.min, "max": np.max, "sum": np.sum}[agg]
 
     ix = log.index
-    partners, seg = ix.partners(ix.codes(base.row_ids))
-    keep = ix.obj_type[partners] == ix.type_code.get(neighbor.object_type, -1)
-    partners, seg = partners[keep], seg[keep]
+    partners, seg = ix.related(ix.codes(base.row_ids), neighbor.object_type)
 
     neighbor_row = np.full(len(log.objects), -1)
     for i, o in enumerate(neighbor.row_ids):
@@ -319,15 +314,3 @@ def feature_csv_bytes(F: FeatureMatrix) -> bytes:
     rows = ([o, *map(repr, row)] for o, row in zip(F.row_ids, F.values.tolist()))
     return csv_bytes(["object_id", *F.columns], rows)
 
-
-def read_feature_csv(path: str | Path, object_type: str = "") -> FeatureMatrix:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    values = np.asarray([[float(x) for x in r[1:]] for r in data], dtype=np.float64)
-    return FeatureMatrix(
-        object_type=object_type,
-        row_ids=tuple(r[0] for r in data),
-        keys=tuple((name,) for name in header[1:]),
-        values=values.reshape(len(data), len(header) - 1),
-    )

@@ -15,9 +15,11 @@ once, on first use, by ``OcelLog.index``. Objects are coded by their position
 in ``objects``, types and activities by their position in the sorted
 ``object_types`` and ``activities``, events by their position in the total
 order. The index holds each object's type code, each event's time and
-activity code, the lifecycles as CSR (compressed sparse row) arrays of event
-positions per object, and every pair of distinct objects sharing an event as
-two arrays sorted by (object, partner). Feature extraction and propagation
+activity code, and the event-object relation twice as CSR (compressed sparse
+row) arrays: each object's events (its lifecycle) and each event's objects.
+Interaction partners are not stored; :meth:`LogIndex.related` gathers them
+through both CSRs for the objects asked about, and :meth:`LogIndex.relation`
+defines the interaction sets on them. Feature extraction and propagation
 compute on these arrays for all objects of a type at once. The index is not
 a field of the log, so equality, serialization and ``ocad generate`` never
 build it.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 import json.encoder
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -75,25 +77,22 @@ class LogIndex:
     """Integer arrays over one log; see the module docstring for the codes.
 
     ``lc_ev[lc_ptr[c]:lc_ptr[c + 1]]`` are the positions of object ``c``'s
-    events in ascending (total) order. ``t_start``/``t_end`` are the times of
-    each object's first and last event, 0.0 for an empty lifecycle. Every
-    ``(pair_a[k], pair_b[k])`` is a pair of distinct objects sharing at least
-    one event; the pairs are unique, sorted by ``(a, b)``, and come in both
-    orientations.
+    events in ascending (total) order, and ``ev_obj[ev_ptr[e]:ev_ptr[e + 1]]``
+    are the codes of event ``e``'s objects. ``t_start``/``t_end`` are the
+    times of each object's first and last event, 0.0 for an empty lifecycle.
     """
 
     obj_code: dict[str, int]
     type_code: dict[str, int]
     obj_type: np.ndarray
-    by_type: dict[str, tuple[str, ...]]
     ev_time: np.ndarray
     ev_act: np.ndarray
+    ev_ptr: np.ndarray
+    ev_obj: np.ndarray
     lc_ptr: np.ndarray
     lc_ev: np.ndarray
     t_start: np.ndarray
     t_end: np.ndarray
-    pair_a: np.ndarray
-    pair_b: np.ndarray
 
     @staticmethod
     def build(log: "OcelLog") -> "LogIndex":
@@ -101,56 +100,39 @@ class LogIndex:
         obj_code = {o: i for i, o in enumerate(log.objects)}
         type_code = {t: i for i, t in enumerate(log.object_types)}
         act_code = {a: i for i, a in enumerate(log.activities)}
-        otypes = [log.otyp[o] for o in log.objects]
-        obj_type = np.array([type_code[t] for t in otypes], dtype=np.int32)
-        by_type: dict[str, list[str]] = {t: [] for t in log.object_types}
-        for o, t in zip(log.objects, otypes):
-            by_type[t].append(o)
+        obj_type = np.array([type_code[log.otyp[o]] for o in log.objects], dtype=np.int32)
         n_ev = len(log.events)
         ev_time = np.array([log.time[e] for e in log.events], dtype=np.float64)
         ev_act = np.array([act_code[log.act[e]] for e in log.events], dtype=np.int32)
 
-        # (object, event) relations in event order; each event's objects are contiguous.
+        # The event->object CSR; the lifecycles are its transpose, stable in event order.
         omaps = [log.omap[e] for e in log.events]
         sizes = np.array([len(m) for m in omaps], dtype=np.int64)
-        rel_obj = np.array([obj_code[o] for m in omaps for o in m], dtype=np.int32)
+        ev_ptr = np.zeros(n_ev + 1, dtype=np.int64)
+        np.cumsum(sizes, out=ev_ptr[1:])
+        ev_obj = np.array([obj_code[o] for m in omaps for o in m], dtype=np.int32)
         del omaps
-        rel_ev = np.repeat(np.arange(n_ev, dtype=np.int32), sizes)
 
-        order = np.argsort(rel_obj, kind="stable")
-        lc_ev = rel_ev[order]
+        lc_ev = np.repeat(np.arange(n_ev, dtype=np.int32), sizes)[np.argsort(ev_obj, kind="stable")]
         lc_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rel_obj, minlength=n), out=lc_ptr[1:])
-        del order
+        np.cumsum(np.bincount(ev_obj, minlength=n), out=lc_ptr[1:])
         has_events = lc_ptr[1:] > lc_ptr[:-1]
         t_start = np.zeros(n)
         t_end = np.zeros(n)
         t_start[has_events] = ev_time[lc_ev[lc_ptr[:-1][has_events]]]
         t_end[has_events] = ev_time[lc_ev[lc_ptr[1:][has_events] - 1]]
-
-        # Every relation paired with every relation of its event, then the
-        # self-pairs dropped and repeats across events merged.
-        ev_ptr = np.zeros(n_ev + 1, dtype=np.int64)
-        np.cumsum(sizes, out=ev_ptr[1:])
-        b, rel = _gather(rel_obj, ev_ptr[rel_ev], ev_ptr[rel_ev + 1])
-        a = rel_obj[rel].astype(np.int64)
-        del rel
-        keep = a != b
-        pair_a, pair_b = np.divmod(np.unique(a[keep] * n + b[keep]), n)
-        del a, b, keep
         return LogIndex(
             obj_code=obj_code,
             type_code=type_code,
             obj_type=obj_type,
-            by_type={t: tuple(objs) for t, objs in by_type.items()},
             ev_time=ev_time,
             ev_act=ev_act,
+            ev_ptr=ev_ptr,
+            ev_obj=ev_obj,
             lc_ptr=lc_ptr,
             lc_ev=lc_ev,
             t_start=t_start,
             t_end=t_end,
-            pair_a=pair_a.astype(np.int32),
-            pair_b=pair_b.astype(np.int32),
         )
 
     def codes(self, objs: Iterable[str]) -> np.ndarray:
@@ -166,13 +148,36 @@ class LogIndex:
         order given, and the index into ``codes`` of each one."""
         return _gather(self.lc_ev, self.lc_ptr[codes], self.lc_ptr[codes + 1])
 
-    def partners(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interaction partners (any type) of the objects ``codes``,
-        concatenated in the order given with ascending codes per object, and
-        the index into ``codes`` of each one."""
-        lo = np.searchsorted(self.pair_a, codes, side="left")
-        hi = np.searchsorted(self.pair_a, codes, side="right")
-        return _gather(self.pair_b, lo, hi)
+    def related(self, codes: np.ndarray, ot: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Interaction partners of the objects ``codes``: every other object
+        sharing at least one event with one, of type ``ot`` when given.
+        Returns the partners concatenated in the order given with ascending
+        codes per object, and the index into ``codes`` of each one."""
+        events, row = self.lifecycles(codes)
+        objs, k = _gather(self.ev_obj, self.ev_ptr[events], self.ev_ptr[events + 1])
+        seg = row[k]
+        del events, row, k
+        keep = objs != codes[seg]
+        if ot is not None:
+            keep &= self.obj_type[objs] == self.type_code.get(ot, -1)
+        n = len(self.obj_type)
+        seg, partners = np.divmod(np.unique(seg[keep] * n + objs[keep]), n)
+        return partners, seg
+
+    def relation(self, name: str, codes: np.ndarray, partners: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        """Which pairs ``(codes[seg], partners)`` of :meth:`related` are in
+        the relation ``name``, a field of :class:`InteractionSets`."""
+        if name == "interact":
+            return np.ones(len(partners), dtype=bool)
+        if name == "creation":
+            return self.t_start[codes][seg] < self.t_start[partners]
+        if name == "continuation":
+            return self.t_end[codes][seg] == self.t_start[partners]
+        if name == "cobirth":
+            return self.t_start[codes][seg] == self.t_start[partners]
+        if name == "codeath":
+            return self.t_end[codes][seg] == self.t_end[partners]
+        raise ValueError(f"unknown relation {name!r}")
 
 
 def _gather(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,15 +215,16 @@ class OcelLog:
         object_records: Iterable[tuple[str, str, Mapping[str, AttributeValue]]],
     ) -> "OcelLog":
         """Construct a log from (id, activity, time, object ids, attrs) event
-        records and (id, type, attrs) object records, validating uniqueness
-        and reference integrity and establishing the total event order."""
+        records and (id, type, attrs) object records, validating uniqueness,
+        reference integrity and attribute values (:func:`_coerce_value`) and
+        establishing the total event order."""
         otyp: dict[str, str] = {}
         ovmap: dict[str, dict[str, AttributeValue]] = {}
         for oid, ot, attrs in object_records:
             if oid in otyp:
                 raise DuplicateId(f"duplicate object id {oid!r}")
             otyp[oid] = ot
-            ovmap[oid] = dict(attrs)
+            ovmap[oid] = {k: _coerce_value(v, "object", oid) for k, v in attrs.items()}
 
         act: dict[str, str] = {}
         time: dict[str, float] = {}
@@ -234,7 +240,7 @@ class OcelLog:
             act[eid] = activity
             time[eid] = float(ts)
             omap[eid] = related
-            vmap[eid] = dict(attrs)
+            vmap[eid] = {k: _coerce_value(v, "event", eid) for k, v in attrs.items()}
 
         ordered = tuple(sorted(act, key=lambda e: (time[e], e)))
         return OcelLog(
@@ -263,7 +269,8 @@ class OcelLog:
         return LogIndex.build(self)
 
     def objects_of_type(self, ot: str) -> tuple[str, ...]:
-        return self.index.by_type.get(ot, ())
+        ix = self.index
+        return tuple(self.objects[c] for c in np.flatnonzero(ix.obj_type == ix.type_code.get(ot, -1)).tolist())
 
     # ------------------------------------------------------------ derivations
 
@@ -291,22 +298,11 @@ class OcelLog:
         ``o`` restricted to objects of type ``ot``."""
         ix = self.index
         codes = ix.codes([o])
-        c = codes[0]
-        partners, _ = ix.partners(codes)
-        partners = partners[ix.obj_type[partners] == ix.type_code.get(ot, -1)]
-        t_start, t_end = ix.t_start[c], ix.t_end[c]
-        p_start, p_end = ix.t_start[partners], ix.t_end[partners]
-
-        def pick(mask: np.ndarray) -> frozenset[str]:
-            return frozenset(self.objects[p] for p in partners[mask].tolist())
-
-        return InteractionSets(
-            interact=pick(np.ones(len(partners), dtype=bool)),
-            creation=pick(t_start < p_start),
-            continuation=pick(t_end == p_start),
-            cobirth=pick(t_start == p_start),
-            codeath=pick(t_end == p_end),
-        )
+        partners, seg = ix.related(codes, ot)
+        return InteractionSets(**{
+            f.name: frozenset(self.objects[p] for p in partners[ix.relation(f.name, codes, partners, seg)].tolist())
+            for f in fields(InteractionSets)
+        })
 
     def common_attributes(self, ot: str) -> frozenset[str]:
         """Attribute names present on every object of type ``ot``. Empty when
@@ -372,8 +368,17 @@ def _list(entry: dict, key: str) -> list:
     return items
 
 
-def _coerce_value(v: object, where: str) -> AttributeValue:
-    # JSON booleans are neither numeric nor string attribute values.
+def _coerce_value(v: object, kind: str, ident: str) -> AttributeValue:
+    # The one rule for attribute values, applied by OcelLog.build to the
+    # attributes of the ``kind`` ("object" or "event") ``ident``: a finite
+    # number, stored as float, or a string that UTF-8 can encode. Booleans
+    # (JSON true/false) are neither. A finite float or an ASCII string
+    # returns first.
+    if type(v) is float and math.isfinite(v):
+        return v
+    if isinstance(v, str):
+        return v if v.isascii() else _string(v, f"attribute value in {kind} {ident!r}")
+    where = f"{kind} {ident!r}"
     if isinstance(v, bool):
         raise MalformedDocument(f"boolean attribute value in {where}")
     if isinstance(v, (int, float)):
@@ -386,8 +391,6 @@ def _coerce_value(v: object, where: str) -> AttributeValue:
         if not math.isfinite(x):
             raise MalformedDocument(f"non-finite numeric attribute value in {where}")
         return x
-    if isinstance(v, str):
-        return _string(v, f"attribute value in {where}")
     raise MalformedDocument(f"unsupported attribute value {v!r} in {where}")
 
 
@@ -421,7 +424,7 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
         for seq, att in enumerate(_list(entry, "attributes")):
             try:
                 name = _string(att["name"], "attribute name")
-                value = _coerce_value(att["value"], f"object {oid!r}")
+                value = att["value"]
             except (TypeError, KeyError) as exc:
                 raise MalformedDocument(f"bad attribute on object {oid!r}") from exc
             at = _parse_iso(att["time"]) if "time" in att else 0.0
@@ -441,7 +444,7 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
         attrs = {}
         for att in _list(entry, "attributes"):
             try:
-                attrs[_string(att["name"], "attribute name")] = _coerce_value(att["value"], f"event {eid!r}")
+                attrs[_string(att["name"], "attribute name")] = att["value"]
             except (TypeError, KeyError) as exc:
                 raise MalformedDocument(f"bad attribute on event {eid!r}") from exc
         oids = []
@@ -457,15 +460,13 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
 
 # The text of a JSON string, as json.dumps(ensure_ascii=False) writes it.
 _str = json.encoder.encode_basestring
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _value(v: AttributeValue) -> tuple[str, str]:
     """JSON text and OCEL type name of an attribute value."""
     if isinstance(v, str):
         return _str(v), "string"
-    text = float.__repr__(v)
-    return _NON_FINITE.get(text, text), "float"
+    return float.__repr__(v), "float"
 
 
 def _array(items: list[str], indent: str) -> str:

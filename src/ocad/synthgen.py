@@ -12,11 +12,9 @@ function of its config.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -86,15 +84,6 @@ class SynthGroundTruth:
             ["object_id", "anomaly_kinds"],
             ([o, ";".join(sorted(k.value for k in self.labels[o]))] for o in sorted(self.labels)),
         )
-
-    @staticmethod
-    def from_csv(path: str | Path) -> "SynthGroundTruth":
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        labels = {}
-        for oid, kinds in rows[1:]:
-            labels[oid] = frozenset(AnomalyKind(k) for k in kinds.split(";") if k)
-        return SynthGroundTruth(labels=labels)
 
 
 def _quantize(t: float) -> float:

@@ -44,11 +44,14 @@ def ocel_doc(events=(), objects=()):
     ).encode("utf-8")
 
 
-def random_log(seed, n_objects=12, n_events=20, n_types=3, n_activities=5, activities=None, tie_share=0.0):
+def random_log(seed, n_objects=12, n_events=20, n_types=3, n_activities=5, activities=None, tie_share=0.0,
+               wide_share=0.0):
     """Small random log exercising shared events and attributes.
 
     ``activities`` replaces the ``act<k>`` names; with ``tie_share`` > 0 about
-    that share of the events repeat the previous event's timestamp.
+    that share of the events repeat the previous event's timestamp. An event
+    relates 0-3 objects, or with ``wide_share`` > 0, for about that share of
+    the events, up to every object.
     """
     rng = np.random.default_rng(seed)
     names = list(activities) if activities else [f"act{k}" for k in range(n_activities)]
@@ -63,7 +66,8 @@ def random_log(seed, n_objects=12, n_events=20, n_types=3, n_activities=5, activ
     for i in range(n_events):
         if not (tie_share and rng.random() < tie_share):
             t = round(t + float(rng.exponential(10.0)), 3)
-        related = rng.choice(n_objects, size=int(rng.integers(0, 4)), replace=False)
+        wide = wide_share and rng.random() < wide_share
+        related = rng.choice(n_objects, size=int(rng.integers(0, n_objects + 1 if wide else 4)), replace=False)
         events.append(
             (
                 f"e{i:03d}",

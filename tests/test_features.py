@@ -1,5 +1,8 @@
 """Feature extraction, propagation, normalization, filtering and explosion."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,6 @@ from ocad.features import (
     filter_activities,
     normalize,
     propagate_features,
-    read_feature_csv,
     variance_filter,
 )
 
@@ -367,12 +369,10 @@ def test_explode_idempotent_on_indicators(xs):
 
 # ------------------------------------------------------------------- CSV
 
-def test_feature_csv_round_trip(tmp_path, p2p_small):
+def test_feature_csv_round_trip(p2p_small):
     log, _ = p2p_small
     F = extract_features(log, "order")
-    path = tmp_path / "f.csv"
-    path.write_bytes(feature_csv_bytes(F))
-    back = read_feature_csv(path, object_type="order")
-    assert back.row_ids == F.row_ids
-    assert back.columns == F.columns
-    assert np.array_equal(back.values, F.values)
+    header, *rows = csv.reader(io.StringIO(feature_csv_bytes(F).decode("utf-8"), newline=""))
+    assert header == ["object_id", *F.columns]
+    assert tuple(r[0] for r in rows) == F.row_ids
+    assert np.array_equal(np.array([[float(x) for x in r[1:]] for r in rows]), F.values)

@@ -26,6 +26,7 @@ random_logs = st.builds(
     n_types=st.integers(1, 3),
     activities=st.sampled_from([None, ACTIVITIES]),
     tie_share=st.sampled_from([0.0, 0.5]),
+    wide_share=st.sampled_from([0.0, 0.2]),
 )
 
 
@@ -108,6 +109,18 @@ def test_propagate_rejects_base_row_not_in_log():
     base = make_matrix([[1.0]], row_ids=["ghost"], object_type="order")
     with pytest.raises(UnknownObject):
         propagate_features(log, base, extract_features(log, "invoice"))
+
+
+def test_index_stays_linear_in_a_wide_event():
+    # One event over m objects relates m(m-1) ordered pairs; the index holds
+    # the m relations only, and the partners are gathered on demand.
+    n = 2000
+    log = build_log([("e1", "A", 1.0, [f"o{i:04d}" for i in range(n)])], [(f"o{i:04d}", "t") for i in range(n)])
+    F = extract_features(log, "t", True)
+    held = sum(v.nbytes for v in vars(log.index).values() if isinstance(v, np.ndarray))
+    assert held < 1_000_000
+    for family in ("interactions", "cobirth", "codeath"):
+        assert F.values[:, F.keys.index((family, "t"))].tolist() == [n - 1.0] * n
 
 
 def test_index_is_not_part_of_log_equality():

@@ -111,6 +111,25 @@ def test_parse_rejects_boolean_attribute():
         parse_ocel_json(doc)
 
 
+def test_build_stores_an_int_attribute_as_float():
+    log = build_log([("e1", "A", 0.0, ["o1"], {"n": 3})], [("o1", "t", {"amount": 5})])
+    back = parse_ocel_json(serialize_ocel_json(log))
+    assert back == log
+    assert back.ovmap["o1"] == {"amount": 5.0} and type(back.ovmap["o1"]["amount"]) is float
+    assert back.vmap["e1"] == {"n": 3.0} and type(back.vmap["e1"]["n"]) is float
+
+
+@pytest.mark.parametrize("value", [True, False, None])
+@pytest.mark.parametrize("on", ["object", "event"])
+def test_build_rejects_a_bool_or_none_attribute(value, on):
+    attrs = {"x": value}
+    with pytest.raises(MalformedDocument, match=f"in {on} "):
+        if on == "object":
+            build_log([], [("o1", "t", attrs)])
+        else:
+            build_log([("e1", "A", 0.0, ["o1"], attrs)], [("o1", "t")])
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("on", ["object", "event"])
 def test_parse_rejects_non_finite_attribute(value, on):
@@ -478,7 +497,8 @@ def test_round_trip_random_logs():
 # st.characters() adds every other code point except lone surrogates.
 _chars = st.sampled_from('"\\\x00\x1f\x7f\n\u2028é名😀') | st.characters(exclude_categories=("Cs",))
 _names = st.text(_chars, max_size=4)
-_attrs = st.dictionaries(_names, st.floats() | st.sampled_from([-0.0, 5e-324, 1e16]) | _names, max_size=3)
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16])
+_attrs = st.dictionaries(_names, _finite | _names, max_size=3)
 _stamps = (
     st.floats(T_MIN, T_MAX)
     | st.sampled_from([T_MIN, T_MAX, -1.5, -0.0005, 0.0005, 0.0025, 1704067200.0125])
