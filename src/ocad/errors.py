@@ -83,3 +83,7 @@ class LlmSchemaError(OcadError):
 
 class DegenerateMatrixWarning(UserWarning):
     """All rows of the input matrix are identical; scores carry no information."""
+
+
+class VarianceFallbackWarning(UserWarning):
+    """The variance filter would drop every column; the unfiltered matrix is used instead."""

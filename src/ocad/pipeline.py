@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 from .detect import (
@@ -15,7 +16,7 @@ from .detect import (
     lof,
     rank,
 )
-from .errors import AllColumnsDropped, InvalidConfig
+from .errors import AllColumnsDropped, InvalidConfig, VarianceFallbackWarning
 from .features import (
     DEFAULT_EPSILON,
     FeatureMatrix,
@@ -72,6 +73,8 @@ def build_matrix(log: OcelLog, params: PipelineParams) -> tuple[FeatureMatrix, F
     try:
         return F, variance_filter(Fn, params.min_variance)
     except AllColumnsDropped:
+        warnings.warn(f"min_variance {params.min_variance} would drop all {len(Fn.columns)} columns; "
+                      "using the unfiltered matrix", VarianceFallbackWarning)
         return F, Fn
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._csv import csv_bytes
 from .errors import InvalidConfig
-from .ocel import T_MAX, T_MIN, OcelLog
+from .ocel import T_MAX, T_MIN, OcelLog, _collector_paused
 
 ACT_CREATE_REQ = "Create Requisition"
 ACT_APPROVE_REQ = "Approve Requisition"
@@ -42,6 +42,11 @@ DEFAULT_MEAN_GAP = 3600.0
 
 REOPEN_GAP_FACTOR = 100.0
 
+# The generator holds the whole log in memory, about 7 kB per order, so a
+# larger request needs 7 GB or more and ends in a MemoryError or an
+# out-of-memory kill rather than a log.
+MAX_ORDERS = 1_000_000
+
 
 class AnomalyKind(Enum):
     MAVERICK_BUYING = "MaverickBuying"
@@ -60,8 +65,8 @@ class SynthConfig:
     mean_gap: float = DEFAULT_MEAN_GAP
 
     def validate(self) -> None:
-        if self.n_orders < 1:
-            raise InvalidConfig("n_orders must be >= 1")
+        if not 1 <= self.n_orders <= MAX_ORDERS:
+            raise InvalidConfig(f"n_orders must be in 1..{MAX_ORDERS}, got {self.n_orders}")
         if any(not 0.0 <= r <= 1.0 for r in self.anomaly_rates.values()):
             raise InvalidConfig("anomaly rates must be fractions in [0, 1]")
         if sum(self.anomaly_rates.values()) > 1.0:
@@ -129,65 +134,66 @@ def generate_p2p(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
     * ReopenLongGap: the order is closed and reopened after a gap at least
       100x the mean inter-event gap
     """
-    cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    assignment = _assign_kinds(cfg, rng)
+    with _collector_paused():
+        cfg.validate()
+        rng = np.random.default_rng(cfg.seed)
+        assignment = _assign_kinds(cfg, rng)
 
-    objects: list[tuple[str, str, dict]] = []
-    raw_events: list[tuple[float, int, int, str, list[str], dict]] = []
-    chain_start = cfg.time_origin
+        objects: list[tuple[str, str, dict]] = []
+        raw_events: list[tuple[float, int, int, str, list[str], dict]] = []
+        chain_start = cfg.time_origin
 
-    for i in range(cfg.n_orders):
-        chain_start += float(rng.exponential(cfg.mean_gap))
-        kind = assignment.get(i)
-        req, po = f"req-{i:05d}", f"po-{i:05d}"
-        inv, pay = f"inv-{i:05d}", f"pay-{i:05d}"
+        for i in range(cfg.n_orders):
+            chain_start += float(rng.exponential(cfg.mean_gap))
+            kind = assignment.get(i)
+            req, po = f"req-{i:05d}", f"po-{i:05d}"
+            inv, pay = f"inv-{i:05d}", f"pay-{i:05d}"
 
-        amount = round(float(rng.uniform(100.0, 10000.0)), 2)
-        vendor = _VENDORS[int(rng.integers(len(_VENDORS)))]
-        approver_req = _USERS[int(rng.integers(len(_USERS)))]
-        approver_po = _USERS[int(rng.integers(len(_USERS)))]
+            amount = round(float(rng.uniform(100.0, 10000.0)), 2)
+            vendor = _VENDORS[int(rng.integers(len(_VENDORS)))]
+            approver_req = _USERS[int(rng.integers(len(_USERS)))]
+            approver_po = _USERS[int(rng.integers(len(_USERS)))]
 
-        objects.append((req, "requisition", {"amount": amount}))
-        objects.append((po, "order", {"amount": amount, "vendor": vendor}))
-        objects.append((inv, "invoice", {"amount": amount}))
-        objects.append((pay, "payment", {"amount": amount}))
+            objects.append((req, "requisition", {"amount": amount}))
+            objects.append((po, "order", {"amount": amount, "vendor": vendor}))
+            objects.append((inv, "invoice", {"amount": amount}))
+            objects.append((pay, "payment", {"amount": amount}))
 
-        chain = [
-            (ACT_CREATE_REQ, [req], {}),
-            (ACT_APPROVE_REQ, [req], {"user": approver_req}),
-            (ACT_CREATE_PO, [req, po], {}),
-            (ACT_SUBMIT_PO, [po], {}),
-            (ACT_APPROVE_PO, [po], {"user": approver_po}),
-            (ACT_RECEIVE_INVOICE, [po, inv], {}),
-            (ACT_PAY_INVOICE, [inv, pay], {}),
-        ]
-        if kind is AnomalyKind.MAVERICK_BUYING:
-            chain = [chain[k] for k in (0, 2, 5, 6, 3, 4, 1)]
-        elif kind is AnomalyKind.POST_MORTEM_PR_CHANGE:
-            chain.insert(5, (ACT_CHANGE_REQ, [req, po], {}))
-        elif kind is AnomalyKind.DOUBLE_INVOICE:
-            inv2, pay2 = f"inv-{i:05d}b", f"pay-{i:05d}b"
-            objects.append((inv2, "invoice", {"amount": amount}))
-            objects.append((pay2, "payment", {"amount": amount}))
-            chain += [(ACT_RECEIVE_INVOICE, [po, inv2], {}), (ACT_PAY_INVOICE, [inv2, pay2], {})]
-        elif kind is AnomalyKind.REOPEN_LONG_GAP:
-            chain += [(ACT_CLOSE_PO, [po], {}), (ACT_REOPEN_PO, [po], {})]
+            chain = [
+                (ACT_CREATE_REQ, [req], {}),
+                (ACT_APPROVE_REQ, [req], {"user": approver_req}),
+                (ACT_CREATE_PO, [req, po], {}),
+                (ACT_SUBMIT_PO, [po], {}),
+                (ACT_APPROVE_PO, [po], {"user": approver_po}),
+                (ACT_RECEIVE_INVOICE, [po, inv], {}),
+                (ACT_PAY_INVOICE, [inv, pay], {}),
+            ]
+            if kind is AnomalyKind.MAVERICK_BUYING:
+                chain = [chain[k] for k in (0, 2, 5, 6, 3, 4, 1)]
+            elif kind is AnomalyKind.POST_MORTEM_PR_CHANGE:
+                chain.insert(5, (ACT_CHANGE_REQ, [req, po], {}))
+            elif kind is AnomalyKind.DOUBLE_INVOICE:
+                inv2, pay2 = f"inv-{i:05d}b", f"pay-{i:05d}b"
+                objects.append((inv2, "invoice", {"amount": amount}))
+                objects.append((pay2, "payment", {"amount": amount}))
+                chain += [(ACT_RECEIVE_INVOICE, [po, inv2], {}), (ACT_PAY_INVOICE, [inv2, pay2], {})]
+            elif kind is AnomalyKind.REOPEN_LONG_GAP:
+                chain += [(ACT_CLOSE_PO, [po], {}), (ACT_REOPEN_PO, [po], {})]
 
-        t = chain_start
-        for seq, (activity, oids, attrs) in enumerate(chain):
-            if seq:
-                gap = float(rng.exponential(cfg.mean_gap))
-                if activity == ACT_REOPEN_PO:
-                    gap += REOPEN_GAP_FACTOR * cfg.mean_gap
-                t += gap
-            raw_events.append((_quantize(t), i, seq, activity, oids, attrs))
+            t = chain_start
+            for seq, (activity, oids, attrs) in enumerate(chain):
+                if seq:
+                    gap = float(rng.exponential(cfg.mean_gap))
+                    if activity == ACT_REOPEN_PO:
+                        gap += REOPEN_GAP_FACTOR * cfg.mean_gap
+                    t += gap
+                raw_events.append((_quantize(t), i, seq, activity, oids, attrs))
 
-    labels = {
-        f"po-{i:05d}": (frozenset([assignment[i]]) if i in assignment else frozenset())
-        for i in range(cfg.n_orders)
-    }
-    return _build_log(raw_events, objects), SynthGroundTruth(labels=labels)
+        labels = {
+            f"po-{i:05d}": (frozenset([assignment[i]]) if i in assignment else frozenset())
+            for i in range(cfg.n_orders)
+        }
+        return _build_log(raw_events, objects), SynthGroundTruth(labels=labels)
 
 
 def generate_blocked_invoices(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
@@ -199,48 +205,49 @@ def generate_blocked_invoices(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTru
     signal lives entirely in the related order's features (missing approval
     activities).
     """
-    cfg.validate()
-    rate = cfg.anomaly_rates.get(AnomalyKind.BLOCKED_INVOICE, 0.0)
-    rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(cfg.n_orders)
-    blocked = {int(i) for i in perm[: round(rate * cfg.n_orders)]}
+    with _collector_paused():
+        cfg.validate()
+        rate = cfg.anomaly_rates.get(AnomalyKind.BLOCKED_INVOICE, 0.0)
+        rng = np.random.default_rng(cfg.seed)
+        perm = rng.permutation(cfg.n_orders)
+        blocked = {int(i) for i in perm[: round(rate * cfg.n_orders)]}
 
-    objects: list[tuple[str, str, dict]] = []
-    raw_events: list[tuple[float, int, int, str, list[str], dict]] = []
-    chain_start = cfg.time_origin
-    labels: dict[str, frozenset[AnomalyKind]] = {}
+        objects: list[tuple[str, str, dict]] = []
+        raw_events: list[tuple[float, int, int, str, list[str], dict]] = []
+        chain_start = cfg.time_origin
+        labels: dict[str, frozenset[AnomalyKind]] = {}
 
-    for i in range(cfg.n_orders):
-        chain_start += float(rng.exponential(cfg.mean_gap))
-        po, inv, pay = f"po-{i:05d}", f"inv-{i:05d}", f"pay-{i:05d}"
-        amount = round(float(rng.uniform(100.0, 10000.0)), 2)
-        approver = _USERS[int(rng.integers(len(_USERS)))]
-        objects.append((po, "order", {"amount": amount}))
-        objects.append((inv, "invoice", {"amount": amount}))
-        objects.append((pay, "payment", {"amount": amount}))
+        for i in range(cfg.n_orders):
+            chain_start += float(rng.exponential(cfg.mean_gap))
+            po, inv, pay = f"po-{i:05d}", f"inv-{i:05d}", f"pay-{i:05d}"
+            amount = round(float(rng.uniform(100.0, 10000.0)), 2)
+            approver = _USERS[int(rng.integers(len(_USERS)))]
+            objects.append((po, "order", {"amount": amount}))
+            objects.append((inv, "invoice", {"amount": amount}))
+            objects.append((pay, "payment", {"amount": amount}))
 
-        chain = [
-            (ACT_CREATE_PO, [po], {}),
-            (ACT_SUBMIT_PO, [po], {}),
-            (ACT_APPROVE_PO, [po], {"user": approver}),
-            (ACT_RECEIVE_INVOICE, [po, inv], {}),
-            (ACT_PAY_INVOICE, [inv, pay], {}),
-        ]
-        if i in blocked:
-            del chain[1:3]  # no submission, no approval
-        # Invoice-local timing is drawn identically for both arms so invoice
-        # features carry no label signal.
-        invoice_gaps = [float(rng.exponential(cfg.mean_gap)) for _ in range(2)]
-        t = chain_start
-        for seq, (activity, oids, attrs) in enumerate(chain):
-            if seq:
-                if activity == ACT_RECEIVE_INVOICE:
-                    t += invoice_gaps[0]
-                elif activity == ACT_PAY_INVOICE:
-                    t += invoice_gaps[1]
-                else:
-                    t += float(rng.exponential(cfg.mean_gap))
-            raw_events.append((_quantize(t), i, seq, activity, oids, attrs))
-        labels[inv] = frozenset([AnomalyKind.BLOCKED_INVOICE]) if i in blocked else frozenset()
+            chain = [
+                (ACT_CREATE_PO, [po], {}),
+                (ACT_SUBMIT_PO, [po], {}),
+                (ACT_APPROVE_PO, [po], {"user": approver}),
+                (ACT_RECEIVE_INVOICE, [po, inv], {}),
+                (ACT_PAY_INVOICE, [inv, pay], {}),
+            ]
+            if i in blocked:
+                del chain[1:3]  # no submission, no approval
+            # Invoice-local timing is drawn identically for both arms so invoice
+            # features carry no label signal.
+            invoice_gaps = [float(rng.exponential(cfg.mean_gap)) for _ in range(2)]
+            t = chain_start
+            for seq, (activity, oids, attrs) in enumerate(chain):
+                if seq:
+                    if activity == ACT_RECEIVE_INVOICE:
+                        t += invoice_gaps[0]
+                    elif activity == ACT_PAY_INVOICE:
+                        t += invoice_gaps[1]
+                    else:
+                        t += float(rng.exponential(cfg.mean_gap))
+                raw_events.append((_quantize(t), i, seq, activity, oids, attrs))
+            labels[inv] = frozenset([AnomalyKind.BLOCKED_INVOICE]) if i in blocked else frozenset()
 
-    return _build_log(raw_events, objects), SynthGroundTruth(labels=labels)
+        return _build_log(raw_events, objects), SynthGroundTruth(labels=labels)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -16,6 +17,22 @@ def build_log(events, objects):
     ev = [(e[0], e[1], e[2], e[3], e[4] if len(e) > 4 else {}) for e in events]
     ob = [(o[0], o[1], o[2] if len(o) > 2 else {}) for o in objects]
     return OcelLog.build(ev, ob)
+
+
+def collections_during(fn, *args):
+    """Number of cyclic garbage collector passes that start while ``fn(*args)`` runs."""
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        fn(*args)
+    finally:
+        gc.callbacks.remove(hook)
+    return len(starts)
 
 
 def make_matrix(values, row_ids=None, columns=None, object_type="t"):

@@ -1,18 +1,29 @@
 """CLI subcommands, exit codes, manifests and reproducibility."""
 
+import argparse
+import contextlib
+import gc
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ocad
 import ocad.cli
-from ocad.cli import main
-from ocad.errors import LlmTimeout
+from ocad.cli import build_parser, main
+from ocad.errors import LlmTimeout, VarianceFallbackWarning
+from ocad.features import feature_csv_bytes, normalize
+from ocad.ocel import parse_ocel_json
+from ocad.pipeline import PipelineParams, build_matrix
 
 from conftest import ocel_doc
 
@@ -201,6 +212,8 @@ def test_malformed_log_is_one_line_validation_error(tmp_path, capsys, doc):
         ["--mean-gap", "1e308"],
         ["--maverick-rate", "nan"],
         ["--reopen-rate", "-0.5"],
+        ["--n-orders", str(10**12)],  # was a MemoryError traceback
+        ["--n-orders", str(2**63)],  # was a loop that grew until killed
     ],
 )
 def test_generate_rejects_invalid_knobs(tmp_path, capsys, flags):
@@ -438,3 +451,84 @@ def test_colliding_column_names_are_rejected(tmp_path, capsys, case, command):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(repr(k) in err for k in keys)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["log.json"]
+
+
+def test_variance_fallback_warns_and_keeps_every_column(generated, tmp_path):
+    log = parse_ocel_json((generated / "log.json").read_bytes())
+    with pytest.warns(VarianceFallbackWarning, match=r"^min_variance inf would drop all \d+ columns"):
+        F, Fn = build_matrix(log, PipelineParams(object_type="order", min_variance=math.inf))
+    assert feature_csv_bytes(Fn) == feature_csv_bytes(normalize(F))
+
+    trees = {}
+    for value in ("inf", "-inf"):  # -inf keeps every column without falling back
+        trees[value] = tmp_path / value
+        with pytest.warns(VarianceFallbackWarning) if value == "inf" else contextlib.nullcontext():
+            assert main(["features", "--log", str(generated / "log.json"), "--object-type", "order",
+                         f"--min-variance={value}", "--out", str(trees[value])]) == 0
+    assert _dir_digest(trees["inf"], skip={"run.json"}) == _dir_digest(trees["-inf"], skip={"run.json"})
+
+
+# ------------------------------------------------------------ argv fuzzing
+
+_FLOATS = ["nan", "inf", "-inf", "-1", "-0.0", "0", "0.5", "3", "1e308"]
+_INTS = ["-1", "0", "1", "2", "7", str(10**12), str(2**63), str(10**30)]
+# A huge tree count is a request for that much work, not a broken contract:
+# each tree takes constant memory, so such a run is long, not fatal.
+_TREE_COUNTS = ["-1", "0", "1", "5"]
+_SUBCOMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.fixture(scope="module")
+def fuzz_log(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz-log")
+    assert main(["generate", "--n-orders", "20", "--maverick-rate", "0.1", "--double-invoice-rate", "0.1",
+                 "--seed", "5", "--out", str(out)]) == 0
+    return out / "log.json"
+
+
+def _values(action, log):
+    """Values to try for one option of the parser, valid and invalid."""
+    if action.choices:
+        return [*action.choices, "bogus"]
+    if action.dest == "n_trees":
+        return _TREE_COUNTS
+    if action.type is int:
+        return _INTS
+    if action.type is float:
+        return _FLOATS
+    types = ["order", "invoice", "payment", "requisition", "nosuch", ""]
+    return {"log": [str(log)] * 3 + [str(log.parent / "missing.json"), str(log.parent)], "object_type": types,
+            "propagate_from": types, "llm_endpoint": ["http://127.0.0.1:9/"], "llm_model": ["m"]}[action.dest]
+
+
+@st.composite
+def _argvs(draw, log):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        if not action.option_strings or action.dest in ("help", "out"):
+            continue
+        if not action.required and draw(st.integers(0, 3)):  # about a quarter of the optional flags
+            continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[0])
+        else:  # "--flag=value", so that "-inf" reaches the program as a value
+            argv.append(f"{action.option_strings[0]}={draw(st.sampled_from(_values(action, log)))}")
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore::ocad.errors.VarianceFallbackWarning")
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_argv_exits_0_1_or_2_without_traceback(fuzz_log, tmp_path_factory, data):
+    argv = data.draw(_argvs(fuzz_log)) + ["--out", str(tmp_path_factory.mktemp("run") / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            mock.patch.object(ocad.cli, "llm_oracle", return_value="reply"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert gc.isenabled()

@@ -1,5 +1,6 @@
 """Log model: parsing, serialization, total order and the per-object derivations."""
 
+import gc
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ from ocad.errors import (
 )
 from ocad.ocel import T_MAX, T_MIN, OcelLog, _iso_stamps, format_iso, parse_ocel_json, serialize_ocel_json
 
-from conftest import build_log, ocel_doc, random_log
+from conftest import build_log, collections_during, ocel_doc, random_log
 from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize
 
 
@@ -246,6 +247,30 @@ def test_parse_fuzz_bytes_parse_or_reject(data):
         parse_ocel_json(data)
     except MalformedDocument:
         pass
+
+
+def test_parse_runs_no_collection():
+    from ocad.synthgen import AnomalyKind, SynthConfig, generate_p2p
+
+    log, _ = generate_p2p(SynthConfig(n_orders=300, anomaly_rates={AnomalyKind.DOUBLE_INVOICE: 0.1}, seed=3))
+    data = serialize_ocel_json(log)
+    assert collections_during(json.loads, data) >= 1  # the same bytes do trigger the collector
+    assert collections_during(parse_ocel_json, data) == 0
+
+
+@pytest.mark.parametrize("data", [ocel_doc(), b'{"objects": 1}'], ids=["valid", "malformed"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_restores_the_collector_state(data, enabled):
+    if not enabled:
+        gc.disable()
+    try:
+        try:
+            parse_ocel_json(data)
+        except MalformedDocument:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_parse_keeps_latest_object_attribute_value():

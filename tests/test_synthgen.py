@@ -1,7 +1,9 @@
 """Synthetic P2P generator: determinism, ground truth and planted signals."""
 
 import csv
+import gc
 import io
+import json
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from ocad.ocel import parse_ocel_json, serialize_ocel_json
 from ocad.synthgen import (
     ACT_APPROVE_PO,
     ACT_RECEIVE_INVOICE,
+    DEFAULT_MEAN_GAP,
     AnomalyKind,
     SynthConfig,
     generate_blocked_invoices,
     generate_p2p,
 )
+
+from conftest import collections_during
 
 
 def test_happy_path_single_order():
@@ -136,6 +141,29 @@ def test_mean_gap_that_leaves_the_writable_years_is_rejected(mean_gap):
         generate_p2p(SynthConfig(n_orders=5, mean_gap=mean_gap))
     with pytest.raises(InvalidConfig):
         generate_blocked_invoices(SynthConfig(n_orders=5, mean_gap=mean_gap))
+
+
+@pytest.mark.parametrize("generate", [generate_p2p, generate_blocked_invoices])
+def test_generation_runs_no_collection(generate):
+    cfg = SynthConfig(n_orders=300, seed=3)
+    data = serialize_ocel_json(generate(cfg)[0])
+    assert collections_during(json.loads, data) >= 1  # a log this size does trigger the collector
+    assert collections_during(generate, cfg) == 0
+
+
+@pytest.mark.parametrize("mean_gap", [DEFAULT_MEAN_GAP, 1e308], ids=["valid", "invalid"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_generation_restores_the_collector_state(mean_gap, enabled):
+    if not enabled:
+        gc.disable()
+    try:
+        try:
+            generate_p2p(SynthConfig(n_orders=5, mean_gap=mean_gap))
+        except InvalidConfig:  # raised inside the order loop, when a timestamp leaves the writable years
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_ground_truth_csv_round_trip():
