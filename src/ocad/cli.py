@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from ._csv import csv_bytes
 from .aggregate import anomalous_feature_report
-from .detect import DEFAULT_LOF_K, DEFAULT_N_TREES, DEFAULT_SUBSAMPLE, bottom_k, rank_csv_bytes, score_csv_bytes
+from .detect import bottom_k, rank_csv_bytes, score_csv_bytes
 from .errors import InvalidConfig, OcadError
 from .features import AGGREGATIONS, feature_csv_bytes
 from .ocel import OcelLog, parse_ocel_json, serialize_ocel_json
@@ -44,7 +44,6 @@ from .oracle import (
 )
 from .pipeline import PipelineParams, build_matrix, detect_objects, score_matrix
 from .prompts import FEATURE_TABLE_PREAMBLE
-from .reduce import DEFAULT_FASTMAP_K
 from .synthgen import DEFAULT_MEAN_GAP, AnomalyKind, SynthConfig, generate_blocked_invoices, generate_p2p
 
 LLM_KEY_ENV = "OCAD_LLM_API_KEY"
@@ -90,18 +89,6 @@ def _load_log(path: str) -> tuple[OcelLog, str]:
     return parse_ocel_json(data), _digest(data)
 
 
-_PIPELINE_FLAGS = ("object_type", "reducer", "propagate_from", "agg", "min_variance", "reduce_k", "n_trees",
-                   "subsample", "lof_k", "seed")
-
-
-def _pipeline_params(args) -> PipelineParams:
-    # The effective default detector pairs the detectors with the features
-    # they work best on: LOF over the FastMap embedding, otherwise iForest.
-    detector = args.detector or ("lof" if args.reducer == "fastmap" else "iforest")
-    return PipelineParams(detector=detector, include_cobirth_codeath=args.cobirth_codeath,
-                          **{name: getattr(args, name) for name in _PIPELINE_FLAGS})
-
-
 # ------------------------------------------------------------- subcommands
 
 def _cmd_generate(args) -> int:
@@ -132,60 +119,62 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_features(args) -> int:
+# The subcommands' own knobs, checked in this order before the log is read:
+# (name, rule in the error message, test).
+_KNOB_RULES = (
+    ("top_k", ">= 0", lambda v: v >= 0),
+    ("max_events", ">= 1", lambda v: v >= 1),
+    ("top_n", ">= 0", lambda v: v >= 0),
+    ("whisker", "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0),
+    ("max_rows", ">= 0", lambda v: v >= 0),
+    ("llm_timeout", "a finite number > 0", lambda v: math.isfinite(v) and v > 0),
+)
+
+
+def _cmd_pipeline(args) -> int:
+    """Run features, detect, aggregate or abstract: check every knob, read the
+    log, then write what ``args.compute`` returns, ``(files, shown, detail)``:
+    the output files by name, the one the printed line names and the rest of
+    that line. ``run.json`` records the pipeline parameters and the
+    subcommand's own knobs named in ``args.record``."""
+    given = vars(args)
+    for name, rule, ok in _KNOB_RULES:
+        if name in given and not ok(given[name]):
+            raise InvalidConfig(f"{name} must be {rule}, got {given[name]}")
+    params = PipelineParams(**{f.name: given[f.name] for f in dataclasses.fields(PipelineParams)
+                               if f.init and given[f.name] is not None})
     log, digest = _load_log(args.log)
-    params = _pipeline_params(args)
-    _, Fn = build_matrix(log, params)
+    files, shown, detail = args.compute(args, log, params)
     out = Path(args.out)
-    _write_run(out, "features", {**dataclasses.asdict(params), "log": args.log}, digest,
-               {"features.csv": feature_csv_bytes(Fn)})
-    print(f"wrote {out / 'features.csv'} ({len(Fn.row_ids)} rows, {len(Fn.columns)} columns)")
+    recorded = {name: given[name] for name in args.record}
+    _write_run(out, args.command, {**dataclasses.asdict(params), "log": args.log, **recorded}, digest, files)
+    print(f"wrote {out / shown}{detail}")
     return 0
 
 
-def _cmd_detect(args) -> int:
-    if args.top_k < 0:
-        raise InvalidConfig(f"top_k must be >= 0, got {args.top_k}")
-    if args.max_events < 1:
-        raise InvalidConfig(f"max_events must be >= 1, got {args.max_events}")
-    log, digest = _load_log(args.log)
-    params = _pipeline_params(args)
+def _features(args, log: OcelLog, params: PipelineParams):
+    _, Fn = build_matrix(log, params)
+    detail = f" ({len(Fn.row_ids)} rows, {len(Fn.columns)} columns)"
+    return {"features.csv": feature_csv_bytes(Fn)}, "features.csv", detail
+
+
+def _detect(args, log: OcelLog, params: PipelineParams):
     _, scores, ranks = detect_objects(log, params)
     files = {"scores.csv": score_csv_bytes(scores), "ranks.csv": rank_csv_bytes(ranks)}
     for r, o in enumerate(bottom_k(ranks, min(args.top_k, len(ranks.object_ids)))):
         text = abstract_lifecycle(log, o, max_events=args.max_events)
         files[f"{LIFECYCLE_DIR}/rank{r:03d}_{o}.txt"] = text.encode()
-    out = Path(args.out)
-    _write_run(out, "detect",
-               {**dataclasses.asdict(params), "log": args.log, "top_k": args.top_k, "max_events": args.max_events},
-               digest, files)
-    print(f"wrote {out / 'ranks.csv'}; lifecycle texts for bottom {args.top_k} objects")
-    return 0
+    return files, "ranks.csv", f"; lifecycle texts for bottom {args.top_k} objects"
 
 
-def _cmd_aggregate(args) -> int:
-    if args.top_n < 0:
-        raise InvalidConfig(f"top_n must be >= 0, got {args.top_n}")
-    log, digest = _load_log(args.log)
-    params = _pipeline_params(args)
+def _aggregate(args, log: OcelLog, params: PipelineParams):
     F, Fn = build_matrix(log, params)
     table = anomalous_feature_report(log, F, score_matrix(Fn, params), top_n=args.top_n)
-    out = Path(args.out)
-    _write_run(out, "aggregate", {**dataclasses.asdict(params), "log": args.log, "top_n": args.top_n}, digest,
-               {"feature_scores.csv": table.to_csv_bytes(), "feature_scores.txt": table.to_text().encode()})
-    print(f"wrote {out / 'feature_scores.csv'} ({len(table.rows)} rows)")
-    return 0
+    files = {"feature_scores.csv": table.to_csv_bytes(), "feature_scores.txt": table.to_text().encode()}
+    return files, "feature_scores.csv", f" ({len(table.rows)} rows)"
 
 
-def _cmd_abstract(args) -> int:
-    if not (math.isfinite(args.whisker) and args.whisker >= 0):
-        raise InvalidConfig(f"whisker must be a finite number >= 0, got {args.whisker}")
-    if args.max_rows < 0:
-        raise InvalidConfig(f"max_rows must be >= 0, got {args.max_rows}")
-    if not (math.isfinite(args.llm_timeout) and args.llm_timeout > 0):
-        raise InvalidConfig(f"llm_timeout must be a finite number > 0, got {args.llm_timeout}")
-    log, digest = _load_log(args.log)
-    params = _pipeline_params(args)
+def _abstract(args, log: OcelLog, params: PipelineParams):
     _, Fn = build_matrix(log, params)
     summary = summarize_features(Fn)
     text = summary.render()
@@ -205,32 +194,28 @@ def _cmd_abstract(args) -> int:
             model=args.llm_model,
             preamble=FEATURE_TABLE_PREAMBLE,
         ).encode()
-    out = Path(args.out)
-    _write_run(out, "abstract",
-               {**dataclasses.asdict(params), "log": args.log, "oracle": args.oracle, "whisker": args.whisker,
-                "raw_table": args.raw_table},
-               digest, files)
-    print(f"wrote {out / 'feature_summary.txt'}")
-    return 0
+    return files, "feature_summary.txt", ""
 
 
 # ------------------------------------------------------------------ parser
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the PipelineParams fields, without defaults: a flag left
+    out keeps the field's default."""
     p.add_argument("--log", required=True, help="input OCEL 2.0 JSON file")
     p.add_argument("--object-type", required=True, help="object type to analyze")
-    p.add_argument("--detector", choices=["iforest", "lof"], default=None,
-                   help="default: iforest, or lof when --reducer fastmap")
-    p.add_argument("--reducer", choices=["none", "pca", "fastmap"], default="none")
-    p.add_argument("--propagate-from", default=None, help="neighbor object type whose features are propagated")
-    p.add_argument("--agg", choices=AGGREGATIONS, default="mean")
-    p.add_argument("--min-variance", type=float, default=0.0)
-    p.add_argument("--reduce-k", type=int, default=DEFAULT_FASTMAP_K)
-    p.add_argument("--n-trees", type=int, default=DEFAULT_N_TREES)
-    p.add_argument("--subsample", type=int, default=DEFAULT_SUBSAMPLE)
-    p.add_argument("--lof-k", type=int, default=DEFAULT_LOF_K)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cobirth-codeath", action="store_true", help="include co-birth/co-death count features")
+    p.add_argument("--detector", choices=["iforest", "lof"], help="default: iforest, or lof when --reducer fastmap")
+    p.add_argument("--reducer", choices=["none", "pca", "fastmap"])
+    p.add_argument("--propagate-from", help="neighbor object type whose features are propagated")
+    p.add_argument("--agg", choices=AGGREGATIONS)
+    p.add_argument("--min-variance", type=float)
+    p.add_argument("--reduce-k", type=int)
+    p.add_argument("--n-trees", type=int)
+    p.add_argument("--subsample", type=int)
+    p.add_argument("--lof-k", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cobirth-codeath", action="store_true", dest="include_cobirth_codeath",
+                   help="include co-birth/co-death count features")
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -253,18 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("features", help="extract, propagate, normalize and filter features")
     _add_pipeline_flags(f)
-    f.set_defaults(func=_cmd_features)
+    f.set_defaults(func=_cmd_pipeline, compute=_features, record=())
 
     d = sub.add_parser("detect", help="score and rank objects; write lifecycle texts for the worst")
     _add_pipeline_flags(d)
     d.add_argument("--top-k", type=int, default=10)
     d.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS)
-    d.set_defaults(func=_cmd_detect)
+    d.set_defaults(func=_cmd_pipeline, compute=_detect, record=("top_k", "max_events"))
 
     a = sub.add_parser("aggregate", help="aggregate object scores into a feature-score report")
     _add_pipeline_flags(a)
     a.add_argument("--top-n", type=int, default=20)
-    a.set_defaults(func=_cmd_aggregate)
+    a.set_defaults(func=_cmd_pipeline, compute=_aggregate, record=("top_n",))
 
     b = sub.add_parser("abstract", help="feature summary text and oracle verdicts")
     _add_pipeline_flags(b)
@@ -275,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--llm-endpoint", default="http://localhost:8000/v1/chat/completions")
     b.add_argument("--llm-model", default="gpt-4-turbo")
     b.add_argument("--llm-timeout", type=float, default=60.0)
-    b.set_defaults(func=_cmd_abstract)
+    b.set_defaults(func=_cmd_pipeline, compute=_abstract, record=("oracle", "whisker", "raw_table"))
 
     return parser
 

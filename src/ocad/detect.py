@@ -18,6 +18,9 @@ from ._csv import csv_bytes
 from .errors import DegenerateMatrixWarning, KTooLarge, TooFewRows
 
 DEFAULT_N_TREES = 100
+# The largest n_trees PipelineParams accepts: at about 2 ms per tree on 8k
+# rows, 10,000 trees take about 22 s, and run time grows with the count.
+MAX_TREES = 10_000
 DEFAULT_SUBSAMPLE = 256
 DEFAULT_LOF_K = 20
 
@@ -60,28 +63,21 @@ def _path_length_adjustments(max_size: int) -> np.ndarray:
     return c
 
 
-def _build_tree(X: np.ndarray, idx: np.ndarray, depth: int, limit: int, rng) -> tuple:
-    """Nodes are ("leaf", size) or ("split", feature, threshold, left, right)."""
-    if depth >= limit or len(idx) <= 1:
-        return ("leaf", len(idx))
-    f = int(rng.integers(X.shape[1]))
-    col = X[idx, f]
-    lo, hi = col.min(), col.max()
-    p = float(rng.uniform(lo, hi))
-    mask = col < p
-    left = _build_tree(X, idx[mask], depth + 1, limit, rng)
-    right = _build_tree(X, idx[~mask], depth + 1, limit, rng)
-    return ("split", f, p, left, right)
-
-
-def _tree_path_lengths(node: tuple, X: np.ndarray, idx: np.ndarray, depth: int, out: np.ndarray, c: np.ndarray) -> None:
-    if node[0] == "leaf":
-        out[idx] = depth + c[node[1]]
+def _isolate(X: np.ndarray, sample: np.ndarray, rows: np.ndarray, depth: int, limit: int, rng, c: np.ndarray,
+             out: np.ndarray) -> None:
+    """Grow one isolation tree on the rows ``sample`` and route ``rows``
+    through it as it grows, writing each routed row's path length to ``out``.
+    The draws are those of growing the tree depth-first, left before right."""
+    if depth >= limit or len(sample) <= 1:
+        out[rows] = depth + c[len(sample)]
         return
-    _, f, p, left, right = node
-    mask = X[idx, f] < p
-    _tree_path_lengths(left, X, idx[mask], depth + 1, out, c)
-    _tree_path_lengths(right, X, idx[~mask], depth + 1, out, c)
+    f = int(rng.integers(X.shape[1]))
+    col = X[sample, f]
+    p = float(rng.uniform(col.min(), col.max()))
+    left = col < p
+    routed_left = X[rows, f] < p
+    _isolate(X, sample[left], rows[routed_left], depth + 1, limit, rng, c, out)
+    _isolate(X, sample[~left], rows[~routed_left], depth + 1, limit, rng, c, out)
 
 
 def isolation_forest(
@@ -117,9 +113,7 @@ def isolation_forest(
     all_idx = np.arange(n)
     path = np.zeros(n)
     for _ in range(n_trees):
-        sample = rng.choice(n, size=psi, replace=False)
-        tree = _build_tree(X, sample, 0, limit, rng)
-        _tree_path_lengths(tree, X, all_idx, 0, path, c)
+        _isolate(X, rng.choice(n, size=psi, replace=False), all_idx, 0, limit, rng, c, path)
         total += path
     expected = total / n_trees
     s = np.power(2.0, -expected / c[psi])

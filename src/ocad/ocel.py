@@ -91,7 +91,6 @@ class LogIndex:
     obj_code: dict[str, int]
     type_code: dict[str, int]
     obj_type: np.ndarray
-    ev_time: np.ndarray
     ev_act: np.ndarray
     ev_ptr: np.ndarray
     ev_obj: np.ndarray
@@ -131,7 +130,6 @@ class LogIndex:
             obj_code=obj_code,
             type_code=type_code,
             obj_type=obj_type,
-            ev_time=ev_time,
             ev_act=ev_act,
             ev_ptr=ev_ptr,
             ev_obj=ev_obj,

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .detect import (
     DEFAULT_LOF_K,
     DEFAULT_N_TREES,
     DEFAULT_SUBSAMPLE,
+    MAX_TREES,
     RankVector,
     ScoreVector,
     isolation_forest,
@@ -31,17 +32,24 @@ from .reduce import DEFAULT_FASTMAP_K, DEFAULT_PIVOT_ITERS, fastmap, pca
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Resolved knobs of one detection run; everything the manifest needs."""
+    """Resolved knobs of one detection run; everything the manifest needs.
+
+    These defaults are the only ones: the CLI passes just the knobs its
+    command line sets. ``detector=None`` pairs the detectors with the
+    features they work best on: LOF over the FastMap embedding, otherwise
+    iForest. ``epsilon`` and ``pivot_iters`` are fixed, and recorded so that
+    the manifest names every constant the outputs depend on.
+    """
 
     object_type: str
-    detector: str = "iforest"  # iforest | lof
+    detector: str | None = None  # iforest | lof
     reducer: str = "none"  # none | pca | fastmap
     propagate_from: str | None = None
     agg: str = "mean"
     min_variance: float = 0.0
-    epsilon: float = DEFAULT_EPSILON
+    epsilon: float = field(default=DEFAULT_EPSILON, init=False)
     reduce_k: int = DEFAULT_FASTMAP_K
-    pivot_iters: int = DEFAULT_PIVOT_ITERS
+    pivot_iters: int = field(default=DEFAULT_PIVOT_ITERS, init=False)
     n_trees: int = DEFAULT_N_TREES
     subsample: int = DEFAULT_SUBSAMPLE
     lof_k: int = DEFAULT_LOF_K
@@ -49,11 +57,13 @@ class PipelineParams:
     include_cobirth_codeath: bool = False
 
     def __post_init__(self):
-        for name, least in (("n_trees", 1), ("subsample", 2), ("lof_k", 1), ("reduce_k", 1), ("pivot_iters", 1)):
+        if self.detector is None:
+            object.__setattr__(self, "detector", "lof" if self.reducer == "fastmap" else "iforest")
+        for name, least in (("n_trees", 1), ("subsample", 2), ("lof_k", 1), ("reduce_k", 1)):
             if getattr(self, name) < least:
                 raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not self.epsilon > 0:
-            raise InvalidConfig(f"epsilon must be > 0, got {self.epsilon}")
+        if self.n_trees > MAX_TREES:
+            raise InvalidConfig(f"n_trees must be <= {MAX_TREES}, got {self.n_trees}")
         if math.isnan(self.min_variance):
             raise InvalidConfig("min_variance must be a number, got nan")
 

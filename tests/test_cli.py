@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -130,6 +131,20 @@ def test_detect_default_detector_follows_reducer(generated, tmp_path):
     assert json.loads((out2 / "run.json").read_text())["params"]["detector"] == "iforest"
 
 
+def test_params_default_detector_follows_reducer():
+    assert PipelineParams(object_type="order", reducer="fastmap").detector == "lof"
+    assert PipelineParams(object_type="order").detector == "iforest"
+    assert PipelineParams(object_type="order", reducer="fastmap", detector="iforest").detector == "iforest"
+    assert PipelineParams(object_type="order", detector="lof").detector == "lof"
+
+
+@pytest.mark.parametrize("command", ["features", "detect", "aggregate", "abstract"])
+def test_pipeline_flags_cover_every_params_field(command):
+    """Every settable PipelineParams field has a flag of its own name."""
+    dests = {action.dest for action in _SUBCOMMANDS[command]._actions}
+    assert {f.name for f in dataclasses.fields(PipelineParams) if f.init} <= dests
+
+
 def test_detect_does_not_mutate_input(generated, tmp_path):
     log_path = generated / "log.json"
     before = hashlib.sha256(log_path.read_bytes()).hexdigest()
@@ -167,6 +182,7 @@ def test_features_on_empty_log_is_validation_error(tmp_path, capsys):
     "flags",
     [
         ["--n-trees", "0"],
+        ["--n-trees=1000000000000"],  # was a run that never ended
         ["--subsample", "1"],
         ["--lof-k", "0", "--detector", "lof"],
         ["--reduce-k", "0", "--reducer", "pca"],
@@ -262,6 +278,15 @@ def test_usage_error_exits_2_without_traceback(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ocad detect") and "error: " in err and "Traceback" not in err
+
+
+def test_pipeline_knobs_are_checked_before_the_log_is_read(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["features", "--log", str(tmp_path / "nope.json"), "--object-type", "order", "--n-trees", "0",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: n_trees must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_missing_input_is_io_error(tmp_path):
@@ -472,9 +497,6 @@ def test_variance_fallback_warns_and_keeps_every_column(generated, tmp_path):
 
 _FLOATS = ["nan", "inf", "-inf", "-1", "-0.0", "0", "0.5", "3", "1e308"]
 _INTS = ["-1", "0", "1", "2", "7", str(10**12), str(2**63), str(10**30)]
-# A huge tree count is a request for that much work, not a broken contract:
-# each tree takes constant memory, so such a run is long, not fatal.
-_TREE_COUNTS = ["-1", "0", "1", "5"]
 _SUBCOMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
@@ -490,8 +512,6 @@ def _values(action, log):
     """Values to try for one option of the parser, valid and invalid."""
     if action.choices:
         return [*action.choices, "bogus"]
-    if action.dest == "n_trees":
-        return _TREE_COUNTS
     if action.type is int:
         return _INTS
     if action.type is float:
