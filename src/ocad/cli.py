@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -266,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # One line per warning: the default format adds a source path and line.
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

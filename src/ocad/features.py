@@ -91,22 +91,20 @@ class FeatureMatrix:
         """The header string of every column."""
         return tuple(map(column_name, self.keys))
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.columns.index(name)]
-
     def select_columns(self, keep: Sequence[int]) -> "FeatureMatrix":
         keep = list(keep)
         return replace(self, keys=tuple(self.keys[i] for i in keep), values=self.values[:, keep])
 
 
-def _common_attribute_columns(log: OcelLog, ot: str, objs: tuple[str, ...]):
+def _common_attribute_columns(log: OcelLog, ot: str, codes: np.ndarray):
     """Numeric and one-hot string columns for the attributes shared by every
-    object of the type. Mixed numeric/string use of one attribute is an
-    error rather than a silent coercion."""
+    object of the type, whose codes are ``codes``. Mixed numeric/string use
+    of one attribute is an error rather than a silent coercion."""
     keys: list[ColumnKey] = []
     blocks: list[np.ndarray] = []
+    attrs = [log.obj_attrs[c] for c in codes.tolist()]
     for att in sorted(log.common_attributes(ot)):
-        values = [log.ovmap[o][att] for o in objs]
+        values = [a[att] for a in attrs]
         kinds = {isinstance(v, str) for v in values}
         if len(kinds) > 1:
             raise MixedAttributeType(
@@ -132,7 +130,7 @@ def _counts(rows: np.ndarray, keys: np.ndarray, n: int, width: int) -> np.ndarra
 def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> FeatureMatrix:
     """Build the feature matrix for all objects of type ``ot``.
 
-    Every family is computed for all rows at once from ``log.index``; a
+    Every family is computed for all rows at once from the log's arrays; a
     family's columns are generated for every activity, edge or type code and
     the all-zero ones are dropped with the rest at the end.
     ``cobirth_codeath`` adds per-type co-birth/co-death count columns
@@ -144,26 +142,25 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
     if not objs:
         raise NoObjectsOfType(f"no objects of type {ot!r} in the log")
     n = len(objs)
-    ix = log.index
-    codes = ix.codes(objs)
+    codes = log.codes(objs)
     acts, types = log.activities, log.object_types
     n_act, n_type = len(acts), len(types)
 
-    keys, blocks = _common_attribute_columns(log, ot, objs)
+    keys, blocks = _common_attribute_columns(log, ot, codes)
 
-    events, row = ix.lifecycles(codes)
-    ev_act = ix.ev_act[events]
+    events, row = log.lifecycles(codes)
+    ev_act = log.ev_act[events]
     keys += [("lifecyclecontains", a) for a in acts]
     blocks.append(_counts(row, ev_act, n, n_act))
 
-    lo = ix.lc_ptr[codes]
-    has_events = np.flatnonzero(ix.lc_ptr[codes + 1] > lo)
+    lo = log.lc_ptr[codes]
+    has_events = np.flatnonzero(log.lc_ptr[codes + 1] > lo)
     starts_with = np.zeros((n, n_act))
-    starts_with[has_events, ix.ev_act[ix.lc_ev[lo[has_events]]]] = 1.0
+    starts_with[has_events, log.ev_act[log.lc_ev[lo[has_events]]]] = 1.0
     keys += [("lifecyclestartswith", a) for a in acts]
     blocks.append(starts_with)
 
-    starts, ends = ix.t_start[codes], ix.t_end[codes]
+    starts, ends = log.t_start[codes], log.t_end[codes]
     keys += [("lifecyclestarttime",), ("lifecycleendtime",), ("lifecycleduration",)]
     blocks.append(np.column_stack([starts, ends, ends - starts]))
 
@@ -173,13 +170,13 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
     keys += [("dfg", acts[e // n_act], acts[e % n_act]) for e in edges.tolist()]
     blocks.append(_counts(row[:-1][same], edge_of, n, len(edges)))
 
-    partners, prow = ix.related(codes)
-    ptype = ix.obj_type[partners]
+    partners, prow = log.related(codes)
+    ptype = log.obj_type[partners]
     families = [("interactions", "interact"), ("creation", "creation")]
     if cobirth_codeath:
         families += [("cobirth", "cobirth"), ("codeath", "codeath")]
     for prefix, relation in families:
-        mask = ix.relation(relation, codes, partners, prow)
+        mask = log.relation(relation, codes, partners, prow)
         keys += [(prefix, t) for t in types]
         blocks.append(_counts(prow[mask], ptype[mask], n, n_type))
 
@@ -212,13 +209,12 @@ def propagate_features(
         raise ValueError(f"agg must be one of {AGGREGATIONS}, got {agg!r}")
     fn = {"mean": np.mean, "median": np.median, "min": np.min, "max": np.max, "sum": np.sum}[agg]
 
-    ix = log.index
-    partners, seg = ix.related(ix.codes(base.row_ids), neighbor.object_type)
+    partners, seg = log.related(log.codes(base.row_ids), neighbor.object_type)
 
     neighbor_row = np.full(len(log.objects), -1)
     for i, o in enumerate(neighbor.row_ids):
-        if o in ix.obj_code:
-            neighbor_row[ix.obj_code[o]] = i
+        if o in log.obj_code:
+            neighbor_row[log.obj_code[o]] = i
     rows = neighbor_row[partners]
     missing = np.flatnonzero(rows < 0)
     if len(missing):

@@ -1,28 +1,27 @@
 """Object-centric event log model.
 
 An event can relate to any number of objects of different types, so the log
-keeps separate maps for activities, timestamps, event-to-object relations and
-attribute values instead of a flat case table. Events are totally ordered by
-(timestamp, event id); all per-object derivations (lifecycle, follows graphs,
-interaction sets) are defined relative to that order.
+keeps the event-to-object relation instead of a flat case table. Events are
+totally ordered by (timestamp, event id); all per-object derivations
+(lifecycle, interaction sets) are defined relative to that order.
 
 Timestamps are real seconds since the Unix epoch. Serialization re-emits them
 as ISO-8601 UTC with millisecond precision, so parse(serialize(log)) is the
 identity for logs whose timestamps are millisecond-quantized.
 
-The derivations read a :class:`LogIndex`, an integer view of the log built
-once, on first use, by ``OcelLog.index``. Objects are coded by their position
-in ``objects``, types and activities by their position in the sorted
+The log is stored once, as arrays. Objects are coded by their position in the
+sorted ``objects``, types and activities by their position in the sorted
 ``object_types`` and ``activities``, events by their position in the total
-order. The index holds each object's type code, each event's time and
-activity code, and the event-object relation twice as CSR (compressed sparse
-row) arrays: each object's events (its lifecycle) and each event's objects.
-Interaction partners are not stored; :meth:`LogIndex.related` gathers them
-through both CSRs for the objects asked about, and :meth:`LogIndex.relation`
-defines the interaction sets on them. Feature extraction and propagation
-compute on these arrays for all objects of a type at once. The index is not
-a field of the log, so equality, serialization and ``ocad generate`` never
-build it.
+order. The log holds each object's type code and attributes, each event's
+time, activity code and attributes, and each event's objects, ascending, as
+CSR (compressed sparse row) arrays. Each object's events (its lifecycle, the
+transposed CSR) and its first and last times are built on first use and are
+not compared by equality, so serialization and ``ocad generate`` never build
+them. Interaction partners are not stored: :meth:`OcelLog.related` gathers
+them through both CSRs for the objects asked about, and
+:meth:`OcelLog.relation` defines the interaction sets on them. The per-id
+dicts ``otyp``, ``act``, ``time``, ``omap``, ``vmap`` and ``ovmap`` are
+read-only views built on first use; no pipeline stage reads them.
 
 Building a log, by :func:`parse_ocel_json` or the synthetic generators,
 pauses the cyclic garbage collector: the records are about a million
@@ -39,6 +38,7 @@ import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -78,66 +78,175 @@ class InteractionSets:
     codeath: frozenset[str]
 
 
-@dataclass(frozen=True)
-class LogIndex:
-    """Integer arrays over one log; see the module docstring for the codes.
+def _gather(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values[lo[i]:hi[i]]`` concatenated over ``i``, and the ``i`` of each
+    entry."""
+    lens = hi - lo
+    seg = np.repeat(np.arange(len(lo)), lens)
+    offsets = np.cumsum(lens) - lens
+    return values[np.arange(int(lens.sum())) + np.repeat(lo - offsets, lens)], seg
 
-    ``lc_ev[lc_ptr[c]:lc_ptr[c + 1]]`` are the positions of object ``c``'s
-    events in ascending (total) order, and ``ev_obj[ev_ptr[e]:ev_ptr[e + 1]]``
-    are the codes of event ``e``'s objects. ``t_start``/``t_end`` are the
-    times of each object's first and last event, 0.0 for an empty lifecycle.
+
+def _sorted_codes(first_seen: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted names of ``first_seen``, and each name's sorted position at its value."""
+    names = tuple(sorted(first_seen))
+    code = np.empty(len(names), dtype=np.int32)
+    code[[first_seen[n] for n in names]] = np.arange(len(names), dtype=np.int32)
+    return names, code
+
+
+@dataclass(frozen=True, eq=False)
+class OcelLog:
+    """Immutable object-centric event log; see the module docstring for the
+    codes. ``events`` is the total order: sorted by (timestamp, lexicographic
+    event id). ``ev_obj[ev_ptr[e]:ev_ptr[e + 1]]`` are the codes of event
+    ``e``'s objects, ascending. Instances must be built via :meth:`build` or
+    :func:`parse_ocel_json`, which enforce the invariants; after construction
+    the log is never mutated and all derivations are pure reads. Two logs are
+    equal when their fields are; the cached properties are not compared.
     """
 
-    obj_code: dict[str, int]
-    type_code: dict[str, int]
+    events: tuple[str, ...]
+    objects: tuple[str, ...]
+    object_types: tuple[str, ...]
+    activities: tuple[str, ...]
     obj_type: np.ndarray
+    obj_attrs: tuple[dict[str, AttributeValue], ...]
+    ev_time: np.ndarray
     ev_act: np.ndarray
+    ev_attrs: tuple[dict[str, AttributeValue], ...]
     ev_ptr: np.ndarray
     ev_obj: np.ndarray
-    lc_ptr: np.ndarray
-    lc_ev: np.ndarray
-    t_start: np.ndarray
-    t_end: np.ndarray
 
     @staticmethod
-    def build(log: "OcelLog") -> "LogIndex":
-        n = len(log.objects)
-        obj_code = {o: i for i, o in enumerate(log.objects)}
-        type_code = {t: i for i, t in enumerate(log.object_types)}
-        act_code = {a: i for i, a in enumerate(log.activities)}
-        obj_type = np.array([type_code[log.otyp[o]] for o in log.objects], dtype=np.int32)
-        n_ev = len(log.events)
-        ev_time = np.array([log.time[e] for e in log.events], dtype=np.float64)
-        ev_act = np.array([act_code[log.act[e]] for e in log.events], dtype=np.int32)
+    def build(
+        event_records: Iterable[tuple[str, str, float, Iterable[str], Mapping[str, AttributeValue]]],
+        object_records: Iterable[tuple[str, str, Mapping[str, AttributeValue]]],
+    ) -> "OcelLog":
+        """Construct a log from (id, activity, time, object ids, attrs) event
+        records and (id, type, attrs) object records, validating uniqueness,
+        reference integrity and attribute values (:func:`_coerce_value`) and
+        establishing the total event order."""
+        types: dict[str, int] = {}
+        by_id: dict[str, tuple[int, dict[str, AttributeValue]]] = {}
+        for oid, ot, attrs in object_records:
+            if oid in by_id:
+                raise DuplicateId(f"duplicate object id {oid!r}")
+            attrs = {k: _coerce_value(v, "object", oid) for k, v in attrs.items()}
+            by_id[oid] = (types.setdefault(ot, len(types)), attrs)
+        objects = tuple(sorted(by_id))
+        object_types, type_code = _sorted_codes(types)
+        obj_type = type_code[np.fromiter((by_id[o][0] for o in objects), dtype=np.int32, count=len(objects))]
+        obj_attrs = tuple(by_id[o][1] for o in objects)
+        del by_id
+        obj_code = {o: c for c, o in enumerate(objects)}
 
-        # The event->object CSR; the lifecycles are its transpose, stable in event order.
-        omaps = [log.omap[e] for e in log.events]
-        sizes = np.array([len(m) for m in omaps], dtype=np.int64)
-        ev_ptr = np.zeros(n_ev + 1, dtype=np.int64)
-        np.cumsum(sizes, out=ev_ptr[1:])
-        ev_obj = np.array([obj_code[o] for m in omaps for o in m], dtype=np.int32)
-        del omaps
+        acts: dict[str, int] = {}
+        seen: set[str] = set()
+        eids, times, ev_act, ev_attrs, sizes, ev_obj = [], [], [], [], [], []
+        for eid, activity, ts, oids, attrs in event_records:
+            if eid in seen:
+                raise DuplicateId(f"duplicate event id {eid!r}")
+            seen.add(eid)
+            try:
+                related = sorted({obj_code[o] for o in oids})
+            except KeyError as exc:
+                raise DanglingReference(f"event {eid!r} references unknown object {exc.args[0]!r}") from None
+            eids.append(eid)
+            times.append(float(ts))
+            ev_act.append(acts.setdefault(activity, len(acts)))
+            ev_attrs.append({k: _coerce_value(v, "event", eid) for k, v in attrs.items()})
+            sizes.append(len(related))
+            ev_obj += related
+        del seen, obj_code
 
-        lc_ev = np.repeat(np.arange(n_ev, dtype=np.int32), sizes)[np.argsort(ev_obj, kind="stable")]
-        lc_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ev_obj, minlength=n), out=lc_ptr[1:])
-        has_events = lc_ptr[1:] > lc_ptr[:-1]
-        t_start = np.zeros(n)
-        t_end = np.zeros(n)
-        t_start[has_events] = ev_time[lc_ev[lc_ptr[:-1][has_events]]]
-        t_end[has_events] = ev_time[lc_ev[lc_ptr[1:][has_events] - 1]]
-        return LogIndex(
-            obj_code=obj_code,
-            type_code=type_code,
+        order = np.array(sorted(range(len(eids)), key=lambda i: (times[i], eids[i])), dtype=np.int64)
+        activities, act_code = _sorted_codes(acts)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        return OcelLog(
+            events=tuple(eids[i] for i in order.tolist()),
+            objects=objects,
+            object_types=object_types,
+            activities=activities,
             obj_type=obj_type,
-            ev_act=ev_act,
-            ev_ptr=ev_ptr,
-            ev_obj=ev_obj,
-            lc_ptr=lc_ptr,
-            lc_ev=lc_ev,
-            t_start=t_start,
-            t_end=t_end,
+            obj_attrs=obj_attrs,
+            ev_time=np.asarray(times, dtype=np.float64)[order],
+            ev_act=act_code[np.asarray(ev_act, dtype=np.int64)][order],
+            ev_attrs=tuple(ev_attrs[i] for i in order.tolist()),
+            ev_ptr=np.concatenate(([0], np.cumsum(sizes[order]))),
+            ev_obj=_gather(np.asarray(ev_obj, dtype=np.int32), ptr[:-1][order], ptr[1:][order])[0],
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OcelLog):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self)))
+
+    # ------------------------------------------------------------------ views
+
+    @cached_property
+    def obj_code(self) -> dict[str, int]:
+        return {o: c for c, o in enumerate(self.objects)}
+
+    @cached_property
+    def type_code(self) -> dict[str, int]:
+        return {t: c for c, t in enumerate(self.object_types)}
+
+    @cached_property
+    def lc_ev(self) -> np.ndarray:
+        """Each object's event positions, ascending, object after object."""
+        sizes = np.diff(self.ev_ptr)
+        return np.repeat(np.arange(len(self.events), dtype=np.int32), sizes)[np.argsort(self.ev_obj, kind="stable")]
+
+    @cached_property
+    def lc_ptr(self) -> np.ndarray:
+        """``lc_ev[lc_ptr[c]:lc_ptr[c + 1]]`` is object ``c``'s lifecycle."""
+        return np.concatenate(([0], np.cumsum(np.bincount(self.ev_obj, minlength=len(self.objects)))))
+
+    @cached_property
+    def t_start(self) -> np.ndarray:
+        """Time of each object's first event, 0.0 for an empty lifecycle."""
+        return self._lifecycle_times(self.lc_ptr[:-1])
+
+    @cached_property
+    def t_end(self) -> np.ndarray:
+        """Time of each object's last event, 0.0 for an empty lifecycle."""
+        return self._lifecycle_times(self.lc_ptr[1:] - 1)
+
+    def _lifecycle_times(self, pos: np.ndarray) -> np.ndarray:
+        has_events = self.lc_ptr[1:] > self.lc_ptr[:-1]
+        t = np.zeros(len(self.objects))
+        t[has_events] = self.ev_time[self.lc_ev[pos[has_events]]]
+        return t
+
+    @cached_property
+    def otyp(self) -> Mapping[str, str]:
+        return MappingProxyType(dict(zip(self.objects, map(self.object_types.__getitem__, self.obj_type.tolist()))))
+
+    @cached_property
+    def ovmap(self) -> Mapping[str, dict[str, AttributeValue]]:
+        return MappingProxyType(dict(zip(self.objects, self.obj_attrs)))
+
+    @cached_property
+    def act(self) -> Mapping[str, str]:
+        return MappingProxyType(dict(zip(self.events, map(self.activities.__getitem__, self.ev_act.tolist()))))
+
+    @cached_property
+    def time(self) -> Mapping[str, float]:
+        return MappingProxyType(dict(zip(self.events, self.ev_time.tolist())))
+
+    @cached_property
+    def omap(self) -> Mapping[str, frozenset[str]]:
+        ptr, objs = self.ev_ptr.tolist(), [self.objects[c] for c in self.ev_obj.tolist()]
+        return MappingProxyType({e: frozenset(objs[ptr[i]:ptr[i + 1]]) for i, e in enumerate(self.events)})
+
+    @cached_property
+    def vmap(self) -> Mapping[str, dict[str, AttributeValue]]:
+        return MappingProxyType(dict(zip(self.events, self.ev_attrs)))
+
+    # ------------------------------------------------------------ derivations
 
     def codes(self, objs: Iterable[str]) -> np.ndarray:
         """Object codes of ``objs``; raises :class:`UnknownObject` for an id
@@ -147,10 +256,19 @@ class LogIndex:
         except KeyError as exc:
             raise UnknownObject(f"unknown object id {exc.args[0]!r}") from None
 
+    def objects_of_type(self, ot: str) -> tuple[str, ...]:
+        return tuple(self.objects[c] for c in np.flatnonzero(self.obj_type == self.type_code.get(ot, -1)).tolist())
+
     def lifecycles(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Event positions of the objects ``codes``, concatenated in the
         order given, and the index into ``codes`` of each one."""
         return _gather(self.lc_ev, self.lc_ptr[codes], self.lc_ptr[codes + 1])
+
+    def lifecycle(self, o: str) -> tuple[str, ...]:
+        """All events relating to ``o``, in total order. Empty when no event
+        references the object."""
+        pos, _ = self.lifecycles(self.codes([o]))
+        return tuple(self.events[i] for i in pos.tolist())
 
     def related(self, codes: np.ndarray, ot: str | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Interaction partners of the objects ``codes``: every other object
@@ -164,7 +282,7 @@ class LogIndex:
         keep = objs != codes[seg]
         if ot is not None:
             keep &= self.obj_type[objs] == self.type_code.get(ot, -1)
-        n = len(self.obj_type)
+        n = len(self.objects)
         seg, partners = np.divmod(np.unique(seg[keep] * n + objs[keep]), n)
         return partners, seg
 
@@ -183,141 +301,21 @@ class LogIndex:
             return self.t_end[codes][seg] == self.t_end[partners]
         raise ValueError(f"unknown relation {name!r}")
 
-
-def _gather(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``values[lo[i]:hi[i]]`` concatenated over ``i``, and the ``i`` of each
-    entry."""
-    lens = hi - lo
-    seg = np.repeat(np.arange(len(lo)), lens)
-    offsets = np.cumsum(lens) - lens
-    return values[np.arange(int(lens.sum())) + np.repeat(lo - offsets, lens)], seg
-
-
-@dataclass(frozen=True)
-class OcelLog:
-    """Immutable object-centric event log.
-
-    ``events`` is the total order: sorted by (timestamp, lexicographic event
-    id). All dict fields are keyed exactly by the event/object ids they
-    describe. Instances must be built via :meth:`build` or
-    :func:`parse_ocel_json`, which enforce the invariants; after construction
-    the log is never mutated and all derivations are pure reads.
-    """
-
-    events: tuple[str, ...]
-    objects: tuple[str, ...]
-    otyp: dict[str, str]
-    act: dict[str, str]
-    time: dict[str, float]
-    omap: dict[str, frozenset[str]]
-    vmap: dict[str, dict[str, AttributeValue]]
-    ovmap: dict[str, dict[str, AttributeValue]]
-
-    @staticmethod
-    def build(
-        event_records: Iterable[tuple[str, str, float, Iterable[str], Mapping[str, AttributeValue]]],
-        object_records: Iterable[tuple[str, str, Mapping[str, AttributeValue]]],
-    ) -> "OcelLog":
-        """Construct a log from (id, activity, time, object ids, attrs) event
-        records and (id, type, attrs) object records, validating uniqueness,
-        reference integrity and attribute values (:func:`_coerce_value`) and
-        establishing the total event order."""
-        otyp: dict[str, str] = {}
-        ovmap: dict[str, dict[str, AttributeValue]] = {}
-        for oid, ot, attrs in object_records:
-            if oid in otyp:
-                raise DuplicateId(f"duplicate object id {oid!r}")
-            otyp[oid] = ot
-            ovmap[oid] = {k: _coerce_value(v, "object", oid) for k, v in attrs.items()}
-
-        act: dict[str, str] = {}
-        time: dict[str, float] = {}
-        omap: dict[str, frozenset[str]] = {}
-        vmap: dict[str, dict[str, AttributeValue]] = {}
-        for eid, activity, ts, oids, attrs in event_records:
-            if eid in act:
-                raise DuplicateId(f"duplicate event id {eid!r}")
-            related = frozenset(oids)
-            for oid in related:
-                if oid not in otyp:
-                    raise DanglingReference(f"event {eid!r} references unknown object {oid!r}")
-            act[eid] = activity
-            time[eid] = float(ts)
-            omap[eid] = related
-            vmap[eid] = {k: _coerce_value(v, "event", eid) for k, v in attrs.items()}
-
-        ordered = tuple(sorted(act, key=lambda e: (time[e], e)))
-        return OcelLog(
-            events=ordered,
-            objects=tuple(sorted(otyp)),
-            otyp=otyp,
-            act=act,
-            time=time,
-            omap=omap,
-            vmap=vmap,
-            ovmap=ovmap,
-        )
-
-    # ------------------------------------------------------------------ views
-
-    @cached_property
-    def object_types(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.otyp.values())))
-
-    @cached_property
-    def activities(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.act.values())))
-
-    @cached_property
-    def index(self) -> LogIndex:
-        return LogIndex.build(self)
-
-    def objects_of_type(self, ot: str) -> tuple[str, ...]:
-        ix = self.index
-        return tuple(self.objects[c] for c in np.flatnonzero(ix.obj_type == ix.type_code.get(ot, -1)).tolist())
-
-    # ------------------------------------------------------------ derivations
-
-    def lifecycle(self, o: str) -> tuple[str, ...]:
-        """All events relating to ``o``, in total order. Empty when no event
-        references the object."""
-        ix = self.index
-        pos, _ = ix.lifecycles(ix.codes([o]))
-        return tuple(self.events[i] for i in pos.tolist())
-
-    def object_graphs(self, o: str) -> tuple[frozenset[tuple[str, str]], frozenset[tuple[str, str]]]:
-        """Directly-follows and eventually-follows graphs over the lifecycle.
-
-        Returns ``(dfg, efg)``. ``efg`` contains every ordered lifecycle pair
-        (e1 before e2); ``dfg`` keeps only pairs with no lifecycle event in
-        between, i.e. consecutive lifecycle events.
-        """
-        lc = self.lifecycle(o)
-        efg = frozenset((lc[i], lc[j]) for i in range(len(lc)) for j in range(i + 1, len(lc)))
-        dfg = frozenset(zip(lc, lc[1:]))
-        return dfg, efg
-
     def interaction_sets(self, o: str, ot: str) -> InteractionSets:
         """Interaction, creation, continuation, co-birth and co-death sets of
         ``o`` restricted to objects of type ``ot``."""
-        ix = self.index
-        codes = ix.codes([o])
-        partners, seg = ix.related(codes, ot)
+        codes = self.codes([o])
+        partners, seg = self.related(codes, ot)
         return InteractionSets(**{
-            f.name: frozenset(self.objects[p] for p in partners[ix.relation(f.name, codes, partners, seg)].tolist())
+            f.name: frozenset(self.objects[p] for p in partners[self.relation(f.name, codes, partners, seg)].tolist())
             for f in fields(InteractionSets)
         })
 
     def common_attributes(self, ot: str) -> frozenset[str]:
         """Attribute names present on every object of type ``ot``. Empty when
         the type has no objects (rather than "all names")."""
-        objs = self.objects_of_type(ot)
-        if not objs:
-            return frozenset()
-        names = set(self.ovmap[objs[0]])
-        for o in objs[1:]:
-            names &= set(self.ovmap[o])
-        return frozenset(names)
+        attrs = [self.obj_attrs[c] for c in np.flatnonzero(self.obj_type == self.type_code.get(ot, -1)).tolist()]
+        return frozenset(set(attrs[0]).intersection(*attrs[1:])) if attrs else frozenset()
 
 
 # --------------------------------------------------------------------- JSON
@@ -515,28 +513,31 @@ def serialize_ocel_json(log: OcelLog) -> bytes:
     change times are not modeled, so object attributes are emitted with the
     epoch as their time.
     """
+    ids = [_str(o) for o in log.objects]
     otype_attrs: dict[str, dict[str, str]] = {ot: {} for ot in log.object_types}
     objects = []
-    for o in log.objects:
-        bucket, rows = otype_attrs[log.otyp[o]], []
-        for n, v in sorted(log.ovmap[o].items()):
+    for o, ot, attrs in zip(ids, map(log.object_types.__getitem__, log.obj_type.tolist()), log.obj_attrs):
+        bucket, rows = otype_attrs[ot], []
+        for n, v in sorted(attrs.items()):
             text, kind = _value(v)
             bucket.setdefault(n, kind)
             rows.append(f'        {{\n          "name": {_str(n)},\n          "time": "{_EPOCH_ISO}",\n'
                         f'          "value": {text}\n        }}')
-        objects.append(f'    {{\n      "id": {_str(o)},\n      "type": {_str(log.otyp[o])},\n'
+        objects.append(f'    {{\n      "id": {o},\n      "type": {_str(ot)},\n'
                        f'      "attributes": {_array(rows, "      ")}\n    }}')
     etype_attrs: dict[str, dict[str, str]] = {a: {} for a in log.activities}
+    ptr, related = log.ev_ptr.tolist(), [ids[c] for c in log.ev_obj.tolist()]
     events = []
-    for e, stamp in zip(log.events, _iso_stamps([log.time[e] for e in log.events])):
-        bucket, rows = etype_attrs[log.act[e]], []
-        for n, v in sorted(log.vmap[e].items()):
+    for i, (e, a, stamp, attrs) in enumerate(zip(log.events, map(log.activities.__getitem__, log.ev_act.tolist()),
+                                                  _iso_stamps(log.ev_time), log.ev_attrs)):
+        bucket, rows = etype_attrs[a], []
+        for n, v in sorted(attrs.items()):
             text, kind = _value(v)
             bucket.setdefault(n, kind)
             rows.append(f'        {{\n          "name": {_str(n)},\n          "value": {text}\n        }}')
-        rels = [f'        {{\n          "objectId": {_str(o)},\n          "qualifier": ""\n        }}'
-                for o in sorted(log.omap[e])]
-        events.append(f'    {{\n      "id": {_str(e)},\n      "type": {_str(log.act[e])},\n      "time": "{stamp}",\n'
+        rels = [f'        {{\n          "objectId": {o},\n          "qualifier": ""\n        }}'
+                for o in related[ptr[i]:ptr[i + 1]]]
+        events.append(f'    {{\n      "id": {_str(e)},\n      "type": {_str(a)},\n      "time": "{stamp}",\n'
                       f'      "attributes": {_array(rows, "      ")},\n'
                       f'      "relationships": {_array(rels, "      ")}\n    }}')
     return (f'{{\n  "objectTypes": {_type_decls(otype_attrs)},\n  "eventTypes": {_type_decls(etype_attrs)},\n'

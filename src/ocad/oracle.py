@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyMatrix, LlmHttpError, LlmSchemaError, LlmTimeout, UnknownObject
+from .errors import EmptyMatrix, LlmHttpError, LlmSchemaError, LlmTimeout
 from .ocel import OcelLog, format_iso
 from .prompts import FEATURE_TABLE_PREAMBLE
 
@@ -137,28 +137,28 @@ def abstract_lifecycle(log: OcelLog, o: str, max_events: int = DEFAULT_MAX_EVENT
     with their types), head/tail elided beyond ``max_events``, followed by
     duration and per-type interaction summaries.
     """
-    if o not in log.otyp:
-        raise UnknownObject(f"unknown object id {o!r}")
-    lc = log.lifecycle(o)
-    lines = [f"object {o} (type {log.otyp[o]})"]
+    codes = log.codes([o])
+    c = int(codes[0])
+    lc = log.lifecycles(codes)[0].tolist()
+    lines = [f"object {o} (type {log.object_types[log.obj_type[c]]})"]
     if not lc:
         lines.append("no events")
     else:
-        def event_line(e: str) -> str:
-            others = sorted(p for p in log.omap[e] if p != o)
-            related = ", ".join(f"{p}[{log.otyp[p]}]" for p in others) or "-"
-            return f"{e}  {format_iso(log.time[e])}  {log.act[e]}  related: {related}"
+        def event_line(i: int) -> str:
+            others = [p for p in log.ev_obj[log.ev_ptr[i]:log.ev_ptr[i + 1]].tolist() if p != c]
+            related = ", ".join(f"{log.objects[p]}[{log.object_types[log.obj_type[p]]}]" for p in others) or "-"
+            return f"{log.events[i]}  {format_iso(log.ev_time[i])}  {log.activities[log.ev_act[i]]}  related: {related}"
 
         if len(lc) <= max_events:
-            lines += [event_line(e) for e in lc]
+            lines += [event_line(i) for i in lc]
         else:
             head = max_events // 2
             tail = max_events - head
-            lines += [event_line(e) for e in lc[:head]]
+            lines += [event_line(i) for i in lc[:head]]
             lines.append(f"... {len(lc) - max_events} events elided ...")
-            lines += [event_line(e) for e in lc[-tail:]]
+            lines += [event_line(i) for i in lc[-tail:]]
 
-    duration = (log.time[lc[-1]] - log.time[lc[0]]) if lc else 0.0
+    duration = float(log.ev_time[lc[-1]] - log.ev_time[lc[0]]) if lc else 0.0
     lines.append(f"events: {len(lc)}")
     lines.append(f"duration_seconds: {duration:g}")
     sets = [(ot, log.interaction_sets(o, ot)) for ot in log.object_types]

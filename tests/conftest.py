@@ -19,6 +19,20 @@ def build_log(events, objects):
     return OcelLog.build(ev, ob)
 
 
+def object_graphs(log, o):
+    """Directly-follows and eventually-follows graphs over the lifecycle of
+    ``o``, as ``(dfg, efg)``: ``efg`` holds every ordered lifecycle pair
+    (e1 before e2), ``dfg`` only consecutive lifecycle events."""
+    lc = log.lifecycle(o)
+    efg = frozenset((lc[i], lc[j]) for i in range(len(lc)) for j in range(i + 1, len(lc)))
+    return frozenset(zip(lc, lc[1:])), efg
+
+
+def column(F, name):
+    """The values of the column of ``F`` whose header is ``name``."""
+    return F.values[:, F.columns.index(name)]
+
+
 def collections_during(fn, *args):
     """Number of cyclic garbage collector passes that start while ``fn(*args)`` runs."""
     starts = []

@@ -19,7 +19,7 @@ from ocad.pipeline import PipelineParams, build_matrix, detect_objects
 from ocad.reduce import fastmap, pca
 from ocad.synthgen import AnomalyKind, SynthConfig, generate_blocked_invoices, generate_p2p
 
-from conftest import make_matrix
+from conftest import make_matrix, object_graphs
 from oracles import (
     NaiveDerivations,
     assert_matrix_matches_naive,
@@ -49,7 +49,7 @@ def test_c01_definition_replay_suite():
         naive = NaiveDerivations(log)
         for o in log.objects:
             assert list(log.lifecycle(o)) == naive.lifecycle(o)
-            dfg, efg = log.object_graphs(o)
+            dfg, efg = object_graphs(log, o)
             assert set(dfg) == naive.dfg(o)
             assert set(efg) == naive.efg(o)
             for ot in log.object_types:

@@ -493,6 +493,18 @@ def test_variance_fallback_warns_and_keeps_every_column(generated, tmp_path):
     assert _dir_digest(trees["inf"], skip={"run.json"}) == _dir_digest(trees["-inf"], skip={"run.json"})
 
 
+def test_warning_prints_one_line_without_a_source_path(generated, tmp_path):
+    # The default warnings format names the file and line that warned, so
+    # stderr would change with unrelated edits.
+    env = {**os.environ, "PYTHONPATH": str(Path(ocad.__file__).resolve().parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "ocad.cli", "features", "--log", str(generated / "log.json"),
+                           "--object-type", "order", "--min-variance=inf", "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: min_variance inf would drop all 22 columns; using the unfiltered matrix\n"
+
+
 # ------------------------------------------------------------ argv fuzzing
 
 _FLOATS = ["nan", "inf", "-inf", "-1", "-0.0", "0", "0.5", "3", "1e308"]

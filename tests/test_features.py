@@ -26,7 +26,7 @@ from ocad.features import (
     variance_filter,
 )
 
-from conftest import build_log, make_matrix, random_log
+from conftest import build_log, column, make_matrix, random_log
 from oracles import NaiveDerivations, assert_matrix_matches_naive
 
 
@@ -36,12 +36,12 @@ def test_single_event_lifecycle_features():
     log = build_log([("e1", "A", 100.0, ["o1"])], [("o1", "t")])
     F = extract_features(log, "t")
     assert F.row_ids == ("o1",)
-    assert F.column("lifecyclecontainsA")[0] == 1.0
-    assert F.column("lifecyclestartswithA")[0] == 1.0
+    assert column(F, "lifecyclecontainsA")[0] == 1.0
+    assert column(F, "lifecyclestartswithA")[0] == 1.0
     assert not any(c.startswith("dfg_") for c in F.columns)
     # duration is 0 for the only row, so the all-zero column is omitted
     assert "lifecycleduration" not in F.columns
-    assert F.column("lifecyclestarttime")[0] == 100.0
+    assert column(F, "lifecyclestarttime")[0] == 100.0
 
 
 def test_aba_lifecycle_counts_and_dfg():
@@ -50,10 +50,10 @@ def test_aba_lifecycle_counts_and_dfg():
         [("o1", "t")],
     )
     F = extract_features(log, "t")
-    assert F.column("lifecyclecontainsA")[0] == 2.0
-    assert F.column("lifecyclecontainsB")[0] == 1.0
-    assert F.column("dfg_A_B")[0] == 1.0
-    assert F.column("dfg_B_A")[0] == 1.0
+    assert column(F, "lifecyclecontainsA")[0] == 2.0
+    assert column(F, "lifecyclecontainsB")[0] == 1.0
+    assert column(F, "dfg_A_B")[0] == 1.0
+    assert column(F, "dfg_B_A")[0] == 1.0
 
 
 def test_extraction_matches_definition_replay(p2p_small):
@@ -97,17 +97,17 @@ def test_string_attribute_one_hot():
         [("o1", "t", {"v": "a"}), ("o2", "t", {"v": "b"}), ("o3", "t", {"v": "a"})],
     )
     F = extract_features(log, "t")
-    assert list(F.column("strvaluev_a")) == [1.0, 0.0, 1.0]
-    assert list(F.column("strvaluev_b")) == [0.0, 1.0, 0.0]
+    assert list(column(F, "strvaluev_a")) == [1.0, 0.0, 1.0]
+    assert list(column(F, "strvaluev_b")) == [0.0, 1.0, 0.0]
 
 
 def test_duration_identity_and_start_onehot(p2p_small):
     log, _ = p2p_small
     F = extract_features(log, "order")
-    dur = F.column("lifecycleduration")
-    assert np.allclose(dur, F.column("lifecycleendtime") - F.column("lifecyclestarttime"), rtol=1e-12)
+    dur = column(F, "lifecycleduration")
+    assert np.allclose(dur, column(F, "lifecycleendtime") - column(F, "lifecyclestarttime"), rtol=1e-12)
     start_cols = [c for c in F.columns if c.startswith("lifecyclestartswith")]
-    ones = sum(F.column(c) for c in start_cols)
+    ones = sum(column(F, c) for c in start_cols)
     assert np.all(ones == 1.0)  # every order has a nonempty lifecycle
 
 
@@ -120,8 +120,8 @@ def test_start_onehot_all_zero_for_empty_lifecycles():
     F = extract_features(filtered, "t")
     start_cols = [c for c in F.columns if c.startswith("lifecyclestartswith")]
     row = {o: i for i, o in enumerate(F.row_ids)}
-    assert sum(F.column(c)[row["o2"]] for c in start_cols) == 0.0
-    assert sum(F.column(c)[row["o1"]] for c in start_cols) == 1.0
+    assert sum(column(F, c)[row["o2"]] for c in start_cols) == 0.0
+    assert sum(column(F, c)[row["o1"]] for c in start_cols) == 1.0
 
 
 # ------------------------------------------------------------ propagation
@@ -150,10 +150,10 @@ def test_propagation_mean_and_empty_neighborhood():
     out = propagate_features(log, base, neighbor, agg="mean")
     assert out.columns[: len(base.columns)] == base.columns
     row = {o: i for i, o in enumerate(out.row_ids)}
-    assert out.column("propnumvalueamount")[row["po1"]] == 20.0
+    assert column(out, "propnumvalueamount")[row["po1"]] == 20.0
     prop_cols = [c for c in out.columns if c.startswith("prop")]
     for c in prop_cols:
-        assert out.column(c)[row["po2"]] == 0.0  # po2 has no invoices
+        assert column(out, c)[row["po2"]] == 0.0  # po2 has no invoices
 
 
 def test_propagation_rejects_same_type():
@@ -206,7 +206,7 @@ def test_propagation_sum_monotone_in_neighbors():
     row1 = {o: i for i, o in enumerate(out1.row_ids)}
     row2 = {o: i for i, o in enumerate(out2.row_ids)}
     for c in shared:
-        assert out2.column(c)[row2["po1"]] >= out1.column(c)[row1["po1"]] - 1e-12
+        assert column(out2, c)[row2["po1"]] >= column(out1, c)[row1["po1"]] - 1e-12
 
 
 # ----------------------------------------------------------- normalization
@@ -335,8 +335,8 @@ def test_explode_binary_column():
     F = make_matrix([[0.0], [1.0], [1.0], [0.0]], columns=["lifecyclecontainsCancel"])
     out = explode_values(F)
     assert set(out.columns) == {"(lifecyclecontainsCancel=0)", "(lifecyclecontainsCancel=1)"}
-    assert out.column("(lifecyclecontainsCancel=1)").sum() == 2.0
-    assert np.array_equal(out.column("(lifecyclecontainsCancel=1)"), F.values[:, 0])
+    assert column(out, "(lifecyclecontainsCancel=1)").sum() == 2.0
+    assert np.array_equal(column(out, "(lifecyclecontainsCancel=1)"), F.values[:, 0])
 
 
 def test_explode_passes_continuous_through():
@@ -355,7 +355,7 @@ def test_explode_support_matches_group_by():
         values, counts = np.unique(X[:, j], return_counts=True)
         for v, c in zip(values, counts):
             name = f"({col}={v:g})"
-            assert out.column(name).sum() == c
+            assert column(out, name).sum() == c
 
 
 @given(st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=40))
@@ -364,7 +364,7 @@ def test_explode_idempotent_on_indicators(xs):
     F = make_matrix(xs, columns=["flag"])
     out = explode_values(F)
     if 1.0 in xs:
-        assert np.array_equal(out.column("(flag=1)"), F.values[:, 0])
+        assert np.array_equal(column(out, "(flag=1)"), F.values[:, 0])
 
 
 # ------------------------------------------------------------------- CSV

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocad.aggregate import anomalous_feature_report
+from ocad.detect import bottom_k
 from ocad.errors import RowMismatch, UnknownObject
 from ocad.features import AGGREGATIONS, extract_features, propagate_features
 from ocad.ocel import serialize_ocel_json
-from ocad.synthgen import SynthConfig, generate_p2p
+from ocad.oracle import abstract_lifecycle
+from ocad.pipeline import PipelineParams, build_matrix, detect_objects, score_matrix
+from ocad.synthgen import AnomalyKind, SynthConfig, generate_p2p
 
 from conftest import build_log, make_matrix, random_log
 from oracles import NaiveDerivations, assert_matrix_matches_naive, brute_propagate
@@ -117,7 +121,7 @@ def test_index_stays_linear_in_a_wide_event():
     n = 2000
     log = build_log([("e1", "A", 1.0, [f"o{i:04d}" for i in range(n)])], [(f"o{i:04d}", "t") for i in range(n)])
     F = extract_features(log, "t", True)
-    held = sum(v.nbytes for v in vars(log.index).values() if isinstance(v, np.ndarray))
+    held = sum(v.nbytes for v in vars(log).values() if isinstance(v, np.ndarray))
     assert held < 1_000_000
     for family in ("interactions", "cobirth", "codeath"):
         assert F.values[:, F.keys.index((family, "t"))].tolist() == [n - 1.0] * n
@@ -126,11 +130,27 @@ def test_index_stays_linear_in_a_wide_event():
 def test_index_is_not_part_of_log_equality():
     log = random_log(3)
     twin = random_log(3)
-    log.index  # noqa: B018 - builds the cached index on one side only
+    log.t_start  # noqa: B018 - builds the cached lifecycle arrays on one side only
+    assert "lc_ev" in vars(log) and "lc_ev" not in vars(twin)
     assert log == twin
 
 
 def test_generate_and_serialize_leave_the_index_unbuilt():
     log, _ = generate_p2p(SynthConfig(n_orders=5, seed=1))
     serialize_ocel_json(log)
-    assert "index" not in vars(log)
+    assert "lc_ev" not in vars(log)
+
+
+def test_pipeline_builds_no_dict_view():
+    views = {"otyp", "act", "time", "omap", "vmap", "ovmap"}
+    log, _ = generate_p2p(SynthConfig(n_orders=30, anomaly_rates={AnomalyKind.DOUBLE_INVOICE: 0.1}, seed=1))
+    serialize_ocel_json(log)
+    _, _, ranks = detect_objects(log, PipelineParams(object_type="order", reducer="fastmap"))
+    for o in bottom_k(ranks, 3):
+        abstract_lifecycle(log, o)
+    params = PipelineParams(object_type="invoice", propagate_from="order")
+    F, Fn = build_matrix(log, params)
+    anomalous_feature_report(log, F, score_matrix(Fn, params), top_n=5)
+    assert not views & set(vars(log))
+    log.omap  # noqa: B018 - a view, once read, is cached where the check looks
+    assert "omap" in vars(log)

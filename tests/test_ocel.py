@@ -16,7 +16,7 @@ from ocad.errors import (
 )
 from ocad.ocel import T_MAX, T_MIN, OcelLog, _iso_stamps, format_iso, parse_ocel_json, serialize_ocel_json
 
-from conftest import build_log, collections_during, ocel_doc, random_log
+from conftest import build_log, collections_during, object_graphs, ocel_doc, random_log
 from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize
 
 
@@ -334,9 +334,31 @@ def test_lifecycle_matches_membership_scan_on_synthetic_log():
         assert list(log.lifecycle(o)) == naive.lifecycle(o)
 
 
+def test_log_equality_compares_every_field():
+    objects = [("o1", "order", {"amount": 5.0}), ("o2", "invoice", {"n": "a"})]
+    events = [("e1", "A", 1.0, ["o1", "o2"], {"user": "u"}), ("e2", "B", 2.0, ["o1"], {})]
+    log = OcelLog.build(events, objects)
+
+    def changed(i, j, value, records=events):
+        return [r[:j] + (value,) + r[j + 1:] if k == i else r for k, r in enumerate(records)]
+
+    assert log != OcelLog.build(events, changed(0, 2, {"amount": 6.0}, objects))  # an object attribute
+    assert log != OcelLog.build(events, changed(1, 1, "order", objects))  # an object type
+    assert log != OcelLog.build(changed(1, 2, 2.5), objects)  # an event time
+    assert log != OcelLog.build(changed(1, 1, "C"), objects)  # an activity; the activity codes stay equal
+    assert log != OcelLog.build(changed(1, 3, ["o2"]), objects)  # a relation to another object
+    assert log != OcelLog.build(changed(1, 3, ["o1", "o2"]), objects)  # one more relation
+    assert log != OcelLog.build(changed(0, 4, {"user": "v"}), objects)  # an event attribute
+    assert log != None and log != "log"  # noqa: E711
+    # Relationships in another order or repeated, and records in another order,
+    # give the same log.
+    assert log == OcelLog.build(changed(0, 3, ["o2", "o1", "o2"]), objects)
+    assert log == OcelLog.build(changed(1, 3, ["o1", "o1"])[::-1], objects[::-1])
+
+
 def test_object_graphs_single_event():
     log = build_log([("e1", "A", 1.0, ["o1"])], [("o1", "t")])
-    assert log.object_graphs("o1") == (frozenset(), frozenset())
+    assert object_graphs(log, "o1") == (frozenset(), frozenset())
 
 
 def test_object_graphs_three_chain():
@@ -344,7 +366,7 @@ def test_object_graphs_three_chain():
         [("e1", "A", 1.0, ["o1"]), ("e2", "B", 2.0, ["o1"]), ("e3", "C", 3.0, ["o1"])],
         [("o1", "t")],
     )
-    dfg, efg = log.object_graphs("o1")
+    dfg, efg = object_graphs(log, "o1")
     assert dfg == {("e1", "e2"), ("e2", "e3")}
     assert efg == dfg | {("e1", "e3")}
 
@@ -356,7 +378,7 @@ def test_object_graphs_match_pairwise_enumeration():
     )
     naive = NaiveDerivations(log)
     for o in ("o1", "o2"):
-        dfg, efg = log.object_graphs(o)
+        dfg, efg = object_graphs(log, o)
         assert set(dfg) == naive.dfg(o)
         assert set(efg) == naive.efg(o)
         n = len(log.lifecycle(o))
@@ -490,7 +512,7 @@ def test_lifecycle_sorted_start_end():
 def test_dfg_transitive_closure_is_efg():
     log = random_log(seed=7)
     for o in log.objects:
-        dfg, efg = log.object_graphs(o)
+        dfg, efg = object_graphs(log, o)
         assert dfg <= efg
         closure = set(dfg)
         changed = True

@@ -21,7 +21,7 @@ from ocad.synthgen import (
     generate_p2p,
 )
 
-from conftest import collections_during
+from conftest import collections_during, column
 
 
 def test_happy_path_single_order():
@@ -50,7 +50,7 @@ def test_double_invoice_orders_have_two_invoice_interactions():
     cfg = SynthConfig(n_orders=200, anomaly_rates={AnomalyKind.DOUBLE_INVOICE: 0.05}, seed=4)
     log, truth = generate_p2p(cfg)
     F = extract_features(log, "order")
-    col = F.column("interactionsinvoice")
+    col = column(F, "interactionsinvoice")
     labeled = truth.labeled(AnomalyKind.DOUBLE_INVOICE)
     assert labeled
     for i, o in enumerate(F.row_ids):
