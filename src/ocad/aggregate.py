@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ._csv import csv_bytes
 from .detect import ScoreVector, _order
 from .errors import RowMismatch
-from .features import DEFAULT_EPSILON, FeatureMatrix, column_label, explode_values, normalize
+from .features import FeatureMatrix, column_label, explode_values, normalize
 from .ocel import OcelLog
 
 
@@ -46,35 +46,28 @@ class FeatureScoreTable:
         return "\n".join(lines) + "\n"
 
 
-def _score_columns(F: FeatureMatrix, scores: ScoreVector, epsilon: float) -> tuple:
+def _score_columns(F: FeatureMatrix, scores: ScoreVector) -> tuple:
     """Feature score and raw support count of every column of ``F`` (two
     arrays), and the column positions ascending by (score, header)."""
     if tuple(F.row_ids) != tuple(scores.object_ids):
         raise RowMismatch("row ids of the matrix and the score vector differ")
-    fea = (scores.scores @ normalize(F, epsilon).values) / len(F.row_ids)
+    fea = (scores.scores @ normalize(F).values) / len(F.row_ids)
     support = (F.values != 0.0).sum(axis=0)
     return fea, support, _order(F.columns, fea).tolist()
 
 
-def feature_scores(F: FeatureMatrix, scores: ScoreVector, epsilon: float = DEFAULT_EPSILON) -> FeatureScoreTable:
-    """Score every column of ``F``, normalized with ``epsilon``, against
-    object scores; rows are named by column header.
+def feature_scores(F: FeatureMatrix, scores: ScoreVector) -> FeatureScoreTable:
+    """Score every column of ``F``, normalized, against object scores; rows
+    are named by column header.
 
     Support counts are taken on the values of ``F`` before normalization
     (number of objects where the feature is nonzero).
     """
-    fea, support, order = _score_columns(F, scores, epsilon)
+    fea, support, order = _score_columns(F, scores)
     return FeatureScoreTable(rows=tuple(FeatureScoreRow(F.columns[j], int(support[j]), float(fea[j])) for j in order))
 
 
-def anomalous_feature_report(
-    log: OcelLog,
-    F: FeatureMatrix,
-    scores: ScoreVector,
-    top_n: int,
-    max_distinct: int = 20,
-    epsilon: float = DEFAULT_EPSILON,
-) -> FeatureScoreTable:
+def anomalous_feature_report(log: OcelLog, F: FeatureMatrix, scores: ScoreVector, top_n: int) -> FeatureScoreTable:
     """Report of the feature values most correlated with anomalies.
 
     Discrete columns are exploded into per-value indicators, normalized and
@@ -87,8 +80,8 @@ def anomalous_feature_report(
     missing = [o for o in F.row_ids if o not in known]
     if missing:
         raise RowMismatch(f"matrix rows not in the log: {missing[:3]!r}")
-    exploded = explode_values(F, max_distinct=max_distinct)
-    fea, support, order = _score_columns(exploded, scores, epsilon)
+    exploded = explode_values(F)
+    fea, support, order = _score_columns(exploded, scores)
     varies = exploded.values.var(axis=0) > 0.0
     kept = [j for j in order if varies[j]][: max(top_n, 0)]
     rows = (FeatureScoreRow(column_label(exploded.keys[j]), int(support[j]), float(fea[j])) for j in kept)

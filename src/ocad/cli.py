@@ -44,7 +44,6 @@ from .oracle import (
     summarize_features,
 )
 from .pipeline import PipelineParams, build_matrix, detect_objects, score_matrix
-from .prompts import FEATURE_TABLE_PREAMBLE
 from .synthgen import DEFAULT_MEAN_GAP, AnomalyKind, SynthConfig, generate_blocked_invoices, generate_p2p
 
 LLM_KEY_ENV = "OCAD_LLM_API_KEY"
@@ -193,7 +192,6 @@ def _abstract(args, log: OcelLog, params: PipelineParams):
             prompt=text,
             timeout=args.llm_timeout,
             model=args.llm_model,
-            preamble=FEATURE_TABLE_PREAMBLE,
         ).encode()
     return files, "feature_summary.txt", ""
 

@@ -17,15 +17,18 @@ keys into header strings (:func:`column_name`) and report labels
 * ``(name,)``  a plain name: ``lifecyclestarttime``, ``lifecycleendtime``, ``lifecycleduration``
 
 Objects with an empty lifecycle get zeros for all lifecycle-derived columns.
-Columns that would be all-zero across every row are omitted, which keeps the
-matrix finite without an explicit activity/type whitelist.
+The count families (string values, activities, start activities, edges and
+related types) have a column only for each value, activity, edge or type
+present in the type's rows, so their width follows the rows, not the log's
+vocabulary. Numeric-attribute and lifecycle-time columns that are all zero
+are omitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +45,8 @@ from .errors import (
 from .ocel import OcelLog
 
 DEFAULT_EPSILON = 1e-9
+# explode_values treats a column with more distinct values as continuous.
+MAX_DISTINCT = 20
 
 AGGREGATIONS = ("mean", "median", "min", "max", "sum")
 
@@ -96,12 +101,24 @@ class FeatureMatrix:
         return replace(self, keys=tuple(self.keys[i] for i in keep), values=self.values[:, keep])
 
 
-def _common_attribute_columns(log: OcelLog, ot: str, codes: np.ndarray):
-    """Numeric and one-hot string columns for the attributes shared by every
-    object of the type, whose codes are ``codes``. Mixed numeric/string use
-    of one attribute is an error rather than a silent coercion."""
-    keys: list[ColumnKey] = []
-    blocks: list[np.ndarray] = []
+def _count_columns(rows: np.ndarray, codes: np.ndarray, n: int,
+                   key: Callable[[int], ColumnKey]) -> tuple[list[ColumnKey], np.ndarray]:
+    """Keys and (n, width) float block counting each (row, code) pair, one
+    column per code present in ``codes``, ascending, named ``key(code)``:
+    every column has a nonzero count, and the width is known before the
+    block is allocated."""
+    present, col = np.unique(codes, return_inverse=True)
+    width = len(present)
+    block = np.bincount(rows * width + col, minlength=n * width).reshape(n, width).astype(np.float64)
+    return [key(c) for c in present.tolist()], block
+
+
+def _common_attribute_columns(log: OcelLog, ot: str, codes: np.ndarray) -> list:
+    """Numeric and one-hot string columns, as (keys, block) parts, for the
+    attributes shared by every object of the type, whose codes are
+    ``codes``. Mixed numeric/string use of one attribute is an error rather
+    than a silent coercion."""
+    parts = []
     attrs = [log.obj_attrs[c] for c in codes.tolist()]
     for att in sorted(log.common_attributes(ot)):
         values = [a[att] for a in attrs]
@@ -111,29 +128,23 @@ def _common_attribute_columns(log: OcelLog, ot: str, codes: np.ndarray):
                 f"attribute {att!r} of type {ot!r} is numeric for some objects and string for others"
             )
         if kinds == {False}:
-            keys.append(("numvalue", att))
-            blocks.append(np.asarray(values, dtype=np.float64)[:, None])
+            parts.append(([("numvalue", att)], np.asarray(values, dtype=np.float64)[:, None]))
         else:
             distinct = sorted(set(values))
-            keys += [("strvalue", att, v) for v in distinct]
             code = {v: j for j, v in enumerate(distinct)}
-            hot = np.asarray([code[v] for v in values])[:, None] == np.arange(len(distinct))
-            blocks.append(hot.astype(np.float64))
-    return keys, blocks
-
-
-def _counts(rows: np.ndarray, keys: np.ndarray, n: int, width: int) -> np.ndarray:
-    """(n, width) float matrix counting each (row, key) pair."""
-    return np.bincount(rows * width + keys, minlength=n * width).reshape(n, width).astype(np.float64)
+            parts.append(_count_columns(np.arange(len(values)), np.asarray([code[v] for v in values]), len(values),
+                                        lambda j: ("strvalue", att, distinct[j])))
+    return parts
 
 
 def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> FeatureMatrix:
     """Build the feature matrix for all objects of type ``ot``.
 
-    Every family is computed for all rows at once from the log's arrays; a
-    family's columns are generated for every activity, edge or type code and
-    the all-zero ones are dropped with the rest at the end.
-    ``cobirth_codeath`` adds per-type co-birth/co-death count columns
+    Every family is computed for all rows at once from the log's arrays. The
+    count families (string values, activities, start activities, edges and
+    related types) get a column only for a code present in the type's rows;
+    all-zero numeric-attribute and lifecycle-time columns are dropped at the
+    end. ``cobirth_codeath`` adds per-type co-birth/co-death count columns
     (objects starting or ending their lifecycle simultaneously); they are not
     part of the default feature set. Raises :class:`ColumnCollision` when two
     kept columns would write the same header.
@@ -143,32 +154,27 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
         raise NoObjectsOfType(f"no objects of type {ot!r} in the log")
     n = len(objs)
     codes = log.codes(objs)
-    acts, types = log.activities, log.object_types
-    n_act, n_type = len(acts), len(types)
+    acts, types, n_act = log.activities, log.object_types, len(log.activities)
 
-    keys, blocks = _common_attribute_columns(log, ot, codes)
+    parts = _common_attribute_columns(log, ot, codes)
 
     events, row = log.lifecycles(codes)
-    ev_act = log.ev_act[events]
-    keys += [("lifecyclecontains", a) for a in acts]
-    blocks.append(_counts(row, ev_act, n, n_act))
+    ev_act = log.ev_act[events].astype(np.int64)  # edge codes below reach n_act**2
+    parts.append(_count_columns(row, ev_act, n, lambda a: ("lifecyclecontains", acts[a])))
 
     lo = log.lc_ptr[codes]
     has_events = np.flatnonzero(log.lc_ptr[codes + 1] > lo)
-    starts_with = np.zeros((n, n_act))
-    starts_with[has_events, log.ev_act[log.lc_ev[lo[has_events]]]] = 1.0
-    keys += [("lifecyclestartswith", a) for a in acts]
-    blocks.append(starts_with)
+    start_act = log.ev_act[log.lc_ev[lo[has_events]]]
+    parts.append(_count_columns(has_events, start_act, n, lambda a: ("lifecyclestartswith", acts[a])))
 
     starts, ends = log.t_start[codes], log.t_end[codes]
-    keys += [("lifecyclestarttime",), ("lifecycleendtime",), ("lifecycleduration",)]
-    blocks.append(np.column_stack([starts, ends, ends - starts]))
+    parts.append(([("lifecyclestarttime",), ("lifecycleendtime",), ("lifecycleduration",)],
+                  np.column_stack([starts, ends, ends - starts])))
 
     # Directly-follows edges: consecutive lifecycle events of the same row.
     same = row[1:] == row[:-1]
-    edges, edge_of = np.unique(ev_act[:-1][same] * n_act + ev_act[1:][same], return_inverse=True)
-    keys += [("dfg", acts[e // n_act], acts[e % n_act]) for e in edges.tolist()]
-    blocks.append(_counts(row[:-1][same], edge_of, n, len(edges)))
+    parts.append(_count_columns(row[:-1][same], ev_act[:-1][same] * n_act + ev_act[1:][same], n,
+                                lambda e: ("dfg", acts[e // n_act], acts[e % n_act])))
 
     partners, prow = log.related(codes)
     ptype = log.obj_type[partners]
@@ -177,10 +183,10 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
         families += [("cobirth", "cobirth"), ("codeath", "codeath")]
     for prefix, relation in families:
         mask = log.relation(relation, codes, partners, prow)
-        keys += [(prefix, t) for t in types]
-        blocks.append(_counts(prow[mask], ptype[mask], n, n_type))
+        parts.append(_count_columns(prow[mask], ptype[mask], n, lambda t: (prefix, types[t])))
 
-    values = np.hstack(blocks)
+    keys = [key for part, _ in parts for key in part]
+    values = np.hstack([block for _, block in parts])
     nonzero = np.flatnonzero(np.any(values != 0.0, axis=0))
     F = FeatureMatrix(ot, objs, tuple(keys[i] for i in nonzero.tolist()), values[:, nonzero])
     first: dict[str, ColumnKey] = {}
@@ -271,28 +277,26 @@ def filter_activities(log: OcelLog, keep: set[str]) -> OcelLog:
     are retained even if their lifecycle becomes empty."""
     if not keep:
         raise EmptyKeepSet("keep set must be nonempty")
-    events = [
-        (e, log.act[e], log.time[e], log.omap[e], log.vmap[e])
-        for e in log.events
-        if log.act[e] in keep
-    ]
-    objects = [(o, log.otyp[o], log.ovmap[o]) for o in log.objects]
+    acts, ptr, related = log.activities, log.ev_ptr.tolist(), [log.objects[c] for c in log.ev_obj.tolist()]
+    records = enumerate(zip(log.events, log.ev_act.tolist(), log.ev_time.tolist(), log.ev_attrs))
+    events = [(e, acts[a], t, related[ptr[i]:ptr[i + 1]], attrs) for i, (e, a, t, attrs) in records if acts[a] in keep]
+    objects = zip(log.objects, map(log.object_types.__getitem__, log.obj_type.tolist()), log.obj_attrs)
     return OcelLog.build(events, objects)
 
 
-def explode_values(F: FeatureMatrix, max_distinct: int = 20) -> FeatureMatrix:
+def explode_values(F: FeatureMatrix) -> FeatureMatrix:
     """Replace each discrete column ``c`` by per-value indicator columns
     ``("=", c, v)``.
 
-    Columns taking more than ``max_distinct`` distinct values are treated as
-    continuous and passed through unchanged.
+    Columns taking more than :data:`MAX_DISTINCT` distinct values are treated
+    as continuous and passed through unchanged.
     """
     keys: list[ColumnKey] = []
     cols: list[np.ndarray] = []
     for i, key in enumerate(F.keys):
         col = F.values[:, i]
         distinct = np.unique(col)
-        if len(distinct) > max_distinct:
+        if len(distinct) > MAX_DISTINCT:
             keys.append(key)
             cols.append(col)
             continue

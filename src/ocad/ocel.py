@@ -19,9 +19,9 @@ transposed CSR) and its first and last times are built on first use and are
 not compared by equality, so serialization and ``ocad generate`` never build
 them. Interaction partners are not stored: :meth:`OcelLog.related` gathers
 them through both CSRs for the objects asked about, and
-:meth:`OcelLog.relation` defines the interaction sets on them. The per-id
-dicts ``otyp``, ``act``, ``time``, ``omap``, ``vmap`` and ``ovmap`` are
-read-only views built on first use; no pipeline stage reads them.
+:meth:`OcelLog.relation` defines the interaction sets on them. There are no
+per-id dicts besides the id-to-code lookups ``obj_code`` and ``type_code``:
+a reader that wants an event's or object's fields indexes the arrays.
 
 Building a log, by :func:`parse_ocel_json` or the synthetic generators,
 pauses the cyclic garbage collector: the records are about a million
@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -220,31 +219,6 @@ class OcelLog:
         t = np.zeros(len(self.objects))
         t[has_events] = self.ev_time[self.lc_ev[pos[has_events]]]
         return t
-
-    @cached_property
-    def otyp(self) -> Mapping[str, str]:
-        return MappingProxyType(dict(zip(self.objects, map(self.object_types.__getitem__, self.obj_type.tolist()))))
-
-    @cached_property
-    def ovmap(self) -> Mapping[str, dict[str, AttributeValue]]:
-        return MappingProxyType(dict(zip(self.objects, self.obj_attrs)))
-
-    @cached_property
-    def act(self) -> Mapping[str, str]:
-        return MappingProxyType(dict(zip(self.events, map(self.activities.__getitem__, self.ev_act.tolist()))))
-
-    @cached_property
-    def time(self) -> Mapping[str, float]:
-        return MappingProxyType(dict(zip(self.events, self.ev_time.tolist())))
-
-    @cached_property
-    def omap(self) -> Mapping[str, frozenset[str]]:
-        ptr, objs = self.ev_ptr.tolist(), [self.objects[c] for c in self.ev_obj.tolist()]
-        return MappingProxyType({e: frozenset(objs[ptr[i]:ptr[i + 1]]) for i, e in enumerate(self.events)})
-
-    @cached_property
-    def vmap(self) -> Mapping[str, dict[str, AttributeValue]]:
-        return MappingProxyType(dict(zip(self.events, self.ev_attrs)))
 
     # ------------------------------------------------------------ derivations
 

@@ -20,7 +20,7 @@ from .ocel import OcelLog, format_iso
 from .prompts import FEATURE_TABLE_PREAMBLE
 
 DEFAULT_WHISKER = 1.5
-DEFAULT_ORACLE_EPSILON = 1e-9
+ORACLE_EPSILON = 1e-9
 DEFAULT_MAX_EVENTS = 50
 
 
@@ -86,17 +86,13 @@ def summarize_features(F) -> FeatureSummary:
     return FeatureSummary(stats=tuple(stats))
 
 
-def _make_scorer(lo: float, hi: float, iqr: float, median: float, epsilon: float) -> Callable[[float], float]:
+def _make_scorer(lo: float, hi: float, iqr: float, median: float) -> Callable[[float], float]:
     if iqr == 0.0:
         return lambda v: 0.0 if v == median else -1.0
-    return lambda v: 0.0 if lo <= v <= hi else -(lo - v if v < lo else v - hi) / (iqr + epsilon)
+    return lambda v: 0.0 if lo <= v <= hi else -(lo - v if v < lo else v - hi) / (iqr + ORACLE_EPSILON)
 
 
-def statistical_oracle(
-    summary: FeatureSummary,
-    whisker: float = DEFAULT_WHISKER,
-    epsilon: float = DEFAULT_ORACLE_EPSILON,
-) -> tuple[OracleVerdict, ...]:
+def statistical_oracle(summary: FeatureSummary, whisker: float = DEFAULT_WHISKER) -> tuple[OracleVerdict, ...]:
     """Fence-based verdict per feature.
 
     Values inside [q1 - whisker*IQR, q3 + whisker*IQR] score 0; outside, the
@@ -121,7 +117,7 @@ def statistical_oracle(
         verdicts.append(
             OracleVerdict(
                 feature_name=s.name,
-                value_scorer=_make_scorer(lo, hi, iqr, s.median, epsilon),
+                value_scorer=_make_scorer(lo, hi, iqr, s.median),
                 rationale=rationale,
                 fence_lo=lo,
                 fence_hi=hi,
@@ -167,26 +163,19 @@ def abstract_lifecycle(log: OcelLog, o: str, max_events: int = DEFAULT_MAX_EVENT
     return "\n".join(lines) + "\n"
 
 
-def render_feature_table(F, max_rows: int | None = None) -> str:
-    """Raw tabular rendering of a feature matrix (rows capped if asked); the
-    alternative abstraction for oracles that want values, not statistics."""
+def render_feature_table(F, max_rows: int) -> str:
+    """Raw tabular rendering of the first ``max_rows`` rows of a feature
+    matrix; the alternative abstraction for oracles that want values, not
+    statistics."""
     lines = ["object_id\t" + "\t".join(F.columns)]
-    ids = F.row_ids[:max_rows] if max_rows is not None else F.row_ids
-    for i, o in enumerate(ids):
+    for i, o in enumerate(F.row_ids[:max_rows]):
         lines.append(o + "\t" + "\t".join(f"{v:g}" for v in F.values[i, :]))
-    if max_rows is not None and len(F.row_ids) > max_rows:
+    if len(F.row_ids) > max_rows:
         lines.append(f"... {len(F.row_ids) - max_rows} rows elided ...")
     return "\n".join(lines) + "\n"
 
 
-def llm_oracle(
-    endpoint: str,
-    api_key: str,
-    prompt: str,
-    timeout: float = 60.0,
-    model: str = "gpt-4-turbo",
-    preamble: str = FEATURE_TABLE_PREAMBLE,
-) -> str:
+def llm_oracle(endpoint: str, api_key: str, prompt: str, timeout: float = 60.0, model: str = "gpt-4-turbo") -> str:
     """Send an abstraction to an OpenAI-compatible chat-completion endpoint.
 
     Issues exactly one request and returns the raw model text; transport
@@ -198,7 +187,7 @@ def llm_oracle(
     payload = {
         "model": model,
         "messages": [
-            {"role": "system", "content": preamble},
+            {"role": "system", "content": FEATURE_TABLE_PREAMBLE},
             {"role": "user", "content": prompt},
         ],
     }

@@ -37,7 +37,7 @@ _VENDORS = ("Acme Corp", "Globex", "Initech", "Umbrella")
 _USERS = ("alice", "bob", "carol", "dave")
 
 # 2024-01-01T00:00:00Z
-DEFAULT_TIME_ORIGIN = 1704067200.0
+TIME_ORIGIN = 1704067200.0
 DEFAULT_MEAN_GAP = 3600.0
 
 REOPEN_GAP_FACTOR = 100.0
@@ -61,7 +61,6 @@ class SynthConfig:
     n_orders: int
     anomaly_rates: dict[AnomalyKind, float] = field(default_factory=dict)
     seed: int = 0
-    time_origin: float = DEFAULT_TIME_ORIGIN
     mean_gap: float = DEFAULT_MEAN_GAP
 
     def validate(self) -> None:
@@ -141,7 +140,7 @@ def generate_p2p(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
 
         objects: list[tuple[str, str, dict]] = []
         raw_events: list[tuple[float, int, int, str, list[str], dict]] = []
-        chain_start = cfg.time_origin
+        chain_start = TIME_ORIGIN
 
         for i in range(cfg.n_orders):
             chain_start += float(rng.exponential(cfg.mean_gap))
@@ -214,7 +213,7 @@ def generate_blocked_invoices(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTru
 
         objects: list[tuple[str, str, dict]] = []
         raw_events: list[tuple[float, int, int, str, list[str], dict]] = []
-        chain_start = cfg.time_origin
+        chain_start = TIME_ORIGIN
         labels: dict[str, frozenset[AnomalyKind]] = {}
 
         for i in range(cfg.n_orders):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,21 @@ def build_log(events, objects):
     ev = [(e[0], e[1], e[2], e[3], e[4] if len(e) > 4 else {}) for e in events]
     ob = [(o[0], o[1], o[2] if len(o) > 2 else {}) for o in objects]
     return OcelLog.build(ev, ob)
+
+
+def log_dicts(log):
+    """The log's fields as plain dicts keyed by id: ``otyp`` and ``ovmap``
+    per object; ``act``, ``time``, ``omap`` (a frozenset of object ids) and
+    ``vmap`` per event."""
+    ptr, related = log.ev_ptr.tolist(), [log.objects[c] for c in log.ev_obj.tolist()]
+    return SimpleNamespace(
+        otyp=dict(zip(log.objects, (log.object_types[t] for t in log.obj_type.tolist()))),
+        ovmap=dict(zip(log.objects, log.obj_attrs)),
+        act=dict(zip(log.events, (log.activities[a] for a in log.ev_act.tolist()))),
+        time=dict(zip(log.events, log.ev_time.tolist())),
+        omap={e: frozenset(related[ptr[i]:ptr[i + 1]]) for i, e in enumerate(log.events)},
+        vmap=dict(zip(log.events, log.ev_attrs)),
+    )
 
 
 def object_graphs(log, o):

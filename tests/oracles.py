@@ -18,11 +18,17 @@ class NaiveDerivations:
     """Set-builder re-evaluation of the per-object log derivations."""
 
     def __init__(self, log):
-        self.log = log
-        self.order = sorted(log.act, key=lambda e: (log.time[e], e))
+        self.otyp = {o: log.object_types[t] for o, t in zip(log.objects, log.obj_type.tolist())}
+        self.ovmap = dict(zip(log.objects, log.obj_attrs))
+        self.act, self.time, self.omap = {}, {}, {}
+        for i, e in enumerate(log.events):
+            self.act[e] = log.activities[int(log.ev_act[i])]
+            self.time[e] = float(log.ev_time[i])
+            self.omap[e] = {log.objects[int(c)] for c in log.ev_obj[log.ev_ptr[i]:log.ev_ptr[i + 1]]}
+        self.order = sorted(self.act, key=lambda e: (self.time[e], e))
         self.pos = {e: i for i, e in enumerate(self.order)}
         self.lifecycles = {
-            o: [e for e in self.order if o in log.omap[e]] for o in log.otyp
+            o: [e for e in self.order if o in self.omap[e]] for o in self.otyp
         }
 
     def lifecycle(self, o):
@@ -49,72 +55,70 @@ class NaiveDerivations:
         return out
 
     def interaction_sets(self, o, ot):
-        log = self.log
         interact = set()
-        for p in log.otyp:
-            if p == o or log.otyp[p] != ot:
+        for p in self.otyp:
+            if p == o or self.otyp[p] != ot:
                 continue
-            if any(p in log.omap[e] for e in self.lifecycles[o]):
+            if any(p in self.omap[e] for e in self.lifecycles[o]):
                 interact.add(p)
         lc = self.lifecycles[o]
         creation, continuation, cobirth, codeath = set(), set(), set(), set()
         if lc:
-            t_start = log.time[lc[0]]
-            t_end = log.time[lc[-1]]
+            t_start = self.time[lc[0]]
+            t_end = self.time[lc[-1]]
             for p in interact:
                 plc = self.lifecycles[p]
                 if not plc:
                     continue
-                if t_start < log.time[plc[0]]:
+                if t_start < self.time[plc[0]]:
                     creation.add(p)
-                if t_end == log.time[plc[0]]:
+                if t_end == self.time[plc[0]]:
                     continuation.add(p)
-                if t_start == log.time[plc[0]]:
+                if t_start == self.time[plc[0]]:
                     cobirth.add(p)
-                if t_end == log.time[plc[-1]]:
+                if t_end == self.time[plc[-1]]:
                     codeath.add(p)
         return interact, creation, continuation, cobirth, codeath
 
     def common_attributes(self, ot):
-        objs = [o for o in self.log.otyp if self.log.otyp[o] == ot]
+        objs = [o for o in self.otyp if self.otyp[o] == ot]
         if not objs:
             return set()
-        names = set(self.log.ovmap[objs[0]])
+        names = set(self.ovmap[objs[0]])
         for o in objs[1:]:
-            names = names & set(self.log.ovmap[o])
+            names = names & set(self.ovmap[o])
         return names
 
     def feature_map(self, ot, include_cobirth_codeath=False):
         """Nonzero feature entries per object of type ``ot``."""
-        log = self.log
-        objs = sorted(o for o in log.otyp if log.otyp[o] == ot)
-        types = sorted(set(log.otyp.values()))
+        objs = sorted(o for o in self.otyp if self.otyp[o] == ot)
+        types = sorted(set(self.otyp.values()))
         rows = {}
         common = self.common_attributes(ot)
         for o in objs:
             row = {}
             for att in common:
-                v = log.ovmap[o][att]
+                v = self.ovmap[o][att]
                 if isinstance(v, str):
                     row[f"strvalue{att}_{v}"] = 1.0
                 elif v != 0.0:
                     row[f"numvalue{att}"] = float(v)
             lc = self.lifecycles[o]
-            for a in set(log.act[e] for e in lc):
+            for a in set(self.act[e] for e in lc):
                 row[f"lifecyclecontains{a}"] = float(
-                    sum(1 for e in lc if log.act[e] == a)
+                    sum(1 for e in lc if self.act[e] == a)
                 )
             if lc:
-                row[f"lifecyclestartswith{log.act[lc[0]]}"] = 1.0
-                if log.time[lc[0]] != 0.0:
-                    row["lifecyclestarttime"] = log.time[lc[0]]
-                if log.time[lc[-1]] != 0.0:
-                    row["lifecycleendtime"] = log.time[lc[-1]]
-                dur = log.time[lc[-1]] - log.time[lc[0]]
+                row[f"lifecyclestartswith{self.act[lc[0]]}"] = 1.0
+                if self.time[lc[0]] != 0.0:
+                    row["lifecyclestarttime"] = self.time[lc[0]]
+                if self.time[lc[-1]] != 0.0:
+                    row["lifecycleendtime"] = self.time[lc[-1]]
+                dur = self.time[lc[-1]] - self.time[lc[0]]
                 if dur != 0.0:
                     row["lifecycleduration"] = dur
             for (e1, e2) in self.dfg(o):
-                key = f"dfg_{log.act[e1]}_{log.act[e2]}"
+                key = f"dfg_{self.act[e1]}_{self.act[e2]}"
                 row[key] = row.get(key, 0.0) + 1.0
             for ot2 in types:
                 interact, creation, _, cobirth, codeath = self.interaction_sets(o, ot2)
@@ -267,16 +271,19 @@ def json_dumps_serialize(log):
     def value_type_name(v):
         return "float" if isinstance(v, float) else "string"
 
+    objects = list(zip(log.objects, (log.object_types[t] for t in log.obj_type.tolist()), log.obj_attrs))
+    events = []
+    for i, e in enumerate(log.events):
+        related = sorted(log.objects[int(c)] for c in log.ev_obj[log.ev_ptr[i]:log.ev_ptr[i + 1]])
+        events.append((e, log.activities[int(log.ev_act[i])], float(log.ev_time[i]), log.ev_attrs[i], related))
     otype_attrs = {ot: {} for ot in log.object_types}
-    for o in log.objects:
-        bucket = otype_attrs[log.otyp[o]]
-        for name, value in log.ovmap[o].items():
-            bucket.setdefault(name, value_type_name(value))
+    for _, ot, attrs in objects:
+        for name, value in attrs.items():
+            otype_attrs[ot].setdefault(name, value_type_name(value))
     etype_attrs = {a: {} for a in log.activities}
-    for e in log.events:
-        bucket = etype_attrs[log.act[e]]
-        for name, value in log.vmap[e].items():
-            bucket.setdefault(name, value_type_name(value))
+    for _, a, _, attrs, _ in events:
+        for name, value in attrs.items():
+            etype_attrs[a].setdefault(name, value_type_name(value))
 
     doc = {
         "objectTypes": [
@@ -290,27 +297,27 @@ def json_dumps_serialize(log):
         "objects": [
             {
                 "id": o,
-                "type": log.otyp[o],
+                "type": ot,
                 "attributes": [
                     {"name": n, "time": "1970-01-01T00:00:00.000Z", "value": v}
-                    for n, v in sorted(log.ovmap[o].items())
+                    for n, v in sorted(attrs.items())
                 ],
             }
-            for o in log.objects
+            for o, ot, attrs in objects
         ],
         "events": [
             {
                 "id": e,
-                "type": log.act[e],
-                "time": datetime_iso(log.time[e]),
+                "type": a,
+                "time": datetime_iso(t),
                 "attributes": [
-                    {"name": n, "value": v} for n, v in sorted(log.vmap[e].items())
+                    {"name": n, "value": v} for n, v in sorted(attrs.items())
                 ],
                 "relationships": [
-                    {"objectId": o, "qualifier": ""} for o in sorted(log.omap[e])
+                    {"objectId": o, "qualifier": ""} for o in related
                 ],
             }
-            for e in log.events
+            for e, a, t, attrs, related in events
         ],
     }
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")

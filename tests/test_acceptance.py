@@ -77,7 +77,7 @@ def test_c02_normalization_and_feature_score_suite():
         assert np.all(N.values >= -1.0) and np.all(N.values <= 1.0)
         assert np.all(N.values.min(axis=0) == -1.0)
         s = rng.normal(size=25)
-        table = feature_scores(F, ScoreVector(N.row_ids, s, "IF", {}), epsilon=1e-9)
+        table = feature_scores(F, ScoreVector(N.row_ids, s, "IF", {}))
         expected = dict(zip(N.columns, brute_fea_scores(N.values, s)))
         worst = max(worst, max(abs(r.fea_score - expected[r.feature_name]) for r in table.rows))
     assert worst <= 1e-12

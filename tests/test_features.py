@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from ocad.features import (
     variance_filter,
 )
 
-from conftest import build_log, column, make_matrix, random_log
+from conftest import build_log, column, log_dicts, make_matrix, random_log
 from oracles import NaiveDerivations, assert_matrix_matches_naive
 
 
@@ -122,6 +123,35 @@ def test_start_onehot_all_zero_for_empty_lifecycles():
     row = {o: i for i, o in enumerate(F.row_ids)}
     assert sum(column(F, c)[row["o2"]] for c in start_cols) == 0.0
     assert sum(column(F, c)[row["o1"]] for c in start_cols) == 1.0
+
+
+def test_extraction_memory_follows_the_activities_of_the_rows():
+    # Type "b" gives the log one activity per object. The rows of type "a"
+    # see one activity, so an n x (every activity) block would take 32 MB
+    # per family and copy.
+    n = 2000
+    log = build_log(
+        [(f"ea{i:04d}", "x", float(i + 1), [f"a{i:04d}"]) for i in range(n)]
+        + [(f"eb{i:04d}", f"y{i:04d}", float(i + 1), [f"b{i:04d}"]) for i in range(n)],
+        [(f"a{i:04d}", "a") for i in range(n)] + [(f"b{i:04d}", "b") for i in range(n)],
+    )
+    tracemalloc.start()
+    try:
+        F = extract_features(log, "a")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert F.keys == (("lifecyclecontains", "x"), ("lifecyclestartswith", "x"),
+                      ("lifecyclestarttime",), ("lifecycleendtime",))
+
+
+def test_dfg_edge_codes_do_not_overflow():
+    # 46,341 activities: an edge code a1 * 46341 + a2 passes 2**31 - 1.
+    m = 46341
+    log = build_log([(f"e{k:05d}", f"a{m - 1 - k:06d}", float(k), ["o"]) for k in range(m)], [("o", "t")])
+    F = extract_features(log, "t")
+    assert [key for key in F.keys if key[0] == "dfg"] == [("dfg", f"a{k + 1:06d}", f"a{k:06d}") for k in range(m - 1)]
 
 
 # ------------------------------------------------------------ propagation
@@ -319,8 +349,9 @@ def test_filter_activities_counts_match_scan():
     log = random_log(seed=31, n_events=40, n_activities=12)
     keep = set(log.activities[:5])
     out = filter_activities(log, keep)
-    assert len(out.events) == sum(1 for e in log.events if log.act[e] in keep)
-    assert [e for e in log.events if log.act[e] in keep] == list(out.events)
+    act = log_dicts(log).act
+    assert len(out.events) == sum(1 for e in log.events if act[e] in keep)
+    assert [e for e in log.events if act[e] in keep] == list(out.events)
 
 
 def test_filter_activities_rejects_empty_keep():
@@ -341,7 +372,7 @@ def test_explode_binary_column():
 
 def test_explode_passes_continuous_through():
     F = make_matrix(np.arange(25, dtype=float), columns=["time"])
-    out = explode_values(F, max_distinct=20)
+    out = explode_values(F)
     assert out.columns == ("time",)
     assert np.array_equal(out.values, F.values)
 

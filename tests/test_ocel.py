@@ -16,7 +16,7 @@ from ocad.errors import (
 )
 from ocad.ocel import T_MAX, T_MIN, OcelLog, _iso_stamps, format_iso, parse_ocel_json, serialize_ocel_json
 
-from conftest import build_log, collections_during, object_graphs, ocel_doc, random_log
+from conftest import build_log, collections_during, log_dicts, object_graphs, ocel_doc, random_log
 from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize
 
 
@@ -51,10 +51,10 @@ def test_parse_minimal_log():
         events=[_event("e1", "A", "2024-05-01T12:00:00Z", objs=["o1"])],
         objects=[_object("o1", "order")],
     )
-    log = parse_ocel_json(doc)
-    assert log.act["e1"] == "A"
-    assert log.omap["e1"] == frozenset({"o1"})
-    assert log.otyp["o1"] == "order"
+    d = log_dicts(parse_ocel_json(doc))
+    assert d.act["e1"] == "A"
+    assert d.omap["e1"] == frozenset({"o1"})
+    assert d.otyp["o1"] == "order"
 
 
 def test_parse_order_breaks_time_ties_lexicographically():
@@ -116,8 +116,9 @@ def test_build_stores_an_int_attribute_as_float():
     log = build_log([("e1", "A", 0.0, ["o1"], {"n": 3})], [("o1", "t", {"amount": 5})])
     back = parse_ocel_json(serialize_ocel_json(log))
     assert back == log
-    assert back.ovmap["o1"] == {"amount": 5.0} and type(back.ovmap["o1"]["amount"]) is float
-    assert back.vmap["e1"] == {"n": 3.0} and type(back.vmap["e1"]["n"]) is float
+    d = log_dicts(back)
+    assert d.ovmap["o1"] == {"amount": 5.0} and type(d.ovmap["o1"]["amount"]) is float
+    assert d.vmap["e1"] == {"n": 3.0} and type(d.vmap["e1"]["n"]) is float
 
 
 @pytest.mark.parametrize("value", [True, False, None])
@@ -286,7 +287,7 @@ def test_parse_keeps_latest_object_attribute_value():
             }
         ]
     )
-    assert parse_ocel_json(doc).ovmap["o1"]["x"] == 2.0
+    assert log_dicts(parse_ocel_json(doc)).ovmap["o1"]["x"] == 2.0
 
 
 def test_parse_accepts_offset_and_naive_timestamps():
@@ -296,14 +297,13 @@ def test_parse_accepts_offset_and_naive_timestamps():
             _event("e2", "A", "2024-01-01T00:00:00"),
         ]
     )
-    log = parse_ocel_json(doc)
-    assert log.time["e1"] == log.time["e2"]
+    d = log_dicts(parse_ocel_json(doc))
+    assert d.time["e1"] == d.time["e2"]
 
 
 def test_event_attributes_parsed_into_vmap():
     doc = ocel_doc(events=[_event("e1", "A", "2024-01-01T00:00:00Z", attrs=[("user", "alice"), ("n", 3)])])
-    log = parse_ocel_json(doc)
-    assert log.vmap["e1"] == {"user": "alice", "n": 3.0}
+    assert log_dicts(parse_ocel_json(doc)).vmap["e1"] == {"user": "alice", "n": 3.0}
 
 
 # ----------------------------------------------------------- derivations
@@ -446,12 +446,13 @@ def test_interaction_subsets_invariant(p2p_small):
 
 def test_interact_symmetry():
     log = random_log(seed=9)
+    otyp = log_dicts(log).otyp
     for o in log.objects:
         for p in log.objects:
             if o == p:
                 continue
-            assert (p in log.interaction_sets(o, log.otyp[p]).interact) == (
-                o in log.interaction_sets(p, log.otyp[o]).interact
+            assert (p in log.interaction_sets(o, otyp[p]).interact) == (
+                o in log.interaction_sets(p, otyp[o]).interact
             )
 
 
@@ -487,14 +488,15 @@ def test_common_attributes_match_fold_intersection():
 
 def test_total_order_is_strict():
     log = random_log(seed=5)
+    time = log_dicts(log).time
     positions = {e: i for i, e in enumerate(log.events)}
     assert len(positions) == len(log.events)
     for e1 in log.events:
         for e2 in log.events:
             if e1 == e2:
                 continue
-            key1 = (log.time[e1], e1)
-            key2 = (log.time[e2], e2)
+            key1 = (time[e1], e1)
+            key2 = (time[e2], e2)
             assert (key1 < key2) == (positions[e1] < positions[e2])
 
 
@@ -594,5 +596,5 @@ def test_iso_stamps_reject_times_outside_the_years_they_can_write(t):
 
 def test_build_permits_empty_omap():
     log = build_log([("e1", "A", 1.0, [])], [("o1", "t")])
-    assert log.omap["e1"] == frozenset()
+    assert log_dicts(log).omap["e1"] == frozenset()
     assert log.lifecycle("o1") == ()
