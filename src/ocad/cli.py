@@ -86,7 +86,12 @@ def _write_run(out: Path, command: str, params: dict, input_digest: str, files: 
 
 def _load_log(path: str) -> tuple[OcelLog, str]:
     data = Path(path).read_bytes()
-    return parse_ocel_json(data), _digest(data)
+    digest = _digest(data)
+    try:  # rebinding drops the bytes before the parse; invalid UTF-8 stays bytes for its error
+        data = data.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    return parse_ocel_json(data), digest
 
 
 # ------------------------------------------------------------- subcommands

@@ -37,6 +37,7 @@ from .errors import (
     AllColumnsDropped,
     ColumnCollision,
     EmptyKeepSet,
+    InvalidConfig,
     MixedAttributeType,
     NoObjectsOfType,
     RowMismatch,
@@ -47,6 +48,10 @@ from .ocel import OcelLog
 DEFAULT_EPSILON = 1e-9
 # explode_values treats a column with more distinct values as continuous.
 MAX_DISTINCT = 20
+# The most cells (rows x columns) of one count family. Extraction peaks at
+# 24 bytes a cell (tracemalloc, one string value per object, 1k-4k objects),
+# 600 MB here, and each of the chain's up to four float64 copies takes 200 MB.
+MAX_COUNT_CELLS = 25_000_000
 
 AGGREGATIONS = ("mean", "median", "min", "max", "sum")
 
@@ -101,16 +106,20 @@ class FeatureMatrix:
         return replace(self, keys=tuple(self.keys[i] for i in keep), values=self.values[:, keep])
 
 
-def _count_columns(rows: np.ndarray, codes: np.ndarray, n: int,
-                   key: Callable[[int], ColumnKey]) -> tuple[list[ColumnKey], np.ndarray]:
+def _count_columns(rows: np.ndarray, codes: np.ndarray, n: int, family: tuple,
+                   name: Callable[[int], tuple]) -> tuple[list[ColumnKey], np.ndarray]:
     """Keys and (n, width) float block counting each (row, code) pair, one
-    column per code present in ``codes``, ascending, named ``key(code)``:
-    every column has a nonzero count, and the width is known before the
-    block is allocated."""
+    column per code present in ``codes``, ascending, keyed
+    ``(*family, *name(code))``: every column has a nonzero count. The width
+    is known before the block is allocated, so a block of more than
+    :data:`MAX_COUNT_CELLS` cells raises :class:`InvalidConfig` instead."""
     present, col = np.unique(codes, return_inverse=True)
     width = len(present)
+    if n * width > MAX_COUNT_CELLS:
+        raise InvalidConfig(f"feature family {family!r} would be {n} rows x {width} columns, "
+                            f"over the bound of {MAX_COUNT_CELLS} cells")
     block = np.bincount(rows * width + col, minlength=n * width).reshape(n, width).astype(np.float64)
-    return [key(c) for c in present.tolist()], block
+    return [(*family, *name(c)) for c in present.tolist()], block
 
 
 def _common_attribute_columns(log: OcelLog, ot: str, codes: np.ndarray) -> list:
@@ -133,7 +142,7 @@ def _common_attribute_columns(log: OcelLog, ot: str, codes: np.ndarray) -> list:
             distinct = sorted(set(values))
             code = {v: j for j, v in enumerate(distinct)}
             parts.append(_count_columns(np.arange(len(values)), np.asarray([code[v] for v in values]), len(values),
-                                        lambda j: ("strvalue", att, distinct[j])))
+                                        ("strvalue", att), lambda j: (distinct[j],)))
     return parts
 
 
@@ -160,12 +169,12 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
 
     events, row = log.lifecycles(codes)
     ev_act = log.ev_act[events].astype(np.int64)  # edge codes below reach n_act**2
-    parts.append(_count_columns(row, ev_act, n, lambda a: ("lifecyclecontains", acts[a])))
+    parts.append(_count_columns(row, ev_act, n, ("lifecyclecontains",), lambda a: (acts[a],)))
 
     lo = log.lc_ptr[codes]
     has_events = np.flatnonzero(log.lc_ptr[codes + 1] > lo)
     start_act = log.ev_act[log.lc_ev[lo[has_events]]]
-    parts.append(_count_columns(has_events, start_act, n, lambda a: ("lifecyclestartswith", acts[a])))
+    parts.append(_count_columns(has_events, start_act, n, ("lifecyclestartswith",), lambda a: (acts[a],)))
 
     starts, ends = log.t_start[codes], log.t_end[codes]
     parts.append(([("lifecyclestarttime",), ("lifecycleendtime",), ("lifecycleduration",)],
@@ -174,7 +183,7 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
     # Directly-follows edges: consecutive lifecycle events of the same row.
     same = row[1:] == row[:-1]
     parts.append(_count_columns(row[:-1][same], ev_act[:-1][same] * n_act + ev_act[1:][same], n,
-                                lambda e: ("dfg", acts[e // n_act], acts[e % n_act])))
+                                ("dfg",), lambda e: (acts[e // n_act], acts[e % n_act])))
 
     partners, prow = log.related(codes)
     ptype = log.obj_type[partners]
@@ -183,7 +192,7 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
         families += [("cobirth", "cobirth"), ("codeath", "codeath")]
     for prefix, relation in families:
         mask = log.relation(relation, codes, partners, prow)
-        parts.append(_count_columns(prow[mask], ptype[mask], n, lambda t: (prefix, types[t])))
+        parts.append(_count_columns(prow[mask], ptype[mask], n, (prefix,), lambda t: (types[t],)))
 
     keys = [key for part, _ in parts for key in part]
     values = np.hstack([block for _, block in parts])

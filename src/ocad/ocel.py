@@ -27,6 +27,10 @@ Building a log, by :func:`parse_ocel_json` or the synthetic generators,
 pauses the cyclic garbage collector: the records are about a million
 containers at 8k orders that all stay alive and form no reference cycles, so
 each automatic pass would rescan them and free nothing.
+
+:func:`parse_ocel_json` releases the JSON document as it reads it: each
+object and event entry is freed once its record is built, so the whole tree
+is never alive next to the records and the log.
 """
 
 from __future__ import annotations
@@ -338,10 +342,10 @@ def _string(v: object, what: str) -> str:
 
 
 def _list(entry: dict, key: str) -> list:
-    items = entry.get(key) or []
-    if not isinstance(items, list):
+    items = entry.get(key)
+    if not isinstance(items, list) and items is not None:  # missing or null reads as []
         raise MalformedDocument(f"{key!r} of {entry['id']!r} must be a list, got {type(items).__name__}")
-    return items
+    return items or []
 
 
 def _coerce_value(v: object, kind: str, ident: str) -> AttributeValue:
@@ -395,6 +399,10 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
     from the instances). Object attributes may carry change timestamps; the
     latest value per attribute name is kept. Event relationship qualifiers
     are parsed and ignored.
+
+    The parse releases the document as it reads it: each entry is freed once
+    its record is built. ``data`` itself stays alive until the call returns,
+    so a caller that holds the bytes passes their decoded ``str`` instead.
     """
     with _collector_paused():
         try:
@@ -406,9 +414,14 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
         for key in ("objects", "events"):
             if key not in doc or not isinstance(doc[key], list):
                 raise MalformedDocument(f"missing required top-level list {key!r}")
+        # Clear each slot once its entry is bound; ``entry = None`` after a
+        # loop frees the last one (``del`` fails when an empty list left it unbound).
+        objects, events = doc["objects"], doc["events"]
+        doc = None
 
         object_records = []
-        for entry in doc["objects"]:
+        for i, entry in enumerate(objects):
+            objects[i] = None
             try:
                 oid = _string(entry["id"], "object id")
                 ot = _string(entry["type"], "object type")
@@ -426,9 +439,11 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
                 if prev is None or (at, seq) >= prev[:2]:
                     latest[name] = (at, seq, value)
             object_records.append((oid, ot, {k: v for k, (_, _, v) in latest.items()}))
+        entry = None
 
         event_records = []
-        for entry in doc["events"]:
+        for i, entry in enumerate(events):
+            events[i] = None
             try:
                 eid = _string(entry["id"], "event id")
                 activity = _string(entry["type"], "event type")
@@ -448,6 +463,7 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
                 except (TypeError, KeyError) as exc:
                     raise MalformedDocument(f"bad relationship on event {eid!r}") from exc
             event_records.append((eid, activity, ts, oids, attrs))
+        entry = None
 
         return OcelLog.build(event_records, object_records)
 

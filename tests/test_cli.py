@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import ocad
 import ocad.cli
+import ocad.features
 from ocad.cli import build_parser, main
 from ocad.errors import LlmTimeout, VarianceFallbackWarning
 from ocad.features import feature_csv_bytes, normalize
@@ -218,6 +220,58 @@ def test_malformed_log_is_one_line_validation_error(tmp_path, capsys, doc):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_invalid_utf8_log_is_one_line_json_error(tmp_path, capsys):
+    log = tmp_path / "bad.json"
+    log.write_bytes(b"\xff{}")
+    out = tmp_path / "o"
+    code = main(["features", "--log", str(log), "--object-type", "order", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_orders", [300, 1000])
+def test_load_log_peak_stays_within_five_times_the_file(tmp_path, n_orders):
+    # The parse frees each JSON entry once its record is built, and the input
+    # bytes go before json.loads. Holding the bytes and the whole tree
+    # through the parse peaked at 5.8x and 6.0x the file at these sizes.
+    out = tmp_path / "gen"
+    assert main(["generate", "--n-orders", str(n_orders), "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
+                 "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1", "--out", str(out)]) == 0
+    path = out / "log.json"
+    tracemalloc.start()
+    try:
+        ocad.cli._load_log(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * path.stat().st_size
+
+
+def test_too_wide_feature_family_is_rejected_before_writing(tmp_path, capsys, monkeypatch):
+    # An id-like string attribute: one one-hot column per order, 20 x 20 cells.
+    objects = [_order(f"o{i:02d}", [("ref", f"r{i:02d}")]) for i in range(20)]
+    events = [_event(f"e{i:02d}", "Create", 1, i % 10, f"o{i:02d}") for i in range(20)]
+    log = tmp_path / "log.json"
+    log.write_bytes(ocel_doc(events=events, objects=objects))
+    monkeypatch.setattr(ocad.features, "MAX_COUNT_CELLS", 399)
+    out = tmp_path / "o"
+    code = main(["features", "--log", str(log), "--object-type", "order", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: feature family ('strvalue', 'ref') would be 20 rows x 20 columns, over the bound of 399 cells\n")
+    assert not out.exists()
+    monkeypatch.setattr(ocad.features, "MAX_COUNT_CELLS", 400)
+    assert main(["features", "--log", str(log), "--object-type", "order", "--out", str(out)]) == 0
+
+
+def test_feature_width_bound_admits_the_bench_and_rejects_an_id_like_attribute_at_8k():
+    # The widest bench block is dfg on order at 8k orders; an id-like string
+    # attribute on the 32,800 objects of the 8k log needs 1.08e9 cells.
+    assert 8000 * 10 <= ocad.features.MAX_COUNT_CELLS < 32_800 ** 2
 
 
 @pytest.mark.parametrize(

@@ -151,6 +151,32 @@ def test_parse_rejects_out_of_range_number(literal):
 
 
 _GOOD_EVENT = {"id": "e1", "type": "A", "time": "2024-01-01T00:00:00Z", "relationships": [{"objectId": "o1"}]}
+_LIST_FIELDS = [("object", "attributes"), ("event", "attributes"), ("event", "relationships")]
+
+
+def _doc_with(on, key, value):
+    """A one-object, one-event document whose object or event sets ``key``
+    to ``value``, or drops it when ``value`` is ``...``."""
+    obj, event = {"id": "o1", "type": "a"}, dict(_GOOD_EVENT)
+    entry = obj if on == "object" else event
+    entry.pop(key, None)
+    if value is not ...:
+        entry[key] = value
+    return ocel_doc(events=[event], objects=[obj])
+
+
+@pytest.mark.parametrize("value", [..., None, []], ids=["missing", "null", "empty"])
+@pytest.mark.parametrize("on, key", _LIST_FIELDS)
+def test_parse_reads_a_missing_or_null_list_as_empty(on, key, value):
+    log = parse_ocel_json(_doc_with(on, key, value))
+    assert log.events == ("e1",) and log.objects == ("o1",)
+
+
+@pytest.mark.parametrize("value", [0, False, "", {}, {"a": 1}, "x"])
+@pytest.mark.parametrize("on, key", _LIST_FIELDS)
+def test_parse_rejects_a_non_list_attributes_or_relationships(on, key, value):
+    with pytest.raises(MalformedDocument, match=f"{key!r} of .* must be a list, got {type(value).__name__}"):
+        parse_ocel_json(_doc_with(on, key, value))
 
 
 @pytest.mark.parametrize(
