@@ -1,4 +1,4 @@
-"""Golden digests: the sha256 of every file the CLI writes for two small
+"""Golden digests: the sha256 of every file the CLI writes for three small
 seeded logs, across every subcommand.
 
 Any change to these bytes changes what ocad computes or writes, so a
@@ -26,6 +26,9 @@ LOGS = {
             "--double-invoice-rate", "0.1", "--reopen-rate", "0.1", "--seed", "3"),
     "blocked": ("generate", "--variant", "blocked-invoices", "--n-orders", "40", "--blocked-rate", "0.1",
                 "--seed", "4"),
+    # Other rates present: the blocked set must not depend on them.
+    "blocked-mixed": ("generate", "--variant", "blocked-invoices", "--n-orders", "40", "--blocked-rate", "0.1",
+                      "--maverick-rate", "0.1", "--reopen-rate", "0.1", "--seed", "3"),
 }
 
 COMMANDS = {
@@ -259,6 +262,95 @@ GOLDEN = {
         "feature_summary.txt": "f28cc73ff67e84667cdcc1e56ef6ca5fb28d002b2c92803743edebcdb0e20fe9",
         "oracle_verdicts.csv": "3f4e06fa2a3130c5d814ead51cbcfe546b15c698917822ba07f7ef89c7d446c6",
         "run.json": "7a6ce5769a6f612a12c7b57a77a2df7760e3bc1101e4a9aaa9d8c106b203a1ed"
+    },
+    "blocked-mixed/generate": {
+        "ground_truth.csv": "7ddc7be2f2168070174199851cadd0da2e4b94bfa627c2d5ba982bccc5e6035f",
+        "log.json": "3bc336c9cf2253eef12761698c9c6452fa7a0f78537213280d37ead2bcfc445e",
+        "run.json": "eea1e165a8236bfd8392efc3c147f035f6dde4923a09149df777783a76e4f80e"
+    },
+    "blocked-mixed/features": {
+        "features.csv": "ecea339b5e34930adef456a9284bec73434834e2a3486d4d2a7cf2ee55f3b4c1",
+        "run.json": "d01c4453333c3373b6ce75f2f70d56e3592383e6ff0ac5ebebf6459cdddf9ab4"
+    },
+    "blocked-mixed/detect": {
+        "lifecycles/rank000_po-00023.txt": "a487f0a921d6cae43ef7ef52ceaba2d4c99685c615871acf23409d043c49d230",
+        "lifecycles/rank001_po-00017.txt": "fea325cbad39427ea8dc79c6f1cdb69642f58df141a8d83b4348c75b203025b2",
+        "lifecycles/rank002_po-00032.txt": "ca00610969028d0fedc508b6a92b079c24319b1b81e82f445c94958d1c3f6050",
+        "lifecycles/rank003_po-00030.txt": "0da3fe5254250c2a2764a9e5ffd105cb603fcf4dd0801b67b39414452b043bf3",
+        "lifecycles/rank004_po-00039.txt": "9ebd1e261a494fa9a83c7aa1d96ebe6ad2242c08e03e8c2309c4d254bda32732",
+        "lifecycles/rank005_po-00006.txt": "ad6b67adadbc2bbcf9c2151f3bb7b6440e5535f3777f16807a6d93610aab91c0",
+        "lifecycles/rank006_po-00002.txt": "dff0cabede1c12b23051de72c46b8f637ad9eac205536791ba8aa6cbf4d609db",
+        "lifecycles/rank007_po-00011.txt": "3b39353b1c55b3cfd3ad275db20b57e764d79140f41805a4a4d2d745eec06a89",
+        "lifecycles/rank008_po-00028.txt": "0026f9bf13a6b32470fabc664b9b1968bab7cb2e3ac26d35e6cff0022f408bac",
+        "lifecycles/rank009_po-00013.txt": "282839f2001ac6824eb57dc7938a7814874c6ec03088042c7903a54653f89043",
+        "ranks.csv": "d6a92be55a02e2fe9480e10f8b7da051268f7bb36c90ae8dfcb8f269f8cffabf",
+        "run.json": "83476ad79f9215aed00be5fd55d16bdcc3370fb4a8aab9d97507f9da7151ef44",
+        "scores.csv": "eb468bbd317131156b276a9d43335a12a1e29c3b7bc5cd72363eaef61f7dc1a4"
+    },
+    "blocked-mixed/detect-fastmap": {
+        "lifecycles/rank000_po-00023.txt": "a487f0a921d6cae43ef7ef52ceaba2d4c99685c615871acf23409d043c49d230",
+        "lifecycles/rank001_po-00030.txt": "0da3fe5254250c2a2764a9e5ffd105cb603fcf4dd0801b67b39414452b043bf3",
+        "lifecycles/rank002_po-00032.txt": "ca00610969028d0fedc508b6a92b079c24319b1b81e82f445c94958d1c3f6050",
+        "lifecycles/rank003_po-00017.txt": "fea325cbad39427ea8dc79c6f1cdb69642f58df141a8d83b4348c75b203025b2",
+        "lifecycles/rank004_po-00039.txt": "9ebd1e261a494fa9a83c7aa1d96ebe6ad2242c08e03e8c2309c4d254bda32732",
+        "lifecycles/rank005_po-00037.txt": "a2708af28f1486d9b45d7f445ef26c0dca0a8cab1036b3a1785146454cc2f756",
+        "lifecycles/rank006_po-00002.txt": "dff0cabede1c12b23051de72c46b8f637ad9eac205536791ba8aa6cbf4d609db",
+        "lifecycles/rank007_po-00006.txt": "ad6b67adadbc2bbcf9c2151f3bb7b6440e5535f3777f16807a6d93610aab91c0",
+        "lifecycles/rank008_po-00038.txt": "b49dd29014a9428e613f94da2e2363446a372a8bcaabf3b9a0bcc07b4bb3a4bb",
+        "lifecycles/rank009_po-00004.txt": "9982334a8133727e9fc94e7d9127bebd5309d97252b68882feeacd8b6a3567ae",
+        "ranks.csv": "ee6f3276c16e2eeb841af0c5e6dd615040a2d2cb9bfba61d0a5b4e77b61a8edf",
+        "run.json": "05f4ea6bac47a09b8b68d77da03401dc8b147d73fba4c532d969ad9fa02712f2",
+        "scores.csv": "e4445eccef931d58de0b1e62355fb6f69b5c196770681ff4f476d16cce4cbd61"
+    },
+    "blocked-mixed/detect-pca": {
+        "lifecycles/rank000_po-00032.txt": "ca00610969028d0fedc508b6a92b079c24319b1b81e82f445c94958d1c3f6050",
+        "lifecycles/rank001_po-00030.txt": "0da3fe5254250c2a2764a9e5ffd105cb603fcf4dd0801b67b39414452b043bf3",
+        "lifecycles/rank002_po-00017.txt": "fea325cbad39427ea8dc79c6f1cdb69642f58df141a8d83b4348c75b203025b2",
+        "lifecycles/rank003_po-00023.txt": "a487f0a921d6cae43ef7ef52ceaba2d4c99685c615871acf23409d043c49d230",
+        "lifecycles/rank004_po-00039.txt": "9ebd1e261a494fa9a83c7aa1d96ebe6ad2242c08e03e8c2309c4d254bda32732",
+        "lifecycles/rank005_po-00006.txt": "ad6b67adadbc2bbcf9c2151f3bb7b6440e5535f3777f16807a6d93610aab91c0",
+        "lifecycles/rank006_po-00008.txt": "079088f9e54aa19c88fc7dff2e2c0147527961104038398cc0077ded5586051f",
+        "lifecycles/rank007_po-00012.txt": "59c00fc4acbab76a306c1f67f1471bd8118b9e696aab988db87d22e9f3488e27",
+        "lifecycles/rank008_po-00016.txt": "fb248ed9fdd54f786746a7f794c5a7f37a2397010011510ca7f6f0283caf8211",
+        "lifecycles/rank009_po-00007.txt": "44e187a439d728186fa96bfc785d194cd9a03188685b9b7f63ab88867b033eb4",
+        "ranks.csv": "cf59290fecbcc6ad9a42da1705b7715586170d69b784899498a2bc2e6b984552",
+        "run.json": "9fdabe98928f5d0261f0b30060db807229cd45e1151e3368281ca7d5161bc6bb",
+        "scores.csv": "a70fea288150ab9d423cab66af2093012a2b6b7eb3c46ca1b9137a229998034d"
+    },
+    "blocked-mixed/detect-lof-raw": {
+        "lifecycles/rank000_po-00023.txt": "a487f0a921d6cae43ef7ef52ceaba2d4c99685c615871acf23409d043c49d230",
+        "lifecycles/rank001_po-00030.txt": "0da3fe5254250c2a2764a9e5ffd105cb603fcf4dd0801b67b39414452b043bf3",
+        "lifecycles/rank002_po-00032.txt": "ca00610969028d0fedc508b6a92b079c24319b1b81e82f445c94958d1c3f6050",
+        "lifecycles/rank003_po-00017.txt": "fea325cbad39427ea8dc79c6f1cdb69642f58df141a8d83b4348c75b203025b2",
+        "lifecycles/rank004_po-00039.txt": "9ebd1e261a494fa9a83c7aa1d96ebe6ad2242c08e03e8c2309c4d254bda32732",
+        "lifecycles/rank005_po-00037.txt": "a2708af28f1486d9b45d7f445ef26c0dca0a8cab1036b3a1785146454cc2f756",
+        "lifecycles/rank006_po-00002.txt": "dff0cabede1c12b23051de72c46b8f637ad9eac205536791ba8aa6cbf4d609db",
+        "lifecycles/rank007_po-00006.txt": "ad6b67adadbc2bbcf9c2151f3bb7b6440e5535f3777f16807a6d93610aab91c0",
+        "lifecycles/rank008_po-00038.txt": "b49dd29014a9428e613f94da2e2363446a372a8bcaabf3b9a0bcc07b4bb3a4bb",
+        "lifecycles/rank009_po-00004.txt": "9982334a8133727e9fc94e7d9127bebd5309d97252b68882feeacd8b6a3567ae",
+        "ranks.csv": "ee6f3276c16e2eeb841af0c5e6dd615040a2d2cb9bfba61d0a5b4e77b61a8edf",
+        "run.json": "9c5fe5b3841234c90f5c4350c2fc0efdef882ef3c99d35ec9bef39871c5fe458",
+        "scores.csv": "0f4c9a53044a998d36ac35293653aa67c7ab49014c576d3b3be5a9c053634b0c"
+    },
+    "blocked-mixed/aggregate-invoice": {
+        "feature_scores.csv": "2899b3a09473b7322ae5581decf79b54ed3fb5c752b5bb679672f5670337eefd",
+        "feature_scores.txt": "0aeddf0351e0e249cc6f580d0e6934a3aa3c12185e61b162e6dd664f0c414291",
+        "run.json": "c196a4a7220cc94abdeb45a5997e060758db0b723697f2159ad9302108d5a53b"
+    },
+    "blocked-mixed/aggregate-order-median": {
+        "feature_scores.csv": "6e219276024b1747f9be8743f0929b01b8264cad6a6acb8ea7c45e57d7e7d98f",
+        "feature_scores.txt": "d18ea6e832212abd1cc89c66f7b8e73e069af1cf422130a56aec01a31a9f152e",
+        "run.json": "f58cdf49192e8a1a753e49aa9fd953e68ab12a671d488c8baf1ad72e398a9410"
+    },
+    "blocked-mixed/abstract": {
+        "feature_summary.txt": "76883aed5008692db12b6e424f5c413df3abd23d16efea17c4a671c19dee0b89",
+        "oracle_verdicts.csv": "90b06d732bf2647a6e32fd3d0716d74892ff357280a7a007413d2d423d37fa22",
+        "run.json": "2bd63a20daca4c5c5669ba47de1235bafd3bf2d874f7add606b0301f3b858c52"
+    },
+    "blocked-mixed/abstract-raw": {
+        "feature_summary.txt": "26e46daf294b9000f3e62dfa29d6a7ea98d97ca2dae0ac014666e7c2d5ac3988",
+        "oracle_verdicts.csv": "90b06d732bf2647a6e32fd3d0716d74892ff357280a7a007413d2d423d37fa22",
+        "run.json": "f729c2295791782739edca06c938029568d35e70251194dbaad75b2f0ec61879"
     }
 }
 
