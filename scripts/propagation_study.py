@@ -38,7 +38,7 @@ def main() -> None:
             params = PipelineParams(
                 object_type="invoice", detector="lof", propagate_from=source, agg="mean", seed=seed
             )
-            _, _, ranks = detect_objects(log, params)
+            _, ranks = detect_objects(log, params)
             position = dict(zip(ranks.object_ids, ranks.ranks))
             row.append(sum(1 for o in labeled if position[o] < decile) / len(labeled))
         plain.append(row[0])

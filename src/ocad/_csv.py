@@ -1,4 +1,5 @@
-"""The one CSV writer behind every CSV file ocad writes."""
+"""The one CSV writer behind every CSV file ocad writes, and the one aligned
+text table behind its score tables."""
 
 from __future__ import annotations
 
@@ -14,3 +15,14 @@ def csv_bytes(header: Sequence, rows: Iterable[Sequence]) -> bytes:
     w.writerow(header)
     w.writerows(rows)
     return buf.getvalue().encode("utf-8")
+
+
+def text_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """The header, then one line per row, each ending in ``\\n``. Columns are
+    two spaces apart and as wide as their widest cell; the header is
+    left-aligned, and in each row the first cell is left-aligned and the rest
+    right-aligned."""
+    widths = [max([len(h)] + [len(r[c]) for r in rows]) for c, h in enumerate(header)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
+    lines += ["  ".join(x.rjust(w) if c else x.ljust(w) for c, (x, w) in enumerate(zip(r, widths))) for r in rows]
+    return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._csv import csv_bytes
+from ._csv import csv_bytes, text_table
 from .detect import ScoreVector, _order
 from .errors import RowMismatch
 from .features import FeatureMatrix, column_label, explode_values, normalize
@@ -37,13 +37,8 @@ class FeatureScoreTable:
         )
 
     def to_text(self) -> str:
-        header = ("Feature (with Value)", "Count", "FEA_SCORE")
-        cells = [(r.feature_name, str(r.support_count), f"{r.fea_score:.4f}") for r in self.rows]
-        widths = [max(len(header[c]), *(len(row[c]) for row in cells)) if cells else len(header[c]) for c in range(3)]
-        lines = ["  ".join(header[c].ljust(widths[c]) for c in range(3))]
-        for name, count, score in cells:
-            lines.append(f"{name.ljust(widths[0])}  {count.rjust(widths[1])}  {score.rjust(widths[2])}")
-        return "\n".join(lines) + "\n"
+        return text_table(("Feature (with Value)", "Count", "FEA_SCORE"),
+                          [(r.feature_name, str(r.support_count), f"{r.fea_score:.4f}") for r in self.rows])
 
 
 def _score_columns(F: FeatureMatrix, scores: ScoreVector) -> tuple:

@@ -43,7 +43,7 @@ from .oracle import (
     statistical_oracle,
     summarize_features,
 )
-from .pipeline import PipelineParams, build_matrix, detect_objects, score_matrix
+from .pipeline import DETECTORS, REDUCERS, PipelineParams, build_matrix, detect_objects, score_matrix
 from .synthgen import DEFAULT_MEAN_GAP, AnomalyKind, SynthConfig, generate_blocked_invoices, generate_p2p
 
 LLM_KEY_ENV = "OCAD_LLM_API_KEY"
@@ -164,7 +164,7 @@ def _features(args, log: OcelLog, params: PipelineParams):
 
 
 def _detect(args, log: OcelLog, params: PipelineParams):
-    _, scores, ranks = detect_objects(log, params)
+    scores, ranks = detect_objects(log, params)
     files = {"scores.csv": score_csv_bytes(scores), "ranks.csv": rank_csv_bytes(ranks)}
     for r, o in enumerate(bottom_k(ranks, min(args.top_k, len(ranks.object_ids)))):
         text = abstract_lifecycle(log, o, max_events=args.max_events)
@@ -208,8 +208,8 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     out keeps the field's default."""
     p.add_argument("--log", required=True, help="input OCEL 2.0 JSON file")
     p.add_argument("--object-type", required=True, help="object type to analyze")
-    p.add_argument("--detector", choices=["iforest", "lof"], help="default: iforest, or lof when --reducer fastmap")
-    p.add_argument("--reducer", choices=["none", "pca", "fastmap"])
+    p.add_argument("--detector", choices=DETECTORS, help="default: iforest, or lof when --reducer fastmap")
+    p.add_argument("--reducer", choices=REDUCERS)
     p.add_argument("--propagate-from", help="neighbor object type whose features are propagated")
     p.add_argument("--agg", choices=AGGREGATIONS)
     p.add_argument("--min-variance", type=float)

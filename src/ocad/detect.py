@@ -14,7 +14,7 @@ from math import ceil, log2
 
 import numpy as np
 
-from ._csv import csv_bytes
+from ._csv import csv_bytes, text_table
 from .errors import DegenerateMatrixWarning, KTooLarge, TooFewRows
 
 DEFAULT_N_TREES = 100
@@ -294,10 +294,5 @@ def render_score_table(vectors: list[ScoreVector]) -> str:
         if v.object_ids != ids:
             raise ValueError("score vectors are not aligned")
     order = _order(ids, vectors[0].scores).tolist()
-    header = ["Object ID"] + [f"{v.method} Score" for v in vectors]
-    rows = [[ids[i]] + [f"{v.scores[i]:.6f}" for v in vectors] for i in order]
-    widths = [max(len(h), *(len(r[c]) for r in rows)) if rows else len(h) for c, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(header))]
-    for r in rows:
-        lines.append("  ".join(x.rjust(widths[c]) if c else x.ljust(widths[c]) for c, x in enumerate(r)))
-    return "\n".join(lines) + "\n"
+    return text_table(["Object ID"] + [f"{v.method} Score" for v in vectors],
+                      [[ids[i]] + [f"{v.scores[i]:.6f}" for v in vectors] for i in order])

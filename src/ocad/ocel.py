@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import DanglingReference, DuplicateId, MalformedDocument, UnknownObject
+from .errors import DanglingReference, DuplicateId, InvalidConfig, MalformedDocument, UnknownObject
 
 AttributeValue = Union[float, str]
 
@@ -55,6 +55,11 @@ _EPOCH_ISO = "1970-01-01T00:00:00.000Z"
 T_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
 T_MAX = datetime(9999, 12, 31, 23, 59, 59, 999000, tzinfo=timezone.utc).timestamp()
 _MS_MIN, _MS_MAX = round(T_MIN * 1000), round(T_MAX * 1000)
+# The most entries OcelLog.related gathers in one call, one per object of each
+# event of each object asked about. Its tracemalloc peak is 37 bytes an entry
+# (one event over 1k-2k objects), about 600 MB here, what features.MAX_COUNT_CELLS
+# allows extraction; one event over 4,000 objects of the type asked about reaches it.
+MAX_PARTNER_ENTRIES = 16_000_000
 
 
 @dataclass(frozen=True)
@@ -252,11 +257,18 @@ class OcelLog:
         """Interaction partners of the objects ``codes``: every other object
         sharing at least one event with one, of type ``ot`` when given.
         Returns the partners concatenated in the order given with ascending
-        codes per object, and the index into ``codes`` of each one."""
+        codes per object, and the index into ``codes`` of each one. Raises
+        :class:`InvalidConfig` before the gather when the objects' events
+        hold more than :data:`MAX_PARTNER_ENTRIES` entries in all."""
         events, row = self.lifecycles(codes)
-        objs, k = _gather(self.ev_obj, self.ev_ptr[events], self.ev_ptr[events + 1])
+        lo, hi = self.ev_ptr[events], self.ev_ptr[events + 1]
+        entries = int((hi - lo).sum())
+        if entries > MAX_PARTNER_ENTRIES:
+            raise InvalidConfig(f"gathering the partners of {len(codes)} objects would take {entries} entries, "
+                                f"over the bound of {MAX_PARTNER_ENTRIES}")
+        objs, k = _gather(self.ev_obj, lo, hi)
         seg = row[k]
-        del events, row, k
+        del events, row, k, lo, hi
         keep = objs != codes[seg]
         if ot is not None:
             keep &= self.obj_type[objs] == self.type_code.get(ot, -1)
@@ -427,18 +439,17 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
                 ot = _string(entry["type"], "object type")
             except (TypeError, KeyError) as exc:
                 raise MalformedDocument(f"object entry missing id/type: {entry!r}") from exc
-            latest: dict[str, tuple[float, int, AttributeValue]] = {}
-            for seq, att in enumerate(_list(entry, "attributes")):
+            latest: dict[str, tuple[float, AttributeValue]] = {}
+            for att in _list(entry, "attributes"):
                 try:
                     name = _string(att["name"], "attribute name")
                     value = att["value"]
                 except (TypeError, KeyError) as exc:
                     raise MalformedDocument(f"bad attribute on object {oid!r}") from exc
                 at = _parse_iso(att["time"]) if "time" in att else 0.0
-                prev = latest.get(name)
-                if prev is None or (at, seq) >= prev[:2]:
-                    latest[name] = (at, seq, value)
-            object_records.append((oid, ot, {k: v for k, (_, _, v) in latest.items()}))
+                if name not in latest or at >= latest[name][0]:  # the later entry wins a tie
+                    latest[name] = (at, value)
+            object_records.append((oid, ot, {k: v for k, (_, v) in latest.items()}))
         entry = None
 
         event_records = []

@@ -19,6 +19,7 @@ from .detect import (
 )
 from .errors import AllColumnsDropped, InvalidConfig, VarianceFallbackWarning
 from .features import (
+    AGGREGATIONS,
     DEFAULT_EPSILON,
     FeatureMatrix,
     extract_features,
@@ -27,7 +28,10 @@ from .features import (
     variance_filter,
 )
 from .ocel import OcelLog
-from .reduce import DEFAULT_FASTMAP_K, DEFAULT_PIVOT_ITERS, fastmap, pca
+from .reduce import DEFAULT_FASTMAP_K, PIVOT_ITERS, fastmap, pca
+
+DETECTORS = ("iforest", "lof")
+REDUCERS = ("none", "pca", "fastmap")
 
 
 @dataclass(frozen=True)
@@ -42,14 +46,14 @@ class PipelineParams:
     """
 
     object_type: str
-    detector: str | None = None  # iforest | lof
-    reducer: str = "none"  # none | pca | fastmap
+    detector: str | None = None  # one of DETECTORS
+    reducer: str = "none"  # one of REDUCERS
     propagate_from: str | None = None
     agg: str = "mean"
     min_variance: float = 0.0
     epsilon: float = field(default=DEFAULT_EPSILON, init=False)
     reduce_k: int = DEFAULT_FASTMAP_K
-    pivot_iters: int = field(default=DEFAULT_PIVOT_ITERS, init=False)
+    pivot_iters: int = field(default=PIVOT_ITERS, init=False)
     n_trees: int = DEFAULT_N_TREES
     subsample: int = DEFAULT_SUBSAMPLE
     lof_k: int = DEFAULT_LOF_K
@@ -59,6 +63,9 @@ class PipelineParams:
     def __post_init__(self):
         if self.detector is None:
             object.__setattr__(self, "detector", "lof" if self.reducer == "fastmap" else "iforest")
+        for name, allowed in (("detector", DETECTORS), ("reducer", REDUCERS), ("agg", AGGREGATIONS)):
+            if getattr(self, name) not in allowed:
+                raise InvalidConfig(f"{name} must be one of {', '.join(allowed)}, got {getattr(self, name)!r}")
         for name, least in (("n_trees", 1), ("subsample", 2), ("lof_k", 1), ("reduce_k", 1)):
             if getattr(self, name) < least:
                 raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -95,18 +102,12 @@ def score_matrix(Fn: FeatureMatrix, params: PipelineParams) -> ScoreVector:
     if params.reducer == "pca":
         data = pca(Fn, k).matrix
     elif params.reducer == "fastmap":
-        data = fastmap(Fn, k, pivot_iters=params.pivot_iters, seed=params.seed).matrix
-    elif params.reducer != "none":
-        raise ValueError(f"unknown reducer {params.reducer!r}")
-
+        data = fastmap(Fn, k, seed=params.seed).matrix
     if params.detector == "iforest":
         return isolation_forest(data, n_trees=params.n_trees, subsample=params.subsample, seed=params.seed)
-    if params.detector == "lof":
-        return lof(data, k=params.lof_k)
-    raise ValueError(f"unknown detector {params.detector!r}")
+    return lof(data, k=params.lof_k)
 
 
-def detect_objects(log: OcelLog, params: PipelineParams) -> tuple[FeatureMatrix, ScoreVector, RankVector]:
-    _, Fn = build_matrix(log, params)
-    scores = score_matrix(Fn, params)
-    return Fn, scores, rank(scores)
+def detect_objects(log: OcelLog, params: PipelineParams) -> tuple[ScoreVector, RankVector]:
+    scores = score_matrix(build_matrix(log, params)[1], params)
+    return scores, rank(scores)

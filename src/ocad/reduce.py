@@ -5,9 +5,10 @@ Both take a :class:`FeatureMatrix` and return an :class:`Embedding` whose
 (headers ``dim_0 .. dim_{k-1}``), so it feeds the detectors and the feature
 CSV like any other matrix. PCA is the classical covariance eigendecomposition
 with a deterministic sign convention. FastMap picks pivot pairs with the
-seeded farthest-pair heuristic and projects onto the pivot line axis by axis,
-carrying residual distances forward; it is contractive on Euclidean inputs
-and never needs the full pairwise distance matrix.
+seeded farthest-pair heuristic, a fixed :data:`PIVOT_ITERS` sweeps per axis,
+and projects onto the pivot line axis by axis, carrying residual distances
+forward; it is contractive on Euclidean inputs and never needs the full
+pairwise distance matrix.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from .errors import TooFewRows
 from .features import FeatureMatrix
 
 DEFAULT_FASTMAP_K = 8
-DEFAULT_PIVOT_ITERS = 5
+PIVOT_ITERS = 5
 
 
 @dataclass(frozen=True)
 class Embedding:
     matrix: FeatureMatrix  # the input's rows, columns dim_0..dim_{k-1}
-    method: str  # "PCA" | "FastMap"
     component_vectors: np.ndarray | None = None  # PCA: (k, d), orthonormal rows
     explained_variance: np.ndarray | None = None  # PCA: per component
     pivot_pairs: tuple[tuple[str, str], ...] | None = None  # FastMap: per axis
@@ -58,18 +58,15 @@ def pca(F: FeatureMatrix, k: int) -> Embedding:
             row *= -1.0
     return Embedding(
         matrix=_coords_matrix(F, Xc @ components.T),
-        method="PCA",
         component_vectors=components,
         explained_variance=np.maximum(eigval[order], 0.0),
     )
 
 
-def fastmap(
-    F: FeatureMatrix, k: int = DEFAULT_FASTMAP_K, pivot_iters: int = DEFAULT_PIVOT_ITERS, seed: int = 0
-) -> Embedding:
+def fastmap(F: FeatureMatrix, k: int = DEFAULT_FASTMAP_K, seed: int = 0) -> Embedding:
     """Distance-preserving projection into ``k`` dimensions.
 
-    Per axis: pivots (a, b) come from ``pivot_iters`` alternating
+    Per axis: pivots (a, b) come from :data:`PIVOT_ITERS` alternating
     farthest-point sweeps from a seeded random start; the coordinate of row i
     is (d(a,i)^2 + d(a,b)^2 - d(b,i)^2) / (2 d(a,b)) with x_a = 0 and
     x_b = d(a,b). Residual squared distances for later axes subtract the
@@ -98,7 +95,7 @@ def fastmap(
     for axis in range(k):
         a = int(rng.integers(n))
         b = a
-        for _ in range(pivot_iters):
+        for _ in range(PIVOT_ITERS):
             b = int(np.argmax(resid_sq_dists(a, axis)))
             a = int(np.argmax(resid_sq_dists(b, axis)))
         d2a = resid_sq_dists(a, axis)
@@ -109,5 +106,5 @@ def fastmap(
         coords[:, axis] = (d2a + d2ab - d2b) / (2.0 * np.sqrt(d2ab))
         pivots.append((F.row_ids[a], F.row_ids[b]))
 
-    return Embedding(matrix=_coords_matrix(F, coords), method="FastMap", pivot_pairs=tuple(pivots))
+    return Embedding(matrix=_coords_matrix(F, coords), pivot_pairs=tuple(pivots))
 

@@ -109,6 +109,15 @@ def _assign_kinds(cfg: SynthConfig, rng) -> dict[int, AnomalyKind]:
     return assignment
 
 
+def _add_chain(raw_events: list, i: int, t: float, chain: list, gaps: list[float]) -> None:
+    """Append order ``i``'s ``chain`` of ``(activity, oids, attrs)`` steps as
+    ``(time, order, step, activity, oids, attrs)`` records: the first step at
+    ``t``, each later one ``gaps[step - 1]`` after the one before."""
+    for seq, ((activity, oids, attrs), gap) in enumerate(zip(chain, [0.0, *gaps])):
+        t += gap
+        raw_events.append((_quantize(t), i, seq, activity, oids, attrs))
+
+
 def _build_log(raw_events: list, objects: list) -> OcelLog:
     """Sort ``(time, order, step, activity, oids, attrs)`` records by their
     first three fields and number them ``e000000``, ``e000001``, ..."""
@@ -179,14 +188,10 @@ def generate_p2p(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
             elif kind is AnomalyKind.REOPEN_LONG_GAP:
                 chain += [(ACT_CLOSE_PO, [po], {}), (ACT_REOPEN_PO, [po], {})]
 
-            t = chain_start
-            for seq, (activity, oids, attrs) in enumerate(chain):
-                if seq:
-                    gap = float(rng.exponential(cfg.mean_gap))
-                    if activity == ACT_REOPEN_PO:
-                        gap += REOPEN_GAP_FACTOR * cfg.mean_gap
-                    t += gap
-                raw_events.append((_quantize(t), i, seq, activity, oids, attrs))
+            gaps = [float(rng.exponential(cfg.mean_gap)) for _ in chain[1:]]
+            if kind is AnomalyKind.REOPEN_LONG_GAP:
+                gaps[-1] += REOPEN_GAP_FACTOR * cfg.mean_gap
+            _add_chain(raw_events, i, chain_start, chain, gaps)
 
         labels = {
             f"po-{i:05d}": (frozenset([assignment[i]]) if i in assignment else frozenset())
@@ -206,10 +211,8 @@ def generate_blocked_invoices(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTru
     """
     with _collector_paused():
         cfg.validate()
-        rate = cfg.anomaly_rates.get(AnomalyKind.BLOCKED_INVOICE, 0.0)
         rng = np.random.default_rng(cfg.seed)
-        perm = rng.permutation(cfg.n_orders)
-        blocked = {int(i) for i in perm[: round(rate * cfg.n_orders)]}
+        assignment = _assign_kinds(cfg, rng)
 
         objects: list[tuple[str, str, dict]] = []
         raw_events: list[tuple[float, int, int, str, list[str], dict]] = []
@@ -232,21 +235,14 @@ def generate_blocked_invoices(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTru
                 (ACT_RECEIVE_INVOICE, [po, inv], {}),
                 (ACT_PAY_INVOICE, [inv, pay], {}),
             ]
-            if i in blocked:
+            blocked = assignment.get(i) is AnomalyKind.BLOCKED_INVOICE
+            if blocked:
                 del chain[1:3]  # no submission, no approval
-            # Invoice-local timing is drawn identically for both arms so invoice
-            # features carry no label signal.
+            # Invoice-local timing is drawn first, identically for both arms,
+            # so invoice features carry no label signal.
             invoice_gaps = [float(rng.exponential(cfg.mean_gap)) for _ in range(2)]
-            t = chain_start
-            for seq, (activity, oids, attrs) in enumerate(chain):
-                if seq:
-                    if activity == ACT_RECEIVE_INVOICE:
-                        t += invoice_gaps[0]
-                    elif activity == ACT_PAY_INVOICE:
-                        t += invoice_gaps[1]
-                    else:
-                        t += float(rng.exponential(cfg.mean_gap))
-                raw_events.append((_quantize(t), i, seq, activity, oids, attrs))
-            labels[inv] = frozenset([AnomalyKind.BLOCKED_INVOICE]) if i in blocked else frozenset()
+            _add_chain(raw_events, i, chain_start, chain,
+                       [float(rng.exponential(cfg.mean_gap)) for _ in chain[1:-2]] + invoice_gaps)
+            labels[inv] = frozenset([AnomalyKind.BLOCKED_INVOICE]) if blocked else frozenset()
 
         return _build_log(raw_events, objects), SynthGroundTruth(labels=labels)

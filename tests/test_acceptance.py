@@ -210,7 +210,7 @@ def test_c08_end_to_end_recovery_and_report():
     for seed in range(5):
         cfg = SynthConfig(n_orders=500, anomaly_rates=rates, seed=seed)
         log, truth = generate_p2p(cfg)
-        _, scores, ranks = detect_objects(log, PipelineParams(object_type="order", seed=seed))
+        scores, ranks = detect_objects(log, PipelineParams(object_type="order", seed=seed))
         labeled = {o for o, kinds in truth.labels.items() if kinds}
         cutoff = int(0.15 * len(ranks.object_ids))
         position = dict(zip(ranks.object_ids, ranks.ranks))
@@ -237,7 +237,7 @@ def test_c09_feature_propagation_regression():
         decile = int(0.10 * len(log.objects_of_type("invoice")))
         for source, sink in ((None, plain), ("order", propagated)):
             params = PipelineParams(object_type="invoice", detector="lof", propagate_from=source, agg="mean", seed=seed)
-            _, _, ranks = detect_objects(log, params)
+            _, ranks = detect_objects(log, params)
             position = dict(zip(ranks.object_ids, ranks.ranks))
             sink.append(sum(1 for o in labeled if position[o] < decile) / len(labeled))
     mean_plain, mean_prop = float(np.mean(plain)), float(np.mean(propagated))

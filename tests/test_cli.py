@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 import ocad
 import ocad.cli
 import ocad.features
+import ocad.ocel
 from ocad.cli import build_parser, main
-from ocad.errors import LlmTimeout, VarianceFallbackWarning
+from ocad.errors import InvalidConfig, LlmTimeout, VarianceFallbackWarning
 from ocad.features import feature_csv_bytes, normalize
 from ocad.ocel import parse_ocel_json
 from ocad.pipeline import PipelineParams, build_matrix
@@ -138,6 +139,12 @@ def test_params_default_detector_follows_reducer():
     assert PipelineParams(object_type="order").detector == "iforest"
     assert PipelineParams(object_type="order", reducer="fastmap", detector="iforest").detector == "iforest"
     assert PipelineParams(object_type="order", detector="lof").detector == "lof"
+
+
+@pytest.mark.parametrize("name, value", [("detector", "svm"), ("reducer", "umap"), ("agg", "avg"), ("agg", None)])
+def test_params_reject_an_unknown_pipeline_name(name, value):
+    with pytest.raises(InvalidConfig, match=f"^{name} must be one of .*, got {value!r}$"):
+        PipelineParams(object_type="order", **{name: value})
 
 
 @pytest.mark.parametrize("command", ["features", "detect", "aggregate", "abstract"])
@@ -272,6 +279,28 @@ def test_feature_width_bound_admits_the_bench_and_rejects_an_id_like_attribute_a
     # The widest bench block is dfg on order at 8k orders; an id-like string
     # attribute on the 32,800 objects of the 8k log needs 1.08e9 cells.
     assert 8000 * 10 <= ocad.features.MAX_COUNT_CELLS < 32_800 ** 2
+
+
+def test_too_wide_partner_gather_is_rejected_before_writing(tmp_path, capsys, monkeypatch):
+    # One event over 20 orders: gathering their partners takes 20 x 20 entries.
+    event = {"id": "e0", "type": "Create", "time": "2024-01-01T00:00:00Z",
+             "relationships": [{"objectId": f"o{i:02d}", "qualifier": ""} for i in range(20)]}
+    log = tmp_path / "log.json"
+    log.write_bytes(ocel_doc(events=[event], objects=[_order(f"o{i:02d}") for i in range(20)]))
+    monkeypatch.setattr(ocad.ocel, "MAX_PARTNER_ENTRIES", 399)
+    out = tmp_path / "o"
+    assert main(["features", "--log", str(log), "--object-type", "order", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: gathering the partners of 20 objects would take 400 entries, over the bound of 399\n")
+    assert not out.exists()
+    monkeypatch.setattr(ocad.ocel, "MAX_PARTNER_ENTRIES", 400)
+    with pytest.warns(VarianceFallbackWarning):  # every order has the same features
+        assert main(["features", "--log", str(log), "--object-type", "order", "--out", str(out)]) == 0
+
+
+def test_partner_bound_admits_the_bench_and_rejects_one_event_over_5000_objects():
+    # The widest bench gather is order in the 8k P2P log.
+    assert 49_600 <= ocad.ocel.MAX_PARTNER_ENTRIES < 5_000 ** 2
 
 
 @pytest.mark.parametrize(
