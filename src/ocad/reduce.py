@@ -6,9 +6,9 @@ Both take a :class:`FeatureMatrix` and return an :class:`Embedding` whose
 CSV like any other matrix. PCA is the classical covariance eigendecomposition
 with a deterministic sign convention. FastMap picks pivot pairs with the
 seeded farthest-pair heuristic, a fixed :data:`PIVOT_ITERS` sweeps per axis,
-and projects onto the pivot line axis by axis, carrying residual distances
-forward; it is contractive on Euclidean inputs and never needs the full
-pairwise distance matrix.
+and projects onto the pivot line axis by axis, carrying the rows' residual
+vectors forward; it is contractive on Euclidean inputs, also in floating
+point, and never needs the full pairwise distance matrix.
 """
 
 from __future__ import annotations
@@ -68,9 +68,12 @@ def fastmap(F: FeatureMatrix, k: int = DEFAULT_FASTMAP_K, seed: int = 0) -> Embe
 
     Per axis: pivots (a, b) come from :data:`PIVOT_ITERS` alternating
     farthest-point sweeps from a seeded random start; the coordinate of row i
-    is (d(a,i)^2 + d(a,b)^2 - d(b,i)^2) / (2 d(a,b)) with x_a = 0 and
-    x_b = d(a,b). Residual squared distances for later axes subtract the
-    coordinate differences, clamped at 0 against floating-point dust. A zero
+    is its projection (r_i - r_a) . u on the unit pivot direction
+    u = (r_b - r_a) / d(a,b), so x_a = 0 and x_b = d(a,b); each row's residual
+    vector r (the input row at first) then loses that component. Distances
+    are direct differences of residuals, not the Gram form, whose cancellation
+    noise would become coordinates of about its square root once the rows'
+    span is used up; so the embedding stays contractive in floating point. A zero
     pivot distance means all residual distances vanished; remaining axes stay
     zero and pivoting stops.
     """
@@ -82,28 +85,26 @@ def fastmap(F: FeatureMatrix, k: int = DEFAULT_FASTMAP_K, seed: int = 0) -> Embe
         raise ValueError("k must be >= 1")
     rng = np.random.default_rng(seed)
     coords = np.zeros((n, k))
-    sq_norms = (X * X).sum(axis=1)
+    resid = X.copy()
 
-    def resid_sq_dists(p: int, axis: int) -> np.ndarray:
-        base = sq_norms + sq_norms[p] - 2.0 * (X @ X[p])
-        if axis:
-            diffs = coords[:, :axis] - coords[p, :axis]
-            base = base - (diffs * diffs).sum(axis=1)
-        return np.maximum(base, 0.0)
+    def sq_dists(p: int) -> np.ndarray:
+        diffs = resid - resid[p]
+        return np.einsum("ij,ij->i", diffs, diffs)
 
     pivots: list[tuple[str, str]] = []
     for axis in range(k):
         a = int(rng.integers(n))
         b = a
         for _ in range(PIVOT_ITERS):
-            b = int(np.argmax(resid_sq_dists(a, axis)))
-            a = int(np.argmax(resid_sq_dists(b, axis)))
-        d2a = resid_sq_dists(a, axis)
-        d2b = resid_sq_dists(b, axis)
-        d2ab = d2a[b]
-        if d2ab <= 0.0:
+            b = int(np.argmax(sq_dists(a)))
+            a = int(np.argmax(sq_dists(b)))
+        u = resid[b] - resid[a]
+        dab = np.sqrt(u @ u)
+        if dab <= 0.0:
             break
-        coords[:, axis] = (d2a + d2ab - d2b) / (2.0 * np.sqrt(d2ab))
+        u /= dab
+        coords[:, axis] = (resid - resid[a]) @ u
+        resid -= np.outer(coords[:, axis], u)
         pivots.append((F.row_ids[a], F.row_ids[b]))
 
     return Embedding(matrix=_coords_matrix(F, coords), pivot_pairs=tuple(pivots))

@@ -122,7 +122,7 @@ GOLDEN = {
         "lifecycles/rank009_po-00011.txt": "6b2bdfe27d6f4440dee372f3885edfb3c0e540c8e6e67f2f1b269765edd9ba2b",
         "ranks.csv": "407f710e1b9f22b7080d4da292da8e9c1f2af2cefe7f36bb9bd5bbcd670fc0c5",
         "run.json": "71a3297565e7ed059517c7ccf06e02376ee8fabcb0ced2bccbf36adab62dabd3",
-        "scores.csv": "c084f07416e8432e5618deaa20a06e7e1d5592d4e2e1a5dbe1b5530d5bdf6c29"
+        "scores.csv": "2e8863d81af02c7b2b14a930b7e5298bd0183e0874804ea11e3ea853a5405ec5"
     },
     "p2p/detect-pca": {
         "lifecycles/rank000_po-00030.txt": "5ecbd6ce1820035769928df12ba0275fad55c7fc27ba9439e52b2eb64ec5801a",
@@ -211,7 +211,7 @@ GOLDEN = {
         "lifecycles/rank009_po-00035.txt": "c4e434ef1bfaf34f6c7566b72afbaf66decf14d0e05e1e6d0481f6a30ea382a3",
         "ranks.csv": "c8c50e308d0f8a8cab4d419ae257b9f6807180efd8237957f24b784118f5ee8b",
         "run.json": "a17682865bbd78823045bcf4e104e9f26b8486bcd46a240ebb572e58754234bb",
-        "scores.csv": "09e721298eb48b6d21b358a8f07ca10b17583b870b854604586a775132544a31"
+        "scores.csv": "5d27151340883ae4c5cdc380cdd4e736ed0251f0993e2a7f0433ab9cb5b8b414"
     },
     "blocked/detect-pca": {
         "lifecycles/rank000_po-00016.txt": "35ae79e5fdf18f24ddd1e784b50cec6f6a1489a6ac92eab8e64dbd58358e03f6",
@@ -300,7 +300,7 @@ GOLDEN = {
         "lifecycles/rank009_po-00004.txt": "9982334a8133727e9fc94e7d9127bebd5309d97252b68882feeacd8b6a3567ae",
         "ranks.csv": "ee6f3276c16e2eeb841af0c5e6dd615040a2d2cb9bfba61d0a5b4e77b61a8edf",
         "run.json": "05f4ea6bac47a09b8b68d77da03401dc8b147d73fba4c532d969ad9fa02712f2",
-        "scores.csv": "e4445eccef931d58de0b1e62355fb6f69b5c196770681ff4f476d16cce4cbd61"
+        "scores.csv": "a886bc37468e9d720e9fd6c49bca4ef9798ebe2107e7323830feeb7b67f6f5ad"
     },
     "blocked-mixed/detect-pca": {
         "lifecycles/rank000_po-00032.txt": "ca00610969028d0fedc508b6a92b079c24319b1b81e82f445c94958d1c3f6050",
