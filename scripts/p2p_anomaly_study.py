@@ -10,10 +10,8 @@ ground truth, and prints the feature-score report.
 import argparse
 
 from ocad.aggregate import anomalous_feature_report
-from ocad.detect import isolation_forest, lof, rank, render_score_table
-from ocad.features import extract_features
-from ocad.pipeline import PipelineParams, build_matrix
-from ocad.reduce import fastmap
+from ocad.detect import rank, render_score_table
+from ocad.pipeline import PipelineParams, build_matrix, score_matrix
 from ocad.synthgen import AnomalyKind, SynthConfig, generate_p2p
 
 
@@ -38,10 +36,10 @@ def main() -> None:
     print(f"log: {len(log.events)} events, {len(log.objects)} objects, "
           f"{sum(1 for k in truth.labels.values() if k)} anomalous orders\n")
 
-    _, Fn = build_matrix(log, PipelineParams(object_type="order", seed=args.seed))
-    sv_if = isolation_forest(Fn, seed=args.seed)
-    embedding = fastmap(Fn, k=min(8, len(Fn.columns)), seed=args.seed)
-    sv_lof = lof(embedding.matrix, k=20)
+    params = PipelineParams(object_type="order", seed=args.seed)  # the default detector: iforest
+    F, Fn = build_matrix(log, params)
+    sv_if = score_matrix(Fn, params)
+    sv_lof = score_matrix(Fn, PipelineParams(object_type="order", reducer="fastmap", seed=args.seed))
 
     table = render_score_table([sv_if, sv_lof]).splitlines()
     print("most anomalous orders (isolation forest | LOF on FastMap):")
@@ -58,8 +56,7 @@ def main() -> None:
     hit = sum(1 for o in labeled if position[o] < cutoff)
     print(f"\nplanted orders in bottom 15% of iforest ranks: {hit}/{len(labeled)}")
 
-    F = extract_features(log, "order")
-    report = anomalous_feature_report(log, F, sv_if, top_n=args.top)
+    report = anomalous_feature_report(F, sv_if, top_n=args.top)
     print("\nfeature values most correlated with anomalies:")
     print(report.to_text())
 

@@ -14,7 +14,6 @@ from ._csv import csv_bytes, text_table
 from .detect import ScoreVector, _order
 from .errors import RowMismatch
 from .features import FeatureMatrix, column_label, explode_values, normalize
-from .ocel import OcelLog
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def feature_scores(F: FeatureMatrix, scores: ScoreVector) -> FeatureScoreTable:
     return FeatureScoreTable(rows=tuple(FeatureScoreRow(F.columns[j], int(support[j]), float(fea[j])) for j in order))
 
 
-def anomalous_feature_report(log: OcelLog, F: FeatureMatrix, scores: ScoreVector, top_n: int) -> FeatureScoreTable:
+def anomalous_feature_report(F: FeatureMatrix, scores: ScoreVector, top_n: int) -> FeatureScoreTable:
     """Report of the feature values most correlated with anomalies.
 
     Discrete columns are exploded into per-value indicators, normalized and
@@ -71,10 +70,6 @@ def anomalous_feature_report(log: OcelLog, F: FeatureMatrix, scores: ScoreVector
     after scoring, by position: they would all inherit the negated mean
     object score without discriminating anything.
     """
-    known = set(log.objects_of_type(F.object_type))
-    missing = [o for o in F.row_ids if o not in known]
-    if missing:
-        raise RowMismatch(f"matrix rows not in the log: {missing[:3]!r}")
     exploded = explode_values(F)
     fea, support, order = _score_columns(exploded, scores)
     varies = exploded.values.var(axis=0) > 0.0

@@ -96,17 +96,19 @@ def _load_log(path: str) -> tuple[OcelLog, str]:
 
 # ------------------------------------------------------------- subcommands
 
+# The rate flags of ``generate``, by destination, and the kind each plants.
+_RATE_FLAGS = {
+    "maverick_rate": AnomalyKind.MAVERICK_BUYING,
+    "postmortem_rate": AnomalyKind.POST_MORTEM_PR_CHANGE,
+    "double_invoice_rate": AnomalyKind.DOUBLE_INVOICE,
+    "reopen_rate": AnomalyKind.REOPEN_LONG_GAP,
+    "blocked_rate": AnomalyKind.BLOCKED_INVOICE,
+}
+
+
 def _cmd_generate(args) -> int:
-    rates = {}
-    for kind, value in (
-        (AnomalyKind.MAVERICK_BUYING, args.maverick_rate),
-        (AnomalyKind.POST_MORTEM_PR_CHANGE, args.postmortem_rate),
-        (AnomalyKind.DOUBLE_INVOICE, args.double_invoice_rate),
-        (AnomalyKind.REOPEN_LONG_GAP, args.reopen_rate),
-        (AnomalyKind.BLOCKED_INVOICE, args.blocked_rate),
-    ):
-        if value != 0:  # an unset rate is dropped; NaN and negatives reach the check
-            rates[kind] = value
+    # an unset rate is dropped; NaN and negatives reach the check
+    rates = {kind: getattr(args, dest) for dest, kind in _RATE_FLAGS.items() if getattr(args, dest) != 0}
     cfg = SynthConfig(n_orders=args.n_orders, anomaly_rates=rates, seed=args.seed, mean_gap=args.mean_gap)
     generator = generate_blocked_invoices if args.variant == "blocked-invoices" else generate_p2p
     log, truth = generator(cfg)
@@ -174,7 +176,7 @@ def _detect(args, log: OcelLog, params: PipelineParams):
 
 def _aggregate(args, log: OcelLog, params: PipelineParams):
     F, Fn = build_matrix(log, params)
-    table = anomalous_feature_report(log, F, score_matrix(Fn, params), top_n=args.top_n)
+    table = anomalous_feature_report(F, score_matrix(Fn, params), top_n=args.top_n)
     files = {"feature_scores.csv": table.to_csv_bytes(), "feature_scores.txt": table.to_text().encode()}
     return files, "feature_scores.csv", f" ({len(table.rows)} rows)"
 
@@ -230,11 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a synthetic P2P log with planted anomalies")
     g.add_argument("--variant", choices=["p2p", "blocked-invoices"], default="p2p")
     g.add_argument("--n-orders", type=int, required=True)
-    g.add_argument("--maverick-rate", type=float, default=0.0)
-    g.add_argument("--postmortem-rate", type=float, default=0.0)
-    g.add_argument("--double-invoice-rate", type=float, default=0.0)
-    g.add_argument("--reopen-rate", type=float, default=0.0)
-    g.add_argument("--blocked-rate", type=float, default=0.0)
+    for dest in _RATE_FLAGS:
+        g.add_argument("--" + dest.replace("_", "-"), type=float, default=0.0)
     g.add_argument("--mean-gap", type=float, default=DEFAULT_MEAN_GAP)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)

@@ -41,7 +41,6 @@ class ScoreVector:
     object_ids: tuple[str, ...]
     scores: np.ndarray
     method: str  # "IF" | "LOF"
-    params: dict
 
 
 @dataclass(frozen=True)
@@ -117,12 +116,7 @@ def isolation_forest(
         total += path
     expected = total / n_trees
     s = np.power(2.0, -expected / c[psi])
-    return ScoreVector(
-        object_ids=tuple(F.row_ids),
-        scores=0.5 - s,
-        method="IF",
-        params={"n_trees": n_trees, "subsample": subsample, "psi": psi, "height_limit": limit, "seed": seed},
-    )
+    return ScoreVector(object_ids=tuple(F.row_ids), scores=0.5 - s, method="IF")
 
 
 def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
@@ -157,12 +151,7 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     lrd = 1.0 / np.maximum(_row_means(reach, weights, rows), _REACH_FLOOR)
     factor = _row_means(lrd[cols] / lrd[rows], weights, rows)
 
-    return ScoreVector(
-        object_ids=tuple(F.row_ids),
-        scores=-factor[inverse],
-        method="LOF",
-        params={"k": k, "distance": "euclidean"},
-    )
+    return ScoreVector(object_ids=tuple(F.row_ids), scores=-factor[inverse], method="LOF")
 
 
 def _neighborhoods(U, sq, counts, k):

@@ -227,9 +227,7 @@ def propagate_features(
     partners, seg = log.related(log.codes(base.row_ids), neighbor.object_type)
 
     neighbor_row = np.full(len(log.objects), -1)
-    for i, o in enumerate(neighbor.row_ids):
-        if o in log.obj_code:
-            neighbor_row[log.obj_code[o]] = i
+    neighbor_row[log.codes(neighbor.row_ids)] = np.arange(len(neighbor.row_ids))
     rows = neighbor_row[partners]
     missing = np.flatnonzero(rows < 0)
     if len(missing):

@@ -77,7 +77,7 @@ def test_c02_normalization_and_feature_score_suite():
         assert np.all(N.values >= -1.0) and np.all(N.values <= 1.0)
         assert np.all(N.values.min(axis=0) == -1.0)
         s = rng.normal(size=25)
-        table = feature_scores(F, ScoreVector(N.row_ids, s, "IF", {}))
+        table = feature_scores(F, ScoreVector(N.row_ids, s, "IF"))
         expected = dict(zip(N.columns, brute_fea_scores(N.values, s)))
         worst = max(worst, max(abs(r.fea_score - expected[r.feature_name]) for r in table.rows))
     assert worst <= 1e-12
@@ -90,7 +90,7 @@ def test_c03_rank_law():
         n = int(rng.integers(1, 60))
         scores = np.round(rng.normal(size=n), 1)
         ids = tuple(f"obj{i:03d}" for i in rng.permutation(n))
-        rv = rank(ScoreVector(ids, scores, "IF", {}))
+        rv = rank(ScoreVector(ids, scores, "IF"))
         assert sorted(rv.ranks) == list(range(n))
         for i in range(n):
             for j in range(n):
@@ -217,7 +217,7 @@ def test_c08_end_to_end_recovery_and_report():
         recalls.append(sum(1 for o in labeled if position[o] < cutoff) / len(labeled))
 
         F = extract_features(log, "order")
-        table = anomalous_feature_report(log, F, scores, top_n=10)
+        table = anomalous_feature_report(F, scores, top_n=10)
         top_names = {r.feature_name for r in table.rows}
         for kind, names in candidates.items():
             assert top_names & names, f"seed {seed}: no {kind.value} indicator in top-10: {sorted(top_names)}"

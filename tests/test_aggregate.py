@@ -8,12 +8,12 @@ from ocad.detect import ScoreVector
 from ocad.errors import RowMismatch
 from ocad.features import column_label, column_name, extract_features, normalize
 
-from conftest import build_log, make_matrix
+from conftest import make_matrix
 from oracles import brute_fea_scores
 
 
 def _scores(ids, values):
-    return ScoreVector(tuple(ids), np.asarray(values, dtype=float), "IF", {})
+    return ScoreVector(tuple(ids), np.asarray(values, dtype=float), "IF")
 
 
 def test_zero_scores_give_zero_feature_scores():
@@ -94,16 +94,8 @@ def test_row_mismatch():
 
 # ----------------------------------------------------------------- report
 
-def _report_log(n):
-    return build_log(
-        [(f"e{i:03d}", "A", 1.0 + i, [f"o{i:03d}"]) for i in range(n)],
-        [(f"o{i:03d}", "t") for i in range(n)],
-    )
-
-
 def test_report_surfaces_anomaly_correlated_indicator():
     n = 20
-    log = _report_log(n)
     scores = np.linspace(-1.0, 1.0, n)  # first 5 objects are the anomalies
     flag = np.zeros(n)
     flag[:5] = 1.0
@@ -113,40 +105,37 @@ def test_report_surfaces_anomaly_correlated_indicator():
         row_ids=[f"o{i:03d}" for i in range(n)],
         columns=[("lifecyclecontains", "Cancel Purchase Order"), ("numvalue", "amount"), "constant"],
     )
-    table = anomalous_feature_report(log, F, _scores(F.row_ids, scores), top_n=3)
+    table = anomalous_feature_report(F, _scores(F.row_ids, scores), top_n=3)
     top_names = [r.feature_name for r in table.rows]
     assert "(lifecyclecontains Cancel Purchase Order = 1)" in top_names
 
 
 def test_report_excludes_zero_variance_features():
     n = 6
-    log = _report_log(n)
     F = make_matrix(
         np.column_stack([np.ones(n), np.arange(n, dtype=float)]),
         row_ids=[f"o{i:03d}" for i in range(n)],
         columns=["constant", "varies"],
     )
-    table = anomalous_feature_report(log, F, _scores(F.row_ids, -np.ones(n)), top_n=10)
+    table = anomalous_feature_report(F, _scores(F.row_ids, -np.ones(n)), top_n=10)
     for r in table.rows:
         assert "constant" not in r.feature_name
 
 
 def test_report_top_n_zero_is_empty():
-    log = _report_log(4)
     F = make_matrix(np.arange(4, dtype=float), row_ids=[f"o{i:03d}" for i in range(4)], columns=["x"])
-    table = anomalous_feature_report(log, F, _scores(F.row_ids, np.zeros(4)), top_n=0)
+    table = anomalous_feature_report(F, _scores(F.row_ids, np.zeros(4)), top_n=0)
     assert table.rows == ()
 
 
 def test_report_rows_sorted_ascending():
     n = 12
-    log = _report_log(n)
     rng = np.random.default_rng(0)
     F = make_matrix(
         rng.integers(0, 3, size=(n, 4)).astype(float),
         row_ids=[f"o{i:03d}" for i in range(n)],
     )
-    table = anomalous_feature_report(log, F, _scores(F.row_ids, rng.normal(size=n)), top_n=50)
+    table = anomalous_feature_report(F, _scores(F.row_ids, rng.normal(size=n)), top_n=50)
     scores_list = [r.fea_score for r in table.rows]
     assert scores_list == sorted(scores_list)
 
@@ -171,8 +160,7 @@ def test_table_text_and_csv_round():
     table = FeatureScoreTable(rows=())
     assert table.to_csv_bytes().startswith(b"feature,count,fea_score")
     n = 5
-    log = _report_log(n)
     F = make_matrix(np.arange(n, dtype=float) % 2, row_ids=[f"o{i:03d}" for i in range(n)], columns=["flag"])
-    t = anomalous_feature_report(log, F, _scores(F.row_ids, -np.ones(n)), top_n=5)
+    t = anomalous_feature_report(F, _scores(F.row_ids, -np.ones(n)), top_n=5)
     text = t.to_text()
     assert "Feature (with Value)" in text and "Count" in text and "FEA_SCORE" in text

@@ -95,9 +95,6 @@ def test_iforest_monotone_response_to_displacement():
 
 def test_iforest_params_snapshot():
     sv = isolation_forest(make_matrix([[0.0], [1.0], [2.0]]), n_trees=7, subsample=2, seed=5)
-    assert sv.params["n_trees"] == 7
-    assert sv.params["psi"] == 2
-    assert sv.params["seed"] == 5
     assert sv.method == "IF"
 
 
@@ -234,7 +231,7 @@ def test_lof_memory_stays_bounded_on_a_coincident_cluster():
 # ------------------------------------------------------------------- rank
 
 def test_rank_simple():
-    sv = ScoreVector(("a", "b", "c"), np.array([-2.0, -1.0, 0.0]), "IF", {})
+    sv = ScoreVector(("a", "b", "c"), np.array([-2.0, -1.0, 0.0]), "IF")
     rv = rank(sv)
     assert dict(zip(rv.object_ids, rv.ranks)) == {"a": 0, "b": 1, "c": 2}
 
@@ -247,7 +244,7 @@ def test_rank_tie_breaks_lexicographically():
         (("a", "b"), [0.0, -0.0], {"a": 0, "b": 1}),
     ]
     for ids, scores, expected in cases:
-        sv = ScoreVector(ids, np.array(scores), "IF", {})
+        sv = ScoreVector(ids, np.array(scores), "IF")
         rv = rank(sv)
         assert dict(zip(rv.object_ids, rv.ranks)) == expected
         by_rank = sorted(expected, key=expected.get)
@@ -262,7 +259,7 @@ def test_rank_strict_order_all_pairs():
     rng = np.random.default_rng(4)
     scores = np.round(rng.normal(size=100), 1)  # plenty of ties
     ids = tuple(f"o{i:03d}" for i in rng.permutation(100))
-    rv = rank(ScoreVector(ids, scores, "IF", {}))
+    rv = rank(ScoreVector(ids, scores, "IF"))
     assert sorted(rv.ranks) == list(range(100))
     by_id = dict(zip(rv.object_ids, rv.ranks))
     score_of = dict(zip(ids, scores))
@@ -279,7 +276,7 @@ def test_rank_strict_order_all_pairs():
 def test_rank_is_bijection_and_order_preserving(values):
     ids = tuple(f"x{i:02d}" for i in range(len(values)))
     scores = np.asarray(values, dtype=float)
-    rv = rank(ScoreVector(ids, scores, "IF", {}))
+    rv = rank(ScoreVector(ids, scores, "IF"))
     assert sorted(rv.ranks) == list(range(len(values)))
     for i in range(len(values)):
         for j in range(len(values)):
@@ -290,7 +287,7 @@ def test_rank_is_bijection_and_order_preserving(values):
 # --------------------------------------------------------------- bottom_k
 
 def _abc_ranks():
-    sv = ScoreVector(("a", "b", "c"), np.array([-2.0, -1.0, 0.0]), "IF", {})
+    sv = ScoreVector(("a", "b", "c"), np.array([-2.0, -1.0, 0.0]), "IF")
     return rank(sv)
 
 
@@ -313,8 +310,8 @@ def test_bottom_k_too_large():
 
 
 def test_render_score_table_layout():
-    sv_if = ScoreVector(("PO_23667", "PO_23507"), np.array([-0.200785, -0.200311]), "IF", {})
-    sv_lof = ScoreVector(("PO_23667", "PO_23507"), np.array([-40.049412, -7.200163]), "LOF", {})
+    sv_if = ScoreVector(("PO_23667", "PO_23507"), np.array([-0.200785, -0.200311]), "IF")
+    sv_lof = ScoreVector(("PO_23667", "PO_23507"), np.array([-40.049412, -7.200163]), "LOF")
     text = render_score_table([sv_if, sv_lof])
     first_row = text.splitlines()[1]
     assert first_row.startswith("PO_23667")

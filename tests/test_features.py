@@ -15,6 +15,7 @@ from ocad.errors import (
     MixedAttributeType,
     NoObjectsOfType,
     TypeMismatch,
+    UnknownObject,
 )
 from ocad.features import (
     FeatureMatrix,
@@ -191,6 +192,20 @@ def test_propagation_rejects_same_type():
     base = extract_features(log, "order")
     with pytest.raises(TypeMismatch):
         propagate_features(log, base, base)
+
+
+def _with_ghost_row(F):
+    return make_matrix(np.vstack([F.values, F.values[:1]]), row_ids=[*F.row_ids, "ghost"], columns=list(F.keys),
+                       object_type=F.object_type)
+
+
+def test_propagation_rejects_a_row_of_either_matrix_not_in_the_log():
+    """Base and neighbor rows follow one rule: an id the log lacks raises."""
+    log = _two_orders_with_invoices()
+    base, neighbor = extract_features(log, "order"), extract_features(log, "invoice")
+    for b, nb in ((_with_ghost_row(base), neighbor), (base, _with_ghost_row(neighbor))):
+        with pytest.raises(UnknownObject, match="ghost"):
+            propagate_features(log, b, nb)
 
 
 def test_propagation_median_matches_sort_middle_oracle(p2p_small):
