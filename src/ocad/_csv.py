@@ -4,17 +4,21 @@ text table behind its score tables."""
 from __future__ import annotations
 
 import csv
-import io
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 
 def csv_bytes(header: Sequence, rows: Iterable[Sequence]) -> bytes:
-    """UTF-8 CSV with ``\\n`` line ends: the header, then one line per row."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    """UTF-8 CSV with ``\\n`` line ends: the header, then one line per row.
+    A field that holds ``,``, ``"``, ``\\r`` or ``\\n`` is quoted."""
+    # The writer quotes a field holding any character of its line terminator,
+    # so "\r\n" quotes a lone "\r" too. It writes each row in one call, so
+    # each row's "\r\n" is the last two characters of one string.
+    lines: list[str] = []
+    w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     w.writerow(header)
     w.writerows(rows)
-    return buf.getvalue().encode("utf-8")
+    return "".join(line[:-2] + "\n" for line in lines).encode("utf-8")
 
 
 def text_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

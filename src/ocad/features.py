@@ -240,10 +240,11 @@ def propagate_features(
     prop = np.zeros((len(base.row_ids), len(neighbor.keys)))
     count = np.bincount(seg, minlength=len(base.row_ids))
     first = np.cumsum(count) - count
-    for size in np.unique(count[count > 0]).tolist():
-        sel = np.flatnonzero(count == size)
-        stacked = neighbor.values[rows[first[sel][:, None] + np.arange(size)], :]
-        prop[sel, :] = fn(stacked, axis=1)
+    with np.errstate(over="ignore"):  # an overflowed sum or mean is inf, which normalize rejects
+        for size in np.unique(count[count > 0]).tolist():
+            sel = np.flatnonzero(count == size)
+            stacked = neighbor.values[rows[first[sel][:, None] + np.arange(size)], :]
+            prop[sel, :] = fn(stacked, axis=1)
 
     return replace(base, keys=base.keys + tuple(("prop", k) for k in neighbor.keys),
                    values=np.hstack([base.values, prop]))
@@ -254,7 +255,8 @@ def normalize(F: FeatureMatrix, epsilon: float = DEFAULT_EPSILON) -> FeatureMatr
 
     The per-column minimum maps to exactly -1; constant columns map uniformly
     to -1. The map is strictly increasing, so value order within a column is
-    preserved.
+    preserved. A column whose ``2 * (max - min)`` is not a finite float would
+    map to inf or NaN, and raises :class:`InvalidConfig`.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
@@ -262,6 +264,11 @@ def normalize(F: FeatureMatrix, epsilon: float = DEFAULT_EPSILON) -> FeatureMatr
         raise NoObjectsOfType("cannot normalize an empty matrix")
     lo = F.values.min(axis=0) if F.values.shape[1] else np.zeros(0)
     hi = F.values.max(axis=0) if F.values.shape[1] else np.zeros(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = np.flatnonzero(~np.isfinite(2.0 * (hi - lo)))
+    if len(wide):
+        j = wide[0]
+        raise InvalidConfig(f"column {F.columns[j]!r} spans {lo[j]:g} to {hi[j]:g}, too wide to normalize")
     return replace(F, values=-1.0 + 2.0 * (F.values - lo) / (hi - lo + epsilon))
 
 

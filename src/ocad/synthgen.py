@@ -141,9 +141,14 @@ def generate_p2p(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
     * DoubleInvoice: a second invoice+payment chain on the same order
     * ReopenLongGap: the order is closed and reopened after a gap at least
       100x the mean inter-event gap
+
+    A nonzero BlockedInvoice rate raises :class:`InvalidConfig`: this variant
+    does not plant that kind.
     """
     with _collector_paused():
         cfg.validate()
+        if cfg.anomaly_rates.get(AnomalyKind.BLOCKED_INVOICE):
+            raise InvalidConfig("the p2p variant does not plant BlockedInvoice; the blocked-invoices variant does")
         rng = np.random.default_rng(cfg.seed)
         assignment = _assign_kinds(cfg, rng)
 

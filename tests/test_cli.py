@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -313,6 +314,7 @@ def test_partner_bound_admits_the_bench_and_rejects_one_event_over_5000_objects(
         ["--reopen-rate", "-0.5"],
         ["--n-orders", str(10**12)],  # was a MemoryError traceback
         ["--n-orders", str(2**63)],  # was a loop that grew until killed
+        ["--blocked-rate", "0.1"],  # the p2p variant plants no blocked invoices
     ],
 )
 def test_generate_rejects_invalid_knobs(tmp_path, capsys, flags):
@@ -526,6 +528,60 @@ def test_names_with_underscores_keep_headers_and_get_exact_labels(tmp_path):
     labels = {line.rsplit(",", 2)[0] for line in lines[1:]}
     assert {"(dfg Create_PO -> Pay = 1)", "(dfg Create_PO -> Cancel_PO = 0)", "(strvalue pay_term_net_30 = 1)",
             "(lifecyclecontains Cancel_PO = 1)"} <= labels
+
+
+def _amount_log(path, amounts):
+    """One order per amount, each with two events."""
+    objects = [_order(f"o{i:02d}", [("amount", a)]) for i, a in enumerate(amounts)]
+    events = [_event(f"e{i:02d}{k}", "AB"[k], i % 9 + 1, k * (1 + i % 3), f"o{i:02d}")
+              for i in range(len(amounts)) for k in range(2)]
+    path.write_bytes(ocel_doc(events=events, objects=objects))
+    return path
+
+
+_OVERFLOW_AMOUNTS = {
+    # four of 30 orders at +-1.7e308: max - min overflows
+    "huge": [1.7e308 if i in (3, 11) else -1.7e308 if i in (7, 19) else 100.0 + i for i in range(30)],
+    # max - min is finite, 2 * (max - min) is not
+    "mixed": [1e200 if i == 5 else -1.7e308 if i == 9 else 100.0 + i for i in range(30)],
+}
+
+
+@pytest.mark.parametrize("argv", [["features"], ["detect"], ["detect", "--detector", "lof", "--min-variance", "inf"],
+                                  ["aggregate"]])
+@pytest.mark.parametrize("case", sorted(_OVERFLOW_AMOUNTS))
+def test_a_column_too_wide_to_normalize_is_rejected(tmp_path, capsys, case, argv):
+    """Finite attribute values whose span overflows the normalization are a
+    one-line validation error naming the column, and nothing is written."""
+    log = _amount_log(tmp_path / "log.json", _OVERFLOW_AMOUNTS[case])
+    code = main([*argv, "--log", str(log), "--object-type", "order", "--out", str(tmp_path / "run" / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: column 'numvalueamount' spans ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["log.json"]
+
+
+_EXTREMES = [1.7e308, -1.7e308, 8.9e307, -8.9e307, 1e200, -1e200, 5e-324, 0.0]
+
+
+@given(amounts=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EXTREMES),
+                        min_size=12, max_size=12))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_finite_amounts_give_finite_outputs_or_one_error_line(tmp_path_factory, amounts):
+    run = tmp_path_factory.mktemp("amounts")
+    log = _amount_log(run / "log.json", amounts)
+    for command in ("features", "detect"):
+        out = run / command
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--log", str(log), "--object-type", "order", "--out", str(out)])
+        assert code in (0, 1), err.getvalue()
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not out.exists()
+        else:
+            text = "".join(p.read_text() for p in out.rglob("*") if p.is_file())
+            assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE)
 
 
 _COLLISIONS = {

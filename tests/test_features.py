@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ocad.errors import (
     AllColumnsDropped,
     EmptyKeepSet,
+    InvalidConfig,
     MixedAttributeType,
     NoObjectsOfType,
     TypeMismatch,
@@ -192,6 +193,17 @@ def test_propagation_rejects_same_type():
     base = extract_features(log, "order")
     with pytest.raises(TypeMismatch):
         propagate_features(log, base, base)
+
+
+def test_propagated_overflow_is_inf_and_normalize_rejects_it():
+    log = build_log([("e1", "Create", 1.0, ["po1"]), ("e2", "Invoice", 2.0, ["po1", "i1", "i2"]),
+                     ("e3", "Create", 3.0, ["po2"])],
+                    [("po1", "order"), ("po2", "order"), ("i1", "invoice", {"amount": 1.5e308}),
+                     ("i2", "invoice", {"amount": 1.5e308})])
+    out = propagate_features(log, extract_features(log, "order"), extract_features(log, "invoice"), agg="sum")
+    assert column(out, "propnumvalueamount").tolist() == [np.inf, 0.0]
+    with pytest.raises(InvalidConfig, match="column 'propnumvalueamount' spans 0 to inf"):
+        normalize(out)
 
 
 def _with_ghost_row(F):
@@ -421,4 +433,14 @@ def test_feature_csv_round_trip(p2p_small):
     header, *rows = csv.reader(io.StringIO(feature_csv_bytes(F).decode("utf-8"), newline=""))
     assert header == ["object_id", *F.columns]
     assert tuple(r[0] for r in rows) == F.row_ids
+    assert np.array_equal(np.array([[float(x) for x in r[1:]] for r in rows]), F.values)
+
+
+def test_feature_csv_round_trips_a_carriage_return_in_ids_and_headers():
+    log = build_log([("e1", "A\rB", 1.0, ["o\r1"]), ("e2", "A", 2.0, ["o2"]), ("e3", "C", 3.0, ["o3\r"])],
+                    [("o\r1", "t"), ("o2", "t"), ("o3\r", "t")])
+    F = extract_features(log, "t")
+    header, *rows = csv.reader(io.StringIO(feature_csv_bytes(F).decode("utf-8"), newline=""))
+    assert header == ["object_id", *F.columns] and "lifecyclecontainsA\rB" in header
+    assert [r[0] for r in rows] == ["o\r1", "o2", "o3\r"] == list(F.row_ids)
     assert np.array_equal(np.array([[float(x) for x in r[1:]] for r in rows]), F.values)

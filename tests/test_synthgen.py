@@ -134,6 +134,8 @@ def test_invalid_configs_rejected():
         generate_p2p(SynthConfig(n_orders=5, anomaly_rates={AnomalyKind.MAVERICK_BUYING: 0.7, AnomalyKind.DOUBLE_INVOICE: 0.6}))
     with pytest.raises(InvalidConfig):
         generate_p2p(SynthConfig(n_orders=5, anomaly_rates={AnomalyKind.MAVERICK_BUYING: -0.1}))
+    with pytest.raises(InvalidConfig, match="does not plant BlockedInvoice"):
+        generate_p2p(SynthConfig(n_orders=20, anomaly_rates={AnomalyKind.BLOCKED_INVOICE: 0.1}, seed=1))
 
 
 @pytest.mark.parametrize("mean_gap", [float("inf"), float("nan"), 1e308, 1e12])
