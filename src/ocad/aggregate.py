@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._csv import csv_bytes, text_table
-from .detect import ScoreVector, _order
+from .detect import ScoreVector
 from .errors import RowMismatch
 from .features import FeatureMatrix, column_label, explode_values, normalize
+from .ocel import _order
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,13 @@ def anomalous_feature_report(F: FeatureMatrix, scores: ScoreVector, top_n: int) 
 
     Discrete columns are exploded into per-value indicators, normalized and
     scored; the ``top_n`` most negative rows are kept, labelled by
-    :func:`~ocad.features.column_label`. Zero-variance columns are excluded
-    after scoring, by position: they would all inherit the negated mean
-    object score without discriminating anything.
+    :func:`~ocad.features.column_label`. Constant columns are excluded after
+    scoring, by position: they would all inherit the negated mean object
+    score without discriminating anything.
     """
     exploded = explode_values(F)
     fea, support, order = _score_columns(exploded, scores)
-    varies = exploded.values.var(axis=0) > 0.0
+    varies = exploded.values.max(axis=0) > exploded.values.min(axis=0)
     kept = [j for j in order if varies[j]][: max(top_n, 0)]
     rows = (FeatureScoreRow(column_label(exploded.keys[j]), int(support[j]), float(fea[j])) for j in kept)
     return FeatureScoreTable(rows=tuple(rows))

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._csv import csv_bytes, text_table
 from .errors import DegenerateMatrixWarning, KTooLarge, TooFewRows
+from .ocel import _order, _segments_by_length
 
 DEFAULT_N_TREES = 100
 # The largest n_trees PipelineParams accepts: at about 2 ms per tree on 8k
@@ -217,36 +218,20 @@ def _neighborhoods(U, sq, counts, k):
 
 
 def _row_means(values, weights, rows) -> np.ndarray:
-    """Weighted mean per row of entries in row-major order, every row
-    nonempty. Rows of equal length are stacked and summed along one axis, so
-    with unit weights every mean equals the per-row ``.mean()`` bit for bit."""
+    """Weighted mean per row of entries in row-major order, every row nonempty;
+    with unit weights each equals the row's ``.mean()`` bit for bit."""
     lengths = np.bincount(rows)
-    start = np.cumsum(lengths) - lengths
     out = np.empty(len(lengths))
-    for m in np.unique(lengths).tolist():
-        sel = np.flatnonzero(lengths == m)
-        idx = start[sel, None] + np.arange(m)
+    for sel, idx in _segments_by_length(lengths):
         w = weights[idx]
         out[sel] = (values[idx] * w).sum(axis=1) / w.sum(axis=1)
     return out
 
 
-def _order(ids, scores) -> np.ndarray:
-    """Positions ascending by (score, id): the ids are sorted first, then a
-    stable sort of the scores keeps that order among ties (-0.0 ties 0.0).
-    The ids are compared as Python strings; a numpy string array would drop
-    trailing NULs."""
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    return by_id[np.argsort(np.asarray(scores)[by_id], kind="stable")]
-
-
 def rank(scores: ScoreVector) -> RankVector:
     """Injective rank: ascending by (score, object id); rank 0 is the most
     anomalous object, ties broken lexicographically."""
-    order = _order(scores.object_ids, scores.scores)
-    ranks = np.empty(len(order), dtype=np.int64)
-    ranks[order] = np.arange(len(order))
-    return RankVector(object_ids=scores.object_ids, ranks=ranks)
+    return RankVector(object_ids=scores.object_ids, ranks=np.argsort(_order(scores.object_ids, scores.scores)))
 
 
 def bottom_k(ranks: RankVector, k: int) -> list[str]:

@@ -43,7 +43,7 @@ from .errors import (
     RowMismatch,
     TypeMismatch,
 )
-from .ocel import OcelLog
+from .ocel import OcelLog, _segments_by_length
 
 DEFAULT_EPSILON = 1e-9
 # explode_values treats a column with more distinct values as continuous.
@@ -214,9 +214,8 @@ def propagate_features(
     objects with no neighbors get 0.
 
     The neighbor rows of every base row are gathered at once, partners in
-    ascending id order. Rows with the same number of partners are stacked and
-    reduced along one axis by the same numpy function as a per-row call, so
-    every float equals the per-row result.
+    ascending id order, and reduced in blocks of equal partner count
+    (:func:`~ocad.ocel._segments_by_length`), so every float equals a per-row call's.
     """
     if base.object_type == neighbor.object_type:
         raise TypeMismatch("propagation requires two distinct object types")
@@ -238,13 +237,9 @@ def propagate_features(
         )
 
     prop = np.zeros((len(base.row_ids), len(neighbor.keys)))
-    count = np.bincount(seg, minlength=len(base.row_ids))
-    first = np.cumsum(count) - count
     with np.errstate(over="ignore"):  # an overflowed sum or mean is inf, which normalize rejects
-        for size in np.unique(count[count > 0]).tolist():
-            sel = np.flatnonzero(count == size)
-            stacked = neighbor.values[rows[first[sel][:, None] + np.arange(size)], :]
-            prop[sel, :] = fn(stacked, axis=1)
+        for sel, idx in _segments_by_length(np.bincount(seg, minlength=len(base.row_ids))):
+            prop[sel, :] = fn(neighbor.values[rows[idx], :], axis=1)
 
     return replace(base, keys=base.keys + tuple(("prop", k) for k in neighbor.keys),
                    values=np.hstack([base.values, prop]))
@@ -262,8 +257,7 @@ def normalize(F: FeatureMatrix, epsilon: float = DEFAULT_EPSILON) -> FeatureMatr
         raise ValueError("epsilon must be > 0")
     if F.values.shape[0] == 0:
         raise NoObjectsOfType("cannot normalize an empty matrix")
-    lo = F.values.min(axis=0) if F.values.shape[1] else np.zeros(0)
-    hi = F.values.max(axis=0) if F.values.shape[1] else np.zeros(0)
+    lo, hi = F.values.min(axis=0), F.values.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         wide = np.flatnonzero(~np.isfinite(2.0 * (hi - lo)))
     if len(wide):

@@ -3,7 +3,9 @@
 An event can relate to any number of objects of different types, so the log
 keeps the event-to-object relation instead of a flat case table. Events are
 totally ordered by (timestamp, event id); all per-object derivations
-(lifecycle, interaction sets) are defined relative to that order.
+(lifecycle, interaction sets) are defined relative to that order. The
+package's one (key, id) sort, :func:`_order`, and its one row-wise reduction
+of equal-length segments, :func:`_segments_by_length`, are defined here.
 
 Timestamps are real seconds since the Unix epoch. Serialization re-emits them
 as ISO-8601 UTC with millisecond precision, so parse(serialize(log)) is the
@@ -19,9 +21,10 @@ transposed CSR) and its first and last times are built on first use and are
 not compared by equality, so serialization and ``ocad generate`` never build
 them. Interaction partners are not stored: :meth:`OcelLog.related` gathers
 them through both CSRs for the objects asked about, and
-:meth:`OcelLog.relation` defines the interaction sets on them. There are no
-per-id dicts besides the id-to-code lookups ``obj_code`` and ``type_code``:
-a reader that wants an event's or object's fields indexes the arrays.
+:meth:`OcelLog.relation` defines the interaction sets on them. An event's
+objects and an object's partners are both deduplicated by one ``np.unique``
+over (row, code) pairs. There are no per-id dicts besides the id-to-code
+lookups ``obj_code`` and ``type_code``: a reader indexes the arrays.
 
 Building a log, by :func:`parse_ocel_json` or the synthetic generators,
 pauses the cyclic garbage collector: the records are about a million
@@ -95,6 +98,23 @@ def _gather(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndar
     return values[np.arange(int(lens.sum())) + np.repeat(lo - offsets, lens)], seg
 
 
+def _order(ids, keys) -> np.ndarray:
+    """Positions ascending by (key, id), -0.0 tying 0.0. The ids are compared as
+    Python strings: a numpy string array would drop trailing NULs."""
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    return by_id[np.argsort(np.asarray(keys)[by_id], kind="stable")]
+
+
+def _segments_by_length(lengths: np.ndarray):
+    """For segments of ``lengths`` entries stored back to back, yield each
+    nonzero length's segments and their entry positions, one row per segment:
+    reduced along axis 1, each row gives the floats of a call on it alone."""
+    start = np.cumsum(lengths) - lengths
+    for m in np.unique(lengths[lengths > 0]).tolist():
+        sel = np.flatnonzero(lengths == m)
+        yield sel, start[sel, None] + np.arange(m)
+
+
 def _sorted_codes(first_seen: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
     """Sorted names of ``first_seen``, and each name's sorted position at its value."""
     names = tuple(sorted(first_seen))
@@ -151,13 +171,13 @@ class OcelLog:
 
         acts: dict[str, int] = {}
         seen: set[str] = set()
-        eids, times, ev_act, ev_attrs, sizes, ev_obj = [], [], [], [], [], []
+        eids, times, ev_act, ev_attrs, sizes, codes = [], [], [], [], [], []
         for eid, activity, ts, oids, attrs in event_records:
             if eid in seen:
                 raise DuplicateId(f"duplicate event id {eid!r}")
             seen.add(eid)
             try:
-                related = sorted({obj_code[o] for o in oids})
+                related = [obj_code[o] for o in oids]
             except KeyError as exc:
                 raise DanglingReference(f"event {eid!r} references unknown object {exc.args[0]!r}") from None
             eids.append(eid)
@@ -165,13 +185,13 @@ class OcelLog:
             ev_act.append(acts.setdefault(activity, len(acts)))
             ev_attrs.append({k: _coerce_value(v, "event", eid) for k, v in attrs.items()})
             sizes.append(len(related))
-            ev_obj += related
+            codes += related
         del seen, obj_code
 
-        order = np.array(sorted(range(len(eids)), key=lambda i: (times[i], eids[i])), dtype=np.int64)
+        order = _order(eids, times)
         activities, act_code = _sorted_codes(acts)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        n, position = len(objects), np.repeat(np.argsort(order), sizes)
+        ev, ev_obj = np.divmod(np.unique(position * n + np.asarray(codes, dtype=np.int64)), n)
         return OcelLog(
             events=tuple(eids[i] for i in order.tolist()),
             objects=objects,
@@ -182,8 +202,8 @@ class OcelLog:
             ev_time=np.asarray(times, dtype=np.float64)[order],
             ev_act=act_code[np.asarray(ev_act, dtype=np.int64)][order],
             ev_attrs=tuple(ev_attrs[i] for i in order.tolist()),
-            ev_ptr=np.concatenate(([0], np.cumsum(sizes[order]))),
-            ev_obj=_gather(np.asarray(ev_obj, dtype=np.int32), ptr[:-1][order], ptr[1:][order])[0],
+            ev_ptr=np.searchsorted(ev, np.arange(len(order) + 1)),
+            ev_obj=ev_obj.astype(np.int32),
         )
 
     def __eq__(self, other: object) -> bool:

@@ -42,9 +42,9 @@ DEFAULT_MEAN_GAP = 3600.0
 
 REOPEN_GAP_FACTOR = 100.0
 
-# The generator holds the whole log in memory, about 7 kB per order, so a
-# larger request needs 7 GB or more and ends in a MemoryError or an
-# out-of-memory kill rather than a log.
+# The generator holds the whole log in memory: 15.7-22 kB per order at peak,
+# measured at 8k-128k orders (ROADMAP.md, item 5), so the 1,000,000 orders
+# this bound admits need about 16 GB and end in an out-of-memory kill.
 MAX_ORDERS = 1_000_000
 
 

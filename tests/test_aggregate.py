@@ -1,9 +1,12 @@
 """Feature-score aggregation and the anomalous-feature report."""
 
+import json
+
 import numpy as np
 import pytest
 
 from ocad.aggregate import FeatureScoreTable, anomalous_feature_report, feature_scores
+from ocad.cli import main
 from ocad.detect import ScoreVector
 from ocad.errors import RowMismatch
 from ocad.features import column_label, column_name, extract_features, normalize
@@ -120,6 +123,24 @@ def test_report_excludes_zero_variance_features():
     table = anomalous_feature_report(F, _scores(F.row_ids, -np.ones(n)), top_n=10)
     for r in table.rows:
         assert "constant" not in r.feature_name
+
+
+def test_report_of_amounts_near_1e200_warns_nothing(tmp_path, capsys):
+    """A continuous column spanning -1e200 to 1e200 normalizes, and deciding
+    which exploded columns vary takes no squares, so the run writes nothing to
+    stderr (tier-1 turns a numpy overflow warning into an error)."""
+    assert main(["generate", "--n-orders", "30", "--seed", "1", "--out", str(tmp_path / "gen")]) == 0
+    doc = json.loads((tmp_path / "gen" / "log.json").read_text())
+    extremes = {"po-00000": 1e200, "po-00001": -1e200}
+    for obj in doc["objects"]:
+        for att in obj["attributes"]:
+            if att["name"] == "amount" and obj["id"] in extremes:
+                att["value"] = extremes[obj["id"]]
+    (tmp_path / "log.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["aggregate", "--log", str(tmp_path / "log.json"), "--object-type", "order", "--out", str(tmp_path / "a")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_report_top_n_zero_is_empty():

@@ -279,6 +279,8 @@ def test_normalize_endpoints():
 def test_normalize_constant_column():
     N = normalize(make_matrix([[3.0], [3.0], [3.0]]))
     assert np.all(N.values == -1.0)
+    # a matrix with rows and no columns normalizes to itself
+    assert normalize(make_matrix(np.zeros((3, 0)))).values.shape == (3, 0)
 
 
 def test_normalize_matches_scalar_replay():

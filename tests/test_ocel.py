@@ -73,6 +73,27 @@ def test_parse_order_breaks_time_ties_lexicographically():
     assert log.events.index("e4") + 1 == log.events.index("e5")
 
 
+def test_log_order_is_the_python_sort_by_time_then_id():
+    """A trailing NUL sorts after the bare id and -0.0 ties 0.0, through both
+    OcelLog.build and the parse; events without objects keep integer CSR arrays."""
+    cases = [
+        [("b", 1.0, ["o1"]), ("a\x00", 1.0, []), ("a", 1.0, ["o2", "o1", "o2"])],
+        [("z", 0.0, ["o1"]), ("y", -0.0, []), ("x", 0.0, ["o2"]), ("w", -0.0, ["o1"])],
+    ]
+    for records in cases:
+        log = build_log([(e, "A", t, objs) for e, t, objs in records], [("o1", "order"), ("o2", "order")])
+        assert log.events == tuple(e for _, e in sorted((t, e) for e, t, _ in records))
+        assert log_dicts(log).omap == {e: frozenset(objs) for e, _, objs in records}
+    records = [("b", "2024-01-01T00:00:01Z"), ("a\x00", "2024-01-01T00:00:01Z"), ("a", "2024-01-01T00:00:01Z"),
+               ("c", "2024-01-01T00:00:00Z")]
+    log = parse_ocel_json(ocel_doc(events=[_event(e, "A", t) for e, t in records]))
+    assert log.events == tuple(e for _, e in sorted((log_dicts(log).time[e], e) for e, _ in records))
+    assert log.events == ("c", "a", "a\x00", "b")
+    for log in (log, build_log([("e1", "A", 1.0, ["o1"]), ("e2", "A", 2.0, [])], [("o1", "order")])):
+        assert log.ev_obj.dtype.kind == log.ev_ptr.dtype.kind == "i"
+    assert log.ev_ptr.tolist() == [0, 1, 1] and log.ev_obj.tolist() == [0]
+
+
 def test_parse_rejects_bad_json():
     with pytest.raises(MalformedDocument):
         parse_ocel_json(b"{not json")
