@@ -33,7 +33,7 @@ class FeatureScoreTable:
     def to_csv_bytes(self) -> bytes:
         return csv_bytes(
             ["feature", "count", "fea_score"],
-            ([r.feature_name, r.support_count, repr(r.fea_score)] for r in self.rows),
+            ([r.feature_name, r.support_count, r.fea_score] for r in self.rows),
         )
 
     def to_text(self) -> str:

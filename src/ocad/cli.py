@@ -49,6 +49,11 @@ from .synthgen import DEFAULT_MEAN_GAP, AnomalyKind, SynthConfig, generate_block
 LLM_KEY_ENV = "OCAD_LLM_API_KEY"
 LIFECYCLE_DIR = "lifecycles"
 NAME_MAX = 255  # bytes in one file name on the common Linux file systems
+# The largest --log read. Reading a log peaks at about 40 MB plus 4.7 bytes per
+# byte of it (524 MB on a 103 MB log, 1,944 MB on 405 MB; ROADMAP.md, item 5),
+# and tests/test_cli.py bounds the parse's tracemalloc peak at 5 bytes per byte,
+# so this keeps a run within a 4 GB budget, half of an 8 GB machine.
+MAX_INPUT_BYTES = 800_000_000
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -85,6 +90,9 @@ def _write_run(out: Path, command: str, params: dict, input_digest: str, files: 
 
 
 def _load_log(path: str) -> tuple[OcelLog, str]:
+    size = Path(path).stat().st_size  # a missing file fails here as the read would
+    if size > MAX_INPUT_BYTES:
+        raise InvalidConfig(f"log {path!r} is {size} bytes, over the bound of {MAX_INPUT_BYTES} bytes")
     data = Path(path).read_bytes()
     digest = _digest(data)
     try:  # rebinding drops the bytes before the parse; invalid UTF-8 stays bytes for its error
@@ -190,7 +198,7 @@ def _abstract(args, log: OcelLog, params: PipelineParams):
     files = {"feature_summary.txt": text.encode()}
     if args.oracle == "statistical":
         verdicts = statistical_oracle(summary, whisker=args.whisker)
-        rows = ([v.feature_name, repr(v.fence_lo), repr(v.fence_hi), v.rationale] for v in verdicts)
+        rows = ([v.feature_name, v.fence_lo, v.fence_hi, v.rationale] for v in verdicts)
         files["oracle_verdicts.csv"] = csv_bytes(["feature", "fence_lo", "fence_hi", "rationale"], rows)
     else:
         files["llm_reply.txt"] = llm_oracle(

@@ -95,7 +95,7 @@ def isolation_forest(
     adjustment c(size). Identical rows yield identical scores and trigger a
     :class:`DegenerateMatrixWarning`.
     """
-    X = np.asarray(F.values, dtype=np.float64)
+    X = F.values
     n, d = X.shape
     if n < 2:
         raise TooFewRows("isolation forest needs at least 2 rows")
@@ -135,7 +135,7 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    X = np.asarray(F.values, dtype=np.float64)
+    X = F.values
     n = X.shape[0]
     if n < k + 1:
         raise TooFewRows(f"lof with k={k} needs at least {k + 1} rows, got {n}")
@@ -248,7 +248,7 @@ def score_csv_bytes(scores: ScoreVector) -> bytes:
     """Two-column CSV, most anomalous first."""
     order = _order(scores.object_ids, scores.scores)
     ids = scores.object_ids
-    rows = ([ids[i], repr(x)] for i, x in zip(order.tolist(), scores.scores[order].tolist()))
+    rows = ([ids[i], x] for i, x in zip(order.tolist(), scores.scores[order].tolist()))
     return csv_bytes(["object_id", "score"], rows)
 
 
@@ -256,7 +256,7 @@ def rank_csv_bytes(ranks: RankVector) -> bytes:
     """Two-column CSV in rank order."""
     order = np.argsort(ranks.ranks, kind="stable")
     ids = ranks.object_ids
-    rows = ([ids[i], int(r)] for i, r in zip(order.tolist(), ranks.ranks[order].tolist()))
+    rows = ([ids[i], r] for i, r in zip(order.tolist(), ranks.ranks[order].tolist()))
     return csv_bytes(["object_id", "rank"], rows)
 
 

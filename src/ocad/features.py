@@ -53,7 +53,8 @@ MAX_DISTINCT = 20
 # 600 MB here, and each of the chain's up to four float64 copies takes 200 MB.
 MAX_COUNT_CELLS = 25_000_000
 
-AGGREGATIONS = ("mean", "median", "min", "max", "sum")
+# propagate_features reduces neighbor values by one of these, by name.
+AGGREGATIONS = {"mean": np.mean, "median": np.median, "min": np.min, "max": np.max, "sum": np.sum}
 
 ColumnKey = tuple  # (family, *args); see the module docstring
 
@@ -94,7 +95,7 @@ class FeatureMatrix:
     values: np.ndarray  # shape (len(row_ids), len(keys)), float64
 
     def __post_init__(self):
-        assert self.values.shape == (len(self.row_ids), len(self.keys))
+        assert self.values.dtype == np.float64 and self.values.shape == (len(self.row_ids), len(self.keys))
 
     @cached_property
     def columns(self) -> tuple[str, ...]:
@@ -125,11 +126,11 @@ def _count_columns(rows: np.ndarray, codes: np.ndarray, n: int, family: tuple,
 def _common_attribute_columns(log: OcelLog, ot: str, codes: np.ndarray) -> list:
     """Numeric and one-hot string columns, as (keys, block) parts, for the
     attributes shared by every object of the type, whose codes are
-    ``codes``. Mixed numeric/string use of one attribute is an error rather
-    than a silent coercion."""
+    ``codes`` (at least one). Mixed numeric/string use of one attribute is an
+    error rather than a silent coercion."""
     parts = []
     attrs = [log.obj_attrs[c] for c in codes.tolist()]
-    for att in sorted(log.common_attributes(ot)):
+    for att in sorted(set(attrs[0]).intersection(*attrs[1:])):
         values = [a[att] for a in attrs]
         kinds = {isinstance(v, str) for v in values}
         if len(kinds) > 1:
@@ -220,8 +221,7 @@ def propagate_features(
     if base.object_type == neighbor.object_type:
         raise TypeMismatch("propagation requires two distinct object types")
     if agg not in AGGREGATIONS:
-        raise ValueError(f"agg must be one of {AGGREGATIONS}, got {agg!r}")
-    fn = {"mean": np.mean, "median": np.median, "min": np.min, "max": np.max, "sum": np.sum}[agg]
+        raise ValueError(f"agg must be one of {tuple(AGGREGATIONS)}, got {agg!r}")
 
     partners, seg = log.related(log.codes(base.row_ids), neighbor.object_type)
 
@@ -239,7 +239,7 @@ def propagate_features(
     prop = np.zeros((len(base.row_ids), len(neighbor.keys)))
     with np.errstate(over="ignore"):  # an overflowed sum or mean is inf, which normalize rejects
         for sel, idx in _segments_by_length(np.bincount(seg, minlength=len(base.row_ids))):
-            prop[sel, :] = fn(neighbor.values[rows[idx], :], axis=1)
+            prop[sel, :] = AGGREGATIONS[agg](neighbor.values[rows[idx], :], axis=1)
 
     return replace(base, keys=base.keys + tuple(("prop", k) for k in neighbor.keys),
                    values=np.hstack([base.values, prop]))
@@ -319,6 +319,6 @@ def explode_values(F: FeatureMatrix) -> FeatureMatrix:
 def feature_csv_bytes(F: FeatureMatrix) -> bytes:
     """CSV with an ``object_id`` first column; floats keep full round-trip
     precision."""
-    rows = ([o, *map(repr, row)] for o, row in zip(F.row_ids, F.values.tolist()))
+    rows = ([o, *row] for o, row in zip(F.row_ids, F.values.tolist()))
     return csv_bytes(["object_id", *F.columns], rows)
 

@@ -4,24 +4,36 @@ An oracle maps each feature to a value scorer: a total function from reals
 to reals where scores <= 0 flag anomalous values and 0 means "inside the
 normal band". The built-in statistical oracle derives Tukey-style fences
 from the feature summary; the LLM oracle is plain transport to an
-OpenAI-compatible chat endpoint and never interprets the reply.
+OpenAI-compatible chat endpoint and never interprets the reply. Its
+instruction preamble is a versioned constant, so a given toolkit version
+always issues the same prompt for the same abstraction.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .errors import EmptyMatrix, LlmHttpError, LlmSchemaError, LlmTimeout
-from .ocel import OcelLog, format_iso
-from .prompts import FEATURE_TABLE_PREAMBLE
+from .ocel import InteractionSets, OcelLog, format_iso
 
 DEFAULT_WHISKER = 1.5
 ORACLE_EPSILON = 1e-9
 DEFAULT_MAX_EVENTS = 50
+
+PROMPT_VERSION = "1"
+FEATURE_TABLE_PREAMBLE = (
+    "You are given summary statistics (min, quartiles, max, mean, standard "
+    "deviation, distinct count) of numeric features describing business "
+    "objects extracted from an object-centric event log. Identify anomalous "
+    "patterns suggested by these statistics: features with extreme ranges, "
+    "jumps beyond the 75th percentile, activities that repeat unusually "
+    "often, and rare activities worth investigating. Answer as a numbered "
+    "list of findings with short justifications."
+)
 
 
 @dataclass(frozen=True)
@@ -63,12 +75,11 @@ class OracleVerdict:
 
 def summarize_features(F) -> FeatureSummary:
     """Exact order statistics per column (linear-interpolation quantiles)."""
-    values = np.asarray(F.values, dtype=np.float64)
-    if values.shape[0] == 0:
+    if F.values.shape[0] == 0:
         raise EmptyMatrix("cannot summarize a matrix with no rows")
     stats = []
     for j, name in enumerate(F.columns):
-        col = values[:, j]
+        col = F.values[:, j]
         q1, med, q3 = np.quantile(col, [0.25, 0.5, 0.75])
         stats.append(
             FeatureStats(
@@ -158,8 +169,8 @@ def abstract_lifecycle(log: OcelLog, o: str, max_events: int = DEFAULT_MAX_EVENT
     lines.append(f"events: {len(lc)}")
     lines.append(f"duration_seconds: {duration:g}")
     sets = [(ot, log.interaction_sets(o, ot)) for ot in log.object_types]
-    for kind in ("interact", "creation", "continuation", "cobirth", "codeath"):
-        lines.append(f"{kind}: " + " ".join(f"{ot}={len(getattr(s, kind))}" for ot, s in sets))
+    for f in fields(InteractionSets):
+        lines.append(f"{f.name}: " + " ".join(f"{ot}={len(getattr(s, f.name))}" for ot, s in sets))
     return "\n".join(lines) + "\n"
 
 

@@ -44,7 +44,7 @@ def pca(F: FeatureMatrix, k: int) -> Embedding:
     made positive so results are reproducible. Rank deficiency is fine:
     trailing components just carry explained variance 0.
     """
-    X = np.asarray(F.values, dtype=np.float64)
+    X = F.values
     n, d = X.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k must be in 1..min(rows, cols) = {min(n, d)}, got {k}")
@@ -77,7 +77,7 @@ def fastmap(F: FeatureMatrix, k: int = DEFAULT_FASTMAP_K, seed: int = 0) -> Embe
     pivot distance means all residual distances vanished; remaining axes stay
     zero and pivoting stops.
     """
-    X = np.asarray(F.values, dtype=np.float64)
+    X = F.values
     n = X.shape[0]
     if n < 2:
         raise TooFewRows("fastmap needs at least 2 rows")

@@ -42,10 +42,11 @@ DEFAULT_MEAN_GAP = 3600.0
 
 REOPEN_GAP_FACTOR = 100.0
 
-# The generator holds the whole log in memory: 15.7-22 kB per order at peak,
-# measured at 8k-128k orders (ROADMAP.md, item 5), so the 1,000,000 orders
-# this bound admits need about 16 GB and end in an out-of-memory kill.
-MAX_ORDERS = 1_000_000
+# The generator holds the whole log in memory. Its peak is 13.8-16.2 kB per
+# order (tracemalloc of an in-process `ocad generate`, 1k-8k orders) and
+# 15.7 kB per order (RSS at 128k; ROADMAP.md, item 5), so at 16 kB per order
+# this bound keeps a run within a 4 GB budget, half of an 8 GB machine.
+MAX_ORDERS = 250_000
 
 
 class AnomalyKind(Enum):
@@ -128,6 +129,65 @@ def _build_log(raw_events: list, objects: list) -> OcelLog:
     )
 
 
+def _generate(cfg: SynthConfig, order) -> tuple[OcelLog, SynthGroundTruth]:
+    """The order loop of both variants. Per order, after the draw of its start,
+    ``order(cfg, rng, i, kind, objects)`` appends the order's objects and
+    returns the labelled id, its labels, the chain and its gaps."""
+    with _collector_paused():
+        rng = np.random.default_rng(cfg.seed)
+        assignment = _assign_kinds(cfg, rng)
+        objects: list[tuple[str, str, dict]] = []
+        raw_events: list[tuple[float, int, int, str, list[str], dict]] = []
+        labels: dict[str, frozenset[AnomalyKind]] = {}
+        chain_start = TIME_ORIGIN
+        for i in range(cfg.n_orders):
+            chain_start += float(rng.exponential(cfg.mean_gap))
+            labelled, labels[labelled], chain, gaps = order(cfg, rng, i, assignment.get(i), objects)
+            _add_chain(raw_events, i, chain_start, chain, gaps)
+        return _build_log(raw_events, objects), SynthGroundTruth(labels=labels)
+
+
+def _p2p_order(cfg: SynthConfig, rng, i: int, kind: AnomalyKind | None, objects: list) -> tuple:
+    req, po = f"req-{i:05d}", f"po-{i:05d}"
+    inv, pay = f"inv-{i:05d}", f"pay-{i:05d}"
+
+    amount = round(float(rng.uniform(100.0, 10000.0)), 2)
+    vendor = _VENDORS[int(rng.integers(len(_VENDORS)))]
+    approver_req = _USERS[int(rng.integers(len(_USERS)))]
+    approver_po = _USERS[int(rng.integers(len(_USERS)))]
+
+    objects.append((req, "requisition", {"amount": amount}))
+    objects.append((po, "order", {"amount": amount, "vendor": vendor}))
+    objects.append((inv, "invoice", {"amount": amount}))
+    objects.append((pay, "payment", {"amount": amount}))
+
+    chain = [
+        (ACT_CREATE_REQ, [req], {}),
+        (ACT_APPROVE_REQ, [req], {"user": approver_req}),
+        (ACT_CREATE_PO, [req, po], {}),
+        (ACT_SUBMIT_PO, [po], {}),
+        (ACT_APPROVE_PO, [po], {"user": approver_po}),
+        (ACT_RECEIVE_INVOICE, [po, inv], {}),
+        (ACT_PAY_INVOICE, [inv, pay], {}),
+    ]
+    if kind is AnomalyKind.MAVERICK_BUYING:
+        chain = [chain[k] for k in (0, 2, 5, 6, 3, 4, 1)]
+    elif kind is AnomalyKind.POST_MORTEM_PR_CHANGE:
+        chain.insert(5, (ACT_CHANGE_REQ, [req, po], {}))
+    elif kind is AnomalyKind.DOUBLE_INVOICE:
+        inv2, pay2 = f"inv-{i:05d}b", f"pay-{i:05d}b"
+        objects.append((inv2, "invoice", {"amount": amount}))
+        objects.append((pay2, "payment", {"amount": amount}))
+        chain += [(ACT_RECEIVE_INVOICE, [po, inv2], {}), (ACT_PAY_INVOICE, [inv2, pay2], {})]
+    elif kind is AnomalyKind.REOPEN_LONG_GAP:
+        chain += [(ACT_CLOSE_PO, [po], {}), (ACT_REOPEN_PO, [po], {})]
+
+    gaps = [float(rng.exponential(cfg.mean_gap)) for _ in chain[1:]]
+    if kind is AnomalyKind.REOPEN_LONG_GAP:
+        gaps[-1] += REOPEN_GAP_FACTOR * cfg.mean_gap
+    return po, frozenset([kind] if kind else []), chain, gaps
+
+
 def generate_p2p(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
     """Generate a purchase-to-pay log with planted order-level anomalies.
 
@@ -145,64 +205,35 @@ def generate_p2p(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
     A nonzero BlockedInvoice rate raises :class:`InvalidConfig`: this variant
     does not plant that kind.
     """
-    with _collector_paused():
-        cfg.validate()
-        if cfg.anomaly_rates.get(AnomalyKind.BLOCKED_INVOICE):
-            raise InvalidConfig("the p2p variant does not plant BlockedInvoice; the blocked-invoices variant does")
-        rng = np.random.default_rng(cfg.seed)
-        assignment = _assign_kinds(cfg, rng)
+    cfg.validate()
+    if cfg.anomaly_rates.get(AnomalyKind.BLOCKED_INVOICE):
+        raise InvalidConfig("the p2p variant does not plant BlockedInvoice; the blocked-invoices variant does")
+    return _generate(cfg, _p2p_order)
 
-        objects: list[tuple[str, str, dict]] = []
-        raw_events: list[tuple[float, int, int, str, list[str], dict]] = []
-        chain_start = TIME_ORIGIN
 
-        for i in range(cfg.n_orders):
-            chain_start += float(rng.exponential(cfg.mean_gap))
-            kind = assignment.get(i)
-            req, po = f"req-{i:05d}", f"po-{i:05d}"
-            inv, pay = f"inv-{i:05d}", f"pay-{i:05d}"
+def _blocked_order(cfg: SynthConfig, rng, i: int, kind: AnomalyKind | None, objects: list) -> tuple:
+    po, inv, pay = f"po-{i:05d}", f"inv-{i:05d}", f"pay-{i:05d}"
+    amount = round(float(rng.uniform(100.0, 10000.0)), 2)
+    approver = _USERS[int(rng.integers(len(_USERS)))]
+    objects.append((po, "order", {"amount": amount}))
+    objects.append((inv, "invoice", {"amount": amount}))
+    objects.append((pay, "payment", {"amount": amount}))
 
-            amount = round(float(rng.uniform(100.0, 10000.0)), 2)
-            vendor = _VENDORS[int(rng.integers(len(_VENDORS)))]
-            approver_req = _USERS[int(rng.integers(len(_USERS)))]
-            approver_po = _USERS[int(rng.integers(len(_USERS)))]
-
-            objects.append((req, "requisition", {"amount": amount}))
-            objects.append((po, "order", {"amount": amount, "vendor": vendor}))
-            objects.append((inv, "invoice", {"amount": amount}))
-            objects.append((pay, "payment", {"amount": amount}))
-
-            chain = [
-                (ACT_CREATE_REQ, [req], {}),
-                (ACT_APPROVE_REQ, [req], {"user": approver_req}),
-                (ACT_CREATE_PO, [req, po], {}),
-                (ACT_SUBMIT_PO, [po], {}),
-                (ACT_APPROVE_PO, [po], {"user": approver_po}),
-                (ACT_RECEIVE_INVOICE, [po, inv], {}),
-                (ACT_PAY_INVOICE, [inv, pay], {}),
-            ]
-            if kind is AnomalyKind.MAVERICK_BUYING:
-                chain = [chain[k] for k in (0, 2, 5, 6, 3, 4, 1)]
-            elif kind is AnomalyKind.POST_MORTEM_PR_CHANGE:
-                chain.insert(5, (ACT_CHANGE_REQ, [req, po], {}))
-            elif kind is AnomalyKind.DOUBLE_INVOICE:
-                inv2, pay2 = f"inv-{i:05d}b", f"pay-{i:05d}b"
-                objects.append((inv2, "invoice", {"amount": amount}))
-                objects.append((pay2, "payment", {"amount": amount}))
-                chain += [(ACT_RECEIVE_INVOICE, [po, inv2], {}), (ACT_PAY_INVOICE, [inv2, pay2], {})]
-            elif kind is AnomalyKind.REOPEN_LONG_GAP:
-                chain += [(ACT_CLOSE_PO, [po], {}), (ACT_REOPEN_PO, [po], {})]
-
-            gaps = [float(rng.exponential(cfg.mean_gap)) for _ in chain[1:]]
-            if kind is AnomalyKind.REOPEN_LONG_GAP:
-                gaps[-1] += REOPEN_GAP_FACTOR * cfg.mean_gap
-            _add_chain(raw_events, i, chain_start, chain, gaps)
-
-        labels = {
-            f"po-{i:05d}": (frozenset([assignment[i]]) if i in assignment else frozenset())
-            for i in range(cfg.n_orders)
-        }
-        return _build_log(raw_events, objects), SynthGroundTruth(labels=labels)
+    chain = [
+        (ACT_CREATE_PO, [po], {}),
+        (ACT_SUBMIT_PO, [po], {}),
+        (ACT_APPROVE_PO, [po], {"user": approver}),
+        (ACT_RECEIVE_INVOICE, [po, inv], {}),
+        (ACT_PAY_INVOICE, [inv, pay], {}),
+    ]
+    blocked = kind is AnomalyKind.BLOCKED_INVOICE
+    if blocked:
+        del chain[1:3]  # no submission, no approval
+    # Invoice-local timing is drawn first, identically for both arms,
+    # so invoice features carry no label signal.
+    invoice_gaps = [float(rng.exponential(cfg.mean_gap)) for _ in range(2)]
+    gaps = [float(rng.exponential(cfg.mean_gap)) for _ in chain[1:-2]] + invoice_gaps
+    return inv, frozenset([kind] if blocked else []), chain, gaps
 
 
 def generate_blocked_invoices(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTruth]:
@@ -214,40 +245,5 @@ def generate_blocked_invoices(cfg: SynthConfig) -> tuple[OcelLog, SynthGroundTru
     signal lives entirely in the related order's features (missing approval
     activities).
     """
-    with _collector_paused():
-        cfg.validate()
-        rng = np.random.default_rng(cfg.seed)
-        assignment = _assign_kinds(cfg, rng)
-
-        objects: list[tuple[str, str, dict]] = []
-        raw_events: list[tuple[float, int, int, str, list[str], dict]] = []
-        chain_start = TIME_ORIGIN
-        labels: dict[str, frozenset[AnomalyKind]] = {}
-
-        for i in range(cfg.n_orders):
-            chain_start += float(rng.exponential(cfg.mean_gap))
-            po, inv, pay = f"po-{i:05d}", f"inv-{i:05d}", f"pay-{i:05d}"
-            amount = round(float(rng.uniform(100.0, 10000.0)), 2)
-            approver = _USERS[int(rng.integers(len(_USERS)))]
-            objects.append((po, "order", {"amount": amount}))
-            objects.append((inv, "invoice", {"amount": amount}))
-            objects.append((pay, "payment", {"amount": amount}))
-
-            chain = [
-                (ACT_CREATE_PO, [po], {}),
-                (ACT_SUBMIT_PO, [po], {}),
-                (ACT_APPROVE_PO, [po], {"user": approver}),
-                (ACT_RECEIVE_INVOICE, [po, inv], {}),
-                (ACT_PAY_INVOICE, [inv, pay], {}),
-            ]
-            blocked = assignment.get(i) is AnomalyKind.BLOCKED_INVOICE
-            if blocked:
-                del chain[1:3]  # no submission, no approval
-            # Invoice-local timing is drawn first, identically for both arms,
-            # so invoice features carry no label signal.
-            invoice_gaps = [float(rng.exponential(cfg.mean_gap)) for _ in range(2)]
-            _add_chain(raw_events, i, chain_start, chain,
-                       [float(rng.exponential(cfg.mean_gap)) for _ in chain[1:-2]] + invoice_gaps)
-            labels[inv] = frozenset([AnomalyKind.BLOCKED_INVOICE]) if blocked else frozenset()
-
-        return _build_log(raw_events, objects), SynthGroundTruth(labels=labels)
+    cfg.validate()
+    return _generate(cfg, _blocked_order)

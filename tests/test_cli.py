@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 
 import ocad
 import ocad.cli
+import ocad.detect
 import ocad.features
 import ocad.ocel
+import ocad.synthgen
 from ocad.cli import build_parser, main
 from ocad.errors import InvalidConfig, LlmTimeout, VarianceFallbackWarning
 from ocad.features import feature_csv_bytes, normalize
@@ -302,6 +304,63 @@ def test_too_wide_partner_gather_is_rejected_before_writing(tmp_path, capsys, mo
 def test_partner_bound_admits_the_bench_and_rejects_one_event_over_5000_objects():
     # The widest bench gather is order in the 8k P2P log.
     assert 49_600 <= ocad.ocel.MAX_PARTNER_ENTRIES < 5_000 ** 2
+
+
+def test_log_over_the_input_bound_is_rejected_before_the_read(generated, tmp_path, capsys, monkeypatch):
+    log = generated / "log.json"
+    size = log.stat().st_size
+    monkeypatch.setattr(ocad.cli, "MAX_INPUT_BYTES", size - 1)
+    monkeypatch.setattr(ocad.cli, "parse_ocel_json", lambda data: pytest.fail("read a log over the bound"))
+    out = tmp_path / "o"
+    assert main(["features", "--log", str(log), "--object-type", "order", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: log {str(log)!r} is {size} bytes, over the bound of {size - 1} bytes\n"
+    assert not out.exists()
+    missing = tmp_path / "missing.json"
+    assert main(["features", "--log", str(missing), "--object-type", "order", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(ocad.cli, "MAX_INPUT_BYTES", size)
+    assert main(["features", "--log", str(log), "--object-type", "order", "--out", str(out)]) == 0
+
+
+def test_input_bound_keeps_the_parse_within_4_gb_and_admits_a_405_mb_log():
+    # test_load_log_peak_stays_within_five_times_the_file bounds the parse at
+    # 5 bytes per byte of log; the 128k-order log of ROADMAP.md is 405 MB.
+    assert 405_000_000 <= ocad.cli.MAX_INPUT_BYTES and 5 * ocad.cli.MAX_INPUT_BYTES <= 4_000_000_000
+
+
+def test_too_many_orders_are_rejected_before_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ocad.synthgen, "MAX_ORDERS", 5)
+    out = tmp_path / "gen"
+    for variant in ("p2p", "blocked-invoices"):
+        assert main(["generate", "--variant", variant, "--n-orders", "6", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n_orders must be in 1..5, got 6\n"
+        assert not out.exists()
+    assert main(["generate", "--n-orders", "5", "--out", str(out)]) == 0
+
+
+def test_generate_peak_per_order_keeps_max_orders_within_4_gb(tmp_path):
+    # 13.8-16.2 kB per order at 1k-8k orders; the per-order peak falls with
+    # the count, so 1,000 orders bound it from above.
+    tracemalloc.start()
+    try:
+        assert main(["generate", "--n-orders", "1000", "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
+                     "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1",
+                     "--out", str(tmp_path / "gen")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1000 * 20_000
+    assert ocad.synthgen.MAX_ORDERS * 16_000 <= 4_000_000_000
+
+
+def test_readme_states_each_bound_as_the_code_holds_it():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for module, name in [(ocad.synthgen, "MAX_ORDERS"), (ocad.detect, "MAX_TREES"), (ocad.features, "MAX_COUNT_CELLS"),
+                         (ocad.ocel, "MAX_PARTNER_ENTRIES"), (ocad.cli, "MAX_INPUT_BYTES")]:
+        qualified = f"{module.__name__.removeprefix('ocad.')}.{name}"
+        stated = re.findall(rf"`{re.escape(qualified)}`\s+\(([\d,]+)", readme)
+        assert stated and set(stated) == {f"{getattr(module, name):,}"}, (qualified, stated)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocad._csv import csv_bytes
 from ocad.errors import (
     AllColumnsDropped,
     EmptyKeepSet,
@@ -428,6 +429,23 @@ def test_explode_idempotent_on_indicators(xs):
 
 
 # ------------------------------------------------------------------- CSV
+
+def test_csv_bytes_writes_floats_as_repr_and_ints_as_digits():
+    # Every CSV writer passes numbers as they are: the one writer formats them.
+    floats = [-0.0, 5e-324, 1e16, 0.1 + 0.2, float("inf"), -float("inf"), 1.7976931348623157e308]
+    ints = [0, -7, 2**70]
+    text = csv_bytes(["x"] * len(floats + ints), [floats + ints]).decode("utf-8")
+    assert text.splitlines()[1].split(",") == [repr(x) for x in floats] + [str(i) for i in ints]
+    assert text.splitlines()[1].startswith("-0.0,5e-324,1e+16,0.30000000000000004,inf,-inf,")
+    _, row = csv.reader(io.StringIO(text, newline=""))
+    assert [float(x) for x in row[:len(floats)]] == floats and [int(x) for x in row[len(floats):]] == ints
+    assert str(float(row[0])) == "-0.0"
+
+
+def test_feature_matrix_holds_float64_values():
+    with pytest.raises(AssertionError):
+        FeatureMatrix("t", ("o1",), (("x",),), np.zeros((1, 1), dtype=np.int64))
+
 
 def test_feature_csv_round_trip(p2p_small):
     log, _ = p2p_small
