@@ -10,7 +10,9 @@ from typing import Iterable, Sequence
 
 def csv_bytes(header: Sequence, rows: Iterable[Sequence]) -> bytes:
     """UTF-8 CSV with ``\\n`` line ends: the header, then one line per row.
-    A field that holds ``,``, ``"``, ``\\r`` or ``\\n`` is quoted."""
+    A field that holds ``,``, ``"``, ``\\r`` or ``\\n`` is quoted. A float is
+    written as its ``repr`` and an int as its digits, so callers pass Python
+    numbers, not numpy scalars (whose ``repr`` is ``np.float64(...)``)."""
     # The writer quotes a field holding any character of its line terminator,
     # so "\r\n" quotes a lone "\r" too. It writes each row in one call, so
     # each row's "\r\n" is the last two characters of one string.
