@@ -22,18 +22,28 @@ not compared by equality, so serialization and ``ocad generate`` never build
 them. Interaction partners are not stored: :meth:`OcelLog.related` gathers
 them through both CSRs for the objects asked about, and
 :meth:`OcelLog.relation` defines the interaction sets on them. An event's
-objects and an object's partners are both deduplicated by one ``np.unique``
-over (row, code) pairs. There are no per-id dicts besides the id-to-code
+objects and an object's partners are both deduplicated by :func:`_distinct`
+over (row, code) keys. There are no per-id dicts besides the id-to-code
 lookups ``obj_code`` and ``type_code``: a reader indexes the arrays.
+:func:`_assemble` lays the columns out, for :meth:`OcelLog.build` and the
+parse alike: it sorts the codes, orders the events and builds the CSR.
 
 Building a log, by :func:`parse_ocel_json` or the synthetic generators,
 pauses the cyclic garbage collector: the records are about a million
 containers at 8k orders that all stay alive and form no reference cycles, so
 each automatic pass would rescan them and free nothing.
 
-:func:`parse_ocel_json` releases the JSON document as it reads it: each
-object and event entry is freed once its record is built, so the whole tree
-is never alive next to the records and the log.
+:func:`parse_ocel_json` has two passes over the tree of ``json.loads``. The
+lean pass reads each entry straight into the columns, with inline checks such
+as ``type(v) is str and v.isascii()``, assigns the codes as it reads and
+checks the timestamps in bulk (:func:`_lean_times`). It takes the logs that
+serialization writes, among others. At the first entry it cannot take it
+declines, and the strict parse, the one that explains, reads the same text
+again into records for :meth:`OcelLog.build`: it gives every error, and the
+log of every document that the lean pass declines. Both passes release the
+JSON document as they read it: each entry is freed once it has been read, so
+the whole tree is never alive next to the log, and a lean pass that declines
+has freed what it built before the strict parse starts.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ import gc
 import json
 import json.encoder
 import math
+from array import array
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
@@ -59,9 +70,10 @@ T_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
 T_MAX = datetime(9999, 12, 31, 23, 59, 59, 999000, tzinfo=timezone.utc).timestamp()
 _MS_MIN, _MS_MAX = round(T_MIN * 1000), round(T_MAX * 1000)
 # The most entries OcelLog.related gathers in one call, one per object of each
-# event of each object asked about. Its tracemalloc peak is 37 bytes an entry
-# (one event over 1k-2k objects), about 600 MB here, what features.MAX_COUNT_CELLS
-# allows extraction; one event over 4,000 objects of the type asked about reaches it.
+# event of each object asked about. Its tracemalloc peak, and its peak RSS rise,
+# is 37 bytes an entry (one event over 1k-2k objects), about 600 MB here, what
+# features.MAX_COUNT_CELLS allows extraction; one event over 4,000 objects of the
+# type asked about reaches it.
 MAX_PARTNER_ENTRIES = 16_000_000
 
 
@@ -115,6 +127,16 @@ def _segments_by_length(lengths: np.ndarray):
         yield sel, start[sel, None] + np.arange(m)
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending, sorting ``keys`` in place.
+    ``np.unique`` hashes integers: 80 times as slow on 2M distinct int64."""
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def _sorted_codes(first_seen: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
     """Sorted names of ``first_seen``, and each name's sorted position at its value."""
     names = tuple(sorted(first_seen))
@@ -156,18 +178,13 @@ class OcelLog:
         reference integrity and attribute values (:func:`_coerce_value`) and
         establishing the total event order."""
         types: dict[str, int] = {}
-        by_id: dict[str, tuple[int, dict[str, AttributeValue]]] = {}
+        obj_code: dict[str, int] = {}
+        obj_type, obj_attrs = [], []
         for oid, ot, attrs in object_records:
-            if oid in by_id:
+            if obj_code.setdefault(oid, len(obj_attrs)) != len(obj_attrs):
                 raise DuplicateId(f"duplicate object id {oid!r}")
-            attrs = {k: _coerce_value(v, "object", oid) for k, v in attrs.items()}
-            by_id[oid] = (types.setdefault(ot, len(types)), attrs)
-        objects = tuple(sorted(by_id))
-        object_types, type_code = _sorted_codes(types)
-        obj_type = type_code[np.fromiter((by_id[o][0] for o in objects), dtype=np.int32, count=len(objects))]
-        obj_attrs = tuple(by_id[o][1] for o in objects)
-        del by_id
-        obj_code = {o: c for c, o in enumerate(objects)}
+            obj_type.append(types.setdefault(ot, len(types)))
+            obj_attrs.append({k: _coerce_value(v, "object", oid) for k, v in attrs.items()})
 
         acts: dict[str, int] = {}
         seen: set[str] = set()
@@ -186,25 +203,8 @@ class OcelLog:
             ev_attrs.append({k: _coerce_value(v, "event", eid) for k, v in attrs.items()})
             sizes.append(len(related))
             codes += related
-        del seen, obj_code
-
-        order = _order(eids, times)
-        activities, act_code = _sorted_codes(acts)
-        n, position = len(objects), np.repeat(np.argsort(order), sizes)
-        ev, ev_obj = np.divmod(np.unique(position * n + np.asarray(codes, dtype=np.int64)), n)
-        return OcelLog(
-            events=tuple(eids[i] for i in order.tolist()),
-            objects=objects,
-            object_types=object_types,
-            activities=activities,
-            obj_type=obj_type,
-            obj_attrs=obj_attrs,
-            ev_time=np.asarray(times, dtype=np.float64)[order],
-            ev_act=act_code[np.asarray(ev_act, dtype=np.int64)][order],
-            ev_attrs=tuple(ev_attrs[i] for i in order.tolist()),
-            ev_ptr=np.searchsorted(ev, np.arange(len(order) + 1)),
-            ev_obj=ev_obj.astype(np.int32),
-        )
+        del seen
+        return _assemble(obj_code, types, obj_type, obj_attrs, eids, acts, ev_act, times, ev_attrs, sizes, codes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OcelLog):
@@ -293,7 +293,7 @@ class OcelLog:
         if ot is not None:
             keep &= self.obj_type[objs] == self.type_code.get(ot, -1)
         n = len(self.objects)
-        seg, partners = np.divmod(np.unique(seg[keep] * n + objs[keep]), n)
+        seg, partners = np.divmod(_distinct(seg[keep] * n + objs[keep]), n)
         return partners, seg
 
     def relation(self, name: str, codes: np.ndarray, partners: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -326,6 +326,38 @@ class OcelLog:
         the type has no objects (rather than "all names")."""
         attrs = [self.obj_attrs[c] for c in np.flatnonzero(self.obj_type == self.type_code.get(ot, -1)).tolist()]
         return frozenset(set(attrs[0]).intersection(*attrs[1:])) if attrs else frozenset()
+
+
+def _assemble(obj_code: dict[str, int], types: dict[str, int], obj_type, obj_attrs: list,
+              eids: list[str], acts: dict[str, int], ev_act, times, ev_attrs: list, sizes, codes) -> OcelLog:
+    """The log of checked columns, in first-seen codes: each object's code in
+    ``obj_code`` (its position in ``obj_type`` and ``obj_attrs``), its type
+    code in ``types``; each event's id, activity code in ``acts``, time and
+    attributes, and its number of objects in ``sizes``; the events' object
+    codes back to back in ``codes``. Sorts the objects, types and activities,
+    orders the events by :func:`_order` and builds the event-to-object CSR."""
+    objects, obj_rank = _sorted_codes(obj_code)
+    object_types, type_code = _sorted_codes(types)
+    activities, act_code = _sorted_codes(acts)
+    n, by_code, order = len(objects), np.argsort(obj_rank), _order(eids, times)
+    key = np.argsort(order)  # a (position, code) key per relationship, built in place
+    key *= n
+    key = np.repeat(key, sizes)
+    key += obj_rank[np.asarray(codes, dtype=np.intp)]
+    key, pos = _distinct(key), order.tolist()
+    return OcelLog(
+        events=tuple(map(eids.__getitem__, pos)),
+        objects=objects,
+        object_types=object_types,
+        activities=activities,
+        obj_type=type_code[np.asarray(obj_type, dtype=np.intp)][by_code],
+        obj_attrs=tuple(map(obj_attrs.__getitem__, by_code.tolist())),
+        ev_time=np.asarray(times, dtype=np.float64)[order],
+        ev_act=act_code[np.asarray(ev_act, dtype=np.intp)][order],
+        ev_attrs=tuple(map(ev_attrs.__getitem__, pos)),
+        ev_ptr=np.searchsorted(key, np.arange(len(order) + 1) * n),
+        ev_obj=(key % n).astype(np.int32),
+    )
 
 
 # --------------------------------------------------------------------- JSON
@@ -432,71 +464,187 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
     latest value per attribute name is kept. Event relationship qualifiers
     are parsed and ignored.
 
-    The parse releases the document as it reads it: each entry is freed once
-    its record is built. ``data`` itself stays alive until the call returns,
-    so a caller that holds the bytes passes their decoded ``str`` instead.
+    The lean pass (:func:`_lean_parse`) reads the document first, straight
+    into the log's columns. At the first entry it cannot take, such as a
+    timestamp in another form than ``YYYY-MM-DDTHH:MM:SS.mmmZ`` or a
+    non-ASCII id, it declines, and the strict parse (:func:`_strict_parse`)
+    reads the same text again and gives the log or the error. The lean pass
+    takes no document that the strict parse rejects and gives the log that
+    it would give, so the result and every error are those of the strict
+    parse. Each pass releases its document as it reads it: an entry is freed
+    once it has been read. ``data`` and its text stay alive until the call
+    returns, so a caller that holds the bytes passes their decoded ``str``.
     """
     with _collector_paused():
         try:
-            doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            text = data.decode("utf-8") if isinstance(data, bytes) else data
+        except UnicodeDecodeError as exc:
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise MalformedDocument("top level must be a JSON object")
-        for key in ("objects", "events"):
-            if key not in doc or not isinstance(doc[key], list):
-                raise MalformedDocument(f"missing required top-level list {key!r}")
-        # Clear each slot once its entry is bound; ``entry = None`` after a
-        # loop frees the last one (``del`` fails when an empty list left it unbound).
-        objects, events = doc["objects"], doc["events"]
-        doc = None
+        log = _lean_parse(*_document(text))
+        return log if log is not None else _strict_parse(*_document(text))
 
-        object_records = []
+
+def _document(text: str) -> tuple[list, list]:
+    """The ``objects`` and ``events`` lists of the JSON document ``text``; the
+    rest of the document is dropped."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise MalformedDocument(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedDocument("top level must be a JSON object")
+    for key in ("objects", "events"):
+        if key not in doc or not isinstance(doc[key], list):
+            raise MalformedDocument(f"missing required top-level list {key!r}")
+    return doc["objects"], doc["events"]
+
+
+# The one stamp form the lean pass reads, the one serialization writes; a 0
+# stands for any ASCII digit. A stamp of this form is valid for the strict
+# parse exactly when numpy reads it as a datetime64[ms] of year 0001 or later,
+# and then ms / 1000 is the float the strict parse gives. numpy also reads
+# some other strings of this length, such as "+2024-01-01T00:00:00.00".
+_LEAN_STAMP = b"0000-00-00T00:00:00.000Z"
+_NO_ITEMS: list = []  # a missing list; never written
+
+
+def _lean_parse(objects: list, events: list) -> OcelLog | None:
+    """The log of the document's ``objects`` and ``events`` lists, read in
+    one pass straight into the columns of :func:`_assemble`, or None at the
+    first entry that this pass cannot take. It takes ASCII ids, types and
+    attribute names, attribute and relationship lists that are present,
+    timestamps of the form :data:`_LEAN_STAMP`, unique ids, known objects,
+    and the values :func:`_coerce_value` accepts; the strict parse reads any
+    other document. Each entry is freed once it has been read, so on None the
+    caller's document has lost the entries read so far."""
+    obj_code: dict[str, int] = {}
+    types: dict[str, int] = {}
+    obj_type, obj_attrs, att_stamps = array("i"), [], set()
+    acts: dict[str, int] = {}
+    eids, stamps, ev_act, ev_attrs, sizes, codes = [], bytearray(), array("i"), [], array("i"), array("i")
+    # A KeyError or TypeError is an entry, attribute or relationship that is
+    # not a dict (each is subscripted before its .get), a missing key, or an
+    # object id that is not an object's.
+    try:
         for i, entry in enumerate(objects):
             objects[i] = None
-            try:
-                oid = _string(entry["id"], "object id")
-                ot = _string(entry["type"], "object type")
-            except (TypeError, KeyError) as exc:
-                raise MalformedDocument(f"object entry missing id/type: {entry!r}") from exc
-            latest: dict[str, tuple[float, AttributeValue]] = {}
-            for att in _list(entry, "attributes"):
-                try:
-                    name = _string(att["name"], "attribute name")
-                    value = att["value"]
-                except (TypeError, KeyError) as exc:
-                    raise MalformedDocument(f"bad attribute on object {oid!r}") from exc
-                at = _parse_iso(att["time"]) if "time" in att else 0.0
-                if name not in latest or at >= latest[name][0]:  # the later entry wins a tie
-                    latest[name] = (at, value)
-            object_records.append((oid, ot, {k: v for k, (_, v) in latest.items()}))
+            oid, ot, atts = entry["id"], entry["type"], entry.get("attributes", _NO_ITEMS)
+            if not (type(oid) is str and oid.isascii() and type(ot) is str and ot.isascii() and type(atts) is list
+                    and obj_code.setdefault(oid, len(obj_attrs)) == len(obj_attrs)):
+                return None
+            latest: dict[str, tuple[str, object]] = {}
+            for att in atts:
+                name, t, value = att["name"], att.get("time", _EPOCH_ISO), att["value"]
+                if not (type(name) is str and name.isascii() and type(t) is str and len(t) == 24 and t[23] == "Z"
+                        and t.isascii()):
+                    return None
+                att_stamps.add(t)
+                if name not in latest or t >= latest[name][0]:  # canonical stamps sort as their times
+                    latest[name] = (t, value)
+            obj_type.append(types.setdefault(ot, len(types)))
+            obj_attrs.append({k: _coerce_value(v, "object", oid) for k, (_, v) in latest.items()})
         entry = None
 
-        event_records = []
         for i, entry in enumerate(events):
             events[i] = None
-            try:
-                eid = _string(entry["id"], "event id")
-                activity = _string(entry["type"], "event type")
-                ts = _parse_iso(entry["time"])
-            except (TypeError, KeyError) as exc:
-                raise MalformedDocument(f"event entry missing id/type/time: {entry!r}") from exc
+            eid, act, t = entry["id"], entry["type"], entry["time"]
+            atts, rels = entry.get("attributes", _NO_ITEMS), entry.get("relationships", _NO_ITEMS)
+            if not (type(eid) is str and eid.isascii() and type(act) is str and act.isascii() and type(t) is str
+                    and len(t) == 24 and t[23] == "Z" and t.isascii() and type(atts) is list and type(rels) is list):
+                return None
+            stamps += t.encode()
             attrs = {}
-            for att in _list(entry, "attributes"):
-                try:
-                    attrs[_string(att["name"], "attribute name")] = att["value"]
-                except (TypeError, KeyError) as exc:
-                    raise MalformedDocument(f"bad attribute on event {eid!r}") from exc
-            oids = []
-            for rel in _list(entry, "relationships"):
-                try:
-                    oids.append(_string(rel["objectId"], "relationship objectId"))
-                except (TypeError, KeyError) as exc:
-                    raise MalformedDocument(f"bad relationship on event {eid!r}") from exc
-            event_records.append((eid, activity, ts, oids, attrs))
+            for att in atts:
+                name = att["name"]
+                if not (type(name) is str and name.isascii()):
+                    return None
+                attrs[name] = _coerce_value(att["value"], "event", eid)
+            eids.append(eid)
+            ev_act.append(acts.setdefault(act, len(acts)))
+            ev_attrs.append(attrs)
+            sizes.append(len(rels))
+            codes.extend([obj_code[rel["objectId"]] for rel in rels])
         entry = None
+    except (KeyError, TypeError, MalformedDocument):
+        return None
+    if len(set(eids)) != len(eids):
+        return None
+    stamps += "".join(att_stamps).encode()  # checked with the events' stamps, after them
+    times = _lean_times(stamps, len(eids))
+    del stamps  # before _assemble allocates: the log's arrays take its place
+    if times is None:
+        return None
+    return _assemble(obj_code, types, obj_type, obj_attrs, eids, acts, ev_act, times, ev_attrs, sizes, codes)
 
-        return OcelLog.build(event_records, object_records)
+
+def _lean_times(stamps: bytearray, n: int) -> np.ndarray | None:
+    """Seconds since the epoch of the first ``n`` stamps written back to back
+    in ``stamps``, or None unless every stamp has the form :data:`_LEAN_STAMP`
+    and is a valid instant of year 0001 or later."""
+    rows = np.frombuffer(stamps, dtype=np.uint8).reshape(-1, len(_LEAN_STAMP))
+    for j, c in enumerate(_LEAN_STAMP):  # a column at a time: no temporary as large as the stamps
+        col = rows[:, j]
+        if not ((col >= ord("0")) & (col <= ord("9")) if c == ord("0") else col == c).all():
+            return None
+    try:  # numpy rejects a month, day, hour, minute or second out of range
+        ms = np.ndarray(len(rows), dtype="S23", buffer=stamps, strides=(len(_LEAN_STAMP),)).astype("datetime64[ms]")
+    except ValueError:
+        return None
+    ms = ms.view(np.int64)
+    return ms[:n] / 1000 if (ms >= _MS_MIN).all() else None
+
+
+def _strict_parse(objects: list, events: list) -> OcelLog:
+    """The log of the document's ``objects`` and ``events`` lists, or the
+    :class:`MalformedDocument` that names the first fault."""
+    # Clear each slot once its entry is bound; ``entry = None`` after a
+    # loop frees the last one (``del`` fails when an empty list left it unbound).
+    object_records = []
+    for i, entry in enumerate(objects):
+        objects[i] = None
+        try:
+            oid = _string(entry["id"], "object id")
+            ot = _string(entry["type"], "object type")
+        except (TypeError, KeyError) as exc:
+            raise MalformedDocument(f"object entry missing id/type: {entry!r}") from exc
+        latest: dict[str, tuple[float, AttributeValue]] = {}
+        for att in _list(entry, "attributes"):
+            try:
+                name = _string(att["name"], "attribute name")
+                value = att["value"]
+            except (TypeError, KeyError) as exc:
+                raise MalformedDocument(f"bad attribute on object {oid!r}") from exc
+            at = _parse_iso(att["time"]) if "time" in att else 0.0
+            if name not in latest or at >= latest[name][0]:  # the later entry wins a tie
+                latest[name] = (at, value)
+        object_records.append((oid, ot, {k: v for k, (_, v) in latest.items()}))
+    entry = None
+
+    event_records = []
+    for i, entry in enumerate(events):
+        events[i] = None
+        try:
+            eid = _string(entry["id"], "event id")
+            activity = _string(entry["type"], "event type")
+            ts = _parse_iso(entry["time"])
+        except (TypeError, KeyError) as exc:
+            raise MalformedDocument(f"event entry missing id/type/time: {entry!r}") from exc
+        attrs = {}
+        for att in _list(entry, "attributes"):
+            try:
+                attrs[_string(att["name"], "attribute name")] = att["value"]
+            except (TypeError, KeyError) as exc:
+                raise MalformedDocument(f"bad attribute on event {eid!r}") from exc
+        oids = []
+        for rel in _list(entry, "relationships"):
+            try:
+                oids.append(_string(rel["objectId"], "relationship objectId"))
+            except (TypeError, KeyError) as exc:
+                raise MalformedDocument(f"bad relationship on event {eid!r}") from exc
+        event_records.append((eid, activity, ts, oids, attrs))
+    entry = None
+
+    return OcelLog.build(event_records, object_records)
 
 
 # The text of a JSON string, as json.dumps(ensure_ascii=False) writes it.

@@ -91,6 +91,14 @@ def ocel_doc(events=(), objects=()):
     ).encode("utf-8")
 
 
+def offset_last_stamp(data):
+    """The document ``data`` with its last stamp, the last event's, written
+    with a ``+00:00`` offset instead of ``Z``: the lean pass reads it to the
+    end, declines, and the strict parse reads it again."""
+    head, tail = data.rsplit(b'Z"', 1)
+    return head + b'+00:00"' + tail
+
+
 def random_log(seed, n_objects=12, n_events=20, n_types=3, n_activities=5, activities=None, tie_share=0.0,
                wide_share=0.0):
     """Small random log exercising shared events and attributes.

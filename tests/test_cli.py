@@ -32,7 +32,7 @@ from ocad.features import feature_csv_bytes, normalize
 from ocad.ocel import parse_ocel_json
 from ocad.pipeline import PipelineParams, build_matrix
 
-from conftest import ocel_doc
+from conftest import ocel_doc, offset_last_stamp
 
 
 def _dir_digest(path, skip=()):
@@ -245,20 +245,25 @@ def test_invalid_utf8_log_is_one_line_json_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_orders", [300, 1000])
 def test_load_log_peak_stays_within_five_times_the_file(tmp_path, n_orders):
-    # The parse frees each JSON entry once its record is built, and the input
+    # The parse frees each JSON entry once it has read it, and the input
     # bytes go before json.loads. Holding the bytes and the whole tree
-    # through the parse peaked at 5.8x and 6.0x the file at these sizes.
+    # through the parse peaked at 5.8x and 6.0x the file at these sizes. A
+    # last stamp that the lean pass declines makes it read the whole document
+    # before the strict parse reads it again.
     out = tmp_path / "gen"
     assert main(["generate", "--n-orders", str(n_orders), "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
                  "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1", "--out", str(out)]) == 0
     path = out / "log.json"
-    tracemalloc.start()
-    try:
-        ocad.cli._load_log(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * path.stat().st_size
+    for fallback in (False, True):
+        if fallback:
+            path.write_bytes(offset_last_stamp(path.read_bytes()))
+        tracemalloc.start()
+        try:
+            ocad.cli._load_log(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * path.stat().st_size
 
 
 def test_too_wide_feature_family_is_rejected_before_writing(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +15,23 @@ from ocad.errors import (
     MalformedDocument,
     UnknownObject,
 )
-from ocad.ocel import T_MAX, T_MIN, OcelLog, _iso_stamps, format_iso, parse_ocel_json, serialize_ocel_json
+from ocad.cli import main
+from ocad.ocel import (
+    T_MAX,
+    T_MIN,
+    OcelLog,
+    _document,
+    _iso_stamps,
+    _lean_parse,
+    _strict_parse,
+    format_iso,
+    parse_ocel_json,
+    serialize_ocel_json,
+)
 
-from conftest import build_log, collections_during, log_dicts, object_graphs, ocel_doc, random_log
+from conftest import build_log, collections_during, log_dicts, object_graphs, ocel_doc, offset_last_stamp, random_log
 from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize
+from test_golden import LOGS
 
 
 def _event(eid, etype, time, objs=(), attrs=()):
@@ -166,7 +180,7 @@ def test_parse_rejects_non_finite_attribute(value, on):
 
 @pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400], ids=["float", "int"])
 def test_parse_rejects_out_of_range_number(literal):
-    doc = ocel_doc(objects=[_object("o1", "a", attrs=[("x", 0.0)])]).replace(b"0.0", literal.encode())
+    doc = ocel_doc(objects=[_object("o1", "a", attrs=[("x", 0.0)])]).replace(b": 0.0", b": " + literal.encode())
     with pytest.raises(MalformedDocument, match="non-finite"):
         parse_ocel_json(doc)
 
@@ -247,6 +261,10 @@ _ids = st.sampled_from(["o1", "o2", "e1", ""]) | _text
 _times = (
     st.datetimes(timezones=st.none() | st.timezones()).map(lambda d: d.isoformat())
     | st.sampled_from(["2024-01-01T00:00:00Z", "0001-01-01T00:00:00+14:00", "9999-12-31T23:59:59.9999Z"])
+    # The canonical form that the lean pass reads, valid or not.
+    | st.datetimes().map(lambda d: d.isoformat(timespec="milliseconds") + "Z")
+    | st.sampled_from(["0000-01-01T00:00:00.000Z", "2023-02-29T00:00:00.000Z", "2024-02-29T00:00:00.000Z",
+                       "2024-01-01T23:59:60.000Z", "9999-12-31T23:59:59.999Z"])
     | _text
 )
 _attribute = st.fixed_dictionaries({"name": _ids, "value": st.integers() | st.floats() | _text | _junk},
@@ -304,6 +322,8 @@ def test_parse_runs_no_collection():
     data = serialize_ocel_json(log)
     assert collections_during(json.loads, data) >= 1  # the same bytes do trigger the collector
     assert collections_during(parse_ocel_json, data) == 0
+    # The lean pass reads to the last stamp and declines; the strict parse reads the text again.
+    assert collections_during(parse_ocel_json, offset_last_stamp(data)) == 0
 
 
 @pytest.mark.parametrize("data", [ocel_doc(), b'{"objects": 1}'], ids=["valid", "malformed"])
@@ -351,6 +371,36 @@ def test_parse_accepts_offset_and_naive_timestamps():
 def test_event_attributes_parsed_into_vmap():
     doc = ocel_doc(events=[_event("e1", "A", "2024-01-01T00:00:00Z", attrs=[("user", "alice"), ("n", 3)])])
     assert log_dicts(parse_ocel_json(doc)).vmap["e1"] == {"user": "alice", "n": 3.0}
+
+
+class TestCanonicalStamps:
+    """The tests above on hand-written documents, with every stamp to the
+    second written in the canonical ``.000Z`` form: the strict parse alone
+    reads the documents as written, the lean pass reads these first."""
+
+    @pytest.fixture(autouse=True)
+    def canonical_stamps(self, monkeypatch):
+        write = ocel_doc
+        monkeypatch.setitem(globals(), "ocel_doc", lambda *args, **kwargs: re.sub(
+            rb'(T\d\d:\d\d:\d\d)Z"', rb'\1.000Z"', write(*args, **kwargs)))
+
+    test_parse_minimal_log = staticmethod(test_parse_minimal_log)
+    test_parse_order_breaks_time_ties_lexicographically = staticmethod(
+        test_parse_order_breaks_time_ties_lexicographically)
+    test_log_order_is_the_python_sort_by_time_then_id = staticmethod(test_log_order_is_the_python_sort_by_time_then_id)
+    test_parse_rejects_dangling_reference = staticmethod(test_parse_rejects_dangling_reference)
+    test_parse_rejects_duplicate_event_id = staticmethod(test_parse_rejects_duplicate_event_id)
+    test_parse_rejects_duplicate_object_id = staticmethod(test_parse_rejects_duplicate_object_id)
+    test_parse_rejects_boolean_attribute = staticmethod(test_parse_rejects_boolean_attribute)
+    test_parse_rejects_non_finite_attribute = staticmethod(test_parse_rejects_non_finite_attribute)
+    test_parse_rejects_out_of_range_number = staticmethod(test_parse_rejects_out_of_range_number)
+    test_parse_reads_a_missing_or_null_list_as_empty = staticmethod(test_parse_reads_a_missing_or_null_list_as_empty)
+    test_parse_rejects_a_non_list_attributes_or_relationships = staticmethod(
+        test_parse_rejects_a_non_list_attributes_or_relationships)
+    test_parse_rejects_non_string_ids_types_and_times = staticmethod(test_parse_rejects_non_string_ids_types_and_times)
+    test_parse_rejects_lone_surrogates = staticmethod(test_parse_rejects_lone_surrogates)
+    test_parse_keeps_latest_object_attribute_value = staticmethod(test_parse_keeps_latest_object_attribute_value)
+    test_event_attributes_parsed_into_vmap = staticmethod(test_event_attributes_parsed_into_vmap)
 
 
 # ----------------------------------------------------------- derivations
@@ -645,3 +695,84 @@ def test_build_permits_empty_omap():
     log = build_log([("e1", "A", 1.0, [])], [("o1", "t")])
     assert log_dicts(log).omap["e1"] == frozenset()
     assert log.lifecycle("o1") == ()
+
+
+# -------------------------------------------------------------- lean pass
+
+def _both_passes(data):
+    """The lean pass's log or None, and the strict parse's log or error, on
+    the document ``data``, after checking that the lean pass declined or
+    gave the strict parse's log, every attribute value a float or a str."""
+    text = data.decode("utf-8")
+    lean = _lean_parse(*_document(text))
+    try:
+        strict = _strict_parse(*_document(text))
+    except MalformedDocument as exc:
+        strict = exc
+    if lean is not None:
+        assert isinstance(strict, OcelLog) and lean == strict
+        assert all(type(v) in (float, str) for attrs in (*lean.obj_attrs, *lean.ev_attrs) for v in attrs.values())
+    return lean, strict
+
+
+def test_lean_pass_reads_the_logs_ocad_writes(p2p_small, tmp_path):
+    logs = [serialize_ocel_json(p2p_small[0])]
+    for name, argv in LOGS.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        logs.append((tmp_path / name / "log.json").read_bytes())
+    for data in logs:
+        assert _both_passes(data)[0] is not None
+
+
+@given(_documents.map(lambda doc: json.dumps(doc).encode("utf-8")) | _logs().map(serialize_ocel_json))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_lean_pass_declines_or_agrees_on_any_document(data):
+    """The lean pass takes no document that the strict parse rejects, and
+    gives the strict parse's log for any it takes."""
+    _both_passes(data)
+
+
+_STAMP = "2024-01-01T00:00:00.000Z"
+_OBJ = {"id": "o1", "type": "a", "attributes": []}
+_EV = {"id": "e1", "type": "A", "time": _STAMP, "attributes": [], "relationships": [{"objectId": "o1"}]}
+
+
+def _attributes(*atts):
+    return [{"name": n, "value": v, **({"time": t} if t else {})} for n, v, t in atts]
+
+
+# The documents the lean pass could get wrong: (objects, events, the pass that
+# gives the log). "lean" means both passes give it; "strict" means the lean
+# pass declines; None means the strict parse rejects the document. Every
+# stamp is canonical.
+_LEAN_TRAPS = {
+    **{f"{on}-{key}-{value!r}": ([{**_OBJ, key: value}] if on == "object" else [_OBJ],
+                                 [{**_EV, key: value}] if on == "event" else [_EV], None)
+       for on, key in _LIST_FIELDS for value in ({}, 0, "", False)},
+    "event-year-0000": ([_OBJ], [{**_EV, "time": "0000-01-01T00:00:00.000Z"}], None),
+    "attribute-year-0000": ([{**_OBJ, "attributes": _attributes(("x", 1.0, "0000-01-01T00:00:00.000Z"))}], [_EV],
+                            None),
+    # Stamps that numpy reads and the strict parse rejects.
+    **{f"stamp-{t}": ([_OBJ], [{**_EV, "time": t}], None)
+       for t in ("+2024-01-01T00:00:00.00Z", "2024-01-01T00:00:00.00 Z", "2024-01-01T00:00:00.-00Z")},
+    "february-29-2023": ([_OBJ], [{**_EV, "time": "2023-02-29T00:00:00.000Z"}], None),
+    "leap-second": ([_OBJ], [{**_EV, "time": "2024-01-01T23:59:60.000Z"}], None),
+    "last-instant": ([_OBJ], [{**_EV, "time": "9999-12-31T23:59:59.999Z"}], "lean"),
+    "int-values": ([{**_OBJ, "attributes": _attributes(("x", 5, _STAMP))}],
+                   [{**_EV, "attributes": _attributes(("n", 3, None))}], "lean"),
+    "repeated-attribute-name": ([{**_OBJ, "attributes": _attributes(
+        ("x", 2.0, "2024-01-02T00:00:00.000Z"), ("x", 1.0, _STAMP),  # the later time wins
+        ("y", 1.0, None), ("y", "tie", "1970-01-01T00:00:00.000Z"),  # a missing time is the epoch; the later entry wins
+        ("z", True, _STAMP), ("z", 4.0, _STAMP))}], [_EV], "lean"),  # a value that loses is not checked
+    "non-ascii-id": ([{**_OBJ, "id": "ö1"}], [{**_EV, "relationships": [{"objectId": "ö1"}]}], "strict"),
+    "dangling-reference": ([_OBJ], [{**_EV, "relationships": [{"objectId": "o2"}]}], None),
+    "duplicate-object-id": ([_OBJ, {**_OBJ, "type": "b"}], [_EV], None),
+    "duplicate-event-id": ([_OBJ], [_EV, {**_EV, "time": "2024-01-02T00:00:00.000Z"}], None),
+}
+
+
+@pytest.mark.parametrize("objects, events, reader", _LEAN_TRAPS.values(), ids=_LEAN_TRAPS.keys())
+def test_lean_pass_declines_or_agrees_on_its_traps(objects, events, reader):
+    lean, strict = _both_passes(ocel_doc(events=events, objects=objects))
+    assert (lean is not None) is (reader == "lean")
+    assert isinstance(strict, OcelLog) is (reader is not None)
