@@ -1,5 +1,6 @@
 """Golden digests: the sha256 of every file the CLI writes for three small
-seeded logs, across every subcommand.
+seeded logs, across every subcommand, and for one larger log, on which LOF
+runs in several blocks.
 
 Any change to these bytes changes what ocad computes or writes, so a
 refactor or a speed-up must leave them alone. ``run.json`` is hashed with
@@ -29,6 +30,10 @@ LOGS = {
     # Other rates present: the blocked set must not depend on them.
     "blocked-mixed": ("generate", "--variant", "blocked-invoices", "--n-orders", "40", "--blocked-rate", "0.1",
                       "--maverick-rate", "0.1", "--reopen-rate", "0.1", "--seed", "3"),
+    # The bench's P2P rates: the FastMap embedding of its orders has more than
+    # 1,024 distinct rows, so LOF computes its distances in several blocks.
+    "p2p-1500": ("generate", "--n-orders", "1500", "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
+                 "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1"),
 }
 
 COMMANDS = {
@@ -43,6 +48,9 @@ COMMANDS = {
     "abstract": ("abstract", "--object-type", "order"),
     "abstract-raw": ("abstract", "--object-type", "order", "--raw-table", "--max-rows", "30"),
 }
+
+# The commands run on each log: every one on the small logs.
+RUNS = {log: ("detect-fastmap",) if log == "p2p-1500" else tuple(COMMANDS) for log in LOGS}
 
 
 def tree_digests(root: Path) -> dict[str, str]:
@@ -66,9 +74,9 @@ def run_all(work: Path) -> dict[str, dict[str, str]]:
         gen_out = work / log_name / "generate"
         assert main([*gen_argv, "--out", str(gen_out)]) == 0
         digests[f"{log_name}/generate"] = tree_digests(gen_out)
-        for cmd_name, argv in COMMANDS.items():
+        for cmd_name in RUNS[log_name]:
             out = work / log_name / cmd_name
-            code = main([*argv, "--log", str(gen_out / "log.json"), "--seed", SEED, "--out", str(out)])
+            code = main([*COMMANDS[cmd_name], "--log", str(gen_out / "log.json"), "--seed", SEED, "--out", str(out)])
             assert code == 0, (log_name, cmd_name)
             digests[f"{log_name}/{cmd_name}"] = tree_digests(out)
     return digests
@@ -79,7 +87,7 @@ def digests(tmp_path_factory):
     return run_all(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("key", [f"{log}/{cmd}" for log in LOGS for cmd in ("generate", *COMMANDS)])
+@pytest.mark.parametrize("key", [f"{log}/{cmd}" for log in LOGS for cmd in ("generate", *RUNS[log])])
 def test_golden_digests(digests, key):
     assert digests[key] == GOLDEN[key]
 
@@ -351,6 +359,26 @@ GOLDEN = {
         "feature_summary.txt": "26e46daf294b9000f3e62dfa29d6a7ea98d97ca2dae0ac014666e7c2d5ac3988",
         "oracle_verdicts.csv": "90b06d732bf2647a6e32fd3d0716d74892ff357280a7a007413d2d423d37fa22",
         "run.json": "f729c2295791782739edca06c938029568d35e70251194dbaad75b2f0ec61879"
+    },
+    "p2p-1500/generate": {
+        "ground_truth.csv": "04da91fa99a8178c967d5329d6ea8edd5ed2687ba408bf29dbecca36bab81509",
+        "log.json": "367b00ad8dd32839f553017c5d8d66374f3e2c4ffa8d3ebde370b50cb6ef3083",
+        "run.json": "563686b584e4cbb6cf1054058a55dbc0a1c754212d9f09326ab7f3e9b4ba598f"
+    },
+    "p2p-1500/detect-fastmap": {
+        "lifecycles/rank000_po-00849.txt": "eb6a434460549ec10773dfc3a6f854ac352d3d021274522b73becba9349ebfcd",
+        "lifecycles/rank001_po-00013.txt": "591d55492c27cfe1e869d39978dfbe96f22d59937c3beae12b417da2ad433fa5",
+        "lifecycles/rank002_po-00053.txt": "17c2d21144ae16e76c1d5ddbca41c12bb595da5d936ce2a25df08903b390253a",
+        "lifecycles/rank003_po-01484.txt": "af0d6543a6de1d324f0148e48a8e2bbafb48efdea9dfdc92e0f99accb528d4a1",
+        "lifecycles/rank004_po-00984.txt": "833b93bb8da3891d0af16977052e0d65ab9e84d680761bc4dace704532434815",
+        "lifecycles/rank005_po-00401.txt": "3a8b058986922cde4c7a871bc5bd711edca35fd485694701ef5d97a9c8a1912d",
+        "lifecycles/rank006_po-00789.txt": "080ca963721f92858a4bb88ef9a6b44d1f940adfeaffbbf8983bc38c2614e366",
+        "lifecycles/rank007_po-01204.txt": "328d2d41c623cc7171cd3135188111c520366b0da938dfa5a89b07ec4a2903e2",
+        "lifecycles/rank008_po-00624.txt": "0bf6bb198efb643aa946512899aa526eea9bd73c1cf4304fbbb1a028b1550dc2",
+        "lifecycles/rank009_po-00993.txt": "23971e8cf91981bb78ffa91293f1e9dc11e19e1d04996b1de8850d8bc1940c62",
+        "ranks.csv": "995b6fd5c3db3898f85ded07ec131e65d51f473d5825dec291d985431b61b499",
+        "run.json": "57d8b79f247aedc99e2ad2b51065104ccdb07474737bd63df8cdbe09573adca3",
+        "scores.csv": "83d73a6c765156c1ba114efecd4001f9a09f9511fde1e527594e1c65b61b5462"
     }
 }
 
