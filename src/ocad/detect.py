@@ -15,7 +15,7 @@ from math import ceil, log2
 import numpy as np
 
 from ._csv import csv_bytes, text_table
-from .errors import DegenerateMatrixWarning, KTooLarge, TooFewRows
+from .errors import DegenerateMatrixWarning, InvalidConfig, KTooLarge, TooFewRows
 from .ocel import _order, _segments_by_length
 
 DEFAULT_N_TREES = 100
@@ -24,15 +24,25 @@ DEFAULT_N_TREES = 100
 MAX_TREES = 10_000
 DEFAULT_SUBSAMPLE = 256
 DEFAULT_LOF_K = 20
+# The most neighbor entries, rows times k, that lof accepts: it keeps one per
+# row and neighbor. Its tracemalloc peak is about 90 bytes an entry (2,000
+# rows of 8 columns, k = 1,999), and at 117 bytes, the most measured, 32
+# million entries stay within 4 GB; the 8k bench at k = 20 takes 160,000.
+MAX_LOF_ENTRIES = 32_000_000
 
 # Floor for mean reachability so coincident clusters (zero reach) get a huge
 # finite density instead of an infinite one; their density ratios are then
 # exactly 1, and scores stay finite everywhere.
 _REACH_FLOOR = 1e-300
 
-# LOF builds its distance matrix this many entries at a time, in blocks of
-# whole rows: 1 << 20 float64 values are 8 MB per temporary.
+# LOF computes its Gram products this many entries at a time, in blocks of
+# whole rows: 1 << 20 float64 values are 8 MB per temporary, of which only a
+# few entries per row get a distance.
 _BLOCK_ELEMENTS = 1 << 20
+# Its k-distance bounds compare this many rows, sorted by axis 0, with the
+# sorted rows this many places on either side, or k places when k is larger.
+_BOUND_ROWS = 128
+_BOUND_REACH = 512
 
 
 @dataclass(frozen=True)
@@ -130,8 +140,10 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     get factor 1 via the reachability floor.
 
     Identical rows are collapsed into one row with a multiplicity, at
-    distance exactly 0 from each other, and the distances are computed
-    ``_BLOCK_ELEMENTS`` at a time, so memory is O(n*k) plus one block.
+    distance exactly 0 from each other, and the Gram products are computed
+    ``_BLOCK_ELEMENTS`` at a time, so memory is O(n*k) plus one block. More
+    than :data:`MAX_LOF_ENTRIES` rows times k raise :class:`InvalidConfig`
+    before anything is allocated.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -139,6 +151,9 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     n = X.shape[0]
     if n < k + 1:
         raise TooFewRows(f"lof with k={k} needs at least {k + 1} rows, got {n}")
+    if n * k > MAX_LOF_ENTRIES:
+        raise InvalidConfig(f"lof with k={k} on {n} rows would keep {n * k} neighbor entries, "
+                            f"over the bound of {MAX_LOF_ENTRIES}")
 
     # distinct rows in first-occurrence order, so that without copies U is X
     _, first, inverse, counts = np.unique(X, axis=0, return_index=True, return_inverse=True, return_counts=True)
@@ -161,47 +176,68 @@ def _neighborhoods(U, sq, counts, k):
     row-major order, and the k-distance of every row. An entry's weight is
     the number of copies it stands for.
 
-    One block of rows at a time gets its distances in Gram form,
-    ``sqrt(max((sq_i + sq_j) - 2 * (u_i . u_j), 0))``, with an infinite
-    diagonal, and its k-th smallest distance per row. A row with copies has
-    a zero diagonal instead: its other copies are neighbors at distance 0.
-    Counted with their copies, the k nearest may then lie nearer than that
-    k-th smallest distance, which only bounds the k-distance.
+    Distances take the Gram form ``sqrt(max((sq_i + sq_j) - 2 * (u_i . u_j),
+    0))``, with ``u_i . u_j`` from one product per block of rows,
+    ``U[s:e] @ U.T``. A row's diagonal is infinite, or 0 for a row with
+    copies: its other copies are neighbors at distance 0. Its k-th smallest
+    distance then bounds its k-distance; counted with their copies, the k
+    nearest may lie nearer. The entries within that bound are picked from
+    the few that pass one test on the raw product, ``g_ij >= a_j + c_i``,
+    which keeps every entry within the bound of :func:`_squared_bounds`;
+    only those get their distances, from the same ``g_ij`` bits.
     """
     nu = len(U)
     # Fewer than k + 1 distinct rows occur only with copies; the bound is then
     # a row's largest distance.
     kth = min(k, nu) - 1
     has_copies = counts > 1
+    # fl(fl(sq_i + sq_j) - 2g) <= T_i needs g >= (sq_i + sq_j)(1 - u)/2 - T_i(1 + 2u)/2,
+    # u = 2^-53, and a_j + c_i rounds to no more than that: a_j lies at least
+    # 2u * a_j below sq_j / 2, c_i at least 12u(sq_i + T_i) below (sq_i - T_i)/2,
+    # and 2^-1000 covers rounding in the subnormal range.
+    T = _squared_bounds(U, sq, has_copies, k, kth)
+    a = sq * (0.5 - 2.0**-52)
+    c = 0.5 * (sq - T) - 2.0**-49 * (sq + T) - 2.0**-1000
+    del T
     # A block has two rows or more: numpy computes a one-row product with a
     # matrix-vector kernel, whose sums may round differently.
     starts = list(range(0, nu, max(2, _BLOCK_ELEMENTS // nu)))
     if len(starts) > 1 and starts[-1] == nu - 1:
         starts.pop()
-    bound = np.empty(nu)
+    blocks = list(zip(starts, starts[1:] + [nu]))
+    # One buffer each serves every block, so that no block faults in new
+    # pages; the thresholds are added a few rows at a time.
+    height = max(e - s for s, e in blocks)
+    step = max(1, _BLOCK_ELEMENTS // 16 // nu)
+    products, passed, thresholds = np.empty((height, nu)), np.empty((height, nu), bool), np.empty((step, nu))
     row_blocks, col_blocks, dist_blocks = [], [], []
-    for s, e in zip(starts, starts[1:] + [nu]):
-        diag = (np.arange(e - s), np.arange(s, e))
-        D = np.add(sq[s:e, None], sq)
-        G = np.matmul(U[s:e], U.T)
-        np.multiply(2.0, G, out=G)
-        np.subtract(D, G, out=D)
-        np.maximum(D, 0.0, out=D)
-        np.sqrt(D, out=D)
-        D[diag] = np.where(has_copies[s:e], 0.0, np.inf)
-        np.copyto(G, D)
-        G.partition(kth, axis=1)
-        bound[s:e] = G[:, kth]
-        del G
-        near = D <= bound[s:e, None]
-        near[diag] = has_copies[s:e]
-        flat = np.flatnonzero(near)  # far faster than a 2-d nonzero
-        r, c = np.divmod(flat, nu)
-        row_blocks.append(r + s)
-        col_blocks.append(c)
-        dist_blocks.append(D.ravel()[flat])
-        del D, near
+    for s, e in blocks:
+        G = np.matmul(U[s:e], U.T, out=products[:e - s])
+        keep = passed[:e - s]
+        for i in range(0, e - s, step):
+            j = min(i + step, e - s)
+            np.greater_equal(G[i:j], np.add(c[s + i:s + j, None], a, out=thresholds[:j - i]), out=keep[i:j])
+        keep[np.arange(e - s), np.arange(s, e)] = has_copies[s:e]
+        flat = np.flatnonzero(keep)  # far faster than a 2-d nonzero
+        r, col = np.divmod(flat, nu)
+        r += s
+        dist = np.sqrt(np.maximum((sq[r] + sq[col]) - 2.0 * G.ravel()[flat], 0.0))
+        dist[r == col] = 0.0
+        # the k-th smallest per row; a row short of k + 1 lacks only its
+        # infinite diagonal
+        lengths = np.bincount(r - s, minlength=e - s)
+        end = np.cumsum(lengths)
+        kth_at = end - lengths + kth
+        bound = np.full(e - s, np.inf)
+        inside = kth_at < end
+        bound[inside] = dist[np.lexsort((dist, r))[kth_at[inside]]]
+        near = dist <= bound[r - s]
+        row_blocks.append(r[near])
+        col_blocks.append(col[near])
+        dist_blocks.append(dist[near])
+    del products, thresholds, passed, G, keep, flat, r, col, dist, near
     rows, cols, dists = map(np.concatenate, (row_blocks, col_blocks, dist_blocks))
+    del row_blocks, col_blocks, dist_blocks
     weights = np.where(cols == rows, counts[rows] - 1, counts[cols])
 
     # Walk each row's entries by distance until their copies add up to k;
@@ -215,6 +251,39 @@ def _neighborhoods(U, sq, counts, k):
     kdist = dists[by_dist][start + short]
     keep = dists <= kdist[rows]
     return rows[keep], cols[keep], dists[keep], weights[keep], kdist
+
+
+def _squared_bounds(U, sq, has_copies, k, kth):
+    """An upper bound on each row's ``kth``-smallest squared distance
+    ``max(fl(fl(sq_i + sq_j) - 2 g_ij), 0)`` as :func:`_neighborhoods`
+    computes it, diagonal included (0 for a row with copies, else infinite).
+
+    Rows sorted by axis 0 are compared ``_BOUND_ROWS`` at a time with the
+    sorted rows within ``max(_BOUND_REACH, k)`` places, themselves included,
+    which is at least ``kth + 1`` rows; the ``kth``-smallest there bounds the
+    row's. These products are shaped unlike the blocks' and may round
+    otherwise: with a d-term dot product within ``d * u * (sq_i + sq_j) / 2``
+    of exact, u = 2^-53, two such squares differ by less than
+    ``(2d + 4) * u * (sq_i + sq_j)``, so each bound is raised by twice that.
+    """
+    nu, d = U.shape
+    reach = max(_BOUND_REACH, k)
+    step = max(1, min(_BOUND_ROWS, _BLOCK_ELEMENTS // min(nu, 2 * reach + _BOUND_ROWS)))
+    # (without columns there is one distinct row)
+    order = np.argsort(U[:, 0] if d else sq, kind="stable")
+    V, sqv, diag = U[order], sq[order], np.where(has_copies[order], 0.0, np.inf)
+    bound = np.empty(nu)
+    for s in range(0, nu, step):
+        e = min(s + step, nu)
+        lo, hi = max(0, s - reach), min(nu, e + reach)
+        P = np.add(sqv[s:e, None], sqv[lo:hi])
+        P -= 2.0 * (V[s:e] @ V[lo:hi].T)
+        np.maximum(P, 0.0, out=P)
+        P[np.arange(e - s), np.arange(s - lo, e - lo)] = diag[s:e]
+        P.partition(kth, axis=1)
+        error = (4 * d + 8) * 2.0**-53 * (sqv[s:e] + sqv[lo:hi].max()) + 2.0**-1000
+        bound[order[s:e]] = np.nextafter(P[:, kth] + error, np.inf)
+    return bound
 
 
 def _row_means(values, weights, rows) -> np.ndarray:

@@ -205,6 +205,42 @@ def dense_lof(X, k):
     return -np.array([(lrd[nbrs[i]] / lrd[i]).mean() for i in range(n)])
 
 
+def whole_row_neighborhoods(U, sq, counts, k, block_elements):
+    """The tie-inclusive k-neighborhoods that ``detect._neighborhoods``
+    returns, from every distance of a block's rows: the same Gram products,
+    blocks of ``block_elements`` entries in whole rows, then each row's k-th
+    smallest distance by a partition of the whole row and its entries by a
+    comparison with every distance."""
+    nu = len(U)
+    kth = min(k, nu) - 1
+    has_copies = counts > 1
+    starts = list(range(0, nu, max(2, block_elements // nu)))
+    if len(starts) > 1 and starts[-1] == nu - 1:
+        starts.pop()
+    row_blocks, col_blocks, dist_blocks = [], [], []
+    for s, e in zip(starts, starts[1:] + [nu]):
+        diag = (np.arange(e - s), np.arange(s, e))
+        D = np.sqrt(np.maximum(np.add(sq[s:e, None], sq) - 2.0 * np.matmul(U[s:e], U.T), 0.0))
+        D[diag] = np.where(has_copies[s:e], 0.0, np.inf)
+        bound = np.partition(D, kth, axis=1)[:, kth]
+        near = D <= bound[:, None]
+        near[diag] = has_copies[s:e]
+        r, c = np.nonzero(near)
+        row_blocks.append(r + s)
+        col_blocks.append(c)
+        dist_blocks.append(D[r, c])
+    rows, cols, dists = map(np.concatenate, (row_blocks, col_blocks, dist_blocks))
+    weights = np.where(cols == rows, counts[rows] - 1, counts[cols])
+    kdist = np.empty(nu)
+    ends = np.cumsum(np.bincount(rows, minlength=nu))
+    for i, (lo, hi) in enumerate(zip(ends - np.bincount(rows, minlength=nu), ends)):
+        by_dist = np.argsort(dists[lo:hi], kind="stable")
+        within = np.cumsum(weights[lo:hi][by_dist])
+        kdist[i] = dists[lo:hi][by_dist][np.searchsorted(within, k)]
+    keep = dists <= kdist[rows]
+    return rows[keep], cols[keep], dists[keep], weights[keep], kdist
+
+
 def brute_fea_scores(norm_values, scores):
     """Double-loop feature-score summation."""
     n = len(norm_values)

@@ -16,6 +16,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,7 @@ from ocad.features import feature_csv_bytes, normalize
 from ocad.ocel import parse_ocel_json
 from ocad.pipeline import PipelineParams, build_matrix
 
-from conftest import ocel_doc, offset_last_stamp
+from conftest import make_matrix, ocel_doc, offset_last_stamp
 
 
 def _dir_digest(path, skip=()):
@@ -311,6 +312,34 @@ def test_partner_bound_admits_the_bench_and_rejects_one_event_over_5000_objects(
     assert 49_600 <= ocad.ocel.MAX_PARTNER_ENTRIES < 5_000 ** 2
 
 
+def test_lof_over_the_entry_bound_is_rejected_before_writing(generated, tmp_path, capsys, monkeypatch):
+    # 40 orders at k = 5 keep 200 neighbor entries
+    argv = ["detect", "--log", str(generated / "log.json"), "--object-type", "order", "--reducer", "fastmap",
+            "--lof-k", "5", "--out", str(tmp_path / "o")]
+    monkeypatch.setattr(ocad.detect, "MAX_LOF_ENTRIES", 199)
+    monkeypatch.setattr(ocad.detect, "_neighborhoods", lambda *args: pytest.fail("allocated over the bound"))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: lof with k=5 on 40 rows would keep 200 neighbor entries, over the bound of 199\n")
+    assert not (tmp_path / "o").exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(ocad.detect, "MAX_LOF_ENTRIES", 200)
+    assert main(argv) == 0
+
+
+def test_lof_peak_per_entry_keeps_the_entry_bound_within_4_gb():
+    # every row's neighbors at k = n - 1: 999,000 entries
+    F = make_matrix(np.random.default_rng(0).normal(size=(1000, 8)))
+    tracemalloc.start()
+    try:
+        ocad.detect.lof(F, k=999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 117 * 1000 * 999
+    assert 8000 * 20 <= ocad.detect.MAX_LOF_ENTRIES and ocad.detect.MAX_LOF_ENTRIES * 117 <= 4_000_000_000
+
+
 def test_log_over_the_input_bound_is_rejected_before_the_read(generated, tmp_path, capsys, monkeypatch):
     log = generated / "log.json"
     size = log.stat().st_size
@@ -362,7 +391,8 @@ def test_generate_peak_per_order_keeps_max_orders_within_4_gb(tmp_path):
 def test_readme_states_each_bound_as_the_code_holds_it():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for module, name in [(ocad.synthgen, "MAX_ORDERS"), (ocad.detect, "MAX_TREES"), (ocad.features, "MAX_COUNT_CELLS"),
-                         (ocad.ocel, "MAX_PARTNER_ENTRIES"), (ocad.cli, "MAX_INPUT_BYTES")]:
+                         (ocad.ocel, "MAX_PARTNER_ENTRIES"), (ocad.cli, "MAX_INPUT_BYTES"),
+                         (ocad.detect, "MAX_LOF_ENTRIES")]:
         qualified = f"{module.__name__.removeprefix('ocad.')}.{name}"
         stated = re.findall(rf"`{re.escape(qualified)}`\s+\(([\d,]+)", readme)
         assert stated and set(stated) == {f"{getattr(module, name):,}"}, (qualified, stated)

@@ -21,7 +21,7 @@ from ocad.detect import (
 from ocad.errors import DegenerateMatrixWarning, KTooLarge, TooFewRows
 
 from conftest import make_matrix
-from oracles import brute_lof, dense_lof
+from oracles import brute_lof, dense_lof, whole_row_neighborhoods
 
 
 # --------------------------------------------------------- isolation forest
@@ -180,6 +180,59 @@ def test_lof_in_blocks_is_close_to_dense_reference():
     np.testing.assert_allclose(lof(make_matrix(X), k=20).scores, dense_lof(X, 20), rtol=1e-12, atol=0)
 
 
+def _whole_row_lof(F, k):
+    """lof's scores with its neighborhoods from the whole-row selection."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detect, "_neighborhoods",
+                   lambda U, sq, counts, k: whole_row_neighborhoods(U, sq, counts, k, detect._BLOCK_ELEMENTS))
+        return lof(F, k=k).scores
+
+
+def _hard_rows(case):
+    rng = np.random.default_rng(2509)
+    X = rng.normal(size=(2500, 8))
+    if case == "equal-axis-0":
+        X[:, 0] = 0.25
+    elif case == "line-along-axis-0":  # evenly spaced: ties at every distance
+        X = np.zeros((2000, 8))
+        X[:, 0] = np.arange(2000) / 2
+        return X, 7
+    elif case == "near-1e150":  # the Gram form cancels: its rounding is as large as the
+        # distances, and a fifth of the neighbors lie at distance 0
+        return 1e150 * rng.choice([-1.0, 1.0], size=8) * (1 + 3e-8 * X), 20
+    elif case == "clusters-and-copies":  # two clusters of more than k rows
+        X[:100], X[100:130] = X[0], X[1]
+        X[200:400] = X[rng.integers(400, 2500, 200)]
+    elif case == "far-outliers":
+        X[:10] *= 1e6
+    elif case == "k-is-n-minus-1":
+        return rng.normal(size=(1100, 3)), 1099
+    return X, 20
+
+
+@pytest.mark.parametrize("case", ["normal", "equal-axis-0", "line-along-axis-0", "near-1e150", "clusters-and-copies",
+                                  "far-outliers", "k-is-n-minus-1"])
+def test_lof_matches_the_whole_row_selection_bit_for_bit(case):
+    # several blocks of the same Gram products; only the selection differs
+    X, k = _hard_rows(case)
+    assert len(np.unique(X, axis=0)) > 1024
+    F = make_matrix(X)
+    assert lof(F, k=k).scores.tobytes() == _whole_row_lof(F, k).tobytes()
+
+
+def test_lof_peak_stays_within_the_whole_row_selection_s_at_8000_rows():
+    # 20.6 MiB is the tracemalloc peak of the whole-row selection, which held
+    # two block temporaries of 8 MB each
+    F = make_matrix(np.random.default_rng(0).normal(size=(8000, 8)))
+    tracemalloc.start()
+    try:
+        lof(F, k=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20.6 * 2**20
+
+
 @st.composite
 def _tied_matrices(draw):
     """Small matrices of halves with copied rows: many ties and coincident
@@ -209,6 +262,7 @@ def test_lof_in_blocks_matches_brute_force_and_one_block(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detect, "_BLOCK_ELEMENTS", rows * distinct)
             assert np.array_equal(lof(F, k=k).scores, whole)
+            assert lof(F, k=k).scores.tobytes() == _whole_row_lof(F, k).tobytes()
 
 
 def test_lof_memory_stays_bounded_on_a_coincident_cluster():
