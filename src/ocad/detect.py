@@ -191,10 +191,12 @@ def _neighborhoods(U, sq, counts, k):
     # a row's largest distance.
     kth = min(k, nu) - 1
     has_copies = counts > 1
-    # fl(fl(sq_i + sq_j) - 2g) <= T_i needs g >= (sq_i + sq_j)(1 - u)/2 - T_i(1 + 2u)/2,
-    # u = 2^-53, and a_j + c_i rounds to no more than that: a_j lies at least
-    # 2u * a_j below sq_j / 2, c_i at least 12u(sq_i + T_i) below (sq_i - T_i)/2,
-    # and 2^-1000 covers rounding in the subnormal range.
+    # With u = 2^-53, a squared distance fl(fl(sq_i + sq_j) - 2g) of at most
+    # T_i needs g >= ((sq_i + sq_j)(1 - u) - T_i(1 + 2u)) / 2, and a_j + c_i
+    # rounds to no more than that: a_j lies 2u sq_j below sq_j / 2 and c_i
+    # 16u (sq_i + T_i) below (sq_i - T_i) / 2, more than the rounding of
+    # either and of their sum, and 2^-1000 covers the subnormal range. An
+    # infinite T_i keeps every entry.
     T = _squared_bounds(U, sq, has_copies, k, kth)
     a = sq * (0.5 - 2.0**-52)
     c = 0.5 * (sq - T) - 2.0**-49 * (sq + T) - 2.0**-1000
@@ -264,7 +266,8 @@ def _squared_bounds(U, sq, has_copies, k, kth):
     row's. These products are shaped unlike the blocks' and may round
     otherwise: with a d-term dot product within ``d * u * (sq_i + sq_j) / 2``
     of exact, u = 2^-53, two such squares differ by less than
-    ``(2d + 4) * u * (sq_i + sq_j)``, so each bound is raised by twice that.
+    ``(2d + 4) * u * (sq_i + sq_j)``, so each bound is raised by twice that,
+    with the largest ``sq_j`` of the compared rows, and rounded up.
     """
     nu, d = U.shape
     reach = max(_BOUND_REACH, k)

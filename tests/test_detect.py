@@ -127,8 +127,9 @@ def test_lof_planted_density_outlier_is_minimum():
 
 
 def test_lof_all_coincident_points():
-    sv = lof(make_matrix(np.ones((25, 3))), k=5)
-    assert np.all(sv.scores == -1.0)
+    for columns in (3, 0):
+        sv = lof(make_matrix(np.ones((25, columns))), k=5)
+        assert np.all(sv.scores == -1.0)
 
 
 def test_lof_matches_brute_force():
