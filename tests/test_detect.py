@@ -190,6 +190,8 @@ def _whole_row_lof(F, k):
 
 
 def _hard_rows(case):
+    """Rows and k of one named case; 2,500 normal rows of 8 columns unless
+    the case replaces them."""
     rng = np.random.default_rng(2509)
     X = rng.normal(size=(2500, 8))
     if case == "equal-axis-0":
@@ -221,7 +223,7 @@ def test_lof_matches_the_whole_row_selection_bit_for_bit(case):
     assert lof(F, k=k).scores.tobytes() == _whole_row_lof(F, k).tobytes()
 
 
-def test_lof_peak_stays_within_the_whole_row_selection_s_at_8000_rows():
+def test_lof_peak_at_8000_rows_stays_within_the_whole_row_selection():
     # 20.6 MiB is the tracemalloc peak of the whole-row selection, which held
     # two block temporaries of 8 MB each
     F = make_matrix(np.random.default_rng(0).normal(size=(8000, 8)))
