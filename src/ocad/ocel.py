@@ -33,17 +33,12 @@ pauses the cyclic garbage collector: the records are about a million
 containers at 8k orders that all stay alive and form no reference cycles, so
 each automatic pass would rescan them and free nothing.
 
-:func:`parse_ocel_json` has two passes over the tree of ``json.loads``. The
-lean pass reads each entry straight into the columns, with inline checks such
-as ``type(v) is str and v.isascii()``, assigns the codes as it reads and
-checks the timestamps in bulk (:func:`_lean_times`). It takes the logs that
-serialization writes, among others. At the first entry it cannot take it
-declines, and the strict parse, the one that explains, reads the same text
-again into records for :meth:`OcelLog.build`: it gives every error, and the
-log of every document that the lean pass declines. Both passes release the
-JSON document as they read it: each entry is freed once it has been read, so
-the whole tree is never alive next to the log, and a lean pass that declines
-has freed what it built before the strict parse starts.
+:func:`parse_ocel_json` reads the tree of ``json.loads`` in one pass, straight
+into the columns, with inline checks such as ``type(v) is str and
+v.isascii()``, codes assigned as it reads and event stamps checked in bulk. A
+value that fails an inline check goes to the checker that names its fault.
+Each entry is freed once it has been read, so the whole tree is never alive
+next to the log.
 """
 
 from __future__ import annotations
@@ -413,11 +408,11 @@ def _list(entry: dict, key: str) -> list:
 
 
 def _coerce_value(v: object, kind: str, ident: str) -> AttributeValue:
-    # The one rule for attribute values, applied by OcelLog.build to the
-    # attributes of the ``kind`` ("object" or "event") ``ident``: a finite
-    # number, stored as float, or a string that UTF-8 can encode. Booleans
-    # (JSON true/false) are neither. A finite float or an ASCII string
-    # returns first.
+    # The one rule for the attribute values of the ``kind`` ("object" or
+    # "event") ``ident``, applied by OcelLog.build and by the parse, which
+    # checks an event's values inline first: a finite number, stored as float,
+    # or a string that UTF-8 can encode. Booleans (JSON true/false) are
+    # neither. A finite float or an ASCII string returns first.
     if type(v) is float and math.isfinite(v):
         return v
     if isinstance(v, str):
@@ -464,24 +459,17 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
     latest value per attribute name is kept. Event relationship qualifiers
     are parsed and ignored.
 
-    The lean pass (:func:`_lean_parse`) reads the document first, straight
-    into the log's columns. At the first entry it cannot take, such as a
-    timestamp in another form than ``YYYY-MM-DDTHH:MM:SS.mmmZ`` or a
-    non-ASCII id, it declines, and the strict parse (:func:`_strict_parse`)
-    reads the same text again and gives the log or the error. The lean pass
-    takes no document that the strict parse rejects and gives the log that
-    it would give, so the result and every error are those of the strict
-    parse. Each pass releases its document as it reads it: an entry is freed
-    once it has been read. ``data`` and its text stay alive until the call
-    returns, so a caller that holds the bytes passes their decoded ``str``.
+    One pass (:func:`_parse`) reads the document straight into the log's
+    columns and releases it as it reads: an entry is freed once it has been
+    read. ``data`` and its text stay alive until the call returns, so a
+    caller that holds the bytes passes their decoded ``str``.
     """
     with _collector_paused():
         try:
             text = data.decode("utf-8") if isinstance(data, bytes) else data
         except UnicodeDecodeError as exc:
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
-        log = _lean_parse(*_document(text))
-        return log if log is not None else _strict_parse(*_document(text))
+        return _parse(*_document(text))
 
 
 def _document(text: str) -> tuple[list, list]:
@@ -499,152 +487,159 @@ def _document(text: str) -> tuple[list, list]:
     return doc["objects"], doc["events"]
 
 
-# The one stamp form the lean pass reads, the one serialization writes; a 0
-# stands for any ASCII digit. A stamp of this form is valid for the strict
-# parse exactly when numpy reads it as a datetime64[ms] of year 0001 or later,
-# and then ms / 1000 is the float the strict parse gives. numpy also reads
-# some other strings of this length, such as "+2024-01-01T00:00:00.00".
-_LEAN_STAMP = b"0000-00-00T00:00:00.000Z"
+# The event stamp form read in bulk, the one serialization writes; a 0 stands
+# for any ASCII digit. A stamp of this form is valid for _parse_iso exactly
+# when numpy reads it as a datetime64[ms] of year 0001 or later, and then
+# ms / 1000 is the float that _parse_iso gives. numpy also reads some other
+# strings of this length, such as "+2024-01-01T00:00:00.00".
+_STAMP = b"0000-00-00T00:00:00.000Z"
 _NO_ITEMS: list = []  # a missing list; never written
 
 
-def _lean_parse(objects: list, events: list) -> OcelLog | None:
+def _parse(objects: list, events: list) -> OcelLog:
     """The log of the document's ``objects`` and ``events`` lists, read in
-    one pass straight into the columns of :func:`_assemble`, or None at the
-    first entry that this pass cannot take. It takes ASCII ids, types and
-    attribute names, attribute and relationship lists that are present,
-    timestamps of the form :data:`_LEAN_STAMP`, unique ids, known objects,
-    and the values :func:`_coerce_value` accepts; the strict parse reads any
-    other document. Each entry is freed once it has been read, so on None the
-    caller's document has lost the entries read so far."""
+    one pass straight into the columns of :func:`_assemble`, or the
+    :class:`MalformedDocument` that names the first fault. A fault of form
+    is raised where it is read, after any invalid event stamp read before it
+    (those of 24 characters ending in ``Z`` are checked in bulk). The faults
+    that :meth:`OcelLog.build` finds, a duplicate id, an unknown object or an
+    attribute value, are held back: the first in build's order is raised
+    once the whole document has been read. Each entry is freed once read."""
     obj_code: dict[str, int] = {}
     types: dict[str, int] = {}
-    obj_type, obj_attrs, att_stamps = array("i"), [], set()
+    obj_type, obj_attrs, att_times = array("i"), [], {_EPOCH_ISO: 0.0}
     acts: dict[str, int] = {}
     eids, stamps, ev_act, ev_attrs, sizes, codes = [], bytearray(), array("i"), [], array("i"), array("i")
-    # A KeyError or TypeError is an entry, attribute or relationship that is
-    # not a dict (each is subscripted before its .get), a missing key, or an
-    # object id that is not an object's.
+    other_times = []  # (event position, time) of each event stamp not checked in bulk
+    held = []  # (event position, fault) of build's faults in document order, -1 for an object's
     try:
         for i, entry in enumerate(objects):
             objects[i] = None
-            oid, ot, atts = entry["id"], entry["type"], entry.get("attributes", _NO_ITEMS)
-            if not (type(oid) is str and oid.isascii() and type(ot) is str and ot.isascii() and type(atts) is list
-                    and obj_code.setdefault(oid, len(obj_attrs)) == len(obj_attrs)):
-                return None
-            latest: dict[str, tuple[str, object]] = {}
+            try:  # an id that is not a string is reported before a missing type
+                oid = entry["id"]
+                if not (type(oid) is str and oid.isascii()):
+                    oid = _string(oid, "object id")
+                ot = entry["type"]
+                if not (type(ot) is str and ot.isascii()):
+                    ot = _string(ot, "object type")
+            except (KeyError, TypeError) as exc:
+                raise MalformedDocument(f"object entry missing id/type: {entry!r}") from exc
+            atts = entry.get("attributes", _NO_ITEMS)
+            if type(atts) is not list:
+                atts = _list(entry, "attributes")
+            latest: dict[str, tuple[float, object]] = {}
             for att in atts:
-                name, t, value = att["name"], att.get("time", _EPOCH_ISO), att["value"]
-                if not (type(name) is str and name.isascii() and type(t) is str and len(t) == 24 and t[23] == "Z"
-                        and t.isascii()):
-                    return None
-                att_stamps.add(t)
-                if name not in latest or t >= latest[name][0]:  # canonical stamps sort as their times
-                    latest[name] = (t, value)
+                try:  # a name that is not a string is reported before a missing value
+                    name = att["name"]
+                    if not (type(name) is str and name.isascii()):
+                        name = _string(name, "attribute name")
+                    value = att["value"]
+                except (KeyError, TypeError) as exc:
+                    raise MalformedDocument(f"bad attribute on object {oid!r}") from exc
+                t = att.get("time", _EPOCH_ISO)
+                at = att_times.get(t) if type(t) is str else None
+                if at is None:
+                    at = att_times[t] = _parse_iso(t)
+                if name not in latest or at >= latest[name][0]:  # the later entry wins a tie
+                    latest[name] = (at, value)
+            if obj_code.setdefault(oid, len(obj_attrs)) != len(obj_attrs):
+                held.append((-1, DuplicateId(f"duplicate object id {oid!r}")))
+            try:
+                obj_attrs.append({k: _coerce_value(v, "object", oid) for k, (_, v) in latest.items()})
+            except MalformedDocument as exc:
+                held.append((-1, exc))
+                obj_attrs.append({})
             obj_type.append(types.setdefault(ot, len(types)))
-            obj_attrs.append({k: _coerce_value(v, "object", oid) for k, (_, v) in latest.items()})
         entry = None
 
         for i, entry in enumerate(events):
             events[i] = None
-            eid, act, t = entry["id"], entry["type"], entry["time"]
-            atts, rels = entry.get("attributes", _NO_ITEMS), entry.get("relationships", _NO_ITEMS)
-            if not (type(eid) is str and eid.isascii() and type(act) is str and act.isascii() and type(t) is str
-                    and len(t) == 24 and t[23] == "Z" and t.isascii() and type(atts) is list and type(rels) is list):
-                return None
-            stamps += t.encode()
-            attrs = {}
+            try:
+                eid = entry["id"]
+                if not (type(eid) is str and eid.isascii()):
+                    eid = _string(eid, "event id")
+                act = entry["type"]
+                if not (type(act) is str and act.isascii()):
+                    act = _string(act, "event type")
+                t = entry["time"]
+            except (KeyError, TypeError) as exc:
+                raise MalformedDocument(f"event entry missing id/type/time: {entry!r}") from exc
+            if type(t) is str and len(t) == 24 and t[23] == "Z" and t.isascii():
+                stamps += t.encode()
+            else:
+                other_times.append((len(eids), _parse_iso(t)))
+                stamps += _EPOCH_ISO.encode()  # a valid stamp in its place
+            atts = entry.get("attributes", _NO_ITEMS)
+            if type(atts) is not list:
+                atts = _list(entry, "attributes")
+            attrs, plain = {}, True
             for att in atts:
-                name = att["name"]
+                try:  # a missing value is reported before a name that is not a string
+                    value, name = att["value"], att["name"]
+                except (KeyError, TypeError) as exc:
+                    raise MalformedDocument(f"bad attribute on event {eid!r}") from exc
                 if not (type(name) is str and name.isascii()):
-                    return None
-                attrs[name] = _coerce_value(att["value"], "event", eid)
+                    name = _string(name, "attribute name")
+                if not (type(value) is float and value - value == 0.0 or type(value) is str and value.isascii()):
+                    plain = False  # not a finite float or an ASCII string, which _coerce_value returns as is
+                attrs[name] = value
+            rels = entry.get("relationships", _NO_ITEMS)
+            if type(rels) is not list:
+                rels = _list(entry, "relationships")
+            try:
+                codes.extend([obj_code[rel["objectId"]] for rel in rels])
+            except (KeyError, TypeError):
+                for rel in rels:
+                    try:
+                        oid = _string(rel["objectId"], "relationship objectId")
+                    except (KeyError, TypeError) as exc:
+                        raise MalformedDocument(f"bad relationship on event {eid!r}") from exc
+                    if oid not in obj_code:  # the log is not built, so the codes can be left out
+                        held.append((len(eids), DanglingReference(f"event {eid!r} references unknown object {oid!r}")))
+            if not plain:
+                try:
+                    attrs = {k: _coerce_value(v, "event", eid) for k, v in attrs.items()}
+                except MalformedDocument as exc:
+                    held.append((len(eids), exc))
             eids.append(eid)
             ev_act.append(acts.setdefault(act, len(acts)))
             ev_attrs.append(attrs)
             sizes.append(len(rels))
-            codes.extend([obj_code[rel["objectId"]] for rel in rels])
         entry = None
-    except (KeyError, TypeError, MalformedDocument):
-        return None
-    if len(set(eids)) != len(eids):
-        return None
-    stamps += "".join(att_stamps).encode()  # checked with the events' stamps, after them
-    times = _lean_times(stamps, len(eids))
+    except MalformedDocument:
+        _stamp_times(stamps)  # raises the fault of an invalid stamp read before this fault
+        raise
+    duplicated = len(set(eids)) != len(eids)
+    times = _stamp_times(stamps)
     del stamps  # before _assemble allocates: the log's arrays take its place
-    if times is None:
-        return None
+    for e, t in other_times:
+        times[e] = t
+    if duplicated:  # build checks an event's id before its objects and values
+        seen: set[str] = set()
+        e = next(e for e, eid in enumerate(eids) if eid in seen or seen.add(eid))
+        held.insert(0, (e, DuplicateId(f"duplicate event id {eids[e]!r}")))
+    if held:
+        raise min(held, key=lambda h: h[0])[1]
     return _assemble(obj_code, types, obj_type, obj_attrs, eids, acts, ev_act, times, ev_attrs, sizes, codes)
 
 
-def _lean_times(stamps: bytearray, n: int) -> np.ndarray | None:
-    """Seconds since the epoch of the first ``n`` stamps written back to back
-    in ``stamps``, or None unless every stamp has the form :data:`_LEAN_STAMP`
-    and is a valid instant of year 0001 or later."""
-    rows = np.frombuffer(stamps, dtype=np.uint8).reshape(-1, len(_LEAN_STAMP))
-    for j, c in enumerate(_LEAN_STAMP):  # a column at a time: no temporary as large as the stamps
-        col = rows[:, j]
-        if not ((col >= ord("0")) & (col <= ord("9")) if c == ord("0") else col == c).all():
-            return None
-    try:  # numpy rejects a month, day, hour, minute or second out of range
-        ms = np.ndarray(len(rows), dtype="S23", buffer=stamps, strides=(len(_LEAN_STAMP),)).astype("datetime64[ms]")
-    except ValueError:
-        return None
-    ms = ms.view(np.int64)
-    return ms[:n] / 1000 if (ms >= _MS_MIN).all() else None
-
-
-def _strict_parse(objects: list, events: list) -> OcelLog:
-    """The log of the document's ``objects`` and ``events`` lists, or the
-    :class:`MalformedDocument` that names the first fault."""
-    # Clear each slot once its entry is bound; ``entry = None`` after a
-    # loop frees the last one (``del`` fails when an empty list left it unbound).
-    object_records = []
-    for i, entry in enumerate(objects):
-        objects[i] = None
-        try:
-            oid = _string(entry["id"], "object id")
-            ot = _string(entry["type"], "object type")
-        except (TypeError, KeyError) as exc:
-            raise MalformedDocument(f"object entry missing id/type: {entry!r}") from exc
-        latest: dict[str, tuple[float, AttributeValue]] = {}
-        for att in _list(entry, "attributes"):
-            try:
-                name = _string(att["name"], "attribute name")
-                value = att["value"]
-            except (TypeError, KeyError) as exc:
-                raise MalformedDocument(f"bad attribute on object {oid!r}") from exc
-            at = _parse_iso(att["time"]) if "time" in att else 0.0
-            if name not in latest or at >= latest[name][0]:  # the later entry wins a tie
-                latest[name] = (at, value)
-        object_records.append((oid, ot, {k: v for k, (_, v) in latest.items()}))
-    entry = None
-
-    event_records = []
-    for i, entry in enumerate(events):
-        events[i] = None
-        try:
-            eid = _string(entry["id"], "event id")
-            activity = _string(entry["type"], "event type")
-            ts = _parse_iso(entry["time"])
-        except (TypeError, KeyError) as exc:
-            raise MalformedDocument(f"event entry missing id/type/time: {entry!r}") from exc
-        attrs = {}
-        for att in _list(entry, "attributes"):
-            try:
-                attrs[_string(att["name"], "attribute name")] = att["value"]
-            except (TypeError, KeyError) as exc:
-                raise MalformedDocument(f"bad attribute on event {eid!r}") from exc
-        oids = []
-        for rel in _list(entry, "relationships"):
-            try:
-                oids.append(_string(rel["objectId"], "relationship objectId"))
-            except (TypeError, KeyError) as exc:
-                raise MalformedDocument(f"bad relationship on event {eid!r}") from exc
-        event_records.append((eid, activity, ts, oids, attrs))
-    entry = None
-
-    return OcelLog.build(event_records, object_records)
+def _stamp_times(stamps: bytearray) -> np.ndarray:
+    """Seconds since the epoch of the 24-character ASCII stamps written back
+    to back in ``stamps``: in bulk when each has the form :data:`_STAMP` and
+    is a valid instant, else by :func:`_parse_iso` one at a time, which
+    raises the fault of the first invalid stamp."""
+    rows = np.frombuffer(stamps, dtype=np.uint8).reshape(-1, len(_STAMP))
+    # A column at a time: no temporary as large as the stamps.
+    if all(((col >= ord("0")) & (col <= ord("9")) if c == ord("0") else col == c).all()
+           for c, col in zip(_STAMP, rows.T)):
+        try:  # numpy rejects a month, day, hour, minute or second out of range
+            ms = np.ndarray(len(rows), dtype="S23", buffer=stamps, strides=(len(_STAMP),)).astype("datetime64[ms]")
+            if (ms.view(np.int64) >= _MS_MIN).all():
+                return ms.view(np.int64) / 1000
+        except ValueError:
+            pass
+    n = len(_STAMP)
+    return np.array([_parse_iso(stamps[k:k + n].decode()) for k in range(0, len(stamps), n)], dtype=np.float64)
 
 
 # The text of a JSON string, as json.dumps(ensure_ascii=False) writes it.

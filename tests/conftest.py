@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,10 +94,17 @@ def ocel_doc(events=(), objects=()):
 
 def offset_last_stamp(data):
     """The document ``data`` with its last stamp, the last event's, written
-    with a ``+00:00`` offset instead of ``Z``: the lean pass reads it to the
-    end, declines, and the strict parse reads it again."""
+    with a ``+00:00`` offset instead of ``Z``: not the form serialization
+    writes, so the parse reads it on its own."""
     head, tail = data.rsplit(b'Z"', 1)
     return head + b'+00:00"' + tail
+
+
+def non_ascii_object_id(data):
+    """The document ``data``, as serialization writes it, with its first
+    object's id given a non-ASCII last letter wherever it is written."""
+    oid = re.search(rb'"objects": \[\n    \{\n      "id": ("[^"]*)"', data).group(1)
+    return data.replace(oid + b'"', oid + "ö".encode() + b'"')
 
 
 def random_log(seed, n_objects=12, n_events=20, n_types=3, n_activities=5, activities=None, tie_share=0.0,

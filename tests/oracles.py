@@ -2,7 +2,8 @@
 
 Everything here is written as straight-line loops over the raw log fields or
 plain arrays, deliberately sharing no code with the implementations under
-test.
+test, except :func:`strict_parse`, which shares ocel's JSON reading and
+checkers and gives its records to ``OcelLog.build``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import math
 from datetime import datetime, timezone
 
 import numpy as np
+
+from ocad.errors import MalformedDocument
+from ocad.ocel import OcelLog, _document, _list, _parse_iso, _string
 
 
 class NaiveDerivations:
@@ -357,3 +361,61 @@ def json_dumps_serialize(log):
         ],
     }
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def strict_parse(text):
+    """The log of the OCEL 2.0 JSON text ``text``, or the
+    :class:`MalformedDocument` that names the first fault: the reference
+    for ``ocel.parse_ocel_json``. It reads the document into records, one
+    check at a time, and hands them to ``OcelLog.build``; it shares ocel's
+    JSON reading (``_document``) and its checkers (``_string``, ``_list``,
+    ``_parse_iso``), which name each fault."""
+    objects, events = _document(text)
+    # Clear each slot once its entry is bound; ``entry = None`` after a
+    # loop frees the last one (``del`` fails when an empty list left it unbound).
+    object_records = []
+    for i, entry in enumerate(objects):
+        objects[i] = None
+        try:
+            oid = _string(entry["id"], "object id")
+            ot = _string(entry["type"], "object type")
+        except (TypeError, KeyError) as exc:
+            raise MalformedDocument(f"object entry missing id/type: {entry!r}") from exc
+        latest: dict[str, tuple[float, AttributeValue]] = {}
+        for att in _list(entry, "attributes"):
+            try:
+                name = _string(att["name"], "attribute name")
+                value = att["value"]
+            except (TypeError, KeyError) as exc:
+                raise MalformedDocument(f"bad attribute on object {oid!r}") from exc
+            at = _parse_iso(att["time"]) if "time" in att else 0.0
+            if name not in latest or at >= latest[name][0]:  # the later entry wins a tie
+                latest[name] = (at, value)
+        object_records.append((oid, ot, {k: v for k, (_, v) in latest.items()}))
+    entry = None
+
+    event_records = []
+    for i, entry in enumerate(events):
+        events[i] = None
+        try:
+            eid = _string(entry["id"], "event id")
+            activity = _string(entry["type"], "event type")
+            ts = _parse_iso(entry["time"])
+        except (TypeError, KeyError) as exc:
+            raise MalformedDocument(f"event entry missing id/type/time: {entry!r}") from exc
+        attrs = {}
+        for att in _list(entry, "attributes"):
+            try:
+                attrs[_string(att["name"], "attribute name")] = att["value"]
+            except (TypeError, KeyError) as exc:
+                raise MalformedDocument(f"bad attribute on event {eid!r}") from exc
+        oids = []
+        for rel in _list(entry, "relationships"):
+            try:
+                oids.append(_string(rel["objectId"], "relationship objectId"))
+            except (TypeError, KeyError) as exc:
+                raise MalformedDocument(f"bad relationship on event {eid!r}") from exc
+        event_records.append((eid, activity, ts, oids, attrs))
+    entry = None
+
+    return OcelLog.build(event_records, object_records)

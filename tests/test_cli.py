@@ -33,7 +33,7 @@ from ocad.features import feature_csv_bytes, normalize
 from ocad.ocel import parse_ocel_json
 from ocad.pipeline import PipelineParams, build_matrix
 
-from conftest import make_matrix, ocel_doc, offset_last_stamp
+from conftest import make_matrix, non_ascii_object_id, ocel_doc, offset_last_stamp
 
 
 def _dir_digest(path, skip=()):
@@ -249,15 +249,16 @@ def test_load_log_peak_stays_within_five_times_the_file(tmp_path, n_orders):
     # The parse frees each JSON entry once it has read it, and the input
     # bytes go before json.loads. Holding the bytes and the whole tree
     # through the parse peaked at 5.8x and 6.0x the file at these sizes. A
-    # last stamp that the lean pass declines makes it read the whole document
-    # before the strict parse reads it again.
+    # last stamp with an offset and a non-ASCII object id are read on their
+    # own, not in bulk.
     out = tmp_path / "gen"
     assert main(["generate", "--n-orders", str(n_orders), "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
                  "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1", "--out", str(out)]) == 0
     path = out / "log.json"
-    for fallback in (False, True):
-        if fallback:
-            path.write_bytes(offset_last_stamp(path.read_bytes()))
+    written = path.read_bytes()
+    for rewrite in (None, offset_last_stamp, non_ascii_object_id):
+        if rewrite is not None:
+            path.write_bytes(rewrite(written))
         tracemalloc.start()
         try:
             ocad.cli._load_log(str(path))

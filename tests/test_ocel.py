@@ -20,17 +20,15 @@ from ocad.ocel import (
     T_MAX,
     T_MIN,
     OcelLog,
-    _document,
     _iso_stamps,
-    _lean_parse,
-    _strict_parse,
     format_iso,
     parse_ocel_json,
     serialize_ocel_json,
 )
 
-from conftest import build_log, collections_during, log_dicts, object_graphs, ocel_doc, offset_last_stamp, random_log
-from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize
+from conftest import (build_log, collections_during, log_dicts, non_ascii_object_id, object_graphs, ocel_doc,
+                      offset_last_stamp, random_log)
+from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize, strict_parse
 from test_golden import LOGS
 
 
@@ -261,15 +259,16 @@ _ids = st.sampled_from(["o1", "o2", "e1", ""]) | _text
 _times = (
     st.datetimes(timezones=st.none() | st.timezones()).map(lambda d: d.isoformat())
     | st.sampled_from(["2024-01-01T00:00:00Z", "0001-01-01T00:00:00+14:00", "9999-12-31T23:59:59.9999Z"])
-    # The canonical form that the lean pass reads, valid or not.
+    # The canonical form that the parse checks in bulk, valid or not.
     | st.datetimes().map(lambda d: d.isoformat(timespec="milliseconds") + "Z")
     | st.sampled_from(["0000-01-01T00:00:00.000Z", "2023-02-29T00:00:00.000Z", "2024-02-29T00:00:00.000Z",
                        "2024-01-01T23:59:60.000Z", "9999-12-31T23:59:59.999Z"])
     | _text
 )
-_attribute = st.fixed_dictionaries({"name": _ids, "value": st.integers() | st.floats() | _text | _junk},
-                                   optional={"time": _times})
-_relationship = st.fixed_dictionaries({"objectId": _ids}, optional={"qualifier": _junk})
+# Every key of an entry, an attribute or a relationship may be missing.
+_attribute = st.fixed_dictionaries(
+    {}, optional={"name": _ids, "value": st.integers() | st.floats() | _text | _junk, "time": _times})
+_relationship = st.fixed_dictionaries({}, optional={"objectId": _ids, "qualifier": _junk})
 
 
 def _entries(entry):
@@ -277,10 +276,10 @@ def _entries(entry):
     return st.lists(entry, max_size=4) | st.lists(entry | _junk, max_size=3) | _junk
 
 
-_object_entry = st.fixed_dictionaries({"id": _ids, "type": _ids}, optional={"attributes": _entries(_attribute)})
+_object_entry = st.fixed_dictionaries({}, optional={"id": _ids, "type": _ids, "attributes": _entries(_attribute)})
 _event_entry = st.fixed_dictionaries(
-    {"id": _ids, "type": _ids, "time": _times},
-    optional={"attributes": _entries(_attribute), "relationships": _entries(_relationship)},
+    {}, optional={"id": _ids, "type": _ids, "time": _times, "attributes": _entries(_attribute),
+                  "relationships": _entries(_relationship)},
 )
 _documents = st.fixed_dictionaries(
     {"objects": st.lists(_object_entry, max_size=4) | st.lists(_object_entry | _junk, max_size=3),
@@ -322,7 +321,7 @@ def test_parse_runs_no_collection():
     data = serialize_ocel_json(log)
     assert collections_during(json.loads, data) >= 1  # the same bytes do trigger the collector
     assert collections_during(parse_ocel_json, data) == 0
-    # The lean pass reads to the last stamp and declines; the strict parse reads the text again.
+    # The last stamp is not of the form serialization writes: it is read on its own.
     assert collections_during(parse_ocel_json, offset_last_stamp(data)) == 0
 
 
@@ -375,8 +374,8 @@ def test_event_attributes_parsed_into_vmap():
 
 class TestCanonicalStamps:
     """The tests above on hand-written documents, with every stamp to the
-    second written in the canonical ``.000Z`` form: the strict parse alone
-    reads the documents as written, the lean pass reads these first."""
+    second written in the canonical ``.000Z`` form, which the parse checks
+    in bulk; as written, each stamp is read on its own."""
 
     @pytest.fixture(autouse=True)
     def canonical_stamps(self, monkeypatch):
@@ -697,39 +696,42 @@ def test_build_permits_empty_omap():
     assert log.lifecycle("o1") == ()
 
 
-# -------------------------------------------------------------- lean pass
+# -------------------------------------------------- the strict parse's results
 
-def _both_passes(data):
-    """The lean pass's log or None, and the strict parse's log or error, on
-    the document ``data``, after checking that the lean pass declined or
-    gave the strict parse's log, every attribute value a float or a str."""
-    text = data.decode("utf-8")
-    lean = _lean_parse(*_document(text))
+def _as_strict_parse(data):
+    """The log or the :class:`MalformedDocument` of ``parse_ocel_json`` on the
+    document ``data``, after checking that :func:`oracles.strict_parse` gives
+    the same log, or an error of the same type and message, and that every
+    attribute value is a float or a str."""
     try:
-        strict = _strict_parse(*_document(text))
+        log = parse_ocel_json(data)
     except MalformedDocument as exc:
-        strict = exc
-    if lean is not None:
-        assert isinstance(strict, OcelLog) and lean == strict
-        assert all(type(v) in (float, str) for attrs in (*lean.obj_attrs, *lean.ev_attrs) for v in attrs.values())
-    return lean, strict
+        log = exc
+    try:
+        expected = strict_parse(data.decode("utf-8"))
+    except MalformedDocument as exc:
+        expected = exc
+    if isinstance(log, OcelLog):
+        assert isinstance(expected, OcelLog) and log == expected
+        assert all(type(v) in (float, str) for attrs in (*log.obj_attrs, *log.ev_attrs) for v in attrs.values())
+    else:
+        assert (type(log), str(log)) == (type(expected), str(expected))
+    return log
 
 
-def test_lean_pass_reads_the_logs_ocad_writes(p2p_small, tmp_path):
+def test_parse_reads_the_logs_ocad_writes(p2p_small, tmp_path):
     logs = [serialize_ocel_json(p2p_small[0])]
     for name, argv in LOGS.items():
         assert main([*argv, "--out", str(tmp_path / name)]) == 0
         logs.append((tmp_path / name / "log.json").read_bytes())
     for data in logs:
-        assert _both_passes(data)[0] is not None
+        assert isinstance(_as_strict_parse(data), OcelLog)
 
 
 @given(_documents.map(lambda doc: json.dumps(doc).encode("utf-8")) | _logs().map(serialize_ocel_json))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_lean_pass_declines_or_agrees_on_any_document(data):
-    """The lean pass takes no document that the strict parse rejects, and
-    gives the strict parse's log for any it takes."""
-    _both_passes(data)
+def test_parse_gives_the_strict_parse_result_on_any_document(data):
+    _as_strict_parse(data)
 
 
 _STAMP = "2024-01-01T00:00:00.000Z"
@@ -741,38 +743,63 @@ def _attributes(*atts):
     return [{"name": n, "value": v, **({"time": t} if t else {})} for n, v, t in atts]
 
 
-# The documents the lean pass could get wrong: (objects, events, the pass that
-# gives the log). "lean" means both passes give it; "strict" means the lean
-# pass declines; None means the strict parse rejects the document. Every
-# stamp is canonical.
-_LEAN_TRAPS = {
+# Documents the parse could read otherwise than the strict parse: (objects,
+# events, whether the document parses). Every stamp to the second is written
+# in the canonical form, which the parse checks in bulk. The traps with two
+# faults check which fault is reported.
+_PARSE_TRAPS = {
     **{f"{on}-{key}-{value!r}": ([{**_OBJ, key: value}] if on == "object" else [_OBJ],
-                                 [{**_EV, key: value}] if on == "event" else [_EV], None)
+                                 [{**_EV, key: value}] if on == "event" else [_EV], False)
        for on, key in _LIST_FIELDS for value in ({}, 0, "", False)},
-    "event-year-0000": ([_OBJ], [{**_EV, "time": "0000-01-01T00:00:00.000Z"}], None),
+    "event-year-0000": ([_OBJ], [{**_EV, "time": "0000-01-01T00:00:00.000Z"}], False),
     "attribute-year-0000": ([{**_OBJ, "attributes": _attributes(("x", 1.0, "0000-01-01T00:00:00.000Z"))}], [_EV],
-                            None),
+                            False),
     # Stamps that numpy reads and the strict parse rejects.
-    **{f"stamp-{t}": ([_OBJ], [{**_EV, "time": t}], None)
+    **{f"stamp-{t}": ([_OBJ], [{**_EV, "time": t}], False)
        for t in ("+2024-01-01T00:00:00.00Z", "2024-01-01T00:00:00.00 Z", "2024-01-01T00:00:00.-00Z")},
-    "february-29-2023": ([_OBJ], [{**_EV, "time": "2023-02-29T00:00:00.000Z"}], None),
-    "leap-second": ([_OBJ], [{**_EV, "time": "2024-01-01T23:59:60.000Z"}], None),
-    "last-instant": ([_OBJ], [{**_EV, "time": "9999-12-31T23:59:59.999Z"}], "lean"),
+    "february-29-2023": ([_OBJ], [{**_EV, "time": "2023-02-29T00:00:00.000Z"}], False),
+    "leap-second": ([_OBJ], [{**_EV, "time": "2024-01-01T23:59:60.000Z"}], False),
+    "last-instant": ([_OBJ], [{**_EV, "time": "9999-12-31T23:59:59.999Z"}], True),
+    "event-stamp-with-a-space": ([_OBJ], [{**_EV, "time": "2024-01-01 00:00:00.001Z"}], True),
     "int-values": ([{**_OBJ, "attributes": _attributes(("x", 5, _STAMP))}],
-                   [{**_EV, "attributes": _attributes(("n", 3, None))}], "lean"),
+                   [{**_EV, "attributes": _attributes(("n", 3, None))}], True),
     "repeated-attribute-name": ([{**_OBJ, "attributes": _attributes(
         ("x", 2.0, "2024-01-02T00:00:00.000Z"), ("x", 1.0, _STAMP),  # the later time wins
         ("y", 1.0, None), ("y", "tie", "1970-01-01T00:00:00.000Z"),  # a missing time is the epoch; the later entry wins
-        ("z", True, _STAMP), ("z", 4.0, _STAMP))}], [_EV], "lean"),  # a value that loses is not checked
-    "non-ascii-id": ([{**_OBJ, "id": "ö1"}], [{**_EV, "relationships": [{"objectId": "ö1"}]}], "strict"),
-    "dangling-reference": ([_OBJ], [{**_EV, "relationships": [{"objectId": "o2"}]}], None),
-    "duplicate-object-id": ([_OBJ, {**_OBJ, "type": "b"}], [_EV], None),
-    "duplicate-event-id": ([_OBJ], [_EV, {**_EV, "time": "2024-01-02T00:00:00.000Z"}], None),
+        ("z", True, _STAMP), ("z", 4.0, _STAMP))}], [_EV], True),  # a value that loses is not checked
+    "non-ascii-id": ([{**_OBJ, "id": "ö1"}], [{**_EV, "relationships": [{"objectId": "ö1"}]}], True),
+    "dangling-reference": ([_OBJ], [{**_EV, "relationships": [{"objectId": "o2"}]}], False),
+    "duplicate-object-id": ([_OBJ, {**_OBJ, "type": "b"}], [_EV], False),
+    "duplicate-event-id": ([_OBJ], [_EV, {**_EV, "time": "2024-01-02T00:00:00.000Z"}], False),
+    "event-attribute-without-value-or-string-name": ([_OBJ], [{**_EV, "attributes": [{"name": 1}]}], False),
+    "object-attribute-without-value-or-string-name": ([{**_OBJ, "attributes": [{"name": 1}]}], [_EV], False),
+    # Two faults each: the strict parse reports the first fault of form in
+    # document order, then the first fault that OcelLog.build finds.
+    "invalid-stamp-then-non-string-id": (
+        [_OBJ], [{**_EV, "time": "2023-02-29T00:00:00.000Z"}, {**_EV, "id": 2}], False),
+    "duplicate-object-then-malformed-event": ([_OBJ, _OBJ], [{**_EV, "type": 5}], False),
+    "unknown-object-then-invalid-stamp": ([_OBJ], [{**_EV, "relationships": [{"objectId": "o2"}]},
+                                                   {**_EV, "id": "e2", "time": "2024-13-01T00:00:00.000Z"}], False),
+    "event-attribute-true-then-float": (
+        [_OBJ], [{**_EV, "attributes": _attributes(("n", True, None), ("n", 2.0, None))}], True),
+    "non-string-object-id-then-missing-type": ([{"id": 1}], [], False),
+    "non-string-event-id-then-missing-time": ([_OBJ], [{"id": 1, "type": "A"}], False),
+    "boolean-value-then-non-string-id": (
+        [_OBJ], [{**_EV, "attributes": _attributes(("n", True, None))}, {**_EV, "id": 2}], False),
+    "duplicate-event-id-then-unknown-object": ([_OBJ], [_EV, {**_EV, "relationships": [{"objectId": "o2"}]}], False),
+    "object-attribute-time-with-a-space": ([{**_OBJ, "attributes": _attributes(
+        ("x", 1.0, _STAMP), ("x", 2.0, "2024-01-01 00:00:00.000Z"))}], [_EV], True),  # the later entry wins the tie
 }
 
 
-@pytest.mark.parametrize("objects, events, reader", _LEAN_TRAPS.values(), ids=_LEAN_TRAPS.keys())
-def test_lean_pass_declines_or_agrees_on_its_traps(objects, events, reader):
-    lean, strict = _both_passes(ocel_doc(events=events, objects=objects))
-    assert (lean is not None) is (reader == "lean")
-    assert isinstance(strict, OcelLog) is (reader is not None)
+@pytest.mark.parametrize("objects, events, parses", _PARSE_TRAPS.values(), ids=_PARSE_TRAPS.keys())
+def test_parse_gives_the_strict_parse_result_on_its_traps(objects, events, parses):
+    assert isinstance(_as_strict_parse(ocel_doc(events=events, objects=objects)), OcelLog) is parses
+
+
+@pytest.mark.parametrize("rewrite", [offset_last_stamp, non_ascii_object_id], ids=["offset-stamp", "non-ascii-id"])
+def test_parse_reads_the_json_once(p2p_small, monkeypatch, rewrite):
+    data, loads, calls = rewrite(serialize_ocel_json(p2p_small[0])), json.loads, []
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(1) or loads(*args, **kwargs))
+    log = parse_ocel_json(data)
+    assert len(calls) == 1 and len(log.events) == len(p2p_small[0].events)
