@@ -18,6 +18,7 @@ usage line and one error line on stderr).
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
 import hashlib
 import json
@@ -49,11 +50,15 @@ from .synthgen import DEFAULT_MEAN_GAP, AnomalyKind, SynthConfig, generate_block
 LLM_KEY_ENV = "OCAD_LLM_API_KEY"
 LIFECYCLE_DIR = "lifecycles"
 NAME_MAX = 255  # bytes in one file name on the common Linux file systems
-# The largest --log read. Reading a log peaks at about 40 MB plus 4.7 bytes per
-# byte of it (524 MB on a 103 MB log, 1,944 MB on 405 MB; ROADMAP.md, item 5),
-# and tests/test_cli.py bounds the parse's tracemalloc peak at 5 bytes per byte,
-# so this keeps a run within a 4 GB budget, half of an 8 GB machine.
+# The largest --log read. Its tracemalloc peak is 2.3 bytes per byte of the log
+# when the parse streams it, and 4.2 when the parse reads it as the json.loads
+# tree: a log with events before objects, and any log with a fault. So a read
+# peaks at 277 MB on a 103 MB log streamed, and at 512 MB read as the tree.
+# tests/test_cli.py bounds the two peaks at 2.6 and 5 bytes per byte. Any log
+# may take the tree, so the bound stays set by the 5, which keeps a run within
+# a 4 GB budget, half of an 8 GB machine.
 MAX_INPUT_BYTES = 800_000_000
+_READ_BYTES = 1 << 16  # the chunk that _load_log hashes and decodes at a time
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -93,13 +98,21 @@ def _load_log(path: str) -> tuple[OcelLog, str]:
     size = Path(path).stat().st_size  # a missing file fails here as the read would
     if size > MAX_INPUT_BYTES:
         raise InvalidConfig(f"log {path!r} is {size} bytes, over the bound of {MAX_INPUT_BYTES} bytes")
-    data = Path(path).read_bytes()
-    digest = _digest(data)
-    try:  # rebinding drops the bytes before the parse; invalid UTF-8 stays bytes for its error
-        data = data.decode("utf-8")
-    except UnicodeDecodeError:
-        pass
-    return parse_ocel_json(data), digest
+    # A chunk at a time, so the bytes and the text are never both whole:
+    # decoding whole bytes with a non-ASCII character copies the text once more.
+    digest, decoder, parts = hashlib.sha256(), codecs.getincrementaldecoder("utf-8")(), []
+    with open(path, "rb") as f:
+        try:
+            for chunk in iter(lambda: f.read(_READ_BYTES), b""):
+                digest.update(chunk)
+                parts.append(decoder.decode(chunk))
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError:  # the parse names the fault at its offset in the whole file
+            data = Path(path).read_bytes()
+            return parse_ocel_json(data), _digest(data)
+    text = "".join(parts)
+    del parts
+    return parse_ocel_json(text), digest.hexdigest()
 
 
 # ------------------------------------------------------------- subcommands

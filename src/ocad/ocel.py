@@ -33,25 +33,32 @@ pauses the cyclic garbage collector: the records are about a million
 containers at 8k orders that all stay alive and form no reference cycles, so
 each automatic pass would rescan them and free nothing.
 
-:func:`parse_ocel_json` reads the tree of ``json.loads`` in one pass, straight
-into the columns, with inline checks such as ``type(v) is str and
-v.isascii()``, codes assigned as it reads and event stamps checked in bulk. A
-value that fails an inline check goes to the checker that names its fault.
-Each entry is freed once it has been read, so the whole tree is never alive
-next to the log.
+:func:`parse_ocel_json` reads the ``objects`` and then the ``events`` list
+from the text one entry at a time, with ``json``'s C scanner, and reads each
+entry straight into the columns, with inline checks such as ``type(v) is str
+and v.isascii()``, codes assigned as it reads and event stamps checked in
+bulk. A value that fails an inline check goes to the checker that names its
+fault. An entry is freed once it has been read, so a valid document with
+``objects`` before ``events`` is never a JSON tree as a whole. A document of
+another shape, or one with a fault, is read again from the tree of
+``json.loads``, whose log or error stands.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import json.decoder
 import json.encoder
+import json.scanner
 import math
+import re
+import traceback
 from array import array
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -316,12 +323,6 @@ class OcelLog:
             for f in fields(InteractionSets)
         })
 
-    def common_attributes(self, ot: str) -> frozenset[str]:
-        """Attribute names present on every object of type ``ot``. Empty when
-        the type has no objects (rather than "all names")."""
-        attrs = [self.obj_attrs[c] for c in np.flatnonzero(self.obj_type == self.type_code.get(ot, -1)).tolist()]
-        return frozenset(set(attrs[0]).intersection(*attrs[1:])) if attrs else frozenset()
-
 
 def _assemble(obj_code: dict[str, int], types: dict[str, int], obj_type, obj_attrs: list,
               eids: list[str], acts: dict[str, int], ev_act, times, ev_attrs: list, sizes, codes) -> OcelLog:
@@ -459,22 +460,33 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
     latest value per attribute name is kept. Event relationship qualifiers
     are parsed and ignored.
 
-    One pass (:func:`_parse`) reads the document straight into the log's
-    columns and releases it as it reads: an entry is freed once it has been
-    read. ``data`` and its text stay alive until the call returns, so a
-    caller that holds the bytes passes their decoded ``str``.
+    One pass (:func:`_parse`) reads the entries that :func:`_stream` reads
+    from the text, straight into the log's columns. ``json.loads`` reports a
+    JSON fault before any fault of the log, so on any fault, and on a
+    document that the stream does not read, the text is read again by
+    :func:`_document` and that pass's log or error stands. ``data`` and its
+    text stay alive until the call returns, so a caller that holds the bytes
+    passes their decoded ``str``.
     """
     with _collector_paused():
         try:
             text = data.decode("utf-8") if isinstance(data, bytes) else data
         except UnicodeDecodeError as exc:
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
+        try:
+            return _parse(*_stream(text))
+        except (MalformedDocument, _Unstreamable, json.JSONDecodeError, RecursionError) as exc:
+            # A held fault and the frame of the pass that raised it refer to
+            # each other, so the paused collector would keep that pass's
+            # columns alive through the second pass.
+            traceback.clear_frames(exc.__traceback__)
         return _parse(*_document(text))
 
 
-def _document(text: str) -> tuple[list, list]:
-    """The ``objects`` and ``events`` lists of the JSON document ``text``; the
-    rest of the document is dropped."""
+def _document(text: str) -> tuple[Iterator, Iterator]:
+    """The entries of the ``objects`` and ``events`` lists of the JSON
+    document ``text``, each list's slot cleared as its entry is handed out;
+    the rest of the document is dropped."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -484,7 +496,88 @@ def _document(text: str) -> tuple[list, list]:
     for key in ("objects", "events"):
         if key not in doc or not isinstance(doc[key], list):
             raise MalformedDocument(f"missing required top-level list {key!r}")
-    return doc["objects"], doc["events"]
+    return _emptied(doc["objects"]), _emptied(doc["events"])
+
+
+def _emptied(items: list) -> Iterator:
+    """The entries of ``items``, each slot cleared as its entry is handed out."""
+    for i, item in enumerate(items):
+        items[i] = None
+        yield item
+
+
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())  # the scanner of json.loads
+_WS = json.decoder.WHITESPACE.match
+_SEP = re.compile(r"[ \t\n\r]*([,:\]}])[ \t\n\r]*").match  # a separator or a closing bracket
+_END = object()  # the end of the objects, between the two lists' entries
+
+
+class _Unstreamable(Exception):
+    """A text that :func:`_stream` does not read: not one JSON object with
+    an ``objects`` list before an ``events`` list and no key twice, or a JSON
+    fault where the scanner finds no value."""
+
+
+def _stream(text: str) -> tuple[Iterator, Iterator]:
+    """The entries of the ``objects`` and the ``events`` list of the JSON
+    object ``text``, read from the text as they are asked for: the first
+    iterable's to its end, then the second's."""
+    entries = _entries(text)
+    return iter(entries.__next__, _END), entries
+
+
+def _entries(text: str) -> Iterator:
+    """The entries of ``text``'s top-level ``objects`` list, then :data:`_END`,
+    then those of its ``events`` list, each read by one ``scan_once``; between
+    two entries one match of :data:`_SEP` finds the next or the list's end.
+    Reads any other member's value as it meets it, and after the last entry,
+    the text to its end. Raises :class:`_Unstreamable`, or the scanner's
+    error, where the text leaves the shape that the stream reads."""
+    try:
+        pos = _WS(text).end()
+        if not text.startswith("{", pos):  # also a BOM
+            raise _Unstreamable
+        pos, keys = _WS(text, pos + 1).end(), set()
+        while True:
+            if not text.startswith('"', pos):
+                raise _Unstreamable
+            key, pos = _scan_once(text, pos)
+            m = _SEP(text, pos)
+            if m is None or m[1] != ":" or key in keys or key == "events" and "objects" not in keys:
+                raise _Unstreamable
+            keys.add(key)
+            pos = m.end()
+            if key not in ("objects", "events"):
+                _, pos = _scan_once(text, pos)
+            elif not text.startswith("[", pos):
+                raise _Unstreamable
+            else:
+                pos = _WS(text, pos + 1).end()
+                if text.startswith("]", pos):
+                    pos += 1
+                else:
+                    while True:
+                        entry, pos = _scan_once(text, pos)
+                        yield entry
+                        m = _SEP(text, pos)
+                        if m is None or m[1] != ",":
+                            break
+                        pos = m.end()
+                    if m is None or m[1] != "]":
+                        raise _Unstreamable
+                    pos = m.end()
+                if key == "objects":
+                    yield _END
+            m = _SEP(text, pos)
+            if m is None or m[1] not in ",}":
+                raise _Unstreamable
+            if m[1] == "}":
+                break
+            pos = m.end()
+    except StopIteration:  # no value at pos; a generator must not raise it
+        raise _Unstreamable from None
+    if "events" not in keys or m.end() != len(text):
+        raise _Unstreamable
 
 
 # The event stamp form read in bulk, the one serialization writes; a 0 stands
@@ -496,15 +589,16 @@ _STAMP = b"0000-00-00T00:00:00.000Z"
 _NO_ITEMS: list = []  # a missing list; never written
 
 
-def _parse(objects: list, events: list) -> OcelLog:
-    """The log of the document's ``objects`` and ``events`` lists, read in
-    one pass straight into the columns of :func:`_assemble`, or the
-    :class:`MalformedDocument` that names the first fault. A fault of form
-    is raised where it is read, after any invalid event stamp read before it
-    (those of 24 characters ending in ``Z`` are checked in bulk). The faults
-    that :meth:`OcelLog.build` finds, a duplicate id, an unknown object or an
-    attribute value, are held back: the first in build's order is raised
-    once the whole document has been read. Each entry is freed once read."""
+def _parse(objects: Iterable, events: Iterable) -> OcelLog:
+    """The log of the entries of the document's ``objects`` and ``events``
+    lists, read in one pass straight into the columns of :func:`_assemble`,
+    or the :class:`MalformedDocument` that names the first fault. A fault of
+    form is raised where it is read, after any invalid event stamp read
+    before it (those of 24 characters ending in ``Z`` are checked in bulk).
+    The faults that :meth:`OcelLog.build` finds, a duplicate id, an unknown
+    object or an attribute value, are held back: the first in build's order
+    is raised once the whole document has been read. Nothing here holds an
+    entry after it has been read."""
     obj_code: dict[str, int] = {}
     types: dict[str, int] = {}
     obj_type, obj_attrs, att_times = array("i"), [], {_EPOCH_ISO: 0.0}
@@ -513,8 +607,7 @@ def _parse(objects: list, events: list) -> OcelLog:
     other_times = []  # (event position, time) of each event stamp not checked in bulk
     held = []  # (event position, fault) of build's faults in document order, -1 for an object's
     try:
-        for i, entry in enumerate(objects):
-            objects[i] = None
+        for entry in objects:
             try:  # an id that is not a string is reported before a missing type
                 oid = entry["id"]
                 if not (type(oid) is str and oid.isascii()):
@@ -552,8 +645,7 @@ def _parse(objects: list, events: list) -> OcelLog:
             obj_type.append(types.setdefault(ot, len(types)))
         entry = None
 
-        for i, entry in enumerate(events):
-            events[i] = None
+        for entry in events:
             try:
                 eid = entry["id"]
                 if not (type(eid) is str and eid.isascii()):

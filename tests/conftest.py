@@ -107,6 +107,21 @@ def non_ascii_object_id(data):
     return data.replace(oid + b'"', oid + "ö".encode() + b'"')
 
 
+def events_first(data):
+    """The document ``data``, as serialization writes it, with its ``events``
+    list written before its ``objects`` list."""
+    head, objects = data.split(b',\n  "objects": ', 1)
+    objects, events = objects.split(b',\n  "events": ', 1)
+    return head + b',\n  "events": ' + events.removesuffix(b"\n}\n") + b',\n  "objects": ' + objects + b"\n}\n"
+
+
+def unknown_last_object(data):
+    """The document ``data`` with the object of its last relationship renamed
+    to an id that no object has: a fault that the parse holds back to the end."""
+    head, tail = data.rsplit(b'"objectId": "', 1)
+    return head + b'"objectId": "unknown-' + tail
+
+
 def random_log(seed, n_objects=12, n_events=20, n_types=3, n_activities=5, activities=None, tie_share=0.0,
                wide_share=0.0):
     """Small random log exercising shared events and attributes.

@@ -371,11 +371,10 @@ def strict_parse(text):
     JSON reading (``_document``) and its checkers (``_string``, ``_list``,
     ``_parse_iso``), which name each fault."""
     objects, events = _document(text)
-    # Clear each slot once its entry is bound; ``entry = None`` after a
-    # loop frees the last one (``del`` fails when an empty list left it unbound).
+    # ``_document`` hands out each entry once; ``entry = None`` after a loop
+    # frees the last one (``del`` fails when an empty list left it unbound).
     object_records = []
-    for i, entry in enumerate(objects):
-        objects[i] = None
+    for entry in objects:
         try:
             oid = _string(entry["id"], "object id")
             ot = _string(entry["type"], "object type")
@@ -395,8 +394,7 @@ def strict_parse(text):
     entry = None
 
     event_records = []
-    for i, entry in enumerate(events):
-        events[i] = None
+    for entry in events:
         try:
             eid = _string(entry["id"], "event id")
             activity = _string(entry["type"], "event type")

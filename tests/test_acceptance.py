@@ -59,7 +59,6 @@ def test_c01_definition_replay_suite():
                     interact, creation, continuation, cobirth, codeath,
                 )
         for ot in log.object_types:
-            assert log.common_attributes(ot) == naive.common_attributes(ot)
             objs, rows = naive.feature_map(ot)
             assert_matrix_matches_naive(extract_features(log, ot), objs, rows, time_tol=1e-9)
     elapsed = time.perf_counter() - t0

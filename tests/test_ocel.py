@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import ocad.cli
+import ocad.ocel
 from ocad.errors import (
     DanglingReference,
     DuplicateId,
@@ -314,6 +316,27 @@ def test_parse_fuzz_bytes_parse_or_reject(data):
         pass
 
 
+@st.composite
+def _mutations(draw):
+    """A valid document cut at any offset, with one byte changed, or with its
+    top-level keys in any order."""
+    data = draw(_documents.map(lambda doc: json.dumps(doc).encode("utf-8")) | _logs().map(serialize_ocel_json))
+    how = draw(st.sampled_from(["cut", "byte", "reorder"]))
+    if how == "reorder":
+        return json.dumps(dict(draw(st.permutations(list(json.loads(data).items()))))).encode("utf-8")
+    k = draw(st.integers(0, len(data) - 1))
+    if how == "cut":
+        return data[:k]
+    byte = draw(st.sampled_from(b'{}[],:" \t\n\r\\0-.eEnNtf\xc3\xff') | st.integers(0, 255))
+    return data[:k] + bytes([byte]) + data[k + 1:]
+
+
+@given(_mutations())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_parse_gives_the_strict_parse_result_on_mutated_documents(data):
+    _as_strict_parse(data)
+
+
 def test_parse_runs_no_collection():
     from ocad.synthgen import AnomalyKind, SynthConfig, generate_p2p
 
@@ -560,24 +583,17 @@ def test_common_attributes_intersection():
             ("o2", "order", {"amount": 2.0, "vendor": "acme"}),
         ],
     )
-    assert log.common_attributes("order") == {"amount"}
+    assert NaiveDerivations(log).common_attributes("order") == {"amount"}
 
 
 def test_common_attributes_single_object():
     log = build_log([], [("o1", "t", {"a": 1.0, "b": "x"})])
-    assert log.common_attributes("t") == {"a", "b"}
+    assert NaiveDerivations(log).common_attributes("t") == {"a", "b"}
 
 
 def test_common_attributes_empty_type_is_empty_set():
     log = build_log([], [])
-    assert log.common_attributes("ghost") == frozenset()
-
-
-def test_common_attributes_match_fold_intersection():
-    log = random_log(seed=21, n_objects=50, n_events=40)
-    naive = NaiveDerivations(log)
-    for ot in log.object_types:
-        assert log.common_attributes(ot) == naive.common_attributes(ot)
+    assert NaiveDerivations(log).common_attributes("ghost") == frozenset()
 
 
 # -------------------------------------------------------------- invariants
@@ -711,6 +727,8 @@ def _as_strict_parse(data):
         expected = strict_parse(data.decode("utf-8"))
     except MalformedDocument as exc:
         expected = exc
+    except UnicodeDecodeError as exc:  # the parse names the decode's fault
+        expected = MalformedDocument(f"invalid JSON: {exc}")
     if isinstance(log, OcelLog):
         assert isinstance(expected, OcelLog) and log == expected
         assert all(type(v) in (float, str) for attrs in (*log.obj_attrs, *log.ev_attrs) for v in attrs.values())
@@ -797,9 +815,102 @@ def test_parse_gives_the_strict_parse_result_on_its_traps(objects, events, parse
     assert isinstance(_as_strict_parse(ocel_doc(events=events, objects=objects)), OcelLog) is parses
 
 
-@pytest.mark.parametrize("rewrite", [offset_last_stamp, non_ascii_object_id], ids=["offset-stamp", "non-ascii-id"])
-def test_parse_reads_the_json_once(p2p_small, monkeypatch, rewrite):
-    data, loads, calls = rewrite(serialize_ocel_json(p2p_small[0])), json.loads, []
-    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(1) or loads(*args, **kwargs))
-    log = parse_ocel_json(data)
-    assert len(calls) == 1 and len(log.events) == len(p2p_small[0].events)
+def _spaced(text):
+    """``text`` with whitespace of every kind JSON allows around it and around
+    each bracket and separator outside its strings."""
+    ws = " \t\n\r"
+    return ws + re.sub(r'"(?:[^"\\]|\\.)*"|([][{},:])', lambda m: ws + m[1] + ws if m[1] else m[0], text) + ws
+
+
+_O, _E = json.dumps([_OBJ]), json.dumps([_EV])
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested past any recursion limit
+_VALID = f'{{"objects": {_O}, "events": {_E}}}'
+
+# Texts that the stream reads otherwise than one json.loads tree, or that it
+# does not read at all: (text, whether the document parses). A text of
+# another shape, or one with a fault, is read again as a tree, and json.loads
+# reports a JSON fault before any fault of the log.
+_RAW_PARSE_TRAPS = {
+    "events-before-objects": (f'{{"events": {_E}, "objects": {_O}}}', True),
+    "objects-twice": (f'{{"objects": [1], "events": {_E}, "objects": {_O}}}', True),  # the second list wins
+    "objects-twice-before-events": (f'{{"objects": {_O}, "objects": [], "events": []}}', True),
+    "events-twice": (f'{{"objects": {_O}, "events": {_E}, "events": {json.dumps([{**_EV, "id": "e2"}])}}}', True),
+    "other-key-twice": (f'{{"objectTypes": 1, "objects": {_O}, "events": {_E}, "objectTypes": 2}}', True),
+    "keys-before-between-and-after": (
+        f'{{"objectTypes": [{{"name": "a", "attributes": []}}], "x": {{"y": [1, null, "}}]"]}}, "objects": {_O}, '
+        f'"eventTypes": [], "z": -1.5e3, "events": {_E}, "tail": "]}}"}}', True),
+    "whitespace-everywhere": (_spaced(_VALID), True),
+    "whitespace-inside-empty-lists": ('{"objects": [ \t\n\r], "events": [\r\n\t ]}', True),
+    "empty-objects": ('{"objects": [], "events": [{"id": "e1", "type": "A", "time": "2024-01-01T00:00:00.000Z"}]}',
+                      True),
+    "empty-events": (f'{{"objects": {_O}, "events": []}}', True),
+    "both-empty": ('{"objects": [], "events": []}', True),
+    "trailing-whitespace": (_VALID + " \n", True),
+    "trailing-data": (_VALID + " x", False),
+    "trailing-object": (_VALID + "{}", False),
+    "trailing-comma-after-the-document": (_VALID + ",", False),
+    "top-level-array": (f"[{_VALID}]", False),
+    "top-level-string": ('"objects"', False),
+    "empty-text": ("", False),
+    "whitespace-only": (" \n", False),
+    "empty-object": ("{}", False),
+    "bom": ("\ufeff" + _VALID, False),
+    "missing-objects": (f'{{"events": {_E}}}', False),
+    "missing-events": (f'{{"objects": {_O}}}', False),
+    "objects-not-a-list": (f'{{"objects": {{}}, "events": {_E}}}', False),
+    "events-null": (f'{{"objects": {_O}, "events": null}}', False),
+    "non-string-key": (f'{{1: 2, "objects": {_O}, "events": {_E}}}', False),
+    "missing-colon": (f'{{"objects" {_O}, "events": {_E}}}', False),
+    "missing-comma-between-members": (f'{{"objects": {_O} "events": {_E}}}', False),
+    "bracket-between-members": (f'{{"objects": {_O}] "events": {_E}}}', False),
+    "missing-value": (f'{{"x": , "objects": {_O}, "events": {_E}}}', False),
+    "trailing-comma-in-the-document": (f'{{"objects": {_O}, "events": {_E},}}', False),
+    "unterminated-document": (f'{{"objects": {_O}, "events": {_E}', False),
+    "fault-in-another-member": (f'{{"x": [1,], "objects": {_O}, "events": {_E}}}', False),
+    "colon-between-entries": (f'{{"objects": [{json.dumps(_OBJ)}: {json.dumps({**_OBJ, "id": "o2"})}], '
+                              f'"events": {_E}}}', False),
+    "list-closed-by-a-brace": (f'{{"objects": [{json.dumps(_OBJ)}}}, "events": {_E}}}', False),
+    "trailing-comma-in-objects": (f'{{"objects": [{json.dumps(_OBJ)},], "events": {_E}}}', False),
+    "entry-nested-past-the-recursion-limit": (
+        f'{{"objects": [{{"id": "o1", "type": "a", "attributes": [{{"name": "x", "value": {_DEEP}}}]}}], '
+        f'"events": {_E}}}', False),
+    "member-nested-past-the-recursion-limit": (f'{{"objectTypes": {_DEEP}, "objects": {_O}, "events": {_E}}}',
+                                               False),
+    # A fault of the log early in objects, then a JSON fault late in events:
+    # json.loads reports the JSON fault.
+    "duplicate-object-then-truncated-event": (
+        f'{{"objects": [{json.dumps(_OBJ)}, {json.dumps(_OBJ)}], "events": [{json.dumps(_EV)}, {{"id": "e2", "ti',
+        False),
+    "missing-type-then-trailing-comma": (f'{{"objects": [{{"id": "o1"}}], "events": [{json.dumps(_EV)},]}}', False),
+}
+
+
+@pytest.mark.parametrize("text, parses", _RAW_PARSE_TRAPS.values(), ids=_RAW_PARSE_TRAPS.keys())
+def test_parse_gives_the_strict_parse_result_on_its_raw_traps(text, parses):
+    assert isinstance(_as_strict_parse(text.encode("utf-8")), OcelLog) is parses
+
+
+@pytest.mark.parametrize("name", ["keys-before-between-and-after", "whitespace-everywhere",
+                                  "whitespace-inside-empty-lists", "empty-objects", "empty-events", "both-empty",
+                                  "trailing-whitespace"])
+def test_parse_streams_the_traps_with_objects_before_events(monkeypatch, name):
+    monkeypatch.setattr(ocad.ocel, "_document", lambda text: pytest.fail("read the document as a json.loads tree"))
+    assert isinstance(parse_ocel_json(_RAW_PARSE_TRAPS[name][0]), OcelLog)
+
+
+@pytest.mark.parametrize("rewrite", [None, offset_last_stamp, non_ascii_object_id],
+                         ids=["plain", "offset-stamp", "non-ascii-id"])
+def test_load_log_streams_a_valid_log(tmp_path, monkeypatch, rewrite):
+    """A valid log with ``objects`` before ``events`` is read by the stream
+    alone: never as the tree of ``json.loads``."""
+    out = tmp_path / "gen"
+    assert main(["generate", "--n-orders", "200", "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
+                 "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1", "--out", str(out)]) == 0
+    path = out / "log.json"
+    if rewrite is not None:
+        path.write_bytes(rewrite(path.read_bytes()))
+    expected = strict_parse(path.read_text(encoding="utf-8"))
+    monkeypatch.setattr(ocad.ocel, "_document", lambda text: pytest.fail("read the log as a json.loads tree"))
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("called json.loads"))
+    log, _ = ocad.cli._load_log(str(path))
+    assert log == expected
