@@ -27,6 +27,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from ._csv import csv_bytes
@@ -50,14 +51,15 @@ from .synthgen import DEFAULT_MEAN_GAP, AnomalyKind, SynthConfig, generate_block
 LLM_KEY_ENV = "OCAD_LLM_API_KEY"
 LIFECYCLE_DIR = "lifecycles"
 NAME_MAX = 255  # bytes in one file name on the common Linux file systems
-# The largest --log read. Its tracemalloc peak is 2.3 bytes per byte of the log
-# when the parse streams it, and 4.2 when the parse reads it as the json.loads
-# tree: a log with events before objects, and any log with a fault. So a read
-# peaks at 277 MB on a 103 MB log streamed, and at 512 MB read as the tree.
-# tests/test_cli.py bounds the two peaks at 2.6 and 5 bytes per byte. Any log
-# may take the tree, so the bound stays set by the 5, which keeps a run within
-# a 4 GB budget, half of an 8 GB machine.
-MAX_INPUT_BYTES = 800_000_000
+# The largest --log read. Its tracemalloc peak is 1.3 bytes per byte of the log
+# when the parse streams it, a fault of the log included, and 4.2 when the parse
+# reads it as the json.loads tree: a log with events before objects, a key twice,
+# or a JSON fault. The tree is read from the whole text, which CPython widens to
+# 2 or 4 bytes a character for one CJK letter or emoji: 5.2 and 7.2 bytes per
+# byte. tests/test_cli.py bounds the streamed read at 1.6 and the tree reads at
+# 4.5, 5.5 and 7.5 bytes per byte. Any log may take the tree, so the bound is set
+# by the 7.5, which keeps a run within a 4 GB budget, half of an 8 GB machine.
+MAX_INPUT_BYTES = 530_000_000
 _READ_BYTES = 1 << 16  # the chunk that _load_log hashes and decodes at a time
 
 
@@ -94,25 +96,40 @@ def _write_run(out: Path, command: str, params: dict, input_digest: str, files: 
     _write_atomic(out / "run.json", (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
+class _LogText:
+    """The text of the log at ``path`` for :func:`parse_ocel_json`, in the
+    chunks of one read. Each iteration reads, hashes and decodes the file
+    ``_READ_BYTES`` at a time, so neither the bytes nor the text is ever
+    whole, and sets ``digest`` to the sha256 of the bytes once it has read
+    them all. Its length is the file's size in bytes, which the benchmark's
+    tracer (``perfbench/tracer.py``) counts as the bytes parsed."""
+
+    def __init__(self, path: str, size: int) -> None:
+        self.path, self.size, self.digest = path, size, None
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[str]:
+        digest, decoder = hashlib.sha256(), codecs.getincrementaldecoder("utf-8")()
+        with open(self.path, "rb") as f:
+            for chunk in iter(lambda: f.read(_READ_BYTES), b""):
+                digest.update(chunk)
+                yield decoder.decode(chunk)
+        yield decoder.decode(b"", final=True)
+        self.digest = digest.hexdigest()
+
+
 def _load_log(path: str) -> tuple[OcelLog, str]:
     size = Path(path).stat().st_size  # a missing file fails here as the read would
     if size > MAX_INPUT_BYTES:
         raise InvalidConfig(f"log {path!r} is {size} bytes, over the bound of {MAX_INPUT_BYTES} bytes")
-    # A chunk at a time, so the bytes and the text are never both whole:
-    # decoding whole bytes with a non-ASCII character copies the text once more.
-    digest, decoder, parts = hashlib.sha256(), codecs.getincrementaldecoder("utf-8")(), []
-    with open(path, "rb") as f:
-        try:
-            for chunk in iter(lambda: f.read(_READ_BYTES), b""):
-                digest.update(chunk)
-                parts.append(decoder.decode(chunk))
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError:  # the parse names the fault at its offset in the whole file
-            data = Path(path).read_bytes()
-            return parse_ocel_json(data), _digest(data)
-    text = "".join(parts)
-    del parts
-    return parse_ocel_json(text), digest.hexdigest()
+    text = _LogText(path, size)
+    try:
+        return parse_ocel_json(text), text.digest
+    except UnicodeDecodeError:  # the parse names the fault at its offset in the whole file
+        data = Path(path).read_bytes()
+        return parse_ocel_json(data), _digest(data)
 
 
 # ------------------------------------------------------------- subcommands

@@ -38,17 +38,18 @@ from the text one entry at a time, with ``json``'s C scanner, and reads each
 entry straight into the columns, with inline checks such as ``type(v) is str
 and v.isascii()``, codes assigned as it reads and event stamps checked in
 bulk. A value that fails an inline check goes to the checker that names its
-fault. An entry is freed once it has been read, so a valid document with
-``objects`` before ``events`` is never a JSON tree as a whole. A document of
-another shape, or one with a fault, is read again from the tree of
-``json.loads``, whose log or error stands.
+fault. The text may come in chunks, which the stream reads through a window
+of a chunk or two (:class:`_Window`), and an entry is freed once it has been
+read, so a document with ``objects`` before ``events`` is never whole, as
+text or as a JSON tree, and a fault of the log stands once the rest of the
+text has been read. A document of another shape, or one with a JSON fault,
+is read again from the tree of ``json.loads``, whose log or error stands.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import json.decoder
 import json.encoder
 import json.scanner
 import math
@@ -451,7 +452,7 @@ class _collector_paused:
             gc.enable()
 
 
-def parse_ocel_json(data: bytes | str) -> OcelLog:
+def parse_ocel_json(data: bytes | str | Iterable[str]) -> OcelLog:
     """Parse an OCEL 2.0 JSON document.
 
     Expects top-level ``objects`` and ``events`` lists (``objectTypes`` and
@@ -460,27 +461,44 @@ def parse_ocel_json(data: bytes | str) -> OcelLog:
     latest value per attribute name is kept. Event relationship qualifiers
     are parsed and ignored.
 
-    One pass (:func:`_parse`) reads the entries that :func:`_stream` reads
-    from the text, straight into the log's columns. ``json.loads`` reports a
-    JSON fault before any fault of the log, so on any fault, and on a
-    document that the stream does not read, the text is read again by
-    :func:`_document` and that pass's log or error stands. ``data`` and its
-    text stay alive until the call returns, so a caller that holds the bytes
-    passes their decoded ``str``.
+    ``data`` is the document's UTF-8 bytes, its text, or its text in chunks:
+    an iterable that gives the same chunks each time it is iterated, which
+    the stream reads through a window (:class:`_Window`) and the tree reads
+    again whole. One pass (:func:`_parse`) reads the entries that
+    :func:`_entries` reads from the text, straight into the log's columns.
+    ``json.loads`` reports a JSON fault before any fault of the log, so a
+    fault of the log stands once the stream has read the rest of the text
+    cleanly; a JSON fault, or a document that the stream does not read, is
+    read again by :func:`_document`, and that pass's log or error stands.
     """
     with _collector_paused():
+        if isinstance(data, bytes):
+            try:
+                data = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedDocument(f"invalid JSON: {exc}") from exc
         try:
-            text = data.decode("utf-8") if isinstance(data, bytes) else data
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
-        try:
-            return _parse(*_stream(text))
-        except (MalformedDocument, _Unstreamable, json.JSONDecodeError, RecursionError) as exc:
-            # A held fault and the frame of the pass that raised it refer to
-            # each other, so the paused collector would keep that pass's
-            # columns alive through the second pass.
+            return _streamed(_entries(iter([data] if isinstance(data, str) else data)))
+        except _Unstreamable as exc:
+            # The exception and the frames of the failed pass refer to each
+            # other, so the paused collector would keep that pass's columns,
+            # and the stream's window, alive through the second pass.
             traceback.clear_frames(exc.__traceback__)
-        return _parse(*_document(text))
+        return _parse(*_document(data if isinstance(data, str) else "".join(data)))
+
+
+def _streamed(entries: Iterator) -> OcelLog:
+    """The log of the entries of :func:`_entries`, or the first fault of the
+    log once the rest of the text has been read, each entry dropped as it is
+    read; a later JSON fault or an unstreamable shape raises
+    :class:`_Unstreamable` instead."""
+    try:
+        return _parse(iter(entries.__next__, _END), entries)
+    except MalformedDocument as exc:
+        traceback.clear_frames(exc.__traceback__)  # frees the columns before the rest is read
+        for _ in entries:
+            pass
+        raise
 
 
 def _document(text: str) -> tuple[Iterator, Iterator]:
@@ -507,76 +525,125 @@ def _emptied(items: list) -> Iterator:
 
 
 _scan_once = json.scanner.make_scanner(json.JSONDecoder())  # the scanner of json.loads
-_WS = json.decoder.WHITESPACE.match
-_SEP = re.compile(r"[ \t\n\r]*([,:\]}])[ \t\n\r]*").match  # a separator or a closing bracket
+# With the whitespace around it: a separator or a closing bracket, or none.
+_SEP = re.compile(r"[ \t\n\r]*([,:\]}]?)[ \t\n\r]*").match
+# With the whitespace around it: an opening bracket, or none.
+_OPEN = re.compile(r"[ \t\n\r]*([{[]?)[ \t\n\r]*").match
 _END = object()  # the end of the objects, between the two lists' entries
 
 
 class _Unstreamable(Exception):
-    """A text that :func:`_stream` does not read: not one JSON object with
-    an ``objects`` list before an ``events`` list and no key twice, or a JSON
-    fault where the scanner finds no value."""
+    """A text that :func:`_entries` does not read: not one JSON object with
+    an ``objects`` list before an ``events`` list and no key twice, or one
+    with a JSON fault."""
 
 
-def _stream(text: str) -> tuple[Iterator, Iterator]:
-    """The entries of the ``objects`` and the ``events`` list of the JSON
-    object ``text``, read from the text as they are asked for: the first
-    iterable's to its end, then the second's."""
-    entries = _entries(text)
-    return iter(entries.__next__, _END), entries
+class _Window:
+    """The part of a text, read chunk by chunk from ``chunks``, that the
+    stream is reading: ``text`` holds its characters from some point on, and
+    through the text's end once ``done``.
 
+    A match or a scanned value is taken only when it ends inside the window,
+    or the window has reached the end of the text. A value must also have its
+    separator matched after it: a value cut by the window's end, such as
+    ``12`` of ``1234``, ``1.5`` of ``1.5e10`` or ``tr`` of ``true``, either
+    fails to scan or ends where the window ends, and whitespace to the
+    window's end may run on. Otherwise the window drops what was read before
+    the value, grows by at least as much as it keeps, and reads it again, so
+    a value of m characters is read again in O(m) in all."""
 
-def _entries(text: str) -> Iterator:
-    """The entries of ``text``'s top-level ``objects`` list, then :data:`_END`,
-    then those of its ``events`` list, each read by one ``scan_once``; between
-    two entries one match of :data:`_SEP` finds the next or the list's end.
-    Reads any other member's value as it meets it, and after the last entry,
-    the text to its end. Raises :class:`_Unstreamable`, or the scanner's
-    error, where the text leaves the shape that the stream reads."""
-    try:
-        pos = _WS(text).end()
-        if not text.startswith("{", pos):  # also a BOM
-            raise _Unstreamable
-        pos, keys = _WS(text, pos + 1).end(), set()
-        while True:
-            if not text.startswith('"', pos):
-                raise _Unstreamable
-            key, pos = _scan_once(text, pos)
-            m = _SEP(text, pos)
-            if m is None or m[1] != ":" or key in keys or key == "events" and "objects" not in keys:
-                raise _Unstreamable
-            keys.add(key)
-            pos = m.end()
-            if key not in ("objects", "events"):
-                _, pos = _scan_once(text, pos)
-            elif not text.startswith("[", pos):
-                raise _Unstreamable
-            else:
-                pos = _WS(text, pos + 1).end()
-                if text.startswith("]", pos):
-                    pos += 1
-                else:
-                    while True:
-                        entry, pos = _scan_once(text, pos)
-                        yield entry
-                        m = _SEP(text, pos)
-                        if m is None or m[1] != ",":
-                            break
-                        pos = m.end()
-                    if m is None or m[1] != "]":
-                        raise _Unstreamable
-                    pos = m.end()
-                if key == "objects":
-                    yield _END
-            m = _SEP(text, pos)
-            if m is None or m[1] not in ",}":
-                raise _Unstreamable
-            if m[1] == "}":
+    __slots__ = ("chunks", "text", "done")
+
+    def __init__(self, chunks: Iterator[str]) -> None:
+        self.chunks, self.text, self.done = chunks, "", False
+
+    def grow(self, pos: int) -> int:
+        """Drop the characters before ``pos`` and read at least as many more
+        as are kept, and at least one; return ``pos``'s new place, 0."""
+        kept = self.text[pos:]
+        parts, need = [kept] if kept else [], max(len(kept), 1)  # one chunk alone is not copied
+        for chunk in self.chunks:
+            parts.append(chunk)
+            need -= len(chunk)
+            if need <= 0:
                 break
-            pos = m.end()
-    except StopIteration:  # no value at pos; a generator must not raise it
-        raise _Unstreamable from None
-    if "events" not in keys or m.end() != len(text):
+        else:
+            self.done = True
+        self.text = "".join(parts)
+        return 0
+
+    def match(self, pattern, pos: int) -> re.Match:
+        """The match of ``pattern``, which matches at any place, at ``pos``."""
+        while (m := pattern(self.text, pos)).end() == len(self.text) and not self.done:
+            pos = self.grow(pos)
+        return m
+
+    def value(self, pos: int) -> tuple[object, re.Match]:
+        """The JSON value at ``pos`` and the match of :data:`_SEP` after it.
+        Raises :class:`_Unstreamable` where there is no value, or one with a
+        JSON fault, in the whole text."""
+        while True:
+            try:
+                value, end = _scan_once(self.text, pos)
+                m = _SEP(self.text, end)
+                if m[1] and m.end() < len(self.text) or self.done:
+                    return value, m
+            except (StopIteration, ValueError, RecursionError):  # no value; JSONDecodeError is a ValueError
+                if self.done:
+                    raise _Unstreamable from None
+            pos = self.grow(pos)
+
+
+def _entries(chunks: Iterator[str]) -> Iterator:
+    """The entries of the top-level ``objects`` list of the text in
+    ``chunks``, then :data:`_END`, then those of its ``events`` list, each
+    read by ``scan_once`` from a :class:`_Window` on the text. Reads any
+    other member's value as it meets it, and after the last entry, the text
+    to its end. Raises :class:`_Unstreamable` where the text leaves the shape
+    that the stream reads, or has a JSON fault."""
+    w = _Window(chunks)
+    m = w.match(_OPEN, 0)
+    if m[1] != "{":  # also a BOM
+        raise _Unstreamable
+    keys = set()
+    while True:
+        if not w.text.startswith('"', m.end()):
+            raise _Unstreamable
+        key, m = w.value(m.end())
+        if m[1] != ":" or key in keys or key == "events" and "objects" not in keys:
+            raise _Unstreamable
+        keys.add(key)
+        if key not in ("objects", "events"):
+            _, m = w.value(m.end())
+        else:
+            m = w.match(_OPEN, m.end())
+            if m[1] != "[":
+                raise _Unstreamable
+            if w.text.startswith("]", m.end()):
+                m = w.match(_SEP, m.end() + 1)
+            else:
+                text, pos = w.text, m.end()
+                while True:
+                    try:  # the value and separator that w.value takes first, without its call
+                        entry, end = _scan_once(text, pos)
+                        m = _SEP(text, end)
+                    except (StopIteration, ValueError, RecursionError):
+                        m = None
+                    if m is None or not m[1] or m.end() == len(text):
+                        entry, m = w.value(pos)
+                        text = w.text
+                    yield entry
+                    if m[1] != ",":
+                        break
+                    pos = m.end()
+                if m[1] != "]":
+                    raise _Unstreamable
+                m = w.match(_SEP, m.end())
+            if key == "objects":
+                yield _END
+        if m[1] != ",":
+            break
+    if m[1] != "}" or "events" not in keys or m.end() != len(w.text):
         raise _Unstreamable
 
 

@@ -100,11 +100,24 @@ def offset_last_stamp(data):
     return head + b'+00:00"' + tail
 
 
-def non_ascii_object_id(data):
+def non_ascii_object_id(data, letter="ö"):
     """The document ``data``, as serialization writes it, with its first
-    object's id given a non-ASCII last letter wherever it is written."""
+    object's id given the non-ASCII last letter ``letter`` wherever it is
+    written."""
     oid = re.search(rb'"objects": \[\n    \{\n      "id": ("[^"]*)"', data).group(1)
-    return data.replace(oid + b'"', oid + "ö".encode() + b'"')
+    return data.replace(oid + b'"', oid + letter.encode() + b'"')
+
+
+def cjk_object_id(data):
+    """:func:`non_ascii_object_id` with a CJK letter: a ``str`` that holds
+    it takes two bytes a character."""
+    return non_ascii_object_id(data, "中")
+
+
+def emoji_object_id(data):
+    """:func:`non_ascii_object_id` with an emoji: a ``str`` that holds it
+    takes four bytes a character."""
+    return non_ascii_object_id(data, "😀")
 
 
 def events_first(data):
@@ -120,6 +133,20 @@ def unknown_last_object(data):
     to an id that no object has: a fault that the parse holds back to the end."""
     head, tail = data.rsplit(b'"objectId": "', 1)
     return head + b'"objectId": "unknown-' + tail
+
+
+def duplicate_object_id(data):
+    """The document ``data``, as serialization writes it, with its second
+    object given its first object's id: a fault that the parse holds back to
+    the end."""
+    first, second = re.findall(rb'\n    \{\n      "id": ("[^"]*")', data)[:2]
+    return data.replace(b'"id": ' + second, b'"id": ' + first, 1)
+
+
+def missing_first_type(data):
+    """The document ``data``, as serialization writes it, with its first
+    object's ``type`` left out: a fault of form, read early."""
+    return re.sub(rb'("objects": \[\n    \{\n      "id": "[^"]*"),\n      "type": "[^"]*"', rb"\1", data, count=1)
 
 
 def random_log(seed, n_objects=12, n_events=20, n_types=3, n_activities=5, activities=None, tie_share=0.0,

@@ -28,13 +28,13 @@ import ocad.features
 import ocad.ocel
 import ocad.synthgen
 from ocad.cli import build_parser, main
-from ocad.errors import DanglingReference, InvalidConfig, LlmTimeout, VarianceFallbackWarning
+from ocad.errors import InvalidConfig, LlmTimeout, MalformedDocument, VarianceFallbackWarning
 from ocad.features import feature_csv_bytes, normalize
 from ocad.ocel import parse_ocel_json
 from ocad.pipeline import PipelineParams, build_matrix
 
-from conftest import (events_first, make_matrix, non_ascii_object_id, ocel_doc, offset_last_stamp,
-                      unknown_last_object)
+from conftest import (cjk_object_id, duplicate_object_id, emoji_object_id, events_first, make_matrix,
+                      missing_first_type, non_ascii_object_id, ocel_doc, offset_last_stamp, unknown_last_object)
 
 
 def _dir_digest(path, skip=()):
@@ -247,30 +247,33 @@ def test_invalid_utf8_log_is_one_line_json_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_orders", [300, 1000])
 def test_load_log_peak_stays_within_five_times_the_file(tmp_path, n_orders):
-    # The stream frees each JSON entry once it has read it, and the read
-    # never holds the whole bytes and the whole text at once. These peaked at
-    # 2.28-2.33x the file at these sizes; a last stamp with an offset and a
-    # non-ASCII object id are read on their own, not in bulk. Events before
-    # objects is read as the json.loads tree, whose entries are freed as they
-    # are read: 4.18-4.23x. A fault found at the end of the stream is read
-    # again as the tree once the stream's columns are freed: 4.20-4.25x, and
-    # 5.2x while the stream's columns outlived it. Holding the bytes and the
-    # whole tree through the parse peaked at 5.8x and 6.0x.
+    # The stream reads the text through a window of a chunk or two and frees
+    # each JSON entry once it has read it, so a streamed read holds little
+    # more than the log: 1.28-1.30x the file at these sizes (1.31x at 8k),
+    # whatever the width of its widest character, and 1.23-1.25x when a
+    # fault of the log is found at the end. Events before objects is read as
+    # the json.loads tree, whose entries are freed as they are read, from the
+    # whole text, which CPython widens to 2 or 4 bytes a character for one
+    # CJK letter or emoji: 4.18-4.19x, 5.18-5.19x and 7.18-7.19x (4.19x,
+    # 5.19x and 7.19x at 8k). Joining the whole text before the stream peaked
+    # at 2.32x, 3.32x with a CJK letter and 5.32x with an emoji.
     out = tmp_path / "gen"
     assert main(["generate", "--n-orders", str(n_orders), "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
                  "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1", "--out", str(out)]) == 0
     path = out / "log.json"
     written = path.read_bytes()
-    for rewrite, bound in ((None, 2.6), (offset_last_stamp, 2.6), (non_ascii_object_id, 2.6), (events_first, 5),
-                           (unknown_last_object, 5)):
-        if rewrite is not None:
-            path.write_bytes(rewrite(written))
+    streamed = [None, offset_last_stamp, non_ascii_object_id, cjk_object_id, emoji_object_id, unknown_last_object,
+                duplicate_object_id, missing_first_type]
+    tree = [(events_first, 4.5), (lambda data: events_first(cjk_object_id(data)), 5.5),
+            (lambda data: events_first(emoji_object_id(data)), 7.5)]
+    for rewrite, bound in [*((rewrite, 1.6) for rewrite in streamed), *tree]:
+        path.write_bytes(written if rewrite is None else rewrite(written))
         tracemalloc.start()
         try:
             try:
                 ocad.cli._load_log(str(path))
-            except DanglingReference:
-                assert rewrite is unknown_last_object
+            except MalformedDocument:
+                assert rewrite in (unknown_last_object, duplicate_object_id, missing_first_type)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -369,8 +372,9 @@ def test_log_over_the_input_bound_is_rejected_before_the_read(generated, tmp_pat
 
 def test_input_bound_keeps_the_parse_within_4_gb_and_admits_a_405_mb_log():
     # test_load_log_peak_stays_within_five_times_the_file bounds the parse at
-    # 5 bytes per byte of log; the 128k-order log of ROADMAP.md is 405 MB.
-    assert 405_000_000 <= ocad.cli.MAX_INPUT_BYTES and 5 * ocad.cli.MAX_INPUT_BYTES <= 4_000_000_000
+    # 7.5 bytes per byte of log, the json.loads tree of a log with an emoji;
+    # the 128k-order log of ROADMAP.md is 405 MB.
+    assert 405_000_000 <= ocad.cli.MAX_INPUT_BYTES and 7.5 * ocad.cli.MAX_INPUT_BYTES <= 4_000_000_000
 
 
 def test_too_many_orders_are_rejected_before_writing(tmp_path, capsys, monkeypatch):

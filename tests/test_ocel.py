@@ -1,8 +1,10 @@
 """Log model: parsing, serialization, total order and the per-object derivations."""
 
 import gc
+import hashlib
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +30,9 @@ from ocad.ocel import (
     serialize_ocel_json,
 )
 
-from conftest import (build_log, collections_during, log_dicts, non_ascii_object_id, object_graphs, ocel_doc,
-                      offset_last_stamp, random_log)
+from conftest import (build_log, cjk_object_id, collections_during, duplicate_object_id, emoji_object_id,
+                      events_first, log_dicts, missing_first_type, non_ascii_object_id, object_graphs, ocel_doc,
+                      offset_last_stamp, random_log, unknown_last_object)
 from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize, strict_parse
 from test_golden import LOGS
 
@@ -714,6 +717,22 @@ def test_build_permits_empty_omap():
 
 # -------------------------------------------------- the strict parse's results
 
+def _strict(data):
+    """The log or the :class:`MalformedDocument` of :func:`oracles.strict_parse`
+    on the document ``data``, a fault of its UTF-8 named as the parse names it."""
+    try:
+        return strict_parse(data.decode("utf-8"))
+    except MalformedDocument as exc:
+        return exc
+    except UnicodeDecodeError as exc:
+        return MalformedDocument(f"invalid JSON: {exc}")
+
+
+def _outcome(result):
+    """A log as it is, an error as its type and message."""
+    return result if isinstance(result, OcelLog) else (type(result), str(result))
+
+
 def _as_strict_parse(data):
     """The log or the :class:`MalformedDocument` of ``parse_ocel_json`` on the
     document ``data``, after checking that :func:`oracles.strict_parse` gives
@@ -723,12 +742,7 @@ def _as_strict_parse(data):
         log = parse_ocel_json(data)
     except MalformedDocument as exc:
         log = exc
-    try:
-        expected = strict_parse(data.decode("utf-8"))
-    except MalformedDocument as exc:
-        expected = exc
-    except UnicodeDecodeError as exc:  # the parse names the decode's fault
-        expected = MalformedDocument(f"invalid JSON: {exc}")
+    expected = _strict(data)
     if isinstance(log, OcelLog):
         assert isinstance(expected, OcelLog) and log == expected
         assert all(type(v) in (float, str) for attrs in (*log.obj_attrs, *log.ev_attrs) for v in attrs.values())
@@ -898,8 +912,8 @@ def test_parse_streams_the_traps_with_objects_before_events(monkeypatch, name):
     assert isinstance(parse_ocel_json(_RAW_PARSE_TRAPS[name][0]), OcelLog)
 
 
-@pytest.mark.parametrize("rewrite", [None, offset_last_stamp, non_ascii_object_id],
-                         ids=["plain", "offset-stamp", "non-ascii-id"])
+@pytest.mark.parametrize("rewrite", [None, offset_last_stamp, non_ascii_object_id, cjk_object_id, emoji_object_id],
+                         ids=["plain", "offset-stamp", "non-ascii-id", "cjk-id", "emoji-id"])
 def test_load_log_streams_a_valid_log(tmp_path, monkeypatch, rewrite):
     """A valid log with ``objects`` before ``events`` is read by the stream
     alone: never as the tree of ``json.loads``."""
@@ -914,3 +928,119 @@ def test_load_log_streams_a_valid_log(tmp_path, monkeypatch, rewrite):
     monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("called json.loads"))
     log, _ = ocad.cli._load_log(str(path))
     assert log == expected
+
+
+# Texts that a read, or the stream's window, can cut inside a value where a
+# prefix scans as another value (1234, 1.5e10, -2.5E-3) or as none (true,
+# -Infinity, NaN, an escape, a character outside the BMP, written or
+# escaped), or inside a whitespace run longer than a read, between members
+# and between entries: one that parses, two with a value that the parse
+# holds as a fault, and one with a number for an entry.
+_WS_RUN = " \t\n\r" * 4
+_CUT = ('{"n": 1234, "x": 1.5e10, "y": -2.5E-3, "t": true, "f": false, "z": null, "i": -Infinity, "nan": NaN, '
+        '"s": "\\u00e9", "pair": "\\ud83d\\ude00", "list": [1234, 1.5e10, true],' + _WS_RUN + '"objects": [%s], '
+        '"events": [{"id": "e1", "type": "A", "time": "2024-01-01T00:00:00.000Z", "attributes": [{"name": "v", '
+        '"value": %s}], "relationships": [{"objectId": "\u00e9\U0001F600"}]}]}')
+_CUT_OBJECTS = ('{"id": "\\u00e9\U0001F600", "type": "a", "attributes": [{"name": "n", "value": 1234}, '
+                '{"name": "x", "value": 1.5e10}]},' + _WS_RUN + '{"id": "o2", "type": "b"}')
+_CUT_TEXTS = {"valid": _CUT % (_CUT_OBJECTS, "-2.5E-3"), "true-value": _CUT % (_CUT_OBJECTS, "true"),
+              "minus-infinity-value": _CUT % (_CUT_OBJECTS, "-Infinity"), "number-entry": _CUT % ("1.5e10", "1")}
+
+
+@pytest.mark.parametrize("text", _CUT_TEXTS.values(), ids=_CUT_TEXTS.keys())
+def test_parse_streams_a_text_cut_anywhere(monkeypatch, text):
+    """The text in two chunks, cut at any place, gives the strict parse's log
+    or error line, and is never read as the json.loads tree."""
+    expected = _outcome(_as_strict_parse(text.encode("utf-8")))
+    monkeypatch.setattr(ocad.ocel, "_document", lambda text: pytest.fail("read the document as a json.loads tree"))
+    for k in range(len(text) + 1):
+        try:
+            got = parse_ocel_json([text[:k], text[k:]])
+        except MalformedDocument as exc:
+            got = exc
+        assert _outcome(got) == expected, k
+
+
+def test_the_window_reads_a_long_entry_again_a_logarithmic_number_of_times(monkeypatch):
+    """Fed a character at a time, the window grows by at least as much as it
+    keeps, so an entry of m characters is scanned O(log m) times."""
+    entry = json.dumps({**_OBJ, "attributes": _attributes(*((f"a{i}", float(i), None) for i in range(2000)))})
+    text = f'{{"objects": [{entry}], "events": []}}'
+    scans = []
+    scan_once = ocad.ocel._scan_once
+    monkeypatch.setattr(ocad.ocel, "_scan_once", lambda text, pos: scans.append(pos) or scan_once(text, pos))
+    assert parse_ocel_json(list(text)).objects == ("o1",)
+    assert len(text) > 60_000 and len(scans) < 50, len(scans)
+
+
+@pytest.fixture(scope="module")
+def small_log(tmp_path_factory):
+    """The bytes of a 12-order log with every P2P anomaly rate set."""
+    out = tmp_path_factory.mktemp("gen")
+    assert main(["generate", "--n-orders", "12", "--maverick-rate", "0.1", "--postmortem-rate", "0.1",
+                 "--double-invoice-rate", "0.1", "--reopen-rate", "0.1", "--seed", "1", "--out", str(out)]) == 0
+    return (out / "log.json").read_bytes()
+
+
+def _load_as_strict_parse(path):
+    """The log or the :class:`MalformedDocument` of ``cli._load_log`` on the
+    file ``path``, after checking that :func:`oracles.strict_parse` gives the
+    same log, or an error of the same type and message, and that a log comes
+    with the file's sha256."""
+    data = path.read_bytes()
+    try:
+        log, digest = ocad.cli._load_log(str(path))
+    except MalformedDocument as exc:
+        log = exc
+    else:
+        assert digest == hashlib.sha256(data).hexdigest()
+    assert _outcome(log) == _outcome(_strict(data))
+    return log
+
+
+_FAULTS_OF_THE_LOG = [unknown_last_object, duplicate_object_id, missing_first_type]
+_REWRITES = [lambda data: data, offset_last_stamp, non_ascii_object_id, cjk_object_id, emoji_object_id, events_first,
+             *_FAULTS_OF_THE_LOG,
+             lambda data: data[:len(data) // 2] + b"\xff" + data[len(data) // 2 + 1:],  # not UTF-8 in the middle
+             lambda data: data + "\U0001F600".encode()[:3]]  # a character cut by the end of the file
+
+
+@pytest.mark.parametrize("read_bytes", [1, 2, 3, 7, ocad.cli._READ_BYTES])
+def test_load_log_gives_the_strict_parse_result_at_any_read_size(tmp_path, monkeypatch, small_log, read_bytes):
+    """Read ``read_bytes`` at a time, the raw traps, the texts cut inside a
+    value and the rewritten logs give the strict parse's log or error line,
+    and a log the file's sha256."""
+    monkeypatch.setattr(ocad.cli, "_READ_BYTES", read_bytes)
+    path = tmp_path / "log.json"
+    for data in [*(text.encode("utf-8") for text, _ in _RAW_PARSE_TRAPS.values()),
+                 *(text.encode("utf-8") for text in _CUT_TEXTS.values()),
+                 *(rewrite(small_log) for rewrite in _REWRITES)]:
+        path.write_bytes(data)
+        _load_as_strict_parse(path)
+
+
+@given(_mutations())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+def test_load_log_gives_the_strict_parse_result_on_mutated_documents_read_3_bytes_at_a_time(tmp_path, data):
+    path = tmp_path / "log.json"
+    path.write_bytes(data)
+    with mock.patch.object(ocad.cli, "_READ_BYTES", 3):
+        _load_as_strict_parse(path)
+
+
+@pytest.mark.parametrize("rewrite", _FAULTS_OF_THE_LOG, ids=["unknown-last-object", "duplicate-object-id",
+                                                             "missing-first-type"])
+def test_load_log_reads_a_log_with_a_fault_of_the_log_once(tmp_path, monkeypatch, small_log, rewrite):
+    """A fault of the log, held to the end or raised where it is read, stands
+    once the stream has read the rest of the text: the log is never read as
+    the json.loads tree."""
+    path = tmp_path / "log.json"
+    path.write_bytes(rewrite(small_log))
+    expected = _strict(path.read_bytes())
+    assert isinstance(expected, MalformedDocument)
+    monkeypatch.setattr(ocad.ocel, "_document", lambda text: pytest.fail("read the log as a json.loads tree"))
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("called json.loads"))
+    with pytest.raises(MalformedDocument) as got:
+        ocad.cli._load_log(str(path))
+    assert _outcome(got.value) == _outcome(expected)
