@@ -464,12 +464,14 @@ def parse_ocel_json(data: bytes | str | Iterable[str]) -> OcelLog:
     ``data`` is the document's UTF-8 bytes, its text, or its text in chunks:
     an iterable that gives the same chunks each time it is iterated, which
     the stream reads through a window (:class:`_Window`) and the tree reads
-    again whole. One pass (:func:`_parse`) reads the entries that
-    :func:`_entries` reads from the text, straight into the log's columns.
-    ``json.loads`` reports a JSON fault before any fault of the log, so a
-    fault of the log stands once the stream has read the rest of the text
-    cleanly; a JSON fault, or a document that the stream does not read, is
-    read again by :func:`_document`, and that pass's log or error stands.
+    again whole. An iterator, such as a generator or an open file, cannot be
+    read again and raises ``TypeError``. One pass (:func:`_parse`) reads the
+    entries that :func:`_entries` reads from the text, straight into the
+    log's columns. ``json.loads`` reports a JSON fault before any fault of
+    the log, so a fault of the log stands once the stream has read the rest
+    of the text cleanly; a JSON fault, or a document that the stream does
+    not read, is read again by :func:`_document`, and that pass's log or
+    error stands.
     """
     with _collector_paused():
         if isinstance(data, bytes):
@@ -477,6 +479,8 @@ def parse_ocel_json(data: bytes | str | Iterable[str]) -> OcelLog:
                 data = data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedDocument(f"invalid JSON: {exc}") from exc
+        elif not isinstance(data, str) and iter(data) is data:
+            raise TypeError("parse_ocel_json reads the chunks of a text twice; an iterator can be read once")
         try:
             return _streamed(_entries(iter([data] if isinstance(data, str) else data)))
         except _Unstreamable as exc:
@@ -530,6 +534,10 @@ _SEP = re.compile(r"[ \t\n\r]*([,:\]}]?)[ \t\n\r]*").match
 # With the whitespace around it: an opening bracket, or none.
 _OPEN = re.compile(r"[ \t\n\r]*([{[]?)[ \t\n\r]*").match
 _END = object()  # the end of the objects, between the two lists' entries
+# The farthest before the window's end that a scan of a value cut by it fails:
+# "-Infinit" of -Infinity fails where it starts. An unterminated string fails
+# where it starts, however far that is.
+_CUT_REACH = len("-Infinit")
 
 
 class _Unstreamable(Exception):
@@ -550,7 +558,10 @@ class _Window:
     fails to scan or ends where the window ends, and whitespace to the
     window's end may run on. Otherwise the window drops what was read before
     the value, grows by at least as much as it keeps, and reads it again, so
-    a value of m characters is read again in O(m) in all."""
+    a value of m characters is read again in O(m) in all. A scan that fails
+    more than :data:`_CUT_REACH` characters before the window's end, not in
+    an unterminated string, fails in the whole text too, and is decided at
+    once."""
 
     __slots__ = ("chunks", "text", "done")
 
@@ -588,10 +599,23 @@ class _Window:
                 m = _SEP(self.text, end)
                 if m[1] and m.end() < len(self.text) or self.done:
                     return value, m
-            except (StopIteration, ValueError, RecursionError):  # no value; JSONDecodeError is a ValueError
-                if self.done:
+            except (StopIteration, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+                if self.done or _cut_cannot_explain(exc, len(self.text)):
                     raise _Unstreamable from None
             pos = self.grow(pos)
+
+
+def _cut_cannot_explain(exc: Exception, end: int) -> bool:
+    """Whether the failed scan ``exc`` of a window ending at ``end`` fails
+    too far before it to come from a value that the end cuts. ``StopIteration``
+    holds where no value starts, also one nested in the scanned value."""
+    if isinstance(exc, StopIteration):
+        pos = exc.value
+    elif isinstance(exc, json.JSONDecodeError) and not exc.msg.startswith("Unterminated string"):
+        pos = exc.pos
+    else:
+        return False
+    return pos + _CUT_REACH < end
 
 
 def _entries(chunks: Iterator[str]) -> Iterator:
@@ -622,20 +646,11 @@ def _entries(chunks: Iterator[str]) -> Iterator:
             if w.text.startswith("]", m.end()):
                 m = w.match(_SEP, m.end() + 1)
             else:
-                text, pos = w.text, m.end()
                 while True:
-                    try:  # the value and separator that w.value takes first, without its call
-                        entry, end = _scan_once(text, pos)
-                        m = _SEP(text, end)
-                    except (StopIteration, ValueError, RecursionError):
-                        m = None
-                    if m is None or not m[1] or m.end() == len(text):
-                        entry, m = w.value(pos)
-                        text = w.text
+                    entry, m = w.value(m.end())
                     yield entry
                     if m[1] != ",":
                         break
-                    pos = m.end()
                 if m[1] != "]":
                     raise _Unstreamable
                 m = w.match(_SEP, m.end())

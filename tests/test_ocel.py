@@ -1044,3 +1044,51 @@ def test_load_log_reads_a_log_with_a_fault_of_the_log_once(tmp_path, monkeypatch
     with pytest.raises(MalformedDocument) as got:
         ocad.cli._load_log(str(path))
     assert _outcome(got.value) == _outcome(expected)
+
+
+class _CountedChunks:
+    """The text ``text`` in chunks of ``size`` characters, each iteration
+    anew; ``handed`` counts the chunks that each iteration handed out."""
+
+    def __init__(self, text, size):
+        self.chunks, self.handed = [text[i:i + size] for i in range(0, len(text), size)], []
+
+    def __iter__(self):
+        self.handed.append(0)
+        for chunk in self.chunks:
+            self.handed[-1] += 1
+            yield chunk
+
+
+# A JSON fault in the first object entry of a log: one that json.loads names
+# in a key, and a value that does not start as one.
+_EARLY_FAULTS = {"broken-key": (b'"id": "', b'"id: "'), "not-a-value": (b'"type": "', b'"type": x"')}
+
+
+@pytest.mark.parametrize("fault", _EARLY_FAULTS.values(), ids=_EARLY_FAULTS.keys())
+def test_the_stream_leaves_at_an_early_json_fault_before_the_end_of_the_text(small_log, fault):
+    """A scan that fails well before the window's end fails in the whole text
+    too: the stream leaves for the tree at once, not once its window has
+    grown to the end of the text."""
+    head, objects = small_log.split(b'"objects": [', 1)
+    data = head + b'"objects": [' + objects.replace(*fault, 1)
+    chunks = _CountedChunks(data.decode("utf-8"), 64)
+    with pytest.raises(MalformedDocument) as got:
+        parse_ocel_json(chunks)
+    assert _outcome(got.value) == _outcome(_strict(data))
+    (streamed, tree), total = chunks.handed, len(chunks.chunks)
+    assert tree == total > 500 and streamed * 64 < data.index(fault[1]) + 1000, (data.index(fault[1]), streamed)
+
+
+def test_parse_rejects_an_iterator_of_chunks(small_log, tmp_path):
+    """An iterator cannot give its chunks again for the tree, so it is
+    rejected before it is read, whatever the document's shape."""
+    chunks = iter(events_first(small_log).decode("utf-8").splitlines(keepends=True))
+    with pytest.raises(TypeError, match="an iterator can be read once"):
+        parse_ocel_json(chunk for chunk in chunks)
+    assert next(chunks).startswith("{")
+    path = tmp_path / "log.json"
+    path.write_bytes(small_log)
+    with open(path, encoding="utf-8") as f, pytest.raises(TypeError, match="an iterator can be read once"):
+        parse_ocel_json(f)
+    assert parse_ocel_json(path.read_text(encoding="utf-8").splitlines(keepends=True)) == parse_ocel_json(small_log)
