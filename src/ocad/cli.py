@@ -18,12 +18,12 @@ usage line and one error line on stderr).
 from __future__ import annotations
 
 import argparse
-import codecs
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -60,7 +60,10 @@ NAME_MAX = 255  # bytes in one file name on the common Linux file systems
 # 4.5, 5.5 and 7.5 bytes per byte. Any log may take the tree, so the bound is set
 # by the 7.5, which keeps a run within a 4 GB budget, half of an 8 GB machine.
 MAX_INPUT_BYTES = 530_000_000
-_READ_BYTES = 1 << 16  # the chunk that _load_log hashes and decodes at a time
+_READ_BYTES = 1 << 16  # the chunk that _load_log reads and hashes at a time
+# The longest --llm-timeout, in seconds. A socket holds its timeout as 64-bit
+# nanoseconds, so it refuses one over 9.2e9 s with an OverflowError.
+MAX_LLM_TIMEOUT = 1_000_000_000
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -96,13 +99,13 @@ def _write_run(out: Path, command: str, params: dict, input_digest: str, files: 
     _write_atomic(out / "run.json", (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
-class _LogText:
-    """The text of the log at ``path`` for :func:`parse_ocel_json`, in the
-    chunks of one read. Each iteration reads, hashes and decodes the file
-    ``_READ_BYTES`` at a time, so neither the bytes nor the text is ever
-    whole, and sets ``digest`` to the sha256 of the bytes once it has read
-    them all. Its length is the file's size in bytes, which the benchmark's
-    tracer (``perfbench/tracer.py``) counts as the bytes parsed."""
+class _LogBytes:
+    """The bytes of the log at ``path`` for :func:`parse_ocel_json`, in the
+    chunks of one read. Each iteration reads and hashes the file
+    ``_READ_BYTES`` at a time, holding one chunk, and sets ``digest`` to the
+    sha256 of the bytes once it has read them all. Its
+    length is the file's size in bytes, which the benchmark's tracer
+    (``perfbench/tracer.py``) counts as the bytes parsed."""
 
     def __init__(self, path: str, size: int) -> None:
         self.path, self.size, self.digest = path, size, None
@@ -110,26 +113,23 @@ class _LogText:
     def __len__(self) -> int:
         return self.size
 
-    def __iter__(self) -> Iterator[str]:
-        digest, decoder = hashlib.sha256(), codecs.getincrementaldecoder("utf-8")()
+    def __iter__(self) -> Iterator[bytes]:
+        digest = hashlib.sha256()
         with open(self.path, "rb") as f:
             for chunk in iter(lambda: f.read(_READ_BYTES), b""):
                 digest.update(chunk)
-                yield decoder.decode(chunk)
-        yield decoder.decode(b"", final=True)
+                yield chunk
         self.digest = digest.hexdigest()
 
 
 def _load_log(path: str) -> tuple[OcelLog, str]:
-    size = Path(path).stat().st_size  # a missing file fails here as the read would
-    if size > MAX_INPUT_BYTES:
-        raise InvalidConfig(f"log {path!r} is {size} bytes, over the bound of {MAX_INPUT_BYTES} bytes")
-    text = _LogText(path, size)
-    try:
-        return parse_ocel_json(text), text.digest
-    except UnicodeDecodeError:  # the parse names the fault at its offset in the whole file
-        data = Path(path).read_bytes()
-        return parse_ocel_json(data), _digest(data)
+    st = Path(path).stat()  # a missing file fails here as the read would
+    if not stat.S_ISREG(st.st_mode):  # the size of a pipe bounds nothing, and the parse may read the log twice
+        raise OSError(f"log {path!r} is not a regular file")
+    if st.st_size > MAX_INPUT_BYTES:
+        raise InvalidConfig(f"log {path!r} is {st.st_size} bytes, over the bound of {MAX_INPUT_BYTES} bytes")
+    chunks = _LogBytes(path, st.st_size)
+    return parse_ocel_json(chunks), chunks.digest
 
 
 # ------------------------------------------------------------- subcommands
@@ -172,7 +172,7 @@ _KNOB_RULES = (
     ("top_n", ">= 0", lambda v: v >= 0),
     ("whisker", "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0),
     ("max_rows", ">= 0", lambda v: v >= 0),
-    ("llm_timeout", "a finite number > 0", lambda v: math.isfinite(v) and v > 0),
+    ("llm_timeout", f"a number > 0 and <= {MAX_LLM_TIMEOUT}", lambda v: 0 < v <= MAX_LLM_TIMEOUT),
 )
 
 

@@ -38,16 +38,18 @@ from the text one entry at a time, with ``json``'s C scanner, and reads each
 entry straight into the columns, with inline checks such as ``type(v) is str
 and v.isascii()``, codes assigned as it reads and event stamps checked in
 bulk. A value that fails an inline check goes to the checker that names its
-fault. The text may come in chunks, which the stream reads through a window
-of a chunk or two (:class:`_Window`), and an entry is freed once it has been
-read, so a document with ``objects`` before ``events`` is never whole, as
-text or as a JSON tree, and a fault of the log stands once the rest of the
-text has been read. A document of another shape, or one with a JSON fault,
-is read again from the tree of ``json.loads``, whose log or error stands.
+fault. The bytes may come in chunks, which the stream decodes as UTF-8 and
+reads through a window of a chunk or two (:class:`_Window`), and an entry is
+freed once it has been read, so a document with ``objects`` before
+``events`` is never whole, as bytes, as text or as a JSON tree, and a fault
+of the log stands once the rest of the text has been read. A document of
+another shape, or one with a JSON or UTF-8 fault, is decoded again whole
+and read from the tree of ``json.loads``, whose log or error stands.
 """
 
 from __future__ import annotations
 
+import codecs
 import gc
 import json
 import json.encoder
@@ -452,7 +454,7 @@ class _collector_paused:
             gc.enable()
 
 
-def parse_ocel_json(data: bytes | str | Iterable[str]) -> OcelLog:
+def parse_ocel_json(data: bytes | Iterable[bytes]) -> OcelLog:
     """Parse an OCEL 2.0 JSON document.
 
     Expects top-level ``objects`` and ``events`` lists (``objectTypes`` and
@@ -461,34 +463,34 @@ def parse_ocel_json(data: bytes | str | Iterable[str]) -> OcelLog:
     latest value per attribute name is kept. Event relationship qualifiers
     are parsed and ignored.
 
-    ``data`` is the document's UTF-8 bytes, its text, or its text in chunks:
-    an iterable that gives the same chunks each time it is iterated, which
-    the stream reads through a window (:class:`_Window`) and the tree reads
-    again whole. An iterator, such as a generator or an open file, cannot be
-    read again and raises ``TypeError``. One pass (:func:`_parse`) reads the
-    entries that :func:`_entries` reads from the text, straight into the
-    log's columns. ``json.loads`` reports a JSON fault before any fault of
-    the log, so a fault of the log stands once the stream has read the rest
-    of the text cleanly; a JSON fault, or a document that the stream does
-    not read, is read again by :func:`_document`, and that pass's log or
-    error stands.
+    ``data`` is the document's UTF-8 bytes, or its bytes in chunks: an
+    iterable that gives the same chunks each time it is iterated, which the
+    stream decodes as it reads them through a window (:class:`_Window`) and
+    the tree joins and decodes again whole. An iterator, such as a generator
+    or an open file, cannot be read again and raises ``TypeError``. One pass
+    (:func:`_parse`) reads the entries that :func:`_entries` reads from the
+    text, straight into the log's columns. ``json.loads`` reports a JSON
+    fault before any fault of the log, so a fault of the log stands once the
+    stream has read the rest of the text cleanly; a JSON fault, a fault of
+    the UTF-8, or a document that the stream does not read, is read again by
+    :func:`_document`, and that pass's log or error stands: a fault of the
+    UTF-8 is named at its offset in the whole document.
     """
     with _collector_paused():
-        if isinstance(data, bytes):
-            try:
-                data = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MalformedDocument(f"invalid JSON: {exc}") from exc
-        elif not isinstance(data, str) and iter(data) is data:
-            raise TypeError("parse_ocel_json reads the chunks of a text twice; an iterator can be read once")
+        chunks = [data] if isinstance(data, bytes) else data
+        if iter(chunks) is chunks:
+            raise TypeError("parse_ocel_json reads the chunks of a document twice; an iterator can be read once")
         try:
-            return _streamed(_entries(iter([data] if isinstance(data, str) else data)))
-        except _Unstreamable as exc:
+            return _streamed(_entries(codecs.iterdecode(chunks, "utf-8")))
+        except (_Unstreamable, UnicodeDecodeError) as exc:
             # The exception and the frames of the failed pass refer to each
             # other, so the paused collector would keep that pass's columns,
             # and the stream's window, alive through the second pass.
             traceback.clear_frames(exc.__traceback__)
-        return _parse(*_document(data if isinstance(data, str) else "".join(data)))
+        try:  # the joined bytes are freed once decoded, before json.loads
+            return _parse(*_document(b"".join(chunks).decode("utf-8")))
+        except UnicodeDecodeError as exc:  # raised by the decode alone
+            raise MalformedDocument(f"invalid JSON: {exc}") from exc
 
 
 def _streamed(entries: Iterator) -> OcelLog:

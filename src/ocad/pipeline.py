@@ -66,7 +66,7 @@ class PipelineParams:
         for name, allowed in (("detector", DETECTORS), ("reducer", REDUCERS), ("agg", AGGREGATIONS)):
             if getattr(self, name) not in allowed:
                 raise InvalidConfig(f"{name} must be one of {', '.join(allowed)}, got {getattr(self, name)!r}")
-        for name, least in (("n_trees", 1), ("subsample", 2), ("lof_k", 1), ("reduce_k", 1)):
+        for name, least in (("n_trees", 1), ("subsample", 2), ("lof_k", 1), ("reduce_k", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.n_trees > MAX_TREES:

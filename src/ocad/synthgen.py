@@ -73,6 +73,8 @@ class SynthConfig:
             raise InvalidConfig("anomaly rates must sum to at most 1")
         if not (math.isfinite(self.mean_gap) and self.mean_gap > 0):
             raise InvalidConfig(f"mean_gap must be a positive finite number, got {self.mean_gap}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

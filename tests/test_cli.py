@@ -368,6 +368,15 @@ def test_log_over_the_input_bound_is_rejected_before_the_read(generated, tmp_pat
     monkeypatch.undo()
     monkeypatch.setattr(ocad.cli, "MAX_INPUT_BYTES", size)
     assert main(["features", "--log", str(log), "--object-type", "order", "--out", str(out)]) == 0
+    # A pipe's size bounds nothing, and the parse may read the log twice, so a
+    # --log that is not a regular file is refused before it is opened.
+    env = {**os.environ, "PYTHONPATH": str(Path(ocad.__file__).resolve().parents[1])}
+    piped = tmp_path / "piped"
+    proc = subprocess.run([sys.executable, "-m", "ocad.cli", "features", "--log", "/dev/stdin", "--object-type",
+                           "order", "--out", str(piped)], input=events_first(log.read_bytes()), env=env,
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, b"i/o error: log '/dev/stdin' is not a regular file\n")
+    assert not piped.exists()
 
 
 def test_input_bound_keeps_the_parse_within_4_gb_and_admits_a_405_mb_log():
@@ -406,7 +415,7 @@ def test_readme_states_each_bound_as_the_code_holds_it():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for module, name in [(ocad.synthgen, "MAX_ORDERS"), (ocad.detect, "MAX_TREES"), (ocad.features, "MAX_COUNT_CELLS"),
                          (ocad.ocel, "MAX_PARTNER_ENTRIES"), (ocad.cli, "MAX_INPUT_BYTES"),
-                         (ocad.detect, "MAX_LOF_ENTRIES")]:
+                         (ocad.detect, "MAX_LOF_ENTRIES"), (ocad.cli, "MAX_LLM_TIMEOUT")]:
         qualified = f"{module.__name__.removeprefix('ocad.')}.{name}"
         stated = re.findall(rf"`{re.escape(qualified)}`\s+\(([\d,]+)", readme)
         assert stated and set(stated) == {f"{getattr(module, name):,}"}, (qualified, stated)
@@ -423,6 +432,7 @@ def test_readme_states_each_bound_as_the_code_holds_it():
         ["--n-orders", str(10**12)],  # was a MemoryError traceback
         ["--n-orders", str(2**63)],  # was a loop that grew until killed
         ["--blocked-rate", "0.1"],  # the p2p variant plants no blocked invoices
+        ["--seed", "-1"],  # was numpy's line, which does not name the knob
     ],
 )
 def test_generate_rejects_invalid_knobs(tmp_path, capsys, flags):
@@ -450,6 +460,9 @@ def test_generate_drops_zero_rates(tmp_path):
         ["abstract", "--oracle", "llm", "--llm-timeout", "inf"],
         ["abstract", "--oracle", "llm", "--llm-timeout", "0"],
         ["abstract", "--oracle", "llm", "--llm-timeout", "-1"],
+        ["abstract", "--oracle", "llm", "--llm-timeout", "1e10"],  # was a socket's OverflowError traceback
+        ["detect", "--seed", "-1"],  # was numpy's line once the log was read
+        ["features", "--seed", "-1"],  # was recorded
     ],
 )
 def test_report_commands_reject_invalid_knobs(generated, tmp_path, capsys, monkeypatch, argv):

@@ -909,7 +909,7 @@ def test_parse_gives_the_strict_parse_result_on_its_raw_traps(text, parses):
                                   "trailing-whitespace"])
 def test_parse_streams_the_traps_with_objects_before_events(monkeypatch, name):
     monkeypatch.setattr(ocad.ocel, "_document", lambda text: pytest.fail("read the document as a json.loads tree"))
-    assert isinstance(parse_ocel_json(_RAW_PARSE_TRAPS[name][0]), OcelLog)
+    assert isinstance(parse_ocel_json(_RAW_PARSE_TRAPS[name][0].encode("utf-8")), OcelLog)
 
 
 @pytest.mark.parametrize("rewrite", [None, offset_last_stamp, non_ascii_object_id, cjk_object_id, emoji_object_id],
@@ -949,27 +949,30 @@ _CUT_TEXTS = {"valid": _CUT % (_CUT_OBJECTS, "-2.5E-3"), "true-value": _CUT % (_
 
 @pytest.mark.parametrize("text", _CUT_TEXTS.values(), ids=_CUT_TEXTS.keys())
 def test_parse_streams_a_text_cut_anywhere(monkeypatch, text):
-    """The text in two chunks, cut at any place, gives the strict parse's log
-    or error line, and is never read as the json.loads tree."""
-    expected = _outcome(_as_strict_parse(text.encode("utf-8")))
+    """The bytes in two chunks, cut at any place, also inside a character,
+    give the strict parse's log or error line, and are never read as the
+    json.loads tree."""
+    data = text.encode("utf-8")
+    expected = _outcome(_as_strict_parse(data))
     monkeypatch.setattr(ocad.ocel, "_document", lambda text: pytest.fail("read the document as a json.loads tree"))
-    for k in range(len(text) + 1):
+    for k in range(len(data) + 1):
         try:
-            got = parse_ocel_json([text[:k], text[k:]])
+            got = parse_ocel_json([data[:k], data[k:]])
         except MalformedDocument as exc:
             got = exc
         assert _outcome(got) == expected, k
 
 
 def test_the_window_reads_a_long_entry_again_a_logarithmic_number_of_times(monkeypatch):
-    """Fed a character at a time, the window grows by at least as much as it
+    """Fed a byte at a time, the window grows by at least as much as it
     keeps, so an entry of m characters is scanned O(log m) times."""
     entry = json.dumps({**_OBJ, "attributes": _attributes(*((f"a{i}", float(i), None) for i in range(2000)))})
     text = f'{{"objects": [{entry}], "events": []}}'
     scans = []
     scan_once = ocad.ocel._scan_once
     monkeypatch.setattr(ocad.ocel, "_scan_once", lambda text, pos: scans.append(pos) or scan_once(text, pos))
-    assert parse_ocel_json(list(text)).objects == ("o1",)
+    data = text.encode("utf-8")
+    assert parse_ocel_json([data[i:i + 1] for i in range(len(data))]).objects == ("o1",)
     assert len(text) > 60_000 and len(scans) < 50, len(scans)
 
 
@@ -999,9 +1002,14 @@ def _load_as_strict_parse(path):
 
 
 _FAULTS_OF_THE_LOG = [unknown_last_object, duplicate_object_id, missing_first_type]
+
+
+def _not_utf8_in_the_middle(data):
+    return data[:len(data) // 2] + b"\xff" + data[len(data) // 2 + 1:]
+
+
 _REWRITES = [lambda data: data, offset_last_stamp, non_ascii_object_id, cjk_object_id, emoji_object_id, events_first,
-             *_FAULTS_OF_THE_LOG,
-             lambda data: data[:len(data) // 2] + b"\xff" + data[len(data) // 2 + 1:],  # not UTF-8 in the middle
+             *_FAULTS_OF_THE_LOG, _not_utf8_in_the_middle,
              lambda data: data + "\U0001F600".encode()[:3]]  # a character cut by the end of the file
 
 
@@ -1046,12 +1054,27 @@ def test_load_log_reads_a_log_with_a_fault_of_the_log_once(tmp_path, monkeypatch
     assert _outcome(got.value) == _outcome(expected)
 
 
-class _CountedChunks:
-    """The text ``text`` in chunks of ``size`` characters, each iteration
-    anew; ``handed`` counts the chunks that each iteration handed out."""
+def test_load_log_names_a_utf8_fault_at_its_offset_in_the_file_without_reading_it_again(tmp_path, monkeypatch,
+                                                                                        small_log):
+    """A fault of the UTF-8 found by the stream is named by the parse's one
+    fallback, at its offset in the whole file, not by a second read of the
+    file whole."""
+    path = tmp_path / "log.json"
+    path.write_bytes(_not_utf8_in_the_middle(small_log))
+    expected = _strict(path.read_bytes())
+    monkeypatch.setattr(ocad.cli, "_READ_BYTES", 1000)  # the fault is past the first chunk
+    monkeypatch.setattr(ocad.cli.Path, "read_bytes", lambda self: pytest.fail("read the file again whole"))
+    with pytest.raises(MalformedDocument) as got:
+        ocad.cli._load_log(str(path))
+    assert _outcome(got.value) == _outcome(expected)
 
-    def __init__(self, text, size):
-        self.chunks, self.handed = [text[i:i + size] for i in range(0, len(text), size)], []
+
+class _CountedChunks:
+    """The bytes ``data`` in chunks of ``size`` bytes, each iteration anew;
+    ``handed`` counts the chunks that each iteration handed out."""
+
+    def __init__(self, data, size):
+        self.chunks, self.handed = [data[i:i + size] for i in range(0, len(data), size)], []
 
     def __iter__(self):
         self.handed.append(0)
@@ -1072,7 +1095,7 @@ def test_the_stream_leaves_at_an_early_json_fault_before_the_end_of_the_text(sma
     grown to the end of the text."""
     head, objects = small_log.split(b'"objects": [', 1)
     data = head + b'"objects": [' + objects.replace(*fault, 1)
-    chunks = _CountedChunks(data.decode("utf-8"), 64)
+    chunks = _CountedChunks(data, 64)
     with pytest.raises(MalformedDocument) as got:
         parse_ocel_json(chunks)
     assert _outcome(got.value) == _outcome(_strict(data))
@@ -1083,12 +1106,12 @@ def test_the_stream_leaves_at_an_early_json_fault_before_the_end_of_the_text(sma
 def test_parse_rejects_an_iterator_of_chunks(small_log, tmp_path):
     """An iterator cannot give its chunks again for the tree, so it is
     rejected before it is read, whatever the document's shape."""
-    chunks = iter(events_first(small_log).decode("utf-8").splitlines(keepends=True))
+    chunks = iter(events_first(small_log).splitlines(keepends=True))
     with pytest.raises(TypeError, match="an iterator can be read once"):
         parse_ocel_json(chunk for chunk in chunks)
-    assert next(chunks).startswith("{")
+    assert next(chunks).startswith(b"{")
     path = tmp_path / "log.json"
     path.write_bytes(small_log)
-    with open(path, encoding="utf-8") as f, pytest.raises(TypeError, match="an iterator can be read once"):
+    with open(path, "rb") as f, pytest.raises(TypeError, match="an iterator can be read once"):
         parse_ocel_json(f)
-    assert parse_ocel_json(path.read_text(encoding="utf-8").splitlines(keepends=True)) == parse_ocel_json(small_log)
+    assert parse_ocel_json(path.read_bytes().splitlines(keepends=True)) == parse_ocel_json(small_log)
