@@ -25,9 +25,10 @@ MAX_TREES = 10_000
 DEFAULT_SUBSAMPLE = 256
 DEFAULT_LOF_K = 20
 # The most neighbor entries, rows times k, that lof accepts: it keeps one per
-# row and neighbor. Its tracemalloc peak is about 90 bytes an entry (2,000
-# rows of 8 columns, k = 1,999), and at 117 bytes, the most measured, 32
-# million entries stay within 4 GB; the 8k bench at k = 20 takes 160,000.
+# row and neighbor. Its tracemalloc peak is about 72 bytes an entry (2,000
+# rows of 8 columns at k = 1,999, or 4,000 at k = 1,000), and at 117 bytes,
+# the most measured, 32 million entries stay within 4 GB; the 8k bench at
+# k = 20 takes 160,000.
 MAX_LOF_ENTRIES = 32_000_000
 
 # Floor for mean reachability so coincident clusters (zero reach) get a huge
@@ -179,25 +180,24 @@ def _neighborhoods(U, sq, counts, k):
     Distances take the Gram form ``sqrt(max((sq_i + sq_j) - 2 * (u_i . u_j),
     0))``, with ``u_i . u_j`` from one product per block of rows,
     ``U[s:e] @ U.T``. A row's diagonal is infinite, or 0 for a row with
-    copies: its other copies are neighbors at distance 0. Its k-th smallest
-    distance then bounds its k-distance; counted with their copies, the k
-    nearest may lie nearer. The entries within that bound are picked from
-    the few that pass one test on the raw product, ``g_ij >= a_j + c_i``,
-    which keeps every entry within the bound of :func:`_squared_bounds`;
-    only those get their distances, from the same ``g_ij`` bits.
+    copies: its other copies are neighbors at distance 0. Only the few
+    entries that pass one test on the raw product, ``g_ij >= a_j + c_i``,
+    get their distances, from the same ``g_ij`` bits; the test keeps every
+    entry within the bound of :func:`_squared_bounds`, which stand for at
+    least k copies a row. In the block that computed them, each row's
+    entries are walked by distance until their copies add up to k: that
+    distance is its k-distance, and the entries within it its neighborhood.
     """
     nu = len(U)
-    # Fewer than k + 1 distinct rows occur only with copies; the bound is then
-    # a row's largest distance.
-    kth = min(k, nu) - 1
     has_copies = counts > 1
     # With u = 2^-53, a squared distance fl(fl(sq_i + sq_j) - 2g) of at most
     # T_i needs g >= ((sq_i + sq_j)(1 - u) - T_i(1 + 2u)) / 2, and a_j + c_i
     # rounds to no more than that: a_j lies 2u sq_j below sq_j / 2 and c_i
     # 16u (sq_i + T_i) below (sq_i - T_i) / 2, more than the rounding of
     # either and of their sum, and 2^-1000 covers the subnormal range. An
-    # infinite T_i keeps every entry.
-    T = _squared_bounds(U, sq, has_copies, k, kth)
+    # infinite T_i keeps every entry. Fewer than k + 1 distinct rows occur
+    # only with copies; the bound is then a row's largest distance.
+    T = _squared_bounds(U, sq, has_copies, k, min(k, nu) - 1)
     a = sq * (0.5 - 2.0**-52)
     c = 0.5 * (sq - T) - 2.0**-49 * (sq + T) - 2.0**-1000
     del T
@@ -212,6 +212,7 @@ def _neighborhoods(U, sq, counts, k):
     height = max(e - s for s, e in blocks)
     step = max(1, _BLOCK_ELEMENTS // 16 // nu)
     products, passed, thresholds = np.empty((height, nu)), np.empty((height, nu), bool), np.empty((step, nu))
+    kdist = np.empty(nu)
     row_blocks, col_blocks, dist_blocks = [], [], []
     for s, e in blocks:
         G = np.matmul(U[s:e], U.T, out=products[:e - s])
@@ -225,34 +226,24 @@ def _neighborhoods(U, sq, counts, k):
         r += s
         dist = np.sqrt(np.maximum((sq[r] + sq[col]) - 2.0 * G.ravel()[flat], 0.0))
         dist[r == col] = 0.0
-        # the k-th smallest per row; a row short of k + 1 lacks only its
-        # infinite diagonal
+        # Walk each row's entries by distance until their copies add up to k;
+        # the weights are integers, so their sums are exact.
         lengths = np.bincount(r - s, minlength=e - s)
-        end = np.cumsum(lengths)
-        kth_at = end - lengths + kth
-        bound = np.full(e - s, np.inf)
-        inside = kth_at < end
-        bound[inside] = dist[np.lexsort((dist, r))[kth_at[inside]]]
-        near = dist <= bound[r - s]
+        start = np.cumsum(lengths) - lengths
+        by_dist = np.lexsort((dist, r))
+        copies = np.where(r == col, counts[r] - 1, counts[col])[by_dist]
+        total = np.cumsum(copies)
+        within = total - np.repeat(total[start] - copies[start], lengths)
+        short = np.bincount(r - s, weights=within < k, minlength=e - s).astype(np.intp)
+        kdist[s:e] = dist[by_dist[start + short]]
+        near = dist <= kdist[r]
         row_blocks.append(r[near])
         col_blocks.append(col[near])
         dist_blocks.append(dist[near])
     del products, thresholds, passed, G, keep, flat, r, col, dist, near
     rows, cols, dists = map(np.concatenate, (row_blocks, col_blocks, dist_blocks))
     del row_blocks, col_blocks, dist_blocks
-    weights = np.where(cols == rows, counts[rows] - 1, counts[cols])
-
-    # Walk each row's entries by distance until their copies add up to k;
-    # without copies that is the bound itself.
-    lengths = np.bincount(rows, minlength=nu)
-    start = np.cumsum(lengths) - lengths
-    by_dist = np.lexsort((dists, rows))
-    total = np.cumsum(weights[by_dist])
-    within = total - np.repeat(total[start] - weights[by_dist][start], lengths)
-    short = np.bincount(rows, weights=within < k, minlength=nu).astype(np.intp)
-    kdist = dists[by_dist][start + short]
-    keep = dists <= kdist[rows]
-    return rows[keep], cols[keep], dists[keep], weights[keep], kdist
+    return rows, cols, dists, np.where(cols == rows, counts[rows] - 1, counts[cols]), kdist
 
 
 def _squared_bounds(U, sq, has_copies, k, kth):

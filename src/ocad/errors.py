@@ -58,7 +58,7 @@ class RowMismatch(OcadError):
 
 
 class EmptyMatrix(OcadError):
-    """Operation requires at least one row."""
+    """Operation requires at least one row; scoring also requires one column."""
 
 
 class InvalidConfig(OcadError):

@@ -268,12 +268,12 @@ def normalize(F: FeatureMatrix, epsilon: float = DEFAULT_EPSILON) -> FeatureMatr
 
 def variance_filter(F: FeatureMatrix, min_variance: float = 0.0) -> FeatureMatrix:
     """Keep columns whose population variance exceeds ``min_variance``, in
-    their order. Raises :class:`AllColumnsDropped` when nothing survives, so
-    callers can fall back to the unfiltered matrix.
+    their order. Raises :class:`AllColumnsDropped` when nothing survives of
+    one column or more, so callers can fall back to the unfiltered matrix.
     """
     var = F.values.var(axis=0)
     keep = [i for i in range(len(F.columns)) if var[i] > min_variance]
-    if not keep:
+    if not keep and F.columns:
         raise AllColumnsDropped(
             f"no column has variance > {min_variance} (out of {len(F.columns)})"
         )

@@ -17,7 +17,7 @@ from .detect import (
     lof,
     rank,
 )
-from .errors import AllColumnsDropped, InvalidConfig, VarianceFallbackWarning
+from .errors import AllColumnsDropped, EmptyMatrix, InvalidConfig, VarianceFallbackWarning
 from .features import (
     AGGREGATIONS,
     DEFAULT_EPSILON,
@@ -96,7 +96,10 @@ def build_matrix(log: OcelLog, params: PipelineParams) -> tuple[FeatureMatrix, F
 
 
 def score_matrix(Fn: FeatureMatrix, params: PipelineParams) -> ScoreVector:
-    """Optional reduction followed by the chosen detector."""
+    """Optional reduction followed by the chosen detector; a matrix without
+    columns has nothing to score."""
+    if not Fn.columns:
+        raise EmptyMatrix(f"type {params.object_type!r} has no feature columns to score")
     data = Fn
     k = min(params.reduce_k, len(Fn.row_ids), len(Fn.columns))
     if params.reducer == "pca":

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -190,6 +191,25 @@ def test_features_on_empty_log_is_validation_error(tmp_path, capsys):
     code = main(["features", "--log", str(empty), "--object-type", "order", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_a_type_without_feature_columns_is_refused_before_scoring(tmp_path, capsys):
+    """Objects with no events and no attributes have no feature columns:
+    every command that scores them exits 1 with one line and writes nothing,
+    while features and abstract write their tables without a warning."""
+    objects = [_order(f"o{i}") for i in range(3)] + [{"id": f"t{i:02d}", "type": "t"} for i in range(30)]
+    log = tmp_path / "log.json"
+    log.write_bytes(ocel_doc(events=[_event(f"e{i}", "A", i + 1, 0, f"o{i}") for i in range(3)], objects=objects))
+    for argv in (["detect"], ["detect", "--detector", "lof"], ["detect", "--reducer", "fastmap"],
+                 ["detect", "--reducer", "pca"], ["aggregate"], ["aggregate", "--detector", "lof"]):
+        code = main([*argv, "--log", str(log), "--object-type", "t", "--out", str(tmp_path / "run" / "out")])
+        assert (code, capsys.readouterr().err) == (1, "error: type 't' has no feature columns to score\n"), argv
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["log.json"]
+    for command in ("features", "abstract"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--log", str(log), "--object-type", "t", "--out", str(tmp_path / command)]) == 0
+        assert caught == [] and capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -607,12 +627,35 @@ def test_abstract_llm_failure_writes_nothing(generated, tmp_path, capsys, monkey
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_import_cli_does_not_load_requests():
-    """Only the LLM oracle's transport needs requests; the CLI imports it lazily."""
+_IMPORT_GUARD = """
+import json, sys
+before = set(sys.modules)
+from ocad.cli import main
+out, log = sys.argv[1], sys.argv[1] + "/gen/log.json"
+runs = [["generate", "--n-orders", "40", "--maverick-rate", "0.1", "--seed", "3", "--out", out + "/gen"],
+        ["features", "--log", log, "--object-type", "order"],
+        ["detect", "--log", log, "--object-type", "order"],
+        ["detect", "--log", log, "--object-type", "order", "--reducer", "fastmap"],
+        ["detect", "--log", log, "--object-type", "order", "--reducer", "pca"],
+        ["aggregate", "--log", log, "--object-type", "invoice", "--propagate-from", "order"],
+        ["abstract", "--log", log, "--object-type", "order", "--raw-table"]]
+codes = [main(argv + (["--out", f"{out}/{i}"] if i else [])) for i, argv in enumerate(runs)]
+print(json.dumps([codes, sorted({m.split(".")[0] for m in set(sys.modules) - before})]))
+"""
+
+
+def test_commands_import_nothing_beyond_numpy_and_the_standard_library(tmp_path):
+    """numpy is the one runtime dependency that importing the CLI and running
+    the pipeline may import; requests waits for the LLM oracle's transport, so
+    it is not allowed either. Modules a site hook imports at start-up do not
+    count: the guard compares with ``sys.modules`` before ocad loads."""
     env = {**os.environ, "PYTHONPATH": str(Path(ocad.__file__).resolve().parents[1])}
-    code = "import sys, ocad.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)], env=env, capture_output=True,
+                          text=True, check=True)
+    codes, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * 7, proc.stderr
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ocad", "cython_runtime"}
+    assert [m for m in imported if m not in allowed and not m.startswith("_cython_")] == []
 
 
 def _event(eid, activity, day, hour, obj):

@@ -210,11 +210,16 @@ def _hard_rows(case):
         X[:10] *= 1e6
     elif case == "k-is-n-minus-1":
         return rng.normal(size=(1100, 3)), 1099
+    elif case == "copies-straddle-k":  # 2 + 3m copies never add up to k = 19, so
+        # every walk ends inside a neighbor's copies
+        return np.tile(X[:1100], (3, 1)), 19
+    elif case == "k-plus-one-copies":  # every k-distance is 0: a row's neighbors are its copies
+        return np.tile(X[:1030], (21, 1)), 20
     return X, 20
 
 
 @pytest.mark.parametrize("case", ["normal", "equal-axis-0", "line-along-axis-0", "near-1e150", "clusters-and-copies",
-                                  "far-outliers", "k-is-n-minus-1"])
+                                  "far-outliers", "k-is-n-minus-1", "copies-straddle-k", "k-plus-one-copies"])
 def test_lof_matches_the_whole_row_selection_bit_for_bit(case):
     # several blocks of the same Gram products; only the selection differs
     X, k = _hard_rows(case)

@@ -333,6 +333,12 @@ def test_variance_filter_threshold_boundary():
         variance_filter(F, 0.3)
 
 
+def test_variance_filter_keeps_a_matrix_without_columns():
+    # nothing is dropped, so there is nothing to fall back from
+    F = make_matrix(np.zeros((3, 0)), columns=[])
+    assert variance_filter(F, 0.0).columns == ()
+
+
 def test_variance_filter_matches_brute_force():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, 50)) * rng.uniform(0, 2, size=50)
