@@ -206,10 +206,11 @@ def _features(args, log: OcelLog, params: PipelineParams):
 def _detect(args, log: OcelLog, params: PipelineParams):
     scores, ranks = detect_objects(log, params)
     files = {"scores.csv": score_csv_bytes(scores), "ranks.csv": rank_csv_bytes(ranks)}
-    for r, o in enumerate(bottom_k(ranks, min(args.top_k, len(ranks.object_ids)))):
+    top = min(args.top_k, len(ranks.object_ids))
+    for r, o in enumerate(bottom_k(ranks, top)):
         text = abstract_lifecycle(log, o, max_events=args.max_events)
         files[f"{LIFECYCLE_DIR}/rank{r:03d}_{o}.txt"] = text.encode()
-    return files, "ranks.csv", f"; lifecycle texts for bottom {args.top_k} objects"
+    return files, "ranks.csv", f"; lifecycle texts for bottom {top} objects"
 
 
 def _aggregate(args, log: OcelLog, params: PipelineParams):

@@ -25,10 +25,10 @@ MAX_TREES = 10_000
 DEFAULT_SUBSAMPLE = 256
 DEFAULT_LOF_K = 20
 # The most neighbor entries, rows times k, that lof accepts: it keeps one per
-# row and neighbor. Its tracemalloc peak is about 72 bytes an entry (2,000
-# rows of 8 columns at k = 1,999, or 4,000 at k = 1,000), and at 117 bytes,
-# the most measured, 32 million entries stay within 4 GB; the 8k bench at
-# k = 20 takes 160,000.
+# row and neighbor. Its tracemalloc peak is about 56 bytes an entry (2,000
+# rows of 8 columns at k = 1,999, 4,000 or 8,000 at k = 1,000), and at 117
+# bytes, the most measured, 32 million entries stay within 4 GB; the 8k bench
+# at k = 20 takes 160,000.
 MAX_LOF_ENTRIES = 32_000_000
 
 # Floor for mean reachability so coincident clusters (zero reach) get a huge
@@ -164,9 +164,10 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     sq = (X * X).sum(axis=1)
     U = X if len(first) == n else X[first]
     rows, cols, dists, weights, kdist = _neighborhoods(U, sq[first], counts, k)
-    reach = np.maximum(kdist[cols], dists)
-    lrd = 1.0 / np.maximum(_row_means(reach, weights, rows), _REACH_FLOOR)
-    factor = _row_means(lrd[cols] / lrd[rows], weights, rows)
+    lengths, totals = np.bincount(rows), np.bincount(rows, weights)  # integer weights: exact totals
+    reach = np.maximum(kdist[cols], dists, out=dists)
+    lrd = 1.0 / np.maximum(_row_sums(reach * weights, lengths) / totals, _REACH_FLOOR)
+    factor = _row_sums(lrd[cols] / lrd[rows] * weights, lengths) / totals
 
     return ScoreVector(object_ids=tuple(F.row_ids), scores=-factor[inverse], method="LOF")
 
@@ -280,14 +281,12 @@ def _squared_bounds(U, sq, has_copies, k, kth):
     return bound
 
 
-def _row_means(values, weights, rows) -> np.ndarray:
-    """Weighted mean per row of entries in row-major order, every row nonempty;
-    with unit weights each equals the row's ``.mean()`` bit for bit."""
-    lengths = np.bincount(rows)
+def _row_sums(values, lengths) -> np.ndarray:
+    """Sum of each row's entries, stored back to back ``lengths`` at a time,
+    every row nonempty; each equals its own slice's ``.sum()`` bit for bit."""
     out = np.empty(len(lengths))
     for sel, idx in _segments_by_length(lengths):
-        w = weights[idx]
-        out[sel] = (values[idx] * w).sum(axis=1) / w.sum(axis=1)
+        out[sel] = values[idx].sum(axis=1)
     return out
 
 

@@ -113,6 +113,16 @@ def test_detect_writes_scores_ranks_and_lifecycles(generated, tmp_path):
     assert texts[0].name.startswith("rank000_")
 
 
+def test_detect_names_the_number_of_lifecycle_texts_written(tmp_path, capsys):
+    # --top-k defaults to 10, over the 3 orders there are to write
+    gen, out = tmp_path / "gen", tmp_path / "det"
+    assert main(["generate", "--n-orders", "3", "--seed", "1", "--out", str(gen)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--log", str(gen / "log.json"), "--object-type", "order", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'ranks.csv'}; lifecycle texts for bottom 3 objects\n"
+    assert len(list((out / "lifecycles").iterdir())) == 3
+
+
 def test_detect_run_is_reproducible(generated, tmp_path):
     argv_tail = [
         "--log", str(generated / "log.json"),

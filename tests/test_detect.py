@@ -241,6 +241,34 @@ def test_lof_peak_at_8000_rows_stays_within_the_whole_row_selection():
     assert peak <= 20.6 * 2**20
 
 
+def test_lof_tail_keeps_the_peak_within_60_bytes_an_entry():
+    # every row's neighbors at k = n - 1 over four blocks, where the tail sets
+    # the peak: 56.4 bytes an entry; 64.4 with reach in a buffer of its own,
+    # and 72.4 when each mean gathered the weights as well as the values
+    F = make_matrix(np.random.default_rng(0).normal(size=(2000, 8)))
+    tracemalloc.start()
+    try:
+        lof(F, k=1999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 2000 * 1999
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 300), st.integers(1, 3)), min_size=1, max_size=6), st.integers(0, 300),
+       st.integers(0, 2**32 - 1))
+def test_row_sums_equal_each_rows_own_sum_bit_for_bit(runs, spread, seed):
+    # numpy sums a row of more than 8 entries in 8 partial sums, and one of
+    # more than 128 pairwise; values span up to 10^-spread..10^spread
+    rng = np.random.default_rng(seed)
+    lengths = rng.permutation(np.repeat(*np.array(runs).T))
+    values = rng.normal(size=lengths.sum()) * 10.0 ** rng.integers(-spread, spread + 1, lengths.sum())
+    ends = np.cumsum(lengths)
+    own = np.array([values[e - m:e].sum() for m, e in zip(lengths.tolist(), ends.tolist())])
+    assert detect._row_sums(values, lengths).tobytes() == own.tobytes()
+
+
 @st.composite
 def _tied_matrices(draw):
     """Small matrices of halves with copied rows: many ties and coincident

@@ -793,6 +793,8 @@ _PARSE_TRAPS = {
     "leap-second": ([_OBJ], [{**_EV, "time": "2024-01-01T23:59:60.000Z"}], False),
     "last-instant": ([_OBJ], [{**_EV, "time": "9999-12-31T23:59:59.999Z"}], True),
     "event-stamp-with-a-space": ([_OBJ], [{**_EV, "time": "2024-01-01 00:00:00.001Z"}], True),
+    # datetime.fromisoformat reads a one-digit fraction from Python 3.11 on
+    "event-stamp-with-a-tenth": ([_OBJ], [{**_EV, "time": "2024-01-01T00:00:00.5Z"}], True),
     "int-values": ([{**_OBJ, "attributes": _attributes(("x", 5, _STAMP))}],
                    [{**_EV, "attributes": _attributes(("n", 3, None))}], True),
     "repeated-attribute-name": ([{**_OBJ, "attributes": _attributes(
