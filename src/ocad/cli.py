@@ -51,14 +51,15 @@ from .synthgen import DEFAULT_MEAN_GAP, AnomalyKind, SynthConfig, generate_block
 LLM_KEY_ENV = "OCAD_LLM_API_KEY"
 LIFECYCLE_DIR = "lifecycles"
 NAME_MAX = 255  # bytes in one file name on the common Linux file systems
-# The largest --log read. Its tracemalloc peak is 1.3 bytes per byte of the log
-# when the parse streams it, a fault of the log included, and 4.2 when the parse
-# reads it as the json.loads tree: a log with events before objects, a key twice,
-# or a JSON fault. The tree is read from the whole text, which CPython widens to
-# 2 or 4 bytes a character for one CJK letter or emoji: 5.2 and 7.2 bytes per
-# byte. tests/test_cli.py bounds the streamed read at 1.6 and the tree reads at
-# 4.5, 5.5 and 7.5 bytes per byte. Any log may take the tree, so the bound is set
-# by the 7.5, which keeps a run within a 4 GB budget, half of an 8 GB machine.
+# The largest --log read. Its tracemalloc peak is 0.7 bytes per byte of the log
+# when the parse streams it, a fault of the log included (0.9 for a small log
+# with an emoji), and 4.2 when the parse reads it as the json.loads tree: a log
+# with events before objects, a key twice, or a JSON fault. The tree is read from
+# the whole text, which CPython widens to 2 or 4 bytes a character for one CJK
+# letter or emoji: 5.2 and 7.2 bytes per byte. tests/test_cli.py bounds the
+# streamed read at 0.9 and the tree reads at 4.5, 5.5 and 7.5 bytes per byte.
+# Any log may take the tree, so the bound is set by the 7.5, which keeps a run
+# within a 4 GB budget, half of an 8 GB machine.
 MAX_INPUT_BYTES = 530_000_000
 _READ_BYTES = 1 << 16  # the chunk that _load_log reads and hashes at a time
 # The longest --llm-timeout, in seconds. A socket holds its timeout as 64-bit

@@ -41,10 +41,6 @@ class AllColumnsDropped(OcadError):
     """Variance filtering removed every column; callers may fall back to the unfiltered matrix."""
 
 
-class EmptyKeepSet(OcadError):
-    """Activity filtering needs a nonempty set of activities to keep."""
-
-
 class TooFewRows(OcadError):
     """Not enough rows for the requested computation."""
 

@@ -36,14 +36,13 @@ from ._csv import csv_bytes
 from .errors import (
     AllColumnsDropped,
     ColumnCollision,
-    EmptyKeepSet,
     InvalidConfig,
     MixedAttributeType,
     NoObjectsOfType,
     RowMismatch,
     TypeMismatch,
 )
-from .ocel import OcelLog, _segments_by_length
+from .ocel import OcelLog, _gather, _segments_by_length
 
 DEFAULT_EPSILON = 1e-9
 # explode_values treats a column with more distinct values as continuous.
@@ -126,24 +125,24 @@ def _count_columns(rows: np.ndarray, codes: np.ndarray, n: int, family: tuple,
 def _common_attribute_columns(log: OcelLog, ot: str, codes: np.ndarray) -> list:
     """Numeric and one-hot string columns, as (keys, block) parts, for the
     attributes shared by every object of the type, whose codes are
-    ``codes`` (at least one). Mixed numeric/string use of one attribute is an
-    error rather than a silent coercion."""
-    parts = []
-    attrs = [log.obj_attrs[c] for c in codes.tolist()]
-    for att in sorted(set(attrs[0]).intersection(*attrs[1:])):
-        values = [a[att] for a in attrs]
-        kinds = {isinstance(v, str) for v in values}
-        if len(kinds) > 1:
+    ``codes`` (at least one), read from the log's attribute slots. Mixed
+    numeric/string use of one attribute is an error rather than a silent
+    coercion."""
+    parts, n = [], len(codes)
+    ptr = log.obj_att_ptr
+    slots, _ = _gather(np.arange(ptr[-1]), ptr[codes], ptr[codes + 1])  # row after row, one slot a name
+    names = log.obj_att_name[slots]
+    for a in np.flatnonzero(np.bincount(names, minlength=len(log.att_names)) == n).tolist():
+        att, sel = log.att_names[a], slots[names == a]  # a row's one slot of the name, row after row
+        text = log.obj_att_str[sel]
+        if (text < 0).any() and (text >= 0).any():
             raise MixedAttributeType(
                 f"attribute {att!r} of type {ot!r} is numeric for some objects and string for others"
             )
-        if kinds == {False}:
-            parts.append(([("numvalue", att)], np.asarray(values, dtype=np.float64)[:, None]))
+        if text[0] < 0:
+            parts.append(([("numvalue", att)], log.obj_att_num[sel][:, None]))
         else:
-            distinct = sorted(set(values))
-            code = {v: j for j, v in enumerate(distinct)}
-            parts.append(_count_columns(np.arange(len(values)), np.asarray([code[v] for v in values]), len(values),
-                                        ("strvalue", att), lambda j: (distinct[j],)))
+            parts.append(_count_columns(np.arange(n), text, n, ("strvalue", att), lambda j: (log.att_strings[j],)))
     return parts
 
 
@@ -278,18 +277,6 @@ def variance_filter(F: FeatureMatrix, min_variance: float = 0.0) -> FeatureMatri
             f"no column has variance > {min_variance} (out of {len(F.columns)})"
         )
     return F.select_columns(keep)
-
-
-def filter_activities(log: OcelLog, keep: set[str]) -> OcelLog:
-    """New log restricted to events whose activity is in ``keep``. Objects
-    are retained even if their lifecycle becomes empty."""
-    if not keep:
-        raise EmptyKeepSet("keep set must be nonempty")
-    acts, ptr, related = log.activities, log.ev_ptr.tolist(), [log.objects[c] for c in log.ev_obj.tolist()]
-    records = enumerate(zip(log.events, log.ev_act.tolist(), log.ev_time.tolist(), log.ev_attrs))
-    events = [(e, acts[a], t, related[ptr[i]:ptr[i + 1]], attrs) for i, (e, a, t, attrs) in records if acts[a] in keep]
-    objects = zip(log.objects, map(log.object_types.__getitem__, log.obj_type.tolist()), log.obj_attrs)
-    return OcelLog.build(events, objects)
 
 
 def explode_values(F: FeatureMatrix) -> FeatureMatrix:

@@ -14,19 +14,23 @@ identity for logs whose timestamps are millisecond-quantized.
 The log is stored once, as arrays. Objects are coded by their position in the
 sorted ``objects``, types and activities by their position in the sorted
 ``object_types`` and ``activities``, events by their position in the total
-order. The log holds each object's type code and attributes, each event's
-time, activity code and attributes, and each event's objects, ascending, as
-CSR (compressed sparse row) arrays. Each object's events (its lifecycle, the
-transposed CSR) and its first and last times are built on first use and are
-not compared by equality, so serialization and ``ocad generate`` never build
+order. The log holds each object's type code, each event's time and activity
+code, and each event's objects, ascending, as CSR (compressed sparse row)
+arrays. Attributes are columns too: each object's and each event's attribute
+slots, ascending by name, as CSR arrays of a name code into the sorted
+``att_names`` and a float value or a code into the sorted distinct string
+values ``att_strings``. Each object's events (its lifecycle, the transposed
+CSR) and its first and last times are built on first use and are not
+compared by equality, so serialization and ``ocad generate`` never build
 them. Interaction partners are not stored: :meth:`OcelLog.related` gathers
 them through both CSRs for the objects asked about, and
 :meth:`OcelLog.relation` defines the interaction sets on them. An event's
 objects and an object's partners are both deduplicated by :func:`_distinct`
-over (row, code) keys. There are no per-id dicts besides the id-to-code
-lookups ``obj_code`` and ``type_code``: a reader indexes the arrays.
-:func:`_assemble` lays the columns out, for :meth:`OcelLog.build` and the
-parse alike: it sorts the codes, orders the events and builds the CSR.
+over (row, code) keys. No field holds a dict or another container per entry;
+the only dicts are the id-to-code lookups ``obj_code`` and ``type_code``, built
+on first use: a reader indexes the arrays. :func:`_assemble` lays the columns
+out, for :meth:`OcelLog.build` and the parse alike: it sorts the codes, orders
+the events, builds the CSR and sorts each entry's attribute slots.
 
 Building a log, by :func:`parse_ocel_json` or the synthetic generators,
 pauses the cyclic garbage collector: the records are about a million
@@ -155,7 +159,15 @@ class OcelLog:
     """Immutable object-centric event log; see the module docstring for the
     codes. ``events`` is the total order: sorted by (timestamp, lexicographic
     event id). ``ev_obj[ev_ptr[e]:ev_ptr[e + 1]]`` are the codes of event
-    ``e``'s objects, ascending. Instances must be built via :meth:`build` or
+    ``e``'s objects, ascending.
+
+    Attributes are stored as slots, one per (entry, name), in the same CSR
+    form for objects (``obj_att_*``, in code order) and events (``ev_att_*``,
+    in total order): ``obj_att_ptr[c]:obj_att_ptr[c + 1]`` are object ``c``'s
+    slots, ascending by name. A slot's ``name`` is a code into the sorted
+    ``att_names``; its ``str`` is a code into the sorted distinct string
+    values ``att_strings``, or -1 for a number, whose float is its ``num``
+    (0.0 for a string). Instances must be built via :meth:`build` or
     :func:`parse_ocel_json`, which enforce the invariants; after construction
     the log is never mutated and all derivations are pure reads. Two logs are
     equal when their fields are; the cached properties are not compared.
@@ -166,12 +178,20 @@ class OcelLog:
     object_types: tuple[str, ...]
     activities: tuple[str, ...]
     obj_type: np.ndarray
-    obj_attrs: tuple[dict[str, AttributeValue], ...]
     ev_time: np.ndarray
     ev_act: np.ndarray
-    ev_attrs: tuple[dict[str, AttributeValue], ...]
     ev_ptr: np.ndarray
     ev_obj: np.ndarray
+    att_names: tuple[str, ...]
+    att_strings: tuple[str, ...]
+    obj_att_ptr: np.ndarray
+    obj_att_name: np.ndarray
+    obj_att_num: np.ndarray
+    obj_att_str: np.ndarray
+    ev_att_ptr: np.ndarray
+    ev_att_name: np.ndarray
+    ev_att_num: np.ndarray
+    ev_att_str: np.ndarray
 
     @staticmethod
     def build(
@@ -184,16 +204,17 @@ class OcelLog:
         establishing the total event order."""
         types: dict[str, int] = {}
         obj_code: dict[str, int] = {}
-        obj_type, obj_attrs = [], []
+        obj_type, obj_slots = [], _Slots({}, {})
         for oid, ot, attrs in object_records:
-            if obj_code.setdefault(oid, len(obj_attrs)) != len(obj_attrs):
+            if obj_code.setdefault(oid, len(obj_type)) != len(obj_type):
                 raise DuplicateId(f"duplicate object id {oid!r}")
             obj_type.append(types.setdefault(ot, len(types)))
-            obj_attrs.append({k: _coerce_value(v, "object", oid) for k, v in attrs.items()})
+            obj_slots.add(attrs, "object", oid)
 
         acts: dict[str, int] = {}
         seen: set[str] = set()
-        eids, times, ev_act, ev_attrs, sizes, codes = [], [], [], [], [], []
+        ev_slots = _Slots(obj_slots.names, obj_slots.strings)
+        eids, times, ev_act, sizes, codes = [], [], [], [], []
         for eid, activity, ts, oids, attrs in event_records:
             if eid in seen:
                 raise DuplicateId(f"duplicate event id {eid!r}")
@@ -205,11 +226,14 @@ class OcelLog:
             eids.append(eid)
             times.append(float(ts))
             ev_act.append(acts.setdefault(activity, len(acts)))
-            ev_attrs.append({k: _coerce_value(v, "event", eid) for k, v in attrs.items()})
+            if attrs:
+                ev_slots.add(attrs, "event", eid)
+            else:  # most events have no attributes
+                ev_slots.sizes.append(0)
             sizes.append(len(related))
             codes += related
         del seen
-        return _assemble(obj_code, types, obj_type, obj_attrs, eids, acts, ev_act, times, ev_attrs, sizes, codes)
+        return _assemble(obj_code, types, obj_type, obj_slots, eids, acts, ev_act, times, ev_slots, sizes, codes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OcelLog):
@@ -327,35 +351,92 @@ class OcelLog:
         })
 
 
-def _assemble(obj_code: dict[str, int], types: dict[str, int], obj_type, obj_attrs: list,
-              eids: list[str], acts: dict[str, int], ev_act, times, ev_attrs: list, sizes, codes) -> OcelLog:
+class _Slots:
+    """One entry kind's attribute slots as they are read, in first-seen
+    codes: each entry's number of slots in ``sizes``, and per slot its name's
+    code in ``names`` and its value, a float in ``num`` or its code in
+    ``strings`` in ``text`` (-1 for a float). The two kinds of a log share
+    ``names`` and ``strings``."""
+
+    __slots__ = ("names", "strings", "sizes", "name", "num", "text")
+
+    def __init__(self, names: dict[str, int], strings: dict[str, int]) -> None:
+        self.names, self.strings = names, strings
+        self.sizes, self.name, self.num, self.text = array("i"), array("i"), array("d"), array("i")
+
+    def add(self, attrs: Mapping[str, object], kind: str, ident: str) -> None:
+        """Append the attributes of the ``kind`` ("object" or "event")
+        ``ident``, each value checked by :func:`_coerce_value`. A fault leaves
+        the entry's slots in part, so the log is then not built."""
+        names, strings = self.names, self.strings
+        self.sizes.append(len(attrs))
+        for k, v in attrs.items():
+            self.name.append(names.setdefault(k, len(names)))
+            if not (type(v) is float and v - v == 0.0 or type(v) is str and v.isascii()):
+                v = _coerce_value(v, kind, ident)  # not a finite float or an ASCII string, which it returns as is
+            if type(v) is str:
+                self.text.append(strings.setdefault(v, len(strings)))
+                self.num.append(0.0)
+            else:
+                self.text.append(-1)
+                self.num.append(v)
+
+    def columns(self, kind: str, rank: np.ndarray, name_rank: np.ndarray, text_rank: np.ndarray) -> dict:
+        """The ``kind`` ("obj" or "ev") attribute columns of :class:`OcelLog`
+        for entries at positions ``rank`` and names and strings at
+        ``name_rank`` and ``text_rank``: each entry's slots ascending by name,
+        whose codes are unique within it."""
+        sizes = np.asarray(self.sizes, dtype=np.int64)
+        name = name_rank[np.asarray(self.name, dtype=np.intp)]
+        key = np.repeat(rank.astype(np.int64), sizes)  # an (entry position, name code) key per slot
+        key *= len(name_rank)
+        key += name
+        slot = np.argsort(key)
+        del key
+        lengths = np.empty(len(sizes), dtype=np.int64)
+        lengths[rank] = sizes
+        text = np.append(text_rank, np.int32(-1))[np.asarray(self.text, dtype=np.intp)[slot]]  # -1 stays -1
+        return {f"{kind}_att_ptr": np.concatenate(([0], np.cumsum(lengths))), f"{kind}_att_name": name[slot],
+                f"{kind}_att_num": np.asarray(self.num, dtype=np.float64)[slot], f"{kind}_att_str": text}
+
+
+def _assemble(obj_code: dict[str, int], types: dict[str, int], obj_type, obj_slots: _Slots,
+              eids: list[str], acts: dict[str, int], ev_act, times, ev_slots: _Slots, sizes, codes) -> OcelLog:
     """The log of checked columns, in first-seen codes: each object's code in
-    ``obj_code`` (its position in ``obj_type`` and ``obj_attrs``), its type
+    ``obj_code`` (its position in ``obj_type`` and ``obj_slots``), its type
     code in ``types``; each event's id, activity code in ``acts``, time and
-    attributes, and its number of objects in ``sizes``; the events' object
-    codes back to back in ``codes``. Sorts the objects, types and activities,
-    orders the events by :func:`_order` and builds the event-to-object CSR."""
+    attribute slots, and its number of objects in ``sizes``; the events'
+    object codes back to back in ``codes``. Sorts the objects, types,
+    activities, attribute names and string values, orders the events by
+    :func:`_order` and builds the event-to-object CSR."""
     objects, obj_rank = _sorted_codes(obj_code)
     object_types, type_code = _sorted_codes(types)
     activities, act_code = _sorted_codes(acts)
+    att_names, name_rank = _sorted_codes(obj_slots.names)
+    att_strings, text_rank = _sorted_codes(obj_slots.strings)
     n, by_code, order = len(objects), np.argsort(obj_rank), _order(eids, times)
-    key = np.argsort(order)  # a (position, code) key per relationship, built in place
+    ev_rank = np.argsort(order)
+    obj_att = obj_slots.columns("obj", obj_rank, name_rank, text_rank)
+    ev_att = ev_slots.columns("ev", ev_rank, name_rank, text_rank)
+    key = ev_rank  # a (position, code) key per relationship, built in place
     key *= n
     key = np.repeat(key, sizes)
     key += obj_rank[np.asarray(codes, dtype=np.intp)]
-    key, pos = _distinct(key), order.tolist()
+    key = _distinct(key)
     return OcelLog(
-        events=tuple(map(eids.__getitem__, pos)),
+        events=tuple(map(eids.__getitem__, order.tolist())),
         objects=objects,
         object_types=object_types,
         activities=activities,
         obj_type=type_code[np.asarray(obj_type, dtype=np.intp)][by_code],
-        obj_attrs=tuple(map(obj_attrs.__getitem__, by_code.tolist())),
         ev_time=np.asarray(times, dtype=np.float64)[order],
         ev_act=act_code[np.asarray(ev_act, dtype=np.intp)][order],
-        ev_attrs=tuple(map(ev_attrs.__getitem__, pos)),
         ev_ptr=np.searchsorted(key, np.arange(len(order) + 1) * n),
         ev_obj=(key % n).astype(np.int32),
+        att_names=att_names,
+        att_strings=att_strings,
+        **obj_att,
+        **ev_att,
     )
 
 
@@ -413,9 +494,9 @@ def _list(entry: dict, key: str) -> list:
 
 def _coerce_value(v: object, kind: str, ident: str) -> AttributeValue:
     # The one rule for the attribute values of the ``kind`` ("object" or
-    # "event") ``ident``, applied by OcelLog.build and by the parse, which
-    # checks an event's values inline first: a finite number, stored as float,
-    # or a string that UTF-8 can encode. Booleans (JSON true/false) are
+    # "event") ``ident``, applied by _Slots.add for OcelLog.build and the
+    # parse alike, which checks inline first: a finite number, stored as
+    # float, or a string that UTF-8 can encode. Booleans (JSON true/false) are
     # neither. A finite float or an ASCII string returns first.
     if type(v) is float and math.isfinite(v):
         return v
@@ -685,9 +766,10 @@ def _parse(objects: Iterable, events: Iterable) -> OcelLog:
     entry after it has been read."""
     obj_code: dict[str, int] = {}
     types: dict[str, int] = {}
-    obj_type, obj_attrs, att_times = array("i"), [], {_EPOCH_ISO: 0.0}
+    obj_type, obj_slots, att_times = array("i"), _Slots({}, {}), {_EPOCH_ISO: 0.0}
     acts: dict[str, int] = {}
-    eids, stamps, ev_act, ev_attrs, sizes, codes = [], bytearray(), array("i"), [], array("i"), array("i")
+    ev_slots = _Slots(obj_slots.names, obj_slots.strings)
+    eids, stamps, ev_act, sizes, codes = [], bytearray(), array("i"), array("i"), array("i")
     other_times = []  # (event position, time) of each event stamp not checked in bulk
     held = []  # (event position, fault) of build's faults in document order, -1 for an object's
     try:
@@ -704,7 +786,8 @@ def _parse(objects: Iterable, events: Iterable) -> OcelLog:
             atts = entry.get("attributes", _NO_ITEMS)
             if type(atts) is not list:
                 atts = _list(entry, "attributes")
-            latest: dict[str, tuple[float, object]] = {}
+            latest: dict[str, object] = {}  # the value of each name, set at its time in changed
+            changed: dict[str, float] = {}
             for att in atts:
                 try:  # a name that is not a string is reported before a missing value
                     name = att["name"]
@@ -717,15 +800,14 @@ def _parse(objects: Iterable, events: Iterable) -> OcelLog:
                 at = att_times.get(t) if type(t) is str else None
                 if at is None:
                     at = att_times[t] = _parse_iso(t)
-                if name not in latest or at >= latest[name][0]:  # the later entry wins a tie
-                    latest[name] = (at, value)
-            if obj_code.setdefault(oid, len(obj_attrs)) != len(obj_attrs):
+                if name not in changed or at >= changed[name]:  # the later entry wins a tie
+                    latest[name], changed[name] = value, at
+            if obj_code.setdefault(oid, len(obj_type)) != len(obj_type):
                 held.append((-1, DuplicateId(f"duplicate object id {oid!r}")))
             try:
-                obj_attrs.append({k: _coerce_value(v, "object", oid) for k, (_, v) in latest.items()})
+                obj_slots.add(latest, "object", oid)
             except MalformedDocument as exc:
                 held.append((-1, exc))
-                obj_attrs.append({})
             obj_type.append(types.setdefault(ot, len(types)))
         entry = None
 
@@ -748,7 +830,7 @@ def _parse(objects: Iterable, events: Iterable) -> OcelLog:
             atts = entry.get("attributes", _NO_ITEMS)
             if type(atts) is not list:
                 atts = _list(entry, "attributes")
-            attrs, plain = {}, True
+            attrs = {} if atts else None  # most events have no attributes
             for att in atts:
                 try:  # a missing value is reported before a name that is not a string
                     value, name = att["value"], att["name"]
@@ -756,8 +838,6 @@ def _parse(objects: Iterable, events: Iterable) -> OcelLog:
                     raise MalformedDocument(f"bad attribute on event {eid!r}") from exc
                 if not (type(name) is str and name.isascii()):
                     name = _string(name, "attribute name")
-                if not (type(value) is float and value - value == 0.0 or type(value) is str and value.isascii()):
-                    plain = False  # not a finite float or an ASCII string, which _coerce_value returns as is
                 attrs[name] = value
             rels = entry.get("relationships", _NO_ITEMS)
             if type(rels) is not list:
@@ -772,14 +852,15 @@ def _parse(objects: Iterable, events: Iterable) -> OcelLog:
                         raise MalformedDocument(f"bad relationship on event {eid!r}") from exc
                     if oid not in obj_code:  # the log is not built, so the codes can be left out
                         held.append((len(eids), DanglingReference(f"event {eid!r} references unknown object {oid!r}")))
-            if not plain:
+            if attrs is None:
+                ev_slots.sizes.append(0)
+            else:
                 try:
-                    attrs = {k: _coerce_value(v, "event", eid) for k, v in attrs.items()}
+                    ev_slots.add(attrs, "event", eid)
                 except MalformedDocument as exc:
                     held.append((len(eids), exc))
             eids.append(eid)
             ev_act.append(acts.setdefault(act, len(acts)))
-            ev_attrs.append(attrs)
             sizes.append(len(rels))
         entry = None
     except MalformedDocument:
@@ -796,7 +877,7 @@ def _parse(objects: Iterable, events: Iterable) -> OcelLog:
         held.insert(0, (e, DuplicateId(f"duplicate event id {eids[e]!r}")))
     if held:
         raise min(held, key=lambda h: h[0])[1]
-    return _assemble(obj_code, types, obj_type, obj_attrs, eids, acts, ev_act, times, ev_attrs, sizes, codes)
+    return _assemble(obj_code, types, obj_type, obj_slots, eids, acts, ev_act, times, ev_slots, sizes, codes)
 
 
 def _stamp_times(stamps: bytearray) -> np.ndarray:
@@ -822,13 +903,6 @@ def _stamp_times(stamps: bytearray) -> np.ndarray:
 _str = json.encoder.encode_basestring
 
 
-def _value(v: AttributeValue) -> tuple[str, str]:
-    """JSON text and OCEL type name of an attribute value."""
-    if isinstance(v, str):
-        return _str(v), "string"
-    return float.__repr__(v), "float"
-
-
 def _array(items: list[str], indent: str) -> str:
     """JSON list of rendered ``items``, its closing bracket at ``indent``."""
     return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
@@ -844,6 +918,30 @@ def _type_decls(attrs_by_type: dict[str, dict[str, str]]) -> str:
     return _array(items, "  ")
 
 
+def _attribute_lists(log: OcelLog, kind: str, types: list[str], decls: dict[str, dict[str, str]],
+                     time: str) -> Iterator[str]:
+    """The ``attributes`` list text of each ``kind`` ("obj" or "ev") entry of
+    ``log``, in the log's order, rendered from its slots one entry at a time.
+    ``types`` holds each entry's type; the OCEL type name of each attribute
+    is noted in ``decls[type]`` on its first use. ``time`` is written between
+    an attribute's name and its value."""
+    ptr, name, num, text = (getattr(log, f"{kind}_att_{f}").tolist() for f in ("ptr", "name", "num", "str"))
+    names, strings = [_str(n) for n in log.att_names], [_str(v) for v in log.att_strings]
+    for t, lo, hi in zip(types, ptr, ptr[1:]):
+        if lo == hi:
+            yield "[]"
+            continue
+        bucket, rows = decls[t], []
+        for k in range(lo, hi):
+            if text[k] < 0:
+                value, value_type = float.__repr__(num[k]), "float"
+            else:
+                value, value_type = strings[text[k]], "string"
+            bucket.setdefault(log.att_names[name[k]], value_type)
+            rows.append(f'        {{\n          "name": {names[name[k]]},{time}\n          "value": {value}\n        }}')
+        yield _array(rows, "      ")
+
+
 def serialize_ocel_json(log: OcelLog) -> bytes:
     """Serialize back to OCEL 2.0 JSON (UTF-8, millisecond timestamps).
 
@@ -854,31 +952,21 @@ def serialize_ocel_json(log: OcelLog) -> bytes:
     epoch as their time.
     """
     ids = [_str(o) for o in log.objects]
+    otypes = list(map(log.object_types.__getitem__, log.obj_type.tolist()))
     otype_attrs: dict[str, dict[str, str]] = {ot: {} for ot in log.object_types}
-    objects = []
-    for o, ot, attrs in zip(ids, map(log.object_types.__getitem__, log.obj_type.tolist()), log.obj_attrs):
-        bucket, rows = otype_attrs[ot], []
-        for n, v in sorted(attrs.items()):
-            text, kind = _value(v)
-            bucket.setdefault(n, kind)
-            rows.append(f'        {{\n          "name": {_str(n)},\n          "time": "{_EPOCH_ISO}",\n'
-                        f'          "value": {text}\n        }}')
-        objects.append(f'    {{\n      "id": {o},\n      "type": {_str(ot)},\n'
-                       f'      "attributes": {_array(rows, "      ")}\n    }}')
+    obj_atts = _attribute_lists(log, "obj", otypes, otype_attrs, f'\n          "time": "{_EPOCH_ISO}",')
+    objects = [f'    {{\n      "id": {o},\n      "type": {_str(ot)},\n      "attributes": {atts}\n    }}'
+               for o, ot, atts in zip(ids, otypes, obj_atts)]
+    acts = list(map(log.activities.__getitem__, log.ev_act.tolist()))
     etype_attrs: dict[str, dict[str, str]] = {a: {} for a in log.activities}
+    ev_atts = _attribute_lists(log, "ev", acts, etype_attrs, "")
     ptr, related = log.ev_ptr.tolist(), [ids[c] for c in log.ev_obj.tolist()]
     events = []
-    for i, (e, a, stamp, attrs) in enumerate(zip(log.events, map(log.activities.__getitem__, log.ev_act.tolist()),
-                                                  _iso_stamps(log.ev_time), log.ev_attrs)):
-        bucket, rows = etype_attrs[a], []
-        for n, v in sorted(attrs.items()):
-            text, kind = _value(v)
-            bucket.setdefault(n, kind)
-            rows.append(f'        {{\n          "name": {_str(n)},\n          "value": {text}\n        }}')
+    for i, (e, a, stamp, atts) in enumerate(zip(log.events, acts, _iso_stamps(log.ev_time), ev_atts)):
         rels = [f'        {{\n          "objectId": {o},\n          "qualifier": ""\n        }}'
                 for o in related[ptr[i]:ptr[i + 1]]]
         events.append(f'    {{\n      "id": {_str(e)},\n      "type": {_str(a)},\n      "time": "{stamp}",\n'
-                      f'      "attributes": {_array(rows, "      ")},\n'
+                      f'      "attributes": {atts},\n'
                       f'      "relationships": {_array(rels, "      ")}\n    }}')
     return (f'{{\n  "objectTypes": {_type_decls(otype_attrs)},\n  "eventTypes": {_type_decls(etype_attrs)},\n'
             f'  "objects": {_array(objects, "  ")},\n  "events": {_array(events, "  ")}\n}}\n').encode("utf-8")

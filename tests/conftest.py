@@ -21,6 +21,15 @@ def build_log(events, objects):
     return OcelLog.build(ev, ob)
 
 
+def attribute_dicts(log, kind):
+    """Each object's (``kind`` "obj") or event's ("ev") attributes as a
+    name-to-value dict, in the log's order, decoded from its slot columns:
+    a float, or a str for a slot with a string code."""
+    ptr, name, num, text = (getattr(log, f"{kind}_att_{f}").tolist() for f in ("ptr", "name", "num", "str"))
+    return [{log.att_names[name[k]]: num[k] if text[k] < 0 else log.att_strings[text[k]] for k in range(lo, hi)}
+            for lo, hi in zip(ptr, ptr[1:])]
+
+
 def log_dicts(log):
     """The log's fields as plain dicts keyed by id: ``otyp`` and ``ovmap``
     per object; ``act``, ``time``, ``omap`` (a frozenset of object ids) and
@@ -28,11 +37,11 @@ def log_dicts(log):
     ptr, related = log.ev_ptr.tolist(), [log.objects[c] for c in log.ev_obj.tolist()]
     return SimpleNamespace(
         otyp=dict(zip(log.objects, (log.object_types[t] for t in log.obj_type.tolist()))),
-        ovmap=dict(zip(log.objects, log.obj_attrs)),
+        ovmap=dict(zip(log.objects, attribute_dicts(log, "obj"))),
         act=dict(zip(log.events, (log.activities[a] for a in log.ev_act.tolist()))),
         time=dict(zip(log.events, log.ev_time.tolist())),
         omap={e: frozenset(related[ptr[i]:ptr[i + 1]]) for i, e in enumerate(log.events)},
-        vmap=dict(zip(log.events, log.ev_attrs)),
+        vmap=dict(zip(log.events, attribute_dicts(log, "ev"))),
     )
 
 

@@ -3,7 +3,8 @@
 Everything here is written as straight-line loops over the raw log fields or
 plain arrays, deliberately sharing no code with the implementations under
 test, except :func:`strict_parse`, which shares ocel's JSON reading and
-checkers and gives its records to ``OcelLog.build``.
+checkers and gives its records to ``OcelLog.build``. The log's attribute
+slot columns are read as per-entry dicts through ``conftest.attribute_dicts``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from conftest import attribute_dicts
 from ocad.errors import MalformedDocument
 from ocad.ocel import OcelLog, _document, _list, _parse_iso, _string
 
@@ -23,7 +25,7 @@ class NaiveDerivations:
 
     def __init__(self, log):
         self.otyp = {o: log.object_types[t] for o, t in zip(log.objects, log.obj_type.tolist())}
-        self.ovmap = dict(zip(log.objects, log.obj_attrs))
+        self.ovmap = dict(zip(log.objects, attribute_dicts(log, "obj")))
         self.act, self.time, self.omap = {}, {}, {}
         for i, e in enumerate(log.events):
             self.act[e] = log.activities[int(log.ev_act[i])]
@@ -311,11 +313,11 @@ def json_dumps_serialize(log):
     def value_type_name(v):
         return "float" if isinstance(v, float) else "string"
 
-    objects = list(zip(log.objects, (log.object_types[t] for t in log.obj_type.tolist()), log.obj_attrs))
+    objects = list(zip(log.objects, (log.object_types[t] for t in log.obj_type.tolist()), attribute_dicts(log, "obj")))
     events = []
-    for i, e in enumerate(log.events):
+    for i, (e, attrs) in enumerate(zip(log.events, attribute_dicts(log, "ev"))):
         related = sorted(log.objects[int(c)] for c in log.ev_obj[log.ev_ptr[i]:log.ev_ptr[i + 1]])
-        events.append((e, log.activities[int(log.ev_act[i])], float(log.ev_time[i]), log.ev_attrs[i], related))
+        events.append((e, log.activities[int(log.ev_act[i])], float(log.ev_time[i]), attrs, related))
     otype_attrs = {ot: {} for ot in log.object_types}
     for _, ot, attrs in objects:
         for name, value in attrs.items():

@@ -279,10 +279,12 @@ def test_invalid_utf8_log_is_one_line_json_error(tmp_path, capsys):
 def test_load_log_peak_stays_within_five_times_the_file(tmp_path, n_orders):
     # The stream reads the text through a window of a chunk or two and frees
     # each JSON entry once it has read it, so a streamed read holds little
-    # more than the log: 1.28-1.30x the file at these sizes (1.31x at 8k),
-    # whatever the width of its widest character, and 1.23-1.25x when a
-    # fault of the log is found at the end. Events before objects is read as
-    # the json.loads tree, whose entries are freed as they are read, from the
+    # more than the log: 0.64-0.68x the file at these sizes (0.65x at 8k), and
+    # 0.63-0.68x when a fault of the log is found at the end. An emoji widens
+    # the window's 64 kB chunks to 4 bytes a character, which sets the peak of
+    # the 300-order log at 0.86x. The log itself, its attributes stored as
+    # columns, is 0.35-0.36x the file. Events before objects is read as the
+    # json.loads tree, whose entries are freed as they are read, from the
     # whole text, which CPython widens to 2 or 4 bytes a character for one
     # CJK letter or emoji: 4.18-4.19x, 5.18-5.19x and 7.18-7.19x (4.19x,
     # 5.19x and 7.19x at 8k). Joining the whole text before the stream peaked
@@ -296,18 +298,22 @@ def test_load_log_peak_stays_within_five_times_the_file(tmp_path, n_orders):
                 duplicate_object_id, missing_first_type]
     tree = [(events_first, 4.5), (lambda data: events_first(cjk_object_id(data)), 5.5),
             (lambda data: events_first(emoji_object_id(data)), 7.5)]
-    for rewrite, bound in [*((rewrite, 1.6) for rewrite in streamed), *tree]:
+    for rewrite, bound in [*((rewrite, 0.9) for rewrite in streamed), *tree]:
         path.write_bytes(written if rewrite is None else rewrite(written))
         tracemalloc.start()
         try:
             try:
-                ocad.cli._load_log(str(path))
+                log = ocad.cli._load_log(str(path))
             except MalformedDocument:
                 assert rewrite in (unknown_last_object, duplicate_object_id, missing_first_type)
-            peak = tracemalloc.get_traced_memory()[1]
+                log = None
+            live, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= bound * path.stat().st_size, rewrite
+        if log is not None and rewrite in streamed:
+            assert live <= 0.5 * path.stat().st_size, rewrite
+        del log
 
 
 def test_too_wide_feature_family_is_rejected_before_writing(tmp_path, capsys, monkeypatch):
@@ -427,7 +433,7 @@ def test_too_many_orders_are_rejected_before_writing(tmp_path, capsys, monkeypat
 
 
 def test_generate_peak_per_order_keeps_max_orders_within_4_gb(tmp_path):
-    # 13.8-16.2 kB per order at 1k-8k orders; the per-order peak falls with
+    # 13.4-14.7 kB per order at 1k-8k orders; the per-order peak falls with
     # the count, so 1,000 orders bound it from above.
     tracemalloc.start()
     try:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ocad._csv import csv_bytes
 from ocad.errors import (
     AllColumnsDropped,
-    EmptyKeepSet,
     InvalidConfig,
     MixedAttributeType,
     NoObjectsOfType,
@@ -24,13 +23,12 @@ from ocad.features import (
     explode_values,
     extract_features,
     feature_csv_bytes,
-    filter_activities,
     normalize,
     propagate_features,
     variance_filter,
 )
 
-from conftest import build_log, column, log_dicts, make_matrix, random_log
+from conftest import build_log, column, make_matrix, random_log
 from oracles import NaiveDerivations, assert_matrix_matches_naive
 
 
@@ -116,12 +114,8 @@ def test_duration_identity_and_start_onehot(p2p_small):
 
 
 def test_start_onehot_all_zero_for_empty_lifecycles():
-    log = build_log(
-        [("e1", "A", 1.0, ["o1"]), ("e2", "B", 2.0, ["o1", "o2"])],
-        [("o1", "t"), ("o2", "t")],
-    )
-    filtered = filter_activities(log, {"A"})
-    F = extract_features(filtered, "t")
+    log = build_log([("e1", "A", 1.0, ["o1"])], [("o1", "t"), ("o2", "t")])
+    F = extract_features(log, "t")
     start_cols = [c for c in F.columns if c.startswith("lifecyclestartswith")]
     row = {o: i for i, o in enumerate(F.row_ids)}
     assert sum(column(F, c)[row["o2"]] for c in start_cols) == 0.0
@@ -361,39 +355,6 @@ def test_variance_filter_preserves_rows_and_order(p2p_small):
     assert out.row_ids == F.row_ids
     positions = [F.columns.index(c) for c in out.columns]
     assert positions == sorted(positions)
-
-
-# ------------------------------------------------------- activity filter
-
-def test_filter_activities_identity(p2p_small):
-    log, _ = p2p_small
-    out = filter_activities(log, set(log.activities))
-    assert out == log
-
-
-def test_filter_activities_can_empty_a_lifecycle():
-    log = build_log(
-        [("e1", "A", 1.0, ["o1"]), ("e2", "B", 2.0, ["o2"])],
-        [("o1", "t"), ("o2", "t")],
-    )
-    out = filter_activities(log, {"B"})
-    assert out.lifecycle("o1") == ()
-    assert out.objects == log.objects
-
-
-def test_filter_activities_counts_match_scan():
-    log = random_log(seed=31, n_events=40, n_activities=12)
-    keep = set(log.activities[:5])
-    out = filter_activities(log, keep)
-    act = log_dicts(log).act
-    assert len(out.events) == sum(1 for e in log.events if act[e] in keep)
-    assert [e for e in log.events if act[e] in keep] == list(out.events)
-
-
-def test_filter_activities_rejects_empty_keep():
-    log = build_log([], [])
-    with pytest.raises(EmptyKeepSet):
-        filter_activities(log, set())
 
 
 # ------------------------------------------------------------- explosion

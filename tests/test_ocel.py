@@ -1,7 +1,9 @@
 """Log model: parsing, serialization, total order and the per-object derivations."""
 
+import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import re
 from unittest import mock
@@ -30,8 +32,8 @@ from ocad.ocel import (
     serialize_ocel_json,
 )
 
-from conftest import (build_log, cjk_object_id, collections_during, duplicate_object_id, emoji_object_id,
-                      events_first, log_dicts, missing_first_type, non_ascii_object_id, object_graphs, ocel_doc,
+from conftest import (attribute_dicts, build_log, cjk_object_id, collections_during, duplicate_object_id,
+                      emoji_object_id, events_first, log_dicts, missing_first_type, non_ascii_object_id, object_graphs, ocel_doc,
                       offset_last_stamp, random_log, unknown_last_object)
 from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize, strict_parse
 from test_golden import LOGS
@@ -709,6 +711,41 @@ def test_iso_stamps_reject_times_outside_the_years_they_can_write(t):
         _iso_stamps([0.0, t])
 
 
+def test_attributes_in_another_order_give_the_same_log_and_bytes():
+    # Each entry's slots are ascending by name, so the order in which a record
+    # or a document gives an entry's attributes does not reach the log. Of a
+    # document's object entries for one name, the latest wins, and of those
+    # that tie in time the later one.
+    objects = [("o1", "t", {"b": "x", "a": 1.0, "c": 2.0}), ("o2", "t", {"c": "y", "a": 3.0})]
+    events = [("e1", "A", 1.0, ["o1"], {"v": 1.0, "u": "z"}), ("e2", "A", 2.0, ["o2"], {})]
+    log = OcelLog.build(events, objects)
+    reversed_attrs = OcelLog.build([(*r[:4], dict(reversed(r[4].items()))) for r in events],
+                                   [(*r[:2], dict(reversed(r[2].items()))) for r in objects])
+    assert reversed_attrs == log and serialize_ocel_json(reversed_attrs) == serialize_ocel_json(log)
+    t0, t1 = "1970-01-01T00:00:00.000Z", "2024-01-01T00:00:00.000Z"
+    tied_first, tied_last = {"name": "a", "time": t0, "value": 0.0}, {"name": "a", "time": t0, "value": 1.0}
+    o1 = [tied_first, tied_last, {"name": "b", "time": t0, "value": "x"},
+          {"name": "c", "time": t1, "value": 2.0}, {"name": "c", "time": t0, "value": 9.0}]
+    for atts in itertools.permutations(o1):
+        if atts.index(tied_first) > atts.index(tied_last):
+            continue
+        for ev_atts in ([("u", "z"), ("v", 1.0)], [("v", 1.0), ("u", "z")]):
+            doc = ocel_doc(
+                objects=[{"id": "o1", "type": "t", "attributes": list(atts)},
+                         _object("o2", "t", [("a", 3.0), ("c", "y")])],
+                events=[_event("e1", "A", format_iso(1.0), ["o1"], ev_atts), _event("e2", "A", format_iso(2.0), ["o2"])],
+            )
+            parsed = parse_ocel_json(doc)
+            assert parsed == log and serialize_ocel_json(parsed) == serialize_ocel_json(log)
+
+
+def test_every_log_field_is_an_array_or_a_tuple_of_strings(p2p_small):
+    for log in (p2p_small[0], parse_ocel_json(serialize_ocel_json(p2p_small[0])), build_log([], [])):
+        for f in dataclasses.fields(log):
+            value = getattr(log, f.name)
+            assert isinstance(value, np.ndarray) or type(value) is tuple and all(type(v) is str for v in value), f.name
+
+
 def test_build_permits_empty_omap():
     log = build_log([("e1", "A", 1.0, [])], [("o1", "t")])
     assert log_dicts(log).omap["e1"] == frozenset()
@@ -745,7 +782,8 @@ def _as_strict_parse(data):
     expected = _strict(data)
     if isinstance(log, OcelLog):
         assert isinstance(expected, OcelLog) and log == expected
-        assert all(type(v) in (float, str) for attrs in (*log.obj_attrs, *log.ev_attrs) for v in attrs.values())
+        assert all(type(v) in (float, str) for kind in ("obj", "ev") for attrs in attribute_dicts(log, kind)
+                   for v in attrs.values())
     else:
         assert (type(log), str(log)) == (type(expected), str(expected))
     return log
