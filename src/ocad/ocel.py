@@ -956,13 +956,13 @@ def serialize_ocel_json(log: OcelLog) -> bytes:
     otype_attrs: dict[str, dict[str, str]] = {ot: {} for ot in log.object_types}
     obj_atts = _attribute_lists(log, "obj", otypes, otype_attrs, f'\n          "time": "{_EPOCH_ISO}",')
     objects = [f'    {{\n      "id": {o},\n      "type": {_str(ot)},\n      "attributes": {atts}\n    }}'
-               for o, ot, atts in zip(ids, otypes, obj_atts)]
+               for atts, o, ot in zip(obj_atts, ids, otypes)]  # zip runs the generator first, to its end
     acts = list(map(log.activities.__getitem__, log.ev_act.tolist()))
     etype_attrs: dict[str, dict[str, str]] = {a: {} for a in log.activities}
     ev_atts = _attribute_lists(log, "ev", acts, etype_attrs, "")
     ptr, related = log.ev_ptr.tolist(), [ids[c] for c in log.ev_obj.tolist()]
     events = []
-    for i, (e, a, stamp, atts) in enumerate(zip(log.events, acts, _iso_stamps(log.ev_time), ev_atts)):
+    for i, (atts, e, a, stamp) in enumerate(zip(ev_atts, log.events, acts, _iso_stamps(log.ev_time))):
         rels = [f'        {{\n          "objectId": {o},\n          "qualifier": ""\n        }}'
                 for o in related[ptr[i]:ptr[i + 1]]]
         events.append(f'    {{\n      "id": {_str(e)},\n      "type": {_str(a)},\n      "time": "{stamp}",\n'
