@@ -938,7 +938,8 @@ def _attribute_lists(log: OcelLog, kind: str, types: list[str], decls: dict[str,
             else:
                 value, value_type = strings[text[k]], "string"
             bucket.setdefault(log.att_names[name[k]], value_type)
-            rows.append(f'        {{\n          "name": {names[name[k]]},{time}\n          "value": {value}\n        }}')
+            rows.append(f'        {{\n          "name": {names[name[k]]},{time}\n'
+                        f'          "value": {value}\n        }}')
         yield _array(rows, "      ")
 
 

@@ -42,10 +42,10 @@ DEFAULT_MEAN_GAP = 3600.0
 
 REOPEN_GAP_FACTOR = 100.0
 
-# The generator holds the whole log in memory. Its peak is 13.4-14.7 kB per
+# The generator holds the whole log in memory. Its peak is 12.5-13.9 kB per
 # order (tracemalloc of an in-process `ocad generate`, 1k-8k orders) and was
 # 15.7 kB per order (RSS at 128k, before the attributes were stored as columns;
-# ROADMAP.md, item 5), so at 16 kB per order this bound keeps a run within a
+# ROADMAP.md, Baseline), so at 16 kB per order this bound keeps a run within a
 # 4 GB budget, half of an 8 GB machine.
 MAX_ORDERS = 250_000
 

@@ -433,7 +433,7 @@ def test_too_many_orders_are_rejected_before_writing(tmp_path, capsys, monkeypat
 
 
 def test_generate_peak_per_order_keeps_max_orders_within_4_gb(tmp_path):
-    # 13.4-14.7 kB per order at 1k-8k orders; the per-order peak falls with
+    # 12.5-13.9 kB per order at 1k-8k orders; the per-order peak falls with
     # the count, so 1,000 orders bound it from above.
     tracemalloc.start()
     try:

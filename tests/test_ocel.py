@@ -33,8 +33,8 @@ from ocad.ocel import (
 )
 
 from conftest import (attribute_dicts, build_log, cjk_object_id, collections_during, duplicate_object_id,
-                      emoji_object_id, events_first, log_dicts, missing_first_type, non_ascii_object_id, object_graphs, ocel_doc,
-                      offset_last_stamp, random_log, unknown_last_object)
+                      emoji_object_id, events_first, log_dicts, missing_first_type, non_ascii_object_id,
+                      object_graphs, ocel_doc, offset_last_stamp, random_log, unknown_last_object)
 from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize, strict_parse
 from test_golden import LOGS
 
@@ -733,7 +733,8 @@ def test_attributes_in_another_order_give_the_same_log_and_bytes():
             doc = ocel_doc(
                 objects=[{"id": "o1", "type": "t", "attributes": list(atts)},
                          _object("o2", "t", [("a", 3.0), ("c", "y")])],
-                events=[_event("e1", "A", format_iso(1.0), ["o1"], ev_atts), _event("e2", "A", format_iso(2.0), ["o2"])],
+                events=[_event("e1", "A", format_iso(1.0), ["o1"], ev_atts),
+                        _event("e2", "A", format_iso(2.0), ["o2"])],
             )
             parsed = parse_ocel_json(doc)
             assert parsed == log and serialize_ocel_json(parsed) == serialize_ocel_json(log)
