@@ -711,17 +711,24 @@ def test_iso_stamps_reject_times_outside_the_years_they_can_write(t):
         _iso_stamps([0.0, t])
 
 
-def test_attributes_in_another_order_give_the_same_log_and_bytes():
+_ORDER_OBJECTS = [("o1", "t", {"b": "x", "a": 1.0, "c": 2.0}), ("o2", "t", {"c": "y", "a": 3.0})]
+_ORDER_EVENTS = [("e1", "A", 1.0, ["o1"], {"v": 1.0, "u": "z"}), ("e2", "A", 2.0, ["o2"], {})]
+
+
+def test_records_with_attributes_in_another_order_give_the_same_log_and_bytes():
     # Each entry's slots are ascending by name, so the order in which a record
-    # or a document gives an entry's attributes does not reach the log. Of a
-    # document's object entries for one name, the latest wins, and of those
-    # that tie in time the later one.
-    objects = [("o1", "t", {"b": "x", "a": 1.0, "c": 2.0}), ("o2", "t", {"c": "y", "a": 3.0})]
-    events = [("e1", "A", 1.0, ["o1"], {"v": 1.0, "u": "z"}), ("e2", "A", 2.0, ["o2"], {})]
-    log = OcelLog.build(events, objects)
-    reversed_attrs = OcelLog.build([(*r[:4], dict(reversed(r[4].items()))) for r in events],
-                                   [(*r[:2], dict(reversed(r[2].items()))) for r in objects])
+    # gives an entry's attributes does not reach the log.
+    log = OcelLog.build(_ORDER_EVENTS, _ORDER_OBJECTS)
+    reversed_attrs = OcelLog.build([(*r[:4], dict(reversed(r[4].items()))) for r in _ORDER_EVENTS],
+                                   [(*r[:2], dict(reversed(r[2].items()))) for r in _ORDER_OBJECTS])
     assert reversed_attrs == log and serialize_ocel_json(reversed_attrs) == serialize_ocel_json(log)
+
+
+def test_documents_with_attributes_in_another_order_give_the_same_log_and_bytes():
+    # Of a document's object entries for one name, the latest wins, and of
+    # those that tie in time the later one; the order of the entries does not
+    # reach the log otherwise.
+    log = OcelLog.build(_ORDER_EVENTS, _ORDER_OBJECTS)
     t0, t1 = "1970-01-01T00:00:00.000Z", "2024-01-01T00:00:00.000Z"
     tied_first, tied_last = {"name": "a", "time": t0, "value": 0.0}, {"name": "a", "time": t0, "value": 1.0}
     o1 = [tied_first, tied_last, {"name": "b", "time": t0, "value": "x"},
@@ -738,6 +745,36 @@ def test_attributes_in_another_order_give_the_same_log_and_bytes():
             )
             parsed = parse_ocel_json(doc)
             assert parsed == log and serialize_ocel_json(parsed) == serialize_ocel_json(log)
+
+
+def test_attribute_columns_decode_to_the_records():
+    # Objects and events share one code per name and per string value; a name
+    # or a string that only an event carries is coded too.
+    objects = [("o2", "t", {"amount": 5.0, "grade": "x"}), ("o1", "u", {}), ("o3", "t", {"grade": "y"})]
+    events = [("e2", "B", 2.0, ["o1"], {"grade": "x", "note": "late"}), ("e1", "A", 1.0, ["o2"], {"amount": -1.5}),
+              ("e3", "A", 3.0, [], {})]
+    log = OcelLog.build(events, objects)
+    assert log.att_names == ("amount", "grade", "note") and log.att_strings == ("late", "x", "y")
+    assert attribute_dicts(log, "obj") == [{}, {"amount": 5.0, "grade": "x"}, {"grade": "y"}]
+    assert attribute_dicts(log, "ev") == [{"amount": -1.5}, {"grade": "x", "note": "late"}, {}]
+    assert parse_ocel_json(serialize_ocel_json(log)) == log
+
+
+def test_attribute_columns_are_sorted_and_ascending_per_entry(p2p_small):
+    logs = [p2p_small[0], parse_ocel_json(serialize_ocel_json(p2p_small[0])), build_log([], []),
+            OcelLog.build(_ORDER_EVENTS, _ORDER_OBJECTS), *(random_log(seed=s) for s in range(3))]
+    for log in logs:
+        assert list(log.att_names) == sorted(set(log.att_names))
+        assert list(log.att_strings) == sorted(set(log.att_strings))
+        for kind, n in (("obj", len(log.objects)), ("ev", len(log.events))):
+            ptr, name, num, text = (getattr(log, f"{kind}_att_{f}") for f in ("ptr", "name", "num", "str"))
+            assert len(ptr) == n + 1 and ptr[0] == 0 and ptr[-1] == len(name) == len(num) == len(text)
+            assert np.all(np.diff(ptr) >= 0)
+            for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
+                assert np.all(np.diff(name[lo:hi]) > 0), (kind, lo)
+            assert np.all((0 <= name) & (name < len(log.att_names)))
+            assert np.all((-1 <= text) & (text < len(log.att_strings)))
+            assert np.all(num[text >= 0] == 0.0) and np.all(np.isfinite(num))
 
 
 def test_every_log_field_is_an_array_or_a_tuple_of_strings(p2p_small):
