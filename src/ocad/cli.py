@@ -158,9 +158,12 @@ def _cmd_generate(args) -> int:
         "seed": args.seed,
         "mean_gap": args.mean_gap,
     }
+    data = serialize_ocel_json(log)
+    if len(data) > MAX_INPUT_BYTES:  # every other command would refuse to read it
+        raise InvalidConfig(f"the log would be {len(data)} bytes, over the --log bound of {MAX_INPUT_BYTES} bytes")
     out = Path(args.out)
     _write_run(out, "generate", params, _digest(json.dumps(params, sort_keys=True).encode()),
-               {"log.json": serialize_ocel_json(log), "ground_truth.csv": truth.to_csv_bytes()})
+               {"log.json": data, "ground_truth.csv": truth.to_csv_bytes()})
     print(f"wrote {out / 'log.json'} ({len(log.events)} events, {len(log.objects)} objects)")
     return 0
 

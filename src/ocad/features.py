@@ -42,7 +42,7 @@ from .errors import (
     RowMismatch,
     TypeMismatch,
 )
-from .ocel import OcelLog, _gather, _segments_by_length
+from .ocel import OcelLog, _gather, _position, _segments_by_length
 
 DEFAULT_EPSILON = 1e-9
 # explode_values treats a column with more distinct values as continuous.
@@ -158,11 +158,10 @@ def extract_features(log: OcelLog, ot: str, cobirth_codeath: bool = False) -> Fe
     part of the default feature set. Raises :class:`ColumnCollision` when two
     kept columns would write the same header.
     """
-    objs = log.objects_of_type(ot)
-    if not objs:
+    codes = np.flatnonzero(log.obj_type == _position(log.object_types, ot))
+    if not len(codes):
         raise NoObjectsOfType(f"no objects of type {ot!r} in the log")
-    n = len(objs)
-    codes = log.codes(objs)
+    n, objs = len(codes), tuple(map(log.objects.__getitem__, codes.tolist()))
     acts, types, n_act = log.activities, log.object_types, len(log.activities)
 
     parts = _common_attribute_columns(log, ot, codes)

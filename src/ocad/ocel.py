@@ -26,11 +26,11 @@ them. Interaction partners are not stored: :meth:`OcelLog.related` gathers
 them through both CSRs for the objects asked about, and
 :meth:`OcelLog.relation` defines the interaction sets on them. An event's
 objects and an object's partners are both deduplicated by :func:`_distinct`
-over (row, code) keys. No field holds a dict or another container per entry;
-the only dicts are the id-to-code lookups ``obj_code`` and ``type_code``, built
-on first use: a reader indexes the arrays. :func:`_assemble` lays the columns
-out, for :meth:`OcelLog.build` and the parse alike: it sorts the codes, orders
-the events, builds the CSR and sorts each entry's attribute slots.
+over (row, code) keys. The log holds no dict and no container per entry: a
+reader indexes the arrays, and finds an object id or a type by bisection in
+the sorted tuple that holds it (:func:`_position`). :func:`_assemble` lays the
+columns out, for :meth:`OcelLog.build` and the parse alike: it sorts the codes,
+orders the events, builds the CSR and sorts each entry's attribute slots.
 
 Building a log, by :func:`parse_ocel_json` or the synthetic generators,
 pauses the cyclic garbage collector: the records are about a million
@@ -62,6 +62,7 @@ import math
 import re
 import traceback
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
@@ -144,6 +145,12 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
+
+
+def _position(names: tuple[str, ...], name: str) -> int:
+    """Position of ``name`` in the sorted ``names``, or -1; bisects Python strings, which keep NULs."""
+    i = bisect_left(names, name)
+    return i if i < len(names) and names[i] == name else -1
 
 
 def _sorted_codes(first_seen: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -244,14 +251,6 @@ class OcelLog:
     # ------------------------------------------------------------------ views
 
     @cached_property
-    def obj_code(self) -> dict[str, int]:
-        return {o: c for c, o in enumerate(self.objects)}
-
-    @cached_property
-    def type_code(self) -> dict[str, int]:
-        return {t: c for c, t in enumerate(self.object_types)}
-
-    @cached_property
     def lc_ev(self) -> np.ndarray:
         """Each object's event positions, ascending, object after object."""
         sizes = np.diff(self.ev_ptr)
@@ -283,13 +282,15 @@ class OcelLog:
     def codes(self, objs: Iterable[str]) -> np.ndarray:
         """Object codes of ``objs``; raises :class:`UnknownObject` for an id
         that is not in the log."""
-        try:
-            return np.fromiter((self.obj_code[o] for o in objs), dtype=np.int64)
-        except KeyError as exc:
-            raise UnknownObject(f"unknown object id {exc.args[0]!r}") from None
+        codes = []
+        for o in objs:
+            codes.append(_position(self.objects, o))
+            if codes[-1] < 0:
+                raise UnknownObject(f"unknown object id {o!r}")
+        return np.array(codes, dtype=np.int64)
 
     def objects_of_type(self, ot: str) -> tuple[str, ...]:
-        return tuple(self.objects[c] for c in np.flatnonzero(self.obj_type == self.type_code.get(ot, -1)).tolist())
+        return tuple(self.objects[c] for c in np.flatnonzero(self.obj_type == _position(self.object_types, ot)).tolist())
 
     def lifecycles(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Event positions of the objects ``codes``, concatenated in the
@@ -320,7 +321,7 @@ class OcelLog:
         del events, row, k, lo, hi
         keep = objs != codes[seg]
         if ot is not None:
-            keep &= self.obj_type[objs] == self.type_code.get(ot, -1)
+            keep &= self.obj_type[objs] == _position(self.object_types, ot)
         n = len(self.objects)
         seg, partners = np.divmod(_distinct(seg[keep] * n + objs[keep]), n)
         return partners, seg

@@ -432,6 +432,22 @@ def test_too_many_orders_are_rejected_before_writing(tmp_path, capsys, monkeypat
     assert main(["generate", "--n-orders", "5", "--out", str(out)]) == 0
 
 
+def test_generate_refuses_a_log_over_the_input_bound(tmp_path, capsys, monkeypatch):
+    # A log that every other command would refuse to read is not written.
+    argv = ["generate", "--n-orders", "5", "--seed", "1", "--out"]
+    assert main([*argv, str(tmp_path / "gen")]) == 0
+    written = (tmp_path / "gen" / "log.json").read_bytes()
+    out = tmp_path / "o"
+    monkeypatch.setattr(ocad.cli, "MAX_INPUT_BYTES", len(written) - 1)
+    assert main([*argv, str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: the log would be {len(written)} bytes, "
+                                       f"over the --log bound of {len(written) - 1} bytes\n")
+    assert not out.exists()
+    monkeypatch.setattr(ocad.cli, "MAX_INPUT_BYTES", len(written))
+    assert main([*argv, str(out)]) == 0
+    assert (out / "log.json").read_bytes() == written
+
+
 def test_generate_peak_per_order_keeps_max_orders_within_4_gb(tmp_path):
     # 12.5-13.9 kB per order at 1k-8k orders; the per-order peak falls with
     # the count, so 1,000 orders bound it from above.

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from ocad.errors import RowMismatch, UnknownObject
 from ocad.features import AGGREGATIONS, extract_features, propagate_features
 from ocad.ocel import serialize_ocel_json
+from ocad.oracle import abstract_lifecycle
 from ocad.synthgen import SynthConfig, generate_p2p
 
-from conftest import build_log, make_matrix, random_log
+from conftest import build_log, column, make_matrix, random_log
 from oracles import NaiveDerivations, assert_matrix_matches_naive, brute_propagate
 
 # Activity names containing "_" whose dfg_<a1>_<a2> column names stay distinct.
@@ -135,3 +136,37 @@ def test_generate_and_serialize_leave_the_index_unbuilt():
     serialize_ocel_json(log)
     assert "lc_ev" not in vars(log)
 
+
+def test_lookups_tell_apart_ids_that_differ_by_a_trailing_nul():
+    # A numpy string array drops trailing NULs, so it would tie "a" with "a\x00".
+    log = build_log(
+        [("e1", "A", 1.0, ["a", "b"]), ("e2", "B", 2.0, ["a\x00", "b"]), ("e3", "C", 3.0, ["a\x00"])],
+        [("a", "t", {"x": 1.0}), ("a\x00", "t\x00", {"x": 2.0}), ("b", "u")],
+    )
+    assert log.codes(["a\x00", "a", "b"]).tolist() == [1, 0, 2]
+    for call in (lambda: log.codes(["a", "a\x00\x00"]), lambda: log.lifecycle("a\x00\x00"),
+                 lambda: log.interaction_sets("a\x00\x00", "u")):
+        with pytest.raises(UnknownObject) as exc:
+            call()
+        assert str(exc.value) == "unknown object id 'a\\x00\\x00'"
+    assert (log.objects_of_type("t"), log.objects_of_type("t\x00"), log.objects_of_type("t\x00\x00")) == (
+        ("a",), ("a\x00",), ())
+    assert (log.lifecycle("a"), log.lifecycle("a\x00")) == (("e1",), ("e2", "e3"))
+    assert log.interaction_sets("b", "t").interact == {"a"}
+    assert log.interaction_sets("b", "t\x00").interact == {"a\x00"}
+    assert log.interaction_sets("b", "t\x00\x00").interact == frozenset()
+    naive = NaiveDerivations(log)
+    base = extract_features(log, "u")
+    for ot in ("t", "t\x00"):
+        _assert_propagation_exact(log, naive, base, extract_features(log, ot))
+    assert column(propagate_features(log, base, extract_features(log, "t\x00")), "propnumvaluex").tolist() == [2.0]
+    with pytest.raises(UnknownObject, match="unknown object id 'a.x00.x00'"):
+        propagate_features(log, make_matrix([[1.0]], row_ids=["a\x00\x00"], object_type="t"), base)
+
+
+def test_log_keeps_no_dict():
+    log, _ = generate_p2p(SynthConfig(n_orders=5, seed=1))
+    base, neighbor = extract_features(log, "invoice"), extract_features(log, "order")
+    propagate_features(log, base, neighbor)
+    abstract_lifecycle(log, base.row_ids[0])
+    assert [name for name, v in vars(log).items() if isinstance(v, dict)] == []
