@@ -25,21 +25,26 @@ MAX_TREES = 10_000
 DEFAULT_SUBSAMPLE = 256
 DEFAULT_LOF_K = 20
 # The most neighbor entries, rows times k, that lof accepts: it keeps one per
-# row and neighbor. Its tracemalloc peak is about 56 bytes an entry (2,000
-# rows of 8 columns at k = 1,999, 4,000 or 8,000 at k = 1,000), and at 117
-# bytes, the most measured, 32 million entries stay within 4 GB; the 8k bench
-# at k = 20 takes 160,000.
-MAX_LOF_ENTRIES = 32_000_000
+# row and neighbor. Its tracemalloc peak is about 25 bytes an entry at large k
+# (2,000 rows of 8 columns at k = 1,999, 1,000 rows at k = 999, ties, copies,
+# 64 columns), and 32.5 at k = 20 on 40,000 rows and 38.6 on 8,000, where the
+# rows' own arrays weigh more. At 44 bytes 90 million entries stay within
+# 4 GB; the 8k bench at k = 20 takes 160,000.
+MAX_LOF_ENTRIES = 90_000_000
 
 # Floor for mean reachability so coincident clusters (zero reach) get a huge
 # finite density instead of an infinite one; their density ratios are then
 # exactly 1, and scores stay finite everywhere.
 _REACH_FLOOR = 1e-300
 
-# LOF computes its Gram products this many entries at a time, in blocks of
-# whole rows: 1 << 20 float64 values are 8 MB per temporary, of which only a
-# few entries per row get a distance.
-_BLOCK_ELEMENTS = 1 << 20
+# LOF picks its candidate neighbors from products of this many entries, in
+# blocks of whole rows (of one row when a row is longer), 512 kB of float64,
+# and walks the candidates of consecutive blocks once they add up to an
+# eighth of it, at about 100 bytes each. Every block reads the whole of its
+# right-hand factor, so small blocks cost time at many rows: at 32,000 rows
+# lof took about 1.5 times as long as with 1 << 20 entries, and 1.25 times
+# with 1 << 17.
+_BLOCK_ELEMENTS = 1 << 16
 # Its k-distance bounds compare this many rows, sorted by axis 0, with the
 # sorted rows this many places on either side, or k places when k is larger.
 _BOUND_ROWS = 128
@@ -141,10 +146,11 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     get factor 1 via the reachability floor.
 
     Identical rows are collapsed into one row with a multiplicity, at
-    distance exactly 0 from each other, and the Gram products are computed
-    ``_BLOCK_ELEMENTS`` at a time, so memory is O(n*k) plus one block. More
-    than :data:`MAX_LOF_ENTRIES` rows times k raise :class:`InvalidConfig`
-    before anything is allocated.
+    distance exactly 0 from each other. Every distance takes one direct form,
+    so the scores do not depend on the block size or the BLAS thread count,
+    and memory is O(n*k) plus one block of ``_BLOCK_ELEMENTS``. More than
+    :data:`MAX_LOF_ENTRIES` rows times k raise :class:`InvalidConfig` before
+    anything is allocated.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -163,103 +169,132 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
 
     sq = (X * X).sum(axis=1)
     U = X if len(first) == n else X[first]
-    rows, cols, dists, weights, kdist = _neighborhoods(U, sq[first], counts, k)
-    lengths, totals = np.bincount(rows), np.bincount(rows, weights)  # integer weights: exact totals
+    lengths, cols, dists, weights, kdist = _neighborhoods(U, sq[first], counts, k)
+    totals = np.add.reduceat(weights, np.cumsum(lengths) - lengths)  # integer weights: exact totals
     reach = np.maximum(kdist[cols], dists, out=dists)
-    lrd = 1.0 / np.maximum(_row_sums(reach * weights, lengths) / totals, _REACH_FLOOR)
-    factor = _row_sums(lrd[cols] / lrd[rows] * weights, lengths) / totals
+    lrd = 1.0 / np.maximum(_row_sums(np.multiply(reach, weights, out=reach), lengths) / totals, _REACH_FLOOR)
+    ratios = np.take(lrd, cols, out=reach, mode="clip")  # "raise" would buffer a copy
+    ratios /= np.repeat(lrd, lengths)
+    factor = _row_sums(np.multiply(ratios, weights, out=ratios), lengths) / totals
 
     return ScoreVector(object_ids=tuple(F.row_ids), scores=-factor[inverse], method="LOF")
 
 
 def _neighborhoods(U, sq, counts, k):
     """Tie-inclusive k-neighborhoods of the distinct rows ``U``, whose rows
-    occur ``counts`` times, as entries ``(rows, cols, dists, weights)`` in
-    row-major order, and the k-distance of every row. An entry's weight is
-    the number of copies it stands for.
+    occur ``counts`` times: each row's number of entries, the entries' int32
+    ``cols``, ``dists`` and int32 ``weights`` in row-major order, and the
+    k-distance of every row. An entry's weight is the number of copies it
+    stands for.
 
-    Distances take the Gram form ``sqrt(max((sq_i + sq_j) - 2 * (u_i . u_j),
-    0))``, with ``u_i . u_j`` from one product per block of rows,
-    ``U[s:e] @ U.T``. A row's diagonal is infinite, or 0 for a row with
-    copies: its other copies are neighbors at distance 0. Only the few
-    entries that pass one test on the raw product, ``g_ij >= a_j + c_i``,
-    get their distances, from the same ``g_ij`` bits; the test keeps every
-    entry within the bound of :func:`_squared_bounds`, which stand for at
-    least k copies a row. In the block that computed them, each row's
-    entries are walked by distance until their copies add up to k: that
-    distance is its k-distance, and the entries within it its neighborhood.
+    Only the candidates of :func:`_candidates` get a distance, in the direct
+    form of :func:`_distances`. A row's diagonal is a candidate, at distance
+    0, only for a row with copies: its other copies are neighbors at
+    distance 0. Each row's candidates are walked by distance until their
+    copies add up to k: that distance is its k-distance, and the candidates
+    within it its neighborhood.
     """
-    nu = len(U)
-    has_copies = counts > 1
-    # With u = 2^-53, a squared distance fl(fl(sq_i + sq_j) - 2g) of at most
-    # T_i needs g >= ((sq_i + sq_j)(1 - u) - T_i(1 + 2u)) / 2, and a_j + c_i
-    # rounds to no more than that: a_j lies 2u sq_j below sq_j / 2 and c_i
-    # 16u (sq_i + T_i) below (sq_i - T_i) / 2, more than the rounding of
-    # either and of their sum, and 2^-1000 covers the subnormal range. An
-    # infinite T_i keeps every entry. Fewer than k + 1 distinct rows occur
-    # only with copies; the bound is then a row's largest distance.
-    T = _squared_bounds(U, sq, has_copies, k, min(k, nu) - 1)
-    a = sq * (0.5 - 2.0**-52)
-    c = 0.5 * (sq - T) - 2.0**-49 * (sq + T) - 2.0**-1000
-    del T
-    # A block has two rows or more: numpy computes a one-row product with a
-    # matrix-vector kernel, whose sums may round differently.
-    starts = list(range(0, nu, max(2, _BLOCK_ELEMENTS // nu)))
-    if len(starts) > 1 and starts[-1] == nu - 1:
-        starts.pop()
-    blocks = list(zip(starts, starts[1:] + [nu]))
-    # One buffer each serves every block, so that no block faults in new
-    # pages; the thresholds are added a few rows at a time.
-    height = max(e - s for s, e in blocks)
-    step = max(1, _BLOCK_ELEMENTS // 16 // nu)
-    products, passed, thresholds = np.empty((height, nu)), np.empty((height, nu), bool), np.empty((step, nu))
-    kdist = np.empty(nu)
-    row_blocks, col_blocks, dist_blocks = [], [], []
-    for s, e in blocks:
-        G = np.matmul(U[s:e], U.T, out=products[:e - s])
-        keep = passed[:e - s]
-        for i in range(0, e - s, step):
-            j = min(i + step, e - s)
-            np.greater_equal(G[i:j], np.add(c[s + i:s + j, None], a, out=thresholds[:j - i]), out=keep[i:j])
-        keep[np.arange(e - s), np.arange(s, e)] = has_copies[s:e]
-        flat = np.flatnonzero(keep)  # far faster than a 2-d nonzero
-        r, col = np.divmod(flat, nu)
-        r += s
-        dist = np.sqrt(np.maximum((sq[r] + sq[col]) - 2.0 * G.ravel()[flat], 0.0))
-        dist[r == col] = 0.0
-        # Walk each row's entries by distance until their copies add up to k;
-        # the weights are integers, so their sums are exact.
-        lengths = np.bincount(r - s, minlength=e - s)
+    counts = counts.astype(np.int32)
+    kdist = np.empty(len(U))
+    parts = [], [], [], []
+    for s, e, r, col in _candidates(U, sq, counts > 1, k):
+        dist = _distances(U, r, col)
+        weight = np.where(r == col, counts[r] - 1, counts[col])
+        # the weights are integers, so their sums are exact
+        r -= s
+        lengths = np.bincount(r, minlength=e - s)
         start = np.cumsum(lengths) - lengths
         by_dist = np.lexsort((dist, r))
-        copies = np.where(r == col, counts[r] - 1, counts[col])[by_dist]
+        copies = weight[by_dist]
         total = np.cumsum(copies)
         within = total - np.repeat(total[start] - copies[start], lengths)
-        short = np.bincount(r - s, weights=within < k, minlength=e - s).astype(np.intp)
+        short = np.bincount(r, weights=within < k, minlength=e - s).astype(np.intp)
         kdist[s:e] = dist[by_dist[start + short]]
-        near = dist <= kdist[r]
-        row_blocks.append(r[near])
-        col_blocks.append(col[near])
-        dist_blocks.append(dist[near])
-    del products, thresholds, passed, G, keep, flat, r, col, dist, near
-    rows, cols, dists = map(np.concatenate, (row_blocks, col_blocks, dist_blocks))
-    del row_blocks, col_blocks, dist_blocks
-    return rows, cols, dists, np.where(cols == rows, counts[rows] - 1, counts[cols]), kdist
+        near = dist <= kdist[s:e][r]
+        for joined, x in zip(parts, (np.bincount(r[near], minlength=e - s), col[near], dist[near], weight[near])):
+            joined.append(x)
+    entries = []
+    for blocks in parts:  # each is freed before the next is joined
+        entries.append(np.concatenate(blocks))
+        blocks.clear()
+    return (*entries, kdist)
+
+
+def _candidates(U, sq, has_copies, k):
+    """Yield ``(s, e, rows, cols)``, the row-major int32 candidate entries of
+    the rows ``s:e``, for consecutive row ranges of about ``_BLOCK_ELEMENTS
+    // 8`` candidates or of one block. They include every entry whose direct
+    square is within the bound of :func:`_squared_bounds`, which stand for at
+    least k copies a row, and every entry of equal distance.
+
+    The rows are taken a block at a time, and a block's product ``[U[s:e],
+    1] @ [U, -a].T``, ``g_ij - a_j``, keeps the entries with ``g_ij - a_j >=
+    c_i``; the diagonal is kept only for a row with copies. The test holds
+    however the product rounds, and no bit of a distance comes from it.
+    """
+    nu, d = U.shape
+    # With u = 2^-53, a direct square S_ij whose root is at most sqrt(T_i)
+    # has S_ij <= T_i (1 + 5u), and an exact square D_ij within
+    # T_i (1 + (d + 8)u), so u_i . u_j >= (|u_i|^2 + |u_j|^2 - D_ij) / 2. A
+    # product of d + 1 terms lies within (d + 1)u of the sum of their
+    # magnitudes, and |u|^2 within du of sq, so g_ij - a_j is at least
+    # sq_j (1/2 - (d + 2)u) - a_j (1 + (d + 2)u) + (sq_i - T_i) / 2
+    # - (d + 2)u sq_i - (d/2 + 4)u T_i. a_j lies (2d + 4)u sq_j below
+    # sq_j / 2, so the terms in j are positive after its rounding, and c_i
+    # (d + 6)u (sq_i + T_i) below (sq_i - T_i) / 2, more than the rest and
+    # its own rounding; 2^-1000 covers the subnormal range. An infinite T_i
+    # keeps every entry. Fewer than k + 1 distinct rows occur only with
+    # copies; the bound is then a row's largest square.
+    T = _squared_bounds(U, sq, has_copies, k, min(k, nu) - 1)
+    c = 0.5 * (sq - T) - (d + 6) * 2.0**-53 * (sq + T) - 2.0**-1000
+    del T
+    left = np.hstack([U, np.ones((nu, 1))])
+    right = np.hstack([U, -(sq * (0.5 - (2 * d + 4) * 2.0**-53))[:, None]])
+    # One buffer each serves every block, so that no block faults in new pages.
+    height = max(1, _BLOCK_ELEMENTS // nu)
+    products, passed = np.empty((height, nu)), np.empty((height, nu), bool)
+    picked, held, first = [], 0, 0
+    for s in range(0, nu, height):
+        e = min(s + height, nu)
+        keep = np.greater_equal(np.matmul(left[s:e], right.T, out=products[:e - s]), c[s:e, None],
+                                out=passed[:e - s])
+        keep.reshape(-1)[s::nu + 1] = has_copies[s:e]  # the diagonal
+        picked.append(np.flatnonzero(keep) + s * nu)  # far faster than a 2-d nonzero
+        held += len(picked[-1])
+        if held >= _BLOCK_ELEMENTS // 8 or e == nu:
+            yield first, e, *(x.astype(np.int32) for x in np.divmod(np.concatenate(picked), nu))
+            picked, held, first = [], 0, e
+
+
+def _distances(U, rows, cols):
+    """The Euclidean distance between rows ``rows`` and ``cols`` of ``U`` in
+    the one direct form that lof and its oracles share: the square root of
+    the columns' squared differences, summed left to right."""
+    total = np.zeros(len(rows))
+    for x in U.T:
+        diff = x[rows]
+        diff -= x[cols]
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total)
 
 
 def _squared_bounds(U, sq, has_copies, k, kth):
-    """An upper bound on each row's ``kth``-smallest squared distance
-    ``max(fl(fl(sq_i + sq_j) - 2 g_ij), 0)`` as :func:`_neighborhoods`
-    computes it, diagonal included (0 for a row with copies, else infinite).
+    """An upper bound on each row's ``kth``-smallest squared distance in the
+    direct form of :func:`_distances`, diagonal included (0 for a row with
+    copies, else infinite).
 
     Rows sorted by axis 0 are compared ``_BOUND_ROWS`` at a time with the
     sorted rows within ``max(_BOUND_REACH, k)`` places, themselves included,
     which is at least ``kth + 1`` rows; the ``kth``-smallest there bounds the
-    row's. These products are shaped unlike the blocks' and may round
-    otherwise: with a d-term dot product within ``d * u * (sq_i + sq_j) / 2``
-    of exact, u = 2^-53, two such squares differ by less than
-    ``(2d + 4) * u * (sq_i + sq_j)``, so each bound is raised by twice that,
-    with the largest ``sq_j`` of the compared rows, and rounded up.
+    row's. They are compared in the Gram form ``max(fl(fl(sq_i + sq_j) -
+    2 g_ij), 0)``: with u = 2^-53, a d-term dot product within
+    ``d * u * (sq_i + sq_j) / 2`` of exact and each ``sq`` within ``d * u``
+    of its norm, that lies within ``(2d + 6) * u * (sq_i + sq_j)`` of the
+    exact square D, and the direct square within ``(d + 3) * u * D``, at most
+    ``(2d + 7) * u * (sq_i + sq_j)``. So each bound is raised by
+    ``(4d + 16) * u`` times ``sq_i`` plus the largest ``sq_j`` of the
+    compared rows, and rounded up.
     """
     nu, d = U.shape
     reach = max(_BOUND_REACH, k)
@@ -276,7 +311,7 @@ def _squared_bounds(U, sq, has_copies, k, kth):
         np.maximum(P, 0.0, out=P)
         P[np.arange(e - s), np.arange(s - lo, e - lo)] = diag[s:e]
         P.partition(kth, axis=1)
-        error = (4 * d + 8) * 2.0**-53 * (sqv[s:e] + sqv[lo:hi].max()) + 2.0**-1000
+        error = (4 * d + 16) * 2.0**-53 * (sqv[s:e] + sqv[lo:hi].max()) + 2.0**-1000
         bound[order[s:e]] = np.nextafter(P[:, kth] + error, np.inf)
     return bound
 

@@ -85,6 +85,9 @@ _MS_MIN, _MS_MAX = round(T_MIN * 1000), round(T_MAX * 1000)
 # features.MAX_COUNT_CELLS allows extraction; one event over 4,000 objects of the
 # type asked about reaches it.
 MAX_PARTNER_ENTRIES = 16_000_000
+# _segments_by_length yields this many entries at a time, so that a gather
+# over them stays small beside the entries (LOF keeps 16 bytes an entry).
+_SEGMENT_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -128,13 +131,16 @@ def _order(ids, keys) -> np.ndarray:
 
 
 def _segments_by_length(lengths: np.ndarray):
-    """For segments of ``lengths`` entries stored back to back, yield each
-    nonzero length's segments and their entry positions, one row per segment:
-    reduced along axis 1, each row gives the floats of a call on it alone."""
+    """For segments of ``lengths`` entries stored back to back, yield
+    segments of one nonzero length and their entry positions, one row per
+    segment, about ``_SEGMENT_ENTRIES`` entries at a time: reduced along axis
+    1, each row gives the floats of a call on it alone."""
     start = np.cumsum(lengths) - lengths
     for m in np.unique(lengths[lengths > 0]).tolist():
         sel = np.flatnonzero(lengths == m)
-        yield sel, start[sel, None] + np.arange(m)
+        step = max(1, _SEGMENT_ENTRIES // m)
+        for part in (sel[i:i + step] for i in range(0, len(sel), step)):
+            yield part, start[part, None] + np.arange(m)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

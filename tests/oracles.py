@@ -196,14 +196,24 @@ def brute_lof(X, k):
     return out
 
 
+def direct_distances(A, B):
+    """Every Euclidean distance between a row of ``A`` and a row of ``B`` in
+    the direct form that ``detect.lof`` computes: the square root of the
+    columns' squared differences, summed left to right."""
+    D = np.zeros((len(A), len(B)))
+    for a, b in zip(A.T, B.T):
+        diff = a[:, None] - b
+        D += diff * diff
+    return np.sqrt(D)
+
+
 def dense_lof(X, k):
-    """LOF on the whole n x n Gram-form distance matrix with per-row loops,
+    """LOF on the whole n x n direct-form distance matrix with per-row loops,
     emitted negated: the arithmetic ``detect.lof`` keeps for rows without
     copies, in the same order."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    sq = (X * X).sum(axis=1)
-    D = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0))
+    D = np.vstack([direct_distances(X[s:s + 500], X) for s in range(0, n, 500)])
     np.fill_diagonal(D, np.inf)
     kdist = np.partition(D, k - 1, axis=1)[:, k - 1]
     nbrs = [np.flatnonzero(D[i] <= kdist[i]) for i in range(n)]
@@ -211,22 +221,19 @@ def dense_lof(X, k):
     return -np.array([(lrd[nbrs[i]] / lrd[i]).mean() for i in range(n)])
 
 
-def whole_row_neighborhoods(U, sq, counts, k, block_elements):
+def whole_row_neighborhoods(U, sq, counts, k):
     """The tie-inclusive k-neighborhoods that ``detect._neighborhoods``
-    returns, from every distance of a block's rows: the same Gram products,
-    blocks of ``block_elements`` entries in whole rows, then each row's k-th
-    smallest distance by a partition of the whole row and its entries by a
-    comparison with every distance."""
+    returns, from every direct-form distance of a row (``sq`` is unused):
+    each row's k-th smallest distance by a partition of the whole row, and
+    its entries by a comparison with every distance."""
     nu = len(U)
     kth = min(k, nu) - 1
     has_copies = counts > 1
-    starts = list(range(0, nu, max(2, block_elements // nu)))
-    if len(starts) > 1 and starts[-1] == nu - 1:
-        starts.pop()
     row_blocks, col_blocks, dist_blocks = [], [], []
-    for s, e in zip(starts, starts[1:] + [nu]):
+    for s in range(0, nu, 500):
+        e = min(s + 500, nu)
         diag = (np.arange(e - s), np.arange(s, e))
-        D = np.sqrt(np.maximum(np.add(sq[s:e, None], sq) - 2.0 * np.matmul(U[s:e], U.T), 0.0))
+        D = direct_distances(U[s:e], U)
         D[diag] = np.where(has_copies[s:e], 0.0, np.inf)
         bound = np.partition(D, kth, axis=1)[:, kth]
         near = D <= bound[:, None]
@@ -244,7 +251,7 @@ def whole_row_neighborhoods(U, sq, counts, k, block_elements):
         within = np.cumsum(weights[lo:hi][by_dist])
         kdist[i] = dists[lo:hi][by_dist][np.searchsorted(within, k)]
     keep = dists <= kdist[rows]
-    return rows[keep], cols[keep], dists[keep], weights[keep], kdist
+    return np.bincount(rows[keep], minlength=nu), cols[keep], dists[keep], weights[keep], kdist
 
 
 def brute_fea_scores(norm_values, scores):

@@ -377,16 +377,17 @@ def test_lof_over_the_entry_bound_is_rejected_before_writing(generated, tmp_path
 
 
 def test_lof_peak_per_entry_keeps_the_entry_bound_within_4_gb():
-    # every row's neighbors at k = n - 1: 999,000 entries
-    F = make_matrix(np.random.default_rng(0).normal(size=(1000, 8)))
+    # k = 20, where the rows' own arrays add most to an entry: 38.6 bytes
+    # (at k = n - 1 about 25)
+    F = make_matrix(np.random.default_rng(0).normal(size=(8000, 8)))
     tracemalloc.start()
     try:
-        ocad.detect.lof(F, k=999)
+        ocad.detect.lof(F, k=20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 117 * 1000 * 999
-    assert 8000 * 20 <= ocad.detect.MAX_LOF_ENTRIES and ocad.detect.MAX_LOF_ENTRIES * 117 <= 4_000_000_000
+    assert peak <= 44 * 8000 * 20
+    assert 8000 * 20 <= ocad.detect.MAX_LOF_ENTRIES and ocad.detect.MAX_LOF_ENTRIES * 44 <= 4_000_000_000
 
 
 def test_log_over_the_input_bound_is_rejected_before_the_read(generated, tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocad import detect
+from ocad import detect, ocel
 from ocad.detect import (
     RankVector,
     ScoreVector,
@@ -163,29 +163,23 @@ def test_lof_rejects_k_below_one(k):
         lof(make_matrix(np.arange(10.0).reshape(5, 2)), k=k)
 
 
-@pytest.mark.parametrize("n, d, k, decimals", [(300, 3, 20, None), (600, 4, 5, 1), (1000, 8, 20, 1)])
-def test_lof_in_one_block_equals_dense_reference_bit_for_bit(n, d, k, decimals):
-    # up to 1,024 distinct rows lof runs as one block, and without copies it
-    # keeps the whole-matrix arithmetic; rows rounded to 0.1 tie often
+@pytest.mark.parametrize("n, d, k, decimals", [(300, 3, 20, None), (600, 4, 5, 1), (1000, 8, 20, 1),
+                                                (2500, 8, 20, None)])
+def test_lof_equals_dense_reference_bit_for_bit(n, d, k, decimals):
+    # without copies lof keeps the whole-matrix arithmetic in any number of
+    # blocks, since every distance takes the one direct form; rows rounded to
+    # 0.1 tie often
     X = np.random.default_rng(n + d).normal(size=(n, d))
     if decimals is not None:
         X = np.round(X, decimals)
     assert len(np.unique(X, axis=0)) == n
-    assert np.array_equal(lof(make_matrix(X), k=k).scores, dense_lof(X, k))
-
-
-def test_lof_in_blocks_is_close_to_dense_reference():
-    # several blocks: BLAS may round a block's Gram product in the last bit
-    # unlike the whole product, so only closeness is promised
-    X = np.random.default_rng(2508).normal(size=(2500, 8))
-    np.testing.assert_allclose(lof(make_matrix(X), k=20).scores, dense_lof(X, 20), rtol=1e-12, atol=0)
+    assert lof(make_matrix(X), k=k).scores.tobytes() == dense_lof(X, k).tobytes()
 
 
 def _whole_row_lof(F, k):
     """lof's scores with its neighborhoods from the whole-row selection."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(detect, "_neighborhoods",
-                   lambda U, sq, counts, k: whole_row_neighborhoods(U, sq, counts, k, detect._BLOCK_ELEMENTS))
+        mp.setattr(detect, "_neighborhoods", whole_row_neighborhoods)
         return lof(F, k=k).scores
 
 
@@ -200,8 +194,8 @@ def _hard_rows(case):
         X = np.zeros((2000, 8))
         X[:, 0] = np.arange(2000) / 2
         return X, 7
-    elif case == "near-1e150":  # the Gram form cancels: its rounding is as large as the
-        # distances, and a fifth of the neighbors lie at distance 0
+    elif case == "near-1e150":  # the filter's Gram form cancels: its rounding is as
+        # large as the distances, so most entries are candidates
         return 1e150 * rng.choice([-1.0, 1.0], size=8) * (1 + 3e-8 * X), 20
     elif case == "clusters-and-copies":  # two clusters of more than k rows
         X[:100], X[100:130] = X[0], X[1]
@@ -221,84 +215,86 @@ def _hard_rows(case):
 @pytest.mark.parametrize("case", ["normal", "equal-axis-0", "line-along-axis-0", "near-1e150", "clusters-and-copies",
                                   "far-outliers", "k-is-n-minus-1", "copies-straddle-k", "k-plus-one-copies"])
 def test_lof_matches_the_whole_row_selection_bit_for_bit(case):
-    # several blocks of the same Gram products; only the selection differs
+    # many blocks of the same distances; only the selection differs
     X, k = _hard_rows(case)
     assert len(np.unique(X, axis=0)) > 1024
     F = make_matrix(X)
     assert lof(F, k=k).scores.tobytes() == _whole_row_lof(F, k).tobytes()
 
 
-def test_lof_peak_at_8000_rows_stays_within_the_whole_row_selection():
-    # 20.6 MiB is the tracemalloc peak of the whole-row selection, which held
-    # two block temporaries of 8 MB each
-    F = make_matrix(np.random.default_rng(0).normal(size=(8000, 8)))
+def _lof_peak(X, k):
+    F = make_matrix(X)
     tracemalloc.start()
     try:
-        lof(F, k=20)
-        peak = tracemalloc.get_traced_memory()[1]
+        lof(F, k=k)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20.6 * 2**20
 
 
-def test_lof_tail_keeps_the_peak_within_60_bytes_an_entry():
-    # every row's neighbors at k = n - 1 over four blocks, where the tail sets
-    # the peak: 56.4 bytes an entry; 64.4 with reach in a buffer of its own,
-    # and 72.4 when each mean gathered the weights as well as the values
-    F = make_matrix(np.random.default_rng(0).normal(size=(2000, 8)))
-    tracemalloc.start()
-    try:
-        lof(F, k=1999)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 60 * 2000 * 1999
+def test_lof_peak_at_8000_rows_stays_within_7_mib():
+    # 5.9 MiB; the Gram-form blocks of 8 MB each took it to 14.5 MiB, and the
+    # whole-row selection to 20.6 MiB
+    assert _lof_peak(np.random.default_rng(0).normal(size=(8000, 8)), 20) <= 7 * 2**20
+
+
+@pytest.mark.parametrize("n", [2000, 1000])
+def test_lof_peak_stays_within_28_bytes_an_entry(n):
+    # every row's neighbors at k = n - 1, where the tail sets the peak: 24.5
+    # bytes an entry at 2,000 rows (63 blocks) and 25.4 at 1,000 (16 blocks);
+    # with the Gram-form blocks 56.3, and 98.7 at 1,000 rows, where one
+    # block's walk held every entry at once
+    assert _lof_peak(np.random.default_rng(0).normal(size=(n, 8)), n - 1) <= 28 * n * (n - 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 300), st.integers(1, 3)), min_size=1, max_size=6), st.integers(0, 300),
-       st.integers(0, 2**32 - 1))
-def test_row_sums_equal_each_rows_own_sum_bit_for_bit(runs, spread, seed):
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 200, 1 << 16]))
+def test_row_sums_equal_each_rows_own_sum_bit_for_bit(runs, spread, seed, entries):
     # numpy sums a row of more than 8 entries in 8 partial sums, and one of
-    # more than 128 pairwise; values span up to 10^-spread..10^spread
+    # more than 128 pairwise; values span up to 10^-spread..10^spread, and the
+    # rows are gathered ``entries`` at a time
     rng = np.random.default_rng(seed)
     lengths = rng.permutation(np.repeat(*np.array(runs).T))
     values = rng.normal(size=lengths.sum()) * 10.0 ** rng.integers(-spread, spread + 1, lengths.sum())
     ends = np.cumsum(lengths)
     own = np.array([values[e - m:e].sum() for m, e in zip(lengths.tolist(), ends.tolist())])
-    assert detect._row_sums(values, lengths).tobytes() == own.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ocel, "_SEGMENT_ENTRIES", entries)
+        assert detect._row_sums(values, lengths).tobytes() == own.tobytes()
 
 
 @st.composite
 def _tied_matrices(draw):
-    """Small matrices of halves with copied rows: many ties and coincident
-    points. Halves keep every Gram product exact, so no BLAS kernel can round
-    a block's product differently from the whole product; a difference
-    between block sizes is then one of the blocking itself."""
+    """Small matrices with copied rows: many ties and coincident points. The
+    cells are halves, whose distances are exact, or any floats within 1e6,
+    subnormals included; the flag tells which."""
     n = draw(st.integers(3, 40))
     d = draw(st.integers(1, 3))
-    cells = draw(st.lists(st.integers(-4, 4), min_size=n * d, max_size=n * d))
-    X = np.array(cells, dtype=np.float64).reshape(n, d) / 2
+    halves = draw(st.booleans())
+    cell = st.integers(-4, 4).map(lambda v: v / 2) if halves else st.floats(-1e6, 1e6)
+    X = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d)), dtype=np.float64).reshape(n, d)
     for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
         X[dst] = X[src]
-    return X, draw(st.integers(1, n - 1))
+    return X, draw(st.integers(1, n - 1)), halves
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(_tied_matrices())
 def test_lof_in_blocks_matches_brute_force_and_one_block(case):
-    X, k = case
+    X, k, halves = case
     F = make_matrix(X)
     whole = lof(F, k=k).scores
-    # relative as well as absolute: a point beside a coincident cluster of
-    # more than k points scores about -1e300 through the reachability floor
-    np.testing.assert_allclose(whole, brute_lof(X, k), rtol=1e-9, atol=1e-9)
+    if halves:  # exact distances: no near-tie can fall otherwise in brute_lof's arithmetic
+        # relative as well as absolute: a point beside a coincident cluster of
+        # more than k points scores about -1e300 through the reachability floor
+        np.testing.assert_allclose(whole, brute_lof(X, k), rtol=1e-9, atol=1e-9)
+    assert whole.tobytes() == _whole_row_lof(F, k).tobytes()
     distinct = len(np.unique(X, axis=0))
-    for rows in (2, 3, 5):
+    for rows in (1, 2, 3, 5):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detect, "_BLOCK_ELEMENTS", rows * distinct)
-            assert np.array_equal(lof(F, k=k).scores, whole)
-            assert lof(F, k=k).scores.tobytes() == _whole_row_lof(F, k).tobytes()
+            assert lof(F, k=k).scores.tobytes() == whole.tobytes()
 
 
 def test_lof_memory_stays_bounded_on_a_coincident_cluster():

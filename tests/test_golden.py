@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,18 +70,19 @@ def tree_digests(root: Path) -> dict[str, str]:
     return out
 
 
-def run_all(work: Path) -> dict[str, dict[str, str]]:
-    """Digests of every (log, command) output tree, keyed ``log/command``."""
+def run_all(work: Path, keys=None) -> dict[str, dict[str, str]]:
+    """Digests of the output trees of ``keys`` (``log/command``; every run by
+    default), each log generated once under ``work``."""
     digests = {}
-    for log_name, gen_argv in LOGS.items():
+    for key in keys or [f"{log}/{cmd}" for log in LOGS for cmd in ("generate", *RUNS[log])]:
+        log_name, cmd_name = key.split("/")
         gen_out = work / log_name / "generate"
-        assert main([*gen_argv, "--out", str(gen_out)]) == 0
-        digests[f"{log_name}/generate"] = tree_digests(gen_out)
-        for cmd_name in RUNS[log_name]:
-            out = work / log_name / cmd_name
-            code = main([*COMMANDS[cmd_name], "--log", str(gen_out / "log.json"), "--seed", SEED, "--out", str(out)])
-            assert code == 0, (log_name, cmd_name)
-            digests[f"{log_name}/{cmd_name}"] = tree_digests(out)
+        if not gen_out.exists():
+            assert main([*LOGS[log_name], "--out", str(gen_out)]) == 0
+        if cmd_name != "generate":
+            code = main([*COMMANDS[cmd_name], "--log", str(gen_out / "log.json"), "--seed", SEED, "--out", str(work / key)])
+            assert code == 0, key
+        digests[key] = tree_digests(work / key)
     return digests
 
 
@@ -90,6 +94,30 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("key", [f"{log}/{cmd}" for log in LOGS for cmd in ("generate", *RUNS[log])])
 def test_golden_digests(digests, key):
     assert digests[key] == GOLDEN[key]
+
+
+# Writes the digests of argv[2:] under argv[1] to argv[1]/digests.json; the
+# commands print their summaries to stdout.
+_CHILD = """
+import json, sys
+from pathlib import Path
+from test_golden import run_all
+work = Path(sys.argv[1])
+(work / "digests.json").write_text(json.dumps(run_all(work, sys.argv[2:])))
+"""
+
+
+def test_detect_trees_do_not_depend_on_the_blas_thread_count(digests, tmp_path):
+    # OpenBLAS fixes its thread count when it loads, so one thread needs a
+    # process of its own; p2p-1500 runs LOF over many blocks
+    keys = ["p2p-1500/detect-fastmap", "p2p/detect-lof-raw"]
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path), *keys], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "digests.json").read_text()) == {key: digests[key] for key in keys}
 
 
 GOLDEN = {
