@@ -158,7 +158,7 @@ GOLDEN = {
         "lifecycles/rank009_po-00011.txt": "6b2bdfe27d6f4440dee372f3885edfb3c0e540c8e6e67f2f1b269765edd9ba2b",
         "ranks.csv": "407f710e1b9f22b7080d4da292da8e9c1f2af2cefe7f36bb9bd5bbcd670fc0c5",
         "run.json": "71a3297565e7ed059517c7ccf06e02376ee8fabcb0ced2bccbf36adab62dabd3",
-        "scores.csv": "2e8863d81af02c7b2b14a930b7e5298bd0183e0874804ea11e3ea853a5405ec5"
+        "scores.csv": "de46b9287a1d29296ef6e48d95e7abca2f7cadc2664df8128c44228a8763736b"
     },
     "p2p/detect-pca": {
         "lifecycles/rank000_po-00030.txt": "5ecbd6ce1820035769928df12ba0275fad55c7fc27ba9439e52b2eb64ec5801a",
@@ -188,7 +188,7 @@ GOLDEN = {
         "lifecycles/rank009_po-00033.txt": "21e11b107e177300481a05419ebd023fbc2f7997a9c9519499de617b33478d0e",
         "ranks.csv": "706061e2e879e3d8b37d1a75e90069841ea3c239256d84194ee4a488b8ee5800",
         "run.json": "6b767f700c3b750e20897119e9a117030d2bc7e9fe527838e2525c470e86438c",
-        "scores.csv": "566612b9769709b87ec6f5f06286fc46add17fb2226d1ae03514619ef55cbb1a"
+        "scores.csv": "bc337d6501613a75032ab863e4a7923a430e763a269b1846835061ece66e061d"
     },
     "p2p/aggregate-invoice": {
         "feature_scores.csv": "113b7a865c85c1027218bcaa7993ef22e573cced48dcd949a0b7982d207cb143",
@@ -247,7 +247,7 @@ GOLDEN = {
         "lifecycles/rank009_po-00035.txt": "c4e434ef1bfaf34f6c7566b72afbaf66decf14d0e05e1e6d0481f6a30ea382a3",
         "ranks.csv": "c8c50e308d0f8a8cab4d419ae257b9f6807180efd8237957f24b784118f5ee8b",
         "run.json": "a17682865bbd78823045bcf4e104e9f26b8486bcd46a240ebb572e58754234bb",
-        "scores.csv": "5d27151340883ae4c5cdc380cdd4e736ed0251f0993e2a7f0433ab9cb5b8b414"
+        "scores.csv": "9db31529f1c1b8f4fb0c01728a53b15321982861be0ccb1ce123315d1eb0319d"
     },
     "blocked/detect-pca": {
         "lifecycles/rank000_po-00016.txt": "35ae79e5fdf18f24ddd1e784b50cec6f6a1489a6ac92eab8e64dbd58358e03f6",
@@ -277,7 +277,7 @@ GOLDEN = {
         "lifecycles/rank009_po-00035.txt": "c4e434ef1bfaf34f6c7566b72afbaf66decf14d0e05e1e6d0481f6a30ea382a3",
         "ranks.csv": "c8c50e308d0f8a8cab4d419ae257b9f6807180efd8237957f24b784118f5ee8b",
         "run.json": "3a1ea35fa246c16c1a46f80df981a49a8515a61d00762d7f05646c0500037c0e",
-        "scores.csv": "cc67f138aedad8e60523b1e4df86393b25889c1b60c1876636fe54fcf42d37a1"
+        "scores.csv": "81f737e1d77731afc7854a94d9f95487cd24559947678f1ddebcd5431c3f52d5"
     },
     "blocked/aggregate-invoice": {
         "feature_scores.csv": "84ae1d5f550fa1c9a5640afd96f340410c0e21776f3d8321d33167d761893785",
@@ -336,7 +336,7 @@ GOLDEN = {
         "lifecycles/rank009_po-00004.txt": "9982334a8133727e9fc94e7d9127bebd5309d97252b68882feeacd8b6a3567ae",
         "ranks.csv": "ee6f3276c16e2eeb841af0c5e6dd615040a2d2cb9bfba61d0a5b4e77b61a8edf",
         "run.json": "05f4ea6bac47a09b8b68d77da03401dc8b147d73fba4c532d969ad9fa02712f2",
-        "scores.csv": "a886bc37468e9d720e9fd6c49bca4ef9798ebe2107e7323830feeb7b67f6f5ad"
+        "scores.csv": "1e62c2b9f8af5dc09f831685a5e3927947304716cb8a971ae6b8556123ce9fac"
     },
     "blocked-mixed/detect-pca": {
         "lifecycles/rank000_po-00032.txt": "ca00610969028d0fedc508b6a92b079c24319b1b81e82f445c94958d1c3f6050",
@@ -366,7 +366,7 @@ GOLDEN = {
         "lifecycles/rank009_po-00004.txt": "9982334a8133727e9fc94e7d9127bebd5309d97252b68882feeacd8b6a3567ae",
         "ranks.csv": "ee6f3276c16e2eeb841af0c5e6dd615040a2d2cb9bfba61d0a5b4e77b61a8edf",
         "run.json": "9c5fe5b3841234c90f5c4350c2fc0efdef882ef3c99d35ec9bef39871c5fe458",
-        "scores.csv": "0f4c9a53044a998d36ac35293653aa67c7ab49014c576d3b3be5a9c053634b0c"
+        "scores.csv": "8f94d899b29e9d5ec1a2df0494288c20761f8aa504ec1db76acbecba744616e9"
     },
     "blocked-mixed/aggregate-invoice": {
         "feature_scores.csv": "2899b3a09473b7322ae5581decf79b54ed3fb5c752b5bb679672f5670337eefd",
@@ -406,7 +406,7 @@ GOLDEN = {
         "lifecycles/rank009_po-00993.txt": "23971e8cf91981bb78ffa91293f1e9dc11e19e1d04996b1de8850d8bc1940c62",
         "ranks.csv": "995b6fd5c3db3898f85ded07ec131e65d51f473d5825dec291d985431b61b499",
         "run.json": "57d8b79f247aedc99e2ad2b51065104ccdb07474737bd63df8cdbe09573adca3",
-        "scores.csv": "83d73a6c765156c1ba114efecd4001f9a09f9511fde1e527594e1c65b61b5462"
+        "scores.csv": "79433072d8307d07b0d9d17093d7a54af37e616ee8596207e39811e8eca150f5"
     }
 }
 
