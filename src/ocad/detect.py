@@ -200,8 +200,9 @@ def _neighborhoods(U, sq, counts, k):
     for s, e, r, col in _candidates(U, sq, counts > 1, k):
         dist = _distances(U, r, col)
         weight = np.where(r == col, counts[r] - 1, counts[col])
-        # the weights are integers, so their sums are exact
         r -= s
+        # Walk each row's candidates by distance until their copies add up to
+        # k; the weights are integers, so their sums are exact.
         lengths = np.bincount(r, minlength=e - s)
         start = np.cumsum(lengths) - lengths
         by_dist = np.lexsort((dist, r))

@@ -233,17 +233,15 @@ def _lof_peak(X, k):
 
 
 def test_lof_peak_at_8000_rows_stays_within_7_mib():
-    # 5.9 MiB; the Gram-form blocks of 8 MB each took it to 14.5 MiB, and the
-    # whole-row selection to 20.6 MiB
+    # 5.9 MiB, of which the buffers of one block take 0.6 MiB
     assert _lof_peak(np.random.default_rng(0).normal(size=(8000, 8)), 20) <= 7 * 2**20
 
 
 @pytest.mark.parametrize("n", [2000, 1000])
 def test_lof_peak_stays_within_28_bytes_an_entry(n):
     # every row's neighbors at k = n - 1, where the tail sets the peak: 24.5
-    # bytes an entry at 2,000 rows (63 blocks) and 25.4 at 1,000 (16 blocks);
-    # with the Gram-form blocks 56.3, and 98.7 at 1,000 rows, where one
-    # block's walk held every entry at once
+    # bytes an entry at 2,000 rows (63 blocks) and 25.4 at 1,000 (16 blocks),
+    # where a walk over one block's entries at once would take 99
     assert _lof_peak(np.random.default_rng(0).normal(size=(n, 8)), n - 1) <= 28 * n * (n - 1)
 
 

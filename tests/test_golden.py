@@ -33,8 +33,8 @@ LOGS = {
     # Other rates present: the blocked set must not depend on them.
     "blocked-mixed": ("generate", "--variant", "blocked-invoices", "--n-orders", "40", "--blocked-rate", "0.1",
                       "--maverick-rate", "0.1", "--reopen-rate", "0.1", "--seed", "3"),
-    # The bench's P2P rates: the FastMap embedding of its orders has more than
-    # 1,024 distinct rows, so LOF computes its distances in several blocks.
+    # The bench's P2P rates: LOF takes the FastMap embedding of its 1,500
+    # orders through many blocks.
     "p2p-1500": ("generate", "--n-orders", "1500", "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
                  "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1"),
 }
