@@ -32,23 +32,19 @@ the sorted tuple that holds it (:func:`_position`). :func:`_assemble` lays the
 columns out, for :meth:`OcelLog.build` and the parse alike: it sorts the codes,
 orders the events, builds the CSR and sorts each entry's attribute slots.
 
-Building a log, by :func:`parse_ocel_json` or the synthetic generators,
-pauses the cyclic garbage collector: the records are about a million
-containers at 8k orders that all stay alive and form no reference cycles, so
-each automatic pass would rescan them and free nothing.
+Building a log pauses the cyclic garbage collector. The synthetic
+generators' records stay alive and form no cycles: without the pause, 8k
+orders run about 500 collections. The parse keeps no container per entry and
+runs none, but without the pause spawned ``ocad detect`` peaked 1 MB higher.
 
-:func:`parse_ocel_json` reads the ``objects`` and then the ``events`` list
-from the text one entry at a time, with ``json``'s C scanner, and reads each
-entry straight into the columns, with inline checks such as ``type(v) is str
-and v.isascii()``, codes assigned as it reads and event stamps checked in
-bulk. A value that fails an inline check goes to the checker that names its
-fault. The bytes may come in chunks, which the stream decodes as UTF-8 and
-reads through a window of a chunk or two (:class:`_Window`), and an entry is
-freed once it has been read, so a document with ``objects`` before
-``events`` is never whole, as bytes, as text or as a JSON tree, and a fault
-of the log stands once the rest of the text has been read. A document of
-another shape, or one with a JSON or UTF-8 fault, is decoded again whole
-and read from the tree of ``json.loads``, whose log or error stands.
+:func:`parse_ocel_json` decodes the UTF-8 bytes as they come and reads the
+text through a window of a chunk or two (:class:`_Window`): each ``objects``
+and then ``events`` entry with ``json``'s C scanner, straight into the
+columns, with inline checks such as ``type(v) is str and v.isascii()`` and
+event stamps checked in bulk; a value that fails one goes to the checker that
+names its fault. Neither the bytes, nor the text, nor a JSON tree beyond one
+entry is ever whole. Another shape, or a fault of the log, reads the last
+lists again, and one more read names a JSON fault's line.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ import codecs
 import gc
 import json
 import json.encoder
-import json.scanner
 import math
 import re
 import traceback
@@ -513,8 +508,7 @@ def _coerce_value(v: object, kind: str, ident: str) -> AttributeValue:
     if isinstance(v, bool):
         raise MalformedDocument(f"boolean attribute value in {where}")
     if isinstance(v, (int, float)):
-        # json.loads reads NaN, Infinity and out-of-range literals such as
-        # 1e999; none of them gives a meaningful feature.
+        # JSON's scanner reads NaN, Infinity and literals such as 1e999: none is a feature.
         try:
             x = float(v)
         except OverflowError:
@@ -551,112 +545,104 @@ def parse_ocel_json(data: bytes | Iterable[bytes]) -> OcelLog:
     latest value per attribute name is kept. Event relationship qualifiers
     are parsed and ignored.
 
-    ``data`` is the document's UTF-8 bytes, or its bytes in chunks: an
-    iterable that gives the same chunks each time it is iterated, which the
-    stream decodes as it reads them through a window (:class:`_Window`) and
-    the tree joins and decodes again whole. An iterator, such as a generator
-    or an open file, cannot be read again and raises ``TypeError``. One pass
-    (:func:`_parse`) reads the entries that :func:`_entries` reads from the
-    text, straight into the log's columns. ``json.loads`` reports a JSON
-    fault before any fault of the log, so a fault of the log stands once the
-    stream has read the rest of the text cleanly; a JSON fault, a fault of
-    the UTF-8, or a document that the stream does not read, is read again by
-    :func:`_document`, and that pass's log or error stands: a fault of the
-    UTF-8 is named at its offset in the whole document.
+    ``data`` is the document's UTF-8 bytes, or an iterable that gives the
+    same chunks of them each time; an iterator cannot be read again and
+    raises ``TypeError``. The log or error is that of ``json.loads`` of the
+    whole text (:func:`_read`): a JSON fault is named by its line, column and
+    offset, counted on one more read, and a UTF-8 fault by its byte offset.
     """
     with _collector_paused():
         chunks = [data] if isinstance(data, bytes) else data
         if iter(chunks) is chunks:
             raise TypeError("parse_ocel_json reads the chunks of a document twice; an iterator can be read once")
         try:
-            return _streamed(_entries(codecs.iterdecode(chunks, "utf-8")))
-        except (_Unstreamable, UnicodeDecodeError) as exc:
-            # The exception and the frames of the failed pass refer to each
-            # other, so the paused collector would keep that pass's columns,
-            # and the stream's window, alive through the second pass.
-            traceback.clear_frames(exc.__traceback__)
-        try:  # the joined bytes are freed once decoded, before json.loads
-            return _parse(*_document(b"".join(chunks).decode("utf-8")))
-        except UnicodeDecodeError as exc:  # raised by the decode alone
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
+            return _read(chunks)
+        except _TextFault as fault:
+            traceback.clear_frames(fault.__traceback__)  # frees the failed pass's columns and window
+            message, at = fault.args
+            raise MalformedDocument(message if at is None else _named(chunks, message, at)) from None
 
 
-def _streamed(entries: Iterator) -> OcelLog:
-    """The log of the entries of :func:`_entries`, or the first fault of the
-    log once the rest of the text has been read, each entry dropped as it is
-    read; a later JSON fault or an unstreamable shape raises
-    :class:`_Unstreamable` instead."""
+def _read(chunks: Iterable[bytes]) -> OcelLog:
+    """The log of the document in ``chunks``: :func:`_parse` of what
+    :func:`_walk` streams, which reads the text to its end. Unless the text
+    has one ``objects`` and then one ``events`` member and the log holds no
+    fault, the entries of each key's last list are read again."""
+    members: list[tuple[str, int]] = []
+    entries = _walk(_Window(_decoded(chunks)), members)
     try:
-        return _parse(iter(entries.__next__, _END), entries)
+        log = _parse(iter(entries.__next__, _END), entries)
     except MalformedDocument as exc:
         traceback.clear_frames(exc.__traceback__)  # frees the columns before the rest is read
-        for _ in entries:
-            pass
-        raise
+        log = None
+    for _ in entries:  # the rest of the text, after a fault of the log
+        pass
+    if log is not None and [key for key, _ in members] == ["objects", "events"]:
+        return log
+    log, last = None, dict(members)
+    return _parse(*(_walk(_Window(_decoded(chunks)), [], last[key]) for key in ("objects", "events")))
 
 
-def _document(text: str) -> tuple[Iterator, Iterator]:
-    """The entries of the ``objects`` and ``events`` lists of the JSON
-    document ``text``, each list's slot cleared as its entry is handed out;
-    the rest of the document is dropped."""
+def _decoded(chunks: Iterable[bytes]) -> Iterator[str]:
+    """The text of the UTF-8 ``chunks``, a chunk at a time; a fault raises
+    :class:`_TextFault` with the message of a decode of the whole bytes."""
+    decoder, read = codecs.getincrementaldecoder("utf-8")(), 0
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("top level must be a JSON object")
-    for key in ("objects", "events"):
-        if key not in doc or not isinstance(doc[key], list):
-            raise MalformedDocument(f"missing required top-level list {key!r}")
-    return _emptied(doc["objects"]), _emptied(doc["events"])
+        for chunk in chunks:
+            yield decoder.decode(chunk)
+            read += len(chunk)
+        yield decoder.decode(b"", True)
+    except UnicodeDecodeError as exc:  # its offsets count from the undecoded bytes the decoder kept
+        at = read - len(decoder.buffer) + exc.start
+        where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if exc.end - exc.start == 1
+                 else f"bytes in position {at}-{at + exc.end - exc.start - 1}")
+        raise _TextFault(f"invalid JSON: 'utf-8' codec can't decode {where}: {exc.reason}", None) from None
 
 
-def _emptied(items: list) -> Iterator:
-    """The entries of ``items``, each slot cleared as its entry is handed out."""
-    for i, item in enumerate(items):
-        items[i] = None
-        yield item
+def _named(chunks: Iterable[bytes], message: str, at: int) -> str:
+    """``message``, of a JSON fault at character ``at``, with its line and
+    column, counted on a read of the whole text; or a UTF-8 fault's message."""
+    lines, line_start, read = 0, 0, 0
+    try:
+        for text in _decoded(chunks):
+            head = text[:max(at - read, 0)]
+            lines += head.count("\n")
+            if (k := head.rfind("\n")) >= 0:
+                line_start = read + k + 1
+            read += len(text)
+    except _TextFault as fault:
+        return fault.args[0]
+    return f"{message}: line {lines + 1} column {at - line_start + 1} (char {at})"
 
 
-_scan_once = json.scanner.make_scanner(json.JSONDecoder())  # the scanner of json.loads
-# With the whitespace around it: a separator or a closing bracket, or none.
+_json = json.JSONDecoder()
+_scan_once = _json.scan_once  # the scanner of json.loads
+# With the whitespace around it: a separator or a closing bracket, or none; an opening bracket, or none.
 _SEP = re.compile(r"[ \t\n\r]*([,:\]}]?)[ \t\n\r]*").match
-# With the whitespace around it: an opening bracket, or none.
 _OPEN = re.compile(r"[ \t\n\r]*([{[]?)[ \t\n\r]*").match
 _END = object()  # the end of the objects, between the two lists' entries
-# The farthest before the window's end that a scan of a value cut by it fails:
-# "-Infinit" of -Infinity fails where it starts. An unterminated string fails
-# where it starts, however far that is.
-_CUT_REACH = len("-Infinit")
 
 
-class _Unstreamable(Exception):
-    """A text that :func:`_entries` does not read: not one JSON object with
-    an ``objects`` list before an ``events`` list and no key twice, or one
-    with a JSON fault."""
+class _TextFault(Exception):
+    """A fault of the text's UTF-8, JSON or shape: its message, and a JSON fault's offset or None."""
 
 
 class _Window:
     """The part of a text, read chunk by chunk from ``chunks``, that the
-    stream is reading: ``text`` holds its characters from some point on, and
-    through the text's end once ``done``.
+    stream reads: ``text`` holds its characters from the offset ``start`` on,
+    and through the text's end once ``done``. A match, or a value with its
+    separator matched after it, is taken only when it ends inside the window
+    or the window has reached the end of the text: a value cut by the
+    window's end (``12`` of ``1234``, ``1.5`` of ``1.5e10``, ``tr`` of
+    ``true``) fails to scan or ends there. Otherwise the window drops what was
+    read before the value and grows by at least as much as it keeps, O(m) in
+    all for m characters. A scan that fails on the whole rest of the text is
+    a JSON fault."""
 
-    A match or a scanned value is taken only when it ends inside the window,
-    or the window has reached the end of the text. A value must also have its
-    separator matched after it: a value cut by the window's end, such as
-    ``12`` of ``1234``, ``1.5`` of ``1.5e10`` or ``tr`` of ``true``, either
-    fails to scan or ends where the window ends, and whitespace to the
-    window's end may run on. Otherwise the window drops what was read before
-    the value, grows by at least as much as it keeps, and reads it again, so
-    a value of m characters is read again in O(m) in all. A scan that fails
-    more than :data:`_CUT_REACH` characters before the window's end, not in
-    an unterminated string, fails in the whole text too, and is decided at
-    once."""
-
-    __slots__ = ("chunks", "text", "done")
+    __slots__ = ("chunks", "text", "start", "done")
 
     def __init__(self, chunks: Iterator[str]) -> None:
-        self.chunks, self.text, self.done = chunks, "", False
+        self.chunks, self.text, self.start, self.done = chunks, "", 0, False
 
     def grow(self, pos: int) -> int:
         """Drop the characters before ``pos`` and read at least as many more
@@ -670,6 +656,7 @@ class _Window:
                 break
         else:
             self.done = True
+        self.start += pos
         self.text = "".join(parts)
         return 0
 
@@ -680,76 +667,89 @@ class _Window:
         return m
 
     def value(self, pos: int) -> tuple[object, re.Match]:
-        """The JSON value at ``pos`` and the match of :data:`_SEP` after it.
-        Raises :class:`_Unstreamable` where there is no value, or one with a
-        JSON fault, in the whole text."""
+        """The JSON value at ``pos`` and the match of :data:`_SEP` after it,
+        or the :meth:`fault` in it, found on the whole rest of the text."""
         while True:
             try:
                 value, end = _scan_once(self.text, pos)
                 m = _SEP(self.text, end)
                 if m[1] and m.end() < len(self.text) or self.done:
                     return value, m
-            except (StopIteration, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-                if self.done or _cut_cannot_explain(exc, len(self.text)):
-                    raise _Unstreamable from None
+            except (StopIteration, ValueError, RecursionError):  # JSONDecodeError is a ValueError
+                if self.done:  # a fault in a value does not depend on what holds it
+                    raise self.fault("", pos) from None
             pos = self.grow(pos)
 
+    def fault(self, prefix: str, pos: int, end: int | None = None) -> _TextFault | None:
+        """The first JSON fault ``json`` finds in the text from ``pos`` (to
+        ``end``, past a wrong character) after ``prefix``, which opens the
+        object or list around ``pos`` again (``{""``, ``[0`` …), or None. Too
+        deep a nesting is named without a place, as ``json.loads`` names it."""
+        try:
+            _json.decode(prefix + self.text[pos:end])
+        except json.JSONDecodeError as exc:
+            return _TextFault(f"invalid JSON: {exc.msg}", self.start + pos + exc.pos - len(prefix))
+        except RecursionError as exc:
+            return _TextFault(f"invalid JSON: {exc}", None)
 
-def _cut_cannot_explain(exc: Exception, end: int) -> bool:
-    """Whether the failed scan ``exc`` of a window ending at ``end`` fails
-    too far before it to come from a value that the end cuts. ``StopIteration``
-    holds where no value starts, also one nested in the scanned value."""
-    if isinstance(exc, StopIteration):
-        pos = exc.value
-    elif isinstance(exc, json.JSONDecodeError) and not exc.msg.startswith("Unterminated string"):
-        pos = exc.pos
-    else:
-        return False
-    return pos + _CUT_REACH < end
 
-
-def _entries(chunks: Iterator[str]) -> Iterator:
-    """The entries of the top-level ``objects`` list of the text in
-    ``chunks``, then :data:`_END`, then those of its ``events`` list, each
-    read by ``scan_once`` from a :class:`_Window` on the text. Reads any
-    other member's value as it meets it, and after the last entry, the text
-    to its end. Raises :class:`_Unstreamable` where the text leaves the shape
-    that the stream reads, or has a JSON fault."""
-    w = _Window(chunks)
+def _walk(w: _Window, members: list[tuple[str, int]], wanted: int | None = None) -> Iterator:
+    """Read the JSON text in ``w`` to its end, noting in ``members`` each
+    ``objects`` and ``events`` member with its list's offset, -1 for another
+    value. Yield the entries of a first ``objects`` list, :data:`_END`, and
+    those of an ``events`` list given next; with ``wanted``, those of the
+    list at that offset, and stop. Raises :class:`_TextFault` at the first
+    JSON fault, else if the text is not an object with those last lists."""
     m = w.match(_OPEN, 0)
-    if m[1] != "{":  # also a BOM
-        raise _Unstreamable
-    keys = set()
-    while True:
-        if not w.text.startswith('"', m.end()):
-            raise _Unstreamable
-        key, m = w.value(m.end())
-        if m[1] != ":" or key in keys or key == "events" and "objects" not in keys:
-            raise _Unstreamable
-        keys.add(key)
-        if key not in ("objects", "events"):
-            _, m = w.value(m.end())
+    if w.text.startswith("\ufeff"):  # json.loads's own check, before it reads
+        raise _TextFault("invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+    if m[1] != "{":
+        while not w.done:
+            w.grow(0)
+        raise w.fault("", 0) or _TextFault("top level must be a JSON object", None)
+    while m[1] in ("{", ","):  # a key's prefix opens after a comma, as a "}" after "{" is read first
+        pos = m.end()
+        if m[1] == "{" and w.text.startswith("}", pos):  # an empty object
+            m = w.match(_SEP, pos)
+            continue
+        if not w.text.startswith('"', pos):
+            raise w.fault('{"":0,', pos, pos + 1)
+        key, m = w.value(pos)
+        if m[1] != ":":
+            raise w.fault('{""', m.start(), m.end() + 1)
+        pos = m.end()
+        at = w.start + pos if w.text.startswith("[", pos) else -1
+        if key in ("objects", "events"):
+            members.append((key, at))
+        if at < 0 or key not in ("objects", "events"):
+            _, m = w.value(pos)
+            continue
+        keep = at == wanted if wanted is not None else (
+            [k if a >= 0 else None for k, a in members] == ["objects", "events"][:len(members)])
+        m = w.match(_OPEN, pos)
+        if w.text.startswith("]", m.end()):
+            m = w.match(_SEP, m.end() + 1)
         else:
-            m = w.match(_OPEN, m.end())
-            if m[1] != "[":
-                raise _Unstreamable
-            if w.text.startswith("]", m.end()):
-                m = w.match(_SEP, m.end() + 1)
-            else:
-                while True:
-                    entry, m = w.value(m.end())
+            while True:
+                entry, m = w.value(m.end())
+                if keep:
                     yield entry
-                    if m[1] != ",":
-                        break
-                if m[1] != "]":
-                    raise _Unstreamable
-                m = w.match(_SEP, m.end())
-            if key == "objects":
-                yield _END
-        if m[1] != ",":
-            break
-    if m[1] != "}" or "events" not in keys or m.end() != len(w.text):
-        raise _Unstreamable
+                if m[1] != ",":
+                    break
+            if m[1] != "]":
+                raise w.fault("[0", m.start(), m.end() + 1)
+            m = w.match(_SEP, m.end())
+        if at == wanted:
+            return
+        if keep and key == "objects":
+            yield _END
+    if m[1] != "}":
+        raise w.fault('{"":0', m.start(), m.end() + 1)
+    if m.end() < len(w.text):
+        raise w.fault("{}", m.end(), m.end() + 1)
+    for key in ("objects", "events"):
+        if dict(members).get(key, -1) < 0:
+            raise _TextFault(f"missing required top-level list {key!r}", None)
 
 
 # The event stamp form read in bulk, the one serialization writes; a 0 stands

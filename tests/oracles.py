@@ -2,8 +2,8 @@
 
 Everything here is written as straight-line loops over the raw log fields or
 plain arrays, deliberately sharing no code with the implementations under
-test, except :func:`strict_parse`, which shares ocel's JSON reading and
-checkers and gives its records to ``OcelLog.build``. The log's attribute
+test, except :func:`strict_parse`, which reads the text with ``json.loads``,
+shares ocel's checkers and gives its records to ``OcelLog.build``. The log's attribute
 slot columns are read as per-entry dicts through ``conftest.attribute_dicts``.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from conftest import attribute_dicts
 from ocad.errors import MalformedDocument
-from ocad.ocel import OcelLog, _document, _list, _parse_iso, _string
+from ocad.ocel import OcelLog, _list, _parse_iso, _string
 
 
 class NaiveDerivations:
@@ -375,13 +375,20 @@ def json_dumps_serialize(log):
 def strict_parse(text):
     """The log of the OCEL 2.0 JSON text ``text``, or the
     :class:`MalformedDocument` that names the first fault: the reference
-    for ``ocel.parse_ocel_json``. It reads the document into records, one
-    check at a time, and hands them to ``OcelLog.build``; it shares ocel's
-    JSON reading (``_document``) and its checkers (``_string``, ``_list``,
-    ``_parse_iso``), which name each fault."""
-    objects, events = _document(text)
-    # ``_document`` hands out each entry once; ``entry = None`` after a loop
-    # frees the last one (``del`` fails when an empty list left it unbound).
+    for ``ocel.parse_ocel_json``. It reads the whole text as one
+    ``json.loads`` tree, then the tree into records, one check at a time,
+    and hands them to ``OcelLog.build``; it shares ocel's checkers
+    (``_string``, ``_list``, ``_parse_iso``), which name each fault."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise MalformedDocument(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedDocument("top level must be a JSON object")
+    for key in ("objects", "events"):
+        if not isinstance(doc.get(key), list):
+            raise MalformedDocument(f"missing required top-level list {key!r}")
+    objects, events = doc["objects"], doc["events"]
     object_records = []
     for entry in objects:
         try:
@@ -400,7 +407,6 @@ def strict_parse(text):
             if name not in latest or at >= latest[name][0]:  # the later entry wins a tie
                 latest[name] = (at, value)
         object_records.append((oid, ot, {k: v for k, (_, v) in latest.items()}))
-    entry = None
 
     event_records = []
     for entry in events:
@@ -423,6 +429,5 @@ def strict_parse(text):
             except (TypeError, KeyError) as exc:
                 raise MalformedDocument(f"bad relationship on event {eid!r}") from exc
         event_records.append((eid, activity, ts, oids, attrs))
-    entry = None
 
     return OcelLog.build(event_records, object_records)

@@ -808,15 +808,20 @@ def _outcome(result):
     return result if isinstance(result, OcelLog) else (type(result), str(result))
 
 
+def _no_json_loads(*args, **kwargs):
+    pytest.fail("called json.loads")
+
+
 def _as_strict_parse(data):
     """The log or the :class:`MalformedDocument` of ``parse_ocel_json`` on the
-    document ``data``, after checking that :func:`oracles.strict_parse` gives
-    the same log, or an error of the same type and message, and that every
-    attribute value is a float or a str."""
-    try:
-        log = parse_ocel_json(data)
-    except MalformedDocument as exc:
-        log = exc
+    document ``data``, read without ``json.loads``, after checking that
+    :func:`oracles.strict_parse` gives the same log, or an error of the same
+    type and message, and that every attribute value is a float or a str."""
+    with mock.patch.object(json, "loads", _no_json_loads):
+        try:
+            log = parse_ocel_json(data)
+        except MalformedDocument as exc:
+            log = exc
     expected = _strict(data)
     if isinstance(log, OcelLog):
         assert isinstance(expected, OcelLog) and log == expected
@@ -918,10 +923,9 @@ _O, _E = json.dumps([_OBJ]), json.dumps([_EV])
 _DEEP = "[" * 100_000 + "]" * 100_000  # nested past any recursion limit
 _VALID = f'{{"objects": {_O}, "events": {_E}}}'
 
-# Texts that the stream reads otherwise than one json.loads tree, or that it
-# does not read at all: (text, whether the document parses). A text of
-# another shape, or one with a fault, is read again as a tree, and json.loads
-# reports a JSON fault before any fault of the log.
+# Texts that a stream could read otherwise than one json.loads tree: (text,
+# whether the document parses). The last objects and events lists stand, and
+# json.loads reports a JSON fault before any fault of the log.
 _RAW_PARSE_TRAPS = {
     "events-before-objects": (f'{{"events": {_E}, "objects": {_O}}}', True),
     "objects-twice": (f'{{"objects": [1], "events": {_E}, "objects": {_O}}}', True),  # the second list wins
@@ -985,16 +989,41 @@ def test_parse_gives_the_strict_parse_result_on_its_raw_traps(text, parses):
 @pytest.mark.parametrize("name", ["keys-before-between-and-after", "whitespace-everywhere",
                                   "whitespace-inside-empty-lists", "empty-objects", "empty-events", "both-empty",
                                   "trailing-whitespace"])
-def test_parse_streams_the_traps_with_objects_before_events(monkeypatch, name):
-    monkeypatch.setattr(ocad.ocel, "_document", lambda text: pytest.fail("read the document as a json.loads tree"))
-    assert isinstance(parse_ocel_json(_RAW_PARSE_TRAPS[name][0].encode("utf-8")), OcelLog)
+def test_parse_streams_the_traps_with_objects_before_events(name):
+    chunks = _CountedChunks(_RAW_PARSE_TRAPS[name][0].encode("utf-8"), 7)
+    with mock.patch.object(json, "loads", _no_json_loads):
+        assert isinstance(parse_ocel_json(chunks), OcelLog)
+    assert len(chunks.handed) == 1
+
+
+# Raw traps and how often the parse reads their text: once where the first
+# pass stands or the walk finds the fault at the end; twice for a JSON fault,
+# whose line one more read counts; three times where the entries of the last
+# objects and events lists are read again.
+_TRAP_READS = {"other-key-twice": 1, "top-level-array": 1, "missing-events": 1, "objects-not-a-list": 1,
+               "events-null": 1, "trailing-data": 2, "bom": 2, "missing-colon": 2, "bracket-between-members": 2,
+               "unterminated-document": 2, "fault-in-another-member": 2, "duplicate-object-then-truncated-event": 2,
+               "missing-type-then-trailing-comma": 2, "events-before-objects": 3, "objects-twice": 3,
+               "objects-twice-before-events": 3, "events-twice": 3}
+
+
+@pytest.mark.parametrize("name, reads", _TRAP_READS.items(), ids=_TRAP_READS.keys())
+def test_parse_reads_a_text_again_only_where_the_first_pass_cannot_stand(name, reads):
+    text, parses = _RAW_PARSE_TRAPS[name]
+    chunks = _CountedChunks(text.encode("utf-8"), 7)
+    with mock.patch.object(json, "loads", _no_json_loads):
+        try:
+            parse_ocel_json(chunks)
+        except MalformedDocument:
+            assert not parses
+    assert len(chunks.handed) == reads
 
 
 @pytest.mark.parametrize("rewrite", [None, offset_last_stamp, non_ascii_object_id, cjk_object_id, emoji_object_id],
                          ids=["plain", "offset-stamp", "non-ascii-id", "cjk-id", "emoji-id"])
 def test_load_log_streams_a_valid_log(tmp_path, monkeypatch, rewrite):
-    """A valid log with ``objects`` before ``events`` is read by the stream
-    alone: never as the tree of ``json.loads``."""
+    """A valid log with ``objects`` before ``events`` is read once, by the
+    stream, without ``json.loads``."""
     out = tmp_path / "gen"
     assert main(["generate", "--n-orders", "200", "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
                  "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1", "--out", str(out)]) == 0
@@ -1002,10 +1031,23 @@ def test_load_log_streams_a_valid_log(tmp_path, monkeypatch, rewrite):
     if rewrite is not None:
         path.write_bytes(rewrite(path.read_bytes()))
     expected = strict_parse(path.read_text(encoding="utf-8"))
-    monkeypatch.setattr(ocad.ocel, "_document", lambda text: pytest.fail("read the log as a json.loads tree"))
-    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("called json.loads"))
+    reads = _counted_reads(monkeypatch)
+    monkeypatch.setattr(json, "loads", _no_json_loads)
     log, _ = ocad.cli._load_log(str(path))
-    assert log == expected
+    assert log == expected and len(reads) == 1
+
+
+def _counted_reads(monkeypatch):
+    """A list that gains an item each time ``cli._load_log`` starts to read
+    the file."""
+    reads, iterate = [], ocad.cli._LogBytes.__iter__
+
+    def counted(self):
+        reads.append(1)
+        yield from iterate(self)
+
+    monkeypatch.setattr(ocad.cli._LogBytes, "__iter__", counted)
+    return reads
 
 
 # Texts that a read, or the stream's window, can cut inside a value where a
@@ -1028,11 +1070,10 @@ _CUT_TEXTS = {"valid": _CUT % (_CUT_OBJECTS, "-2.5E-3"), "true-value": _CUT % (_
 @pytest.mark.parametrize("text", _CUT_TEXTS.values(), ids=_CUT_TEXTS.keys())
 def test_parse_streams_a_text_cut_anywhere(monkeypatch, text):
     """The bytes in two chunks, cut at any place, also inside a character,
-    give the strict parse's log or error line, and are never read as the
-    json.loads tree."""
+    give the strict parse's log or error line, without ``json.loads``."""
     data = text.encode("utf-8")
     expected = _outcome(_as_strict_parse(data))
-    monkeypatch.setattr(ocad.ocel, "_document", lambda text: pytest.fail("read the document as a json.loads tree"))
+    monkeypatch.setattr(json, "loads", _no_json_loads)
     for k in range(len(data) + 1):
         try:
             got = parse_ocel_json([data[:k], data[k:]])
@@ -1065,16 +1106,17 @@ def small_log(tmp_path_factory):
 
 def _load_as_strict_parse(path):
     """The log or the :class:`MalformedDocument` of ``cli._load_log`` on the
-    file ``path``, after checking that :func:`oracles.strict_parse` gives the
-    same log, or an error of the same type and message, and that a log comes
-    with the file's sha256."""
+    file ``path``, read without ``json.loads``, after checking that
+    :func:`oracles.strict_parse` gives the same log, or an error of the same
+    type and message, and that a log comes with the file's sha256."""
     data = path.read_bytes()
-    try:
-        log, digest = ocad.cli._load_log(str(path))
-    except MalformedDocument as exc:
-        log = exc
-    else:
-        assert digest == hashlib.sha256(data).hexdigest()
+    with mock.patch.object(json, "loads", _no_json_loads):
+        try:
+            log, digest = ocad.cli._load_log(str(path))
+        except MalformedDocument as exc:
+            log = exc
+        else:
+            assert digest == hashlib.sha256(data).hexdigest()
     assert _outcome(log) == _outcome(_strict(data))
     return log
 
@@ -1117,34 +1159,51 @@ def test_load_log_gives_the_strict_parse_result_on_mutated_documents_read_3_byte
 
 @pytest.mark.parametrize("rewrite", _FAULTS_OF_THE_LOG, ids=["unknown-last-object", "duplicate-object-id",
                                                              "missing-first-type"])
-def test_load_log_reads_a_log_with_a_fault_of_the_log_once(tmp_path, monkeypatch, small_log, rewrite):
-    """A fault of the log, held to the end or raised where it is read, stands
-    once the stream has read the rest of the text: the log is never read as
-    the json.loads tree."""
+def test_load_log_reads_the_lists_again_after_a_fault_of_the_log(tmp_path, monkeypatch, small_log, rewrite):
+    """A fault of the log, held to the end or raised where it is read, is
+    found again by the stream, once it has read the rest of the text: the
+    entries of the last lists are read again, never as the json.loads tree.
+    A fault in the objects reads no events again."""
     path = tmp_path / "log.json"
     path.write_bytes(rewrite(small_log))
     expected = _strict(path.read_bytes())
     assert isinstance(expected, MalformedDocument)
-    monkeypatch.setattr(ocad.ocel, "_document", lambda text: pytest.fail("read the log as a json.loads tree"))
-    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("called json.loads"))
+    reads = _counted_reads(monkeypatch)
+    monkeypatch.setattr(json, "loads", _no_json_loads)
     with pytest.raises(MalformedDocument) as got:
         ocad.cli._load_log(str(path))
     assert _outcome(got.value) == _outcome(expected)
+    assert len(reads) == (2 if rewrite is missing_first_type else 3)
 
 
 def test_load_log_names_a_utf8_fault_at_its_offset_in_the_file_without_reading_it_again(tmp_path, monkeypatch,
                                                                                         small_log):
-    """A fault of the UTF-8 found by the stream is named by the parse's one
-    fallback, at its offset in the whole file, not by a second read of the
-    file whole."""
+    """A fault of the UTF-8 found by the stream is named at its offset in
+    the whole file, from the offsets of the stream's chunks, without a
+    second read."""
     path = tmp_path / "log.json"
     path.write_bytes(_not_utf8_in_the_middle(small_log))
     expected = _strict(path.read_bytes())
     monkeypatch.setattr(ocad.cli, "_READ_BYTES", 1000)  # the fault is past the first chunk
     monkeypatch.setattr(ocad.cli.Path, "read_bytes", lambda self: pytest.fail("read the file again whole"))
+    reads = _counted_reads(monkeypatch)
     with pytest.raises(MalformedDocument) as got:
         ocad.cli._load_log(str(path))
-    assert _outcome(got.value) == _outcome(expected)
+    assert _outcome(got.value) == _outcome(expected) and len(reads) == 1
+
+
+@given(st.lists(st.sampled_from(["a", "\n", "é", "中", "😀"]), max_size=12).map("".join),
+       st.sampled_from([b"\xff", b"\xc3", b"\xe4\xb8", b"\xf0\x9f\x98", b"\xed\xa0\x80", b"\xc3(", b"\xf4\x90\x80\x80"]),
+       st.lists(st.sampled_from(["a", "\n", "中", "😀"]), max_size=6).map("".join), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_a_utf8_fault_is_named_at_its_offset_in_the_whole_bytes_at_any_chunking(head, fault, tail, size):
+    """The stream decodes a chunk at a time, and names a fault of the UTF-8
+    as a decode of the whole bytes would, also one that spans two chunks or
+    ends the bytes."""
+    data = ('{"objects": ["' + head).encode() + fault + (tail + '"]').encode()
+    with pytest.raises(MalformedDocument) as got:
+        parse_ocel_json([data[i:i + size] for i in range(0, len(data), size)])
+    assert _outcome(got.value) == _outcome(_strict(data))
 
 
 class _CountedChunks:
@@ -1162,28 +1221,35 @@ class _CountedChunks:
 
 
 # A JSON fault in the first object entry of a log: one that json.loads names
-# in a key, and a value that does not start as one.
-_EARLY_FAULTS = {"broken-key": (b'"id": "', b'"id: "'), "not-a-value": (b'"type": "', b'"type": x"')}
+# in a key, and a value that does not start as one; and one between the
+# last two events.
+_JSON_FAULTS = {"broken-key": (b'"id": "', b'"id: "', 1), "not-a-value": (b'"type": "', b'"type": x"', 1),
+                "missing-comma": (b'    },\n    {\n      "id": ', b'    }\n    {\n      "id": ', -1)}
 
 
-@pytest.mark.parametrize("fault", _EARLY_FAULTS.values(), ids=_EARLY_FAULTS.keys())
-def test_the_stream_leaves_at_an_early_json_fault_before_the_end_of_the_text(small_log, fault):
-    """A scan that fails well before the window's end fails in the whole text
-    too: the stream leaves for the tree at once, not once its window has
-    grown to the end of the text."""
-    head, objects = small_log.split(b'"objects": [', 1)
-    data = head + b'"objects": [' + objects.replace(*fault, 1)
+@pytest.mark.parametrize("fault", _JSON_FAULTS.values(), ids=_JSON_FAULTS.keys())
+def test_a_json_fault_is_named_by_one_more_read_of_the_text(monkeypatch, small_log, fault):
+    """The stream reads the text to its end, where a scan that still fails
+    is a JSON fault, then one more read of the whole text counts the fault's
+    line, and would find a fault of the UTF-8 after it. ``json.loads`` is
+    never called."""
+    good, bad, which = fault
+    parts = small_log.split(good)
+    k = which % len(parts)  # after the first such text, or the last
+    data = good.join(parts[:k]) + bad + good.join(parts[k:])
     chunks = _CountedChunks(data, 64)
+    monkeypatch.setattr(json, "loads", _no_json_loads)
     with pytest.raises(MalformedDocument) as got:
         parse_ocel_json(chunks)
+    monkeypatch.undo()
     assert _outcome(got.value) == _outcome(_strict(data))
-    (streamed, tree), total = chunks.handed, len(chunks.chunks)
-    assert tree == total > 500 and streamed * 64 < data.index(fault[1]) + 1000, (data.index(fault[1]), streamed)
+    assert chunks.handed == [len(chunks.chunks)] * 2 and len(chunks.chunks) > 500
 
 
 def test_parse_rejects_an_iterator_of_chunks(small_log, tmp_path):
-    """An iterator cannot give its chunks again for the tree, so it is
-    rejected before it is read, whatever the document's shape."""
+    """An iterator cannot give its chunks again, for the lists of another
+    shape or to name a fault, so it is rejected before it is read, whatever
+    the document's shape."""
     chunks = iter(events_first(small_log).splitlines(keepends=True))
     with pytest.raises(TypeError, match="an iterator can be read once"):
         parse_ocel_json(chunk for chunk in chunks)
