@@ -728,7 +728,7 @@ def _walk(w: _Window, members: list[tuple[str, int]], wanted: int | None = None)
             [k if a >= 0 else None for k, a in members] == ["objects", "events"][:len(members)])
         m = w.match(_OPEN, pos)
         if w.text.startswith("]", m.end()):
-            m = w.match(_SEP, m.end() + 1)
+            m = w.match(_SEP, m.end())  # the "]" of an empty list
         else:
             while True:
                 entry, m = w.value(m.end())
@@ -738,9 +738,9 @@ def _walk(w: _Window, members: list[tuple[str, int]], wanted: int | None = None)
                     break
             if m[1] != "]":
                 raise w.fault("[0", m.start(), m.end() + 1)
-            m = w.match(_SEP, m.end())
         if at == wanted:
             return
+        m = w.match(_SEP, m.end())
         if keep and key == "objects":
             yield _END
     if m[1] != "}":

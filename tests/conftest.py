@@ -137,6 +137,31 @@ def events_first(data):
     return head + b',\n  "events": ' + events.removesuffix(b"\n}\n") + b',\n  "objects": ' + objects + b"\n}\n"
 
 
+def objects_twice(data):
+    """The document ``data``, as serialization writes it, with an empty
+    ``objects`` list given before its own: the last list stands."""
+    return data.replace(b'\n  "objects": [', b'\n  "objects": [],\n  "objects": [', 1)
+
+
+def broken_first_key(data):
+    """The document ``data``, as serialization writes it, with its first
+    object's ``id`` key run into its value: a JSON fault in the first object."""
+    return data.replace(b'"id": "', b'"id: "', 1)
+
+
+def missing_last_comma(data):
+    """The document ``data``, as serialization writes it, without the comma
+    between its last two events: a JSON fault near its end."""
+    head, tail = data.rsplit(b"    },\n    {\n", 1)
+    return head + b"    }\n    {\n" + tail
+
+
+def not_utf8_in_the_middle(data):
+    """The document ``data`` with its middle byte replaced by one that UTF-8
+    never uses."""
+    return data[:len(data) // 2] + b"\xff" + data[len(data) // 2 + 1:]
+
+
 def unknown_last_object(data):
     """The document ``data`` with the object of its last relationship renamed
     to an id that no object has: a fault that the parse holds back to the end."""

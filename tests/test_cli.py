@@ -34,8 +34,9 @@ from ocad.features import feature_csv_bytes, normalize
 from ocad.ocel import parse_ocel_json
 from ocad.pipeline import PipelineParams, build_matrix
 
-from conftest import (cjk_object_id, duplicate_object_id, emoji_object_id, events_first, make_matrix,
-                      missing_first_type, non_ascii_object_id, ocel_doc, offset_last_stamp, unknown_last_object)
+from conftest import (broken_first_key, cjk_object_id, duplicate_object_id, emoji_object_id, events_first,
+                      make_matrix, missing_first_type, missing_last_comma, non_ascii_object_id, not_utf8_in_the_middle,
+                      objects_twice, ocel_doc, offset_last_stamp, unknown_last_object)
 
 
 def _dir_digest(path, skip=()):
@@ -278,40 +279,44 @@ def test_invalid_utf8_log_is_one_line_json_error(tmp_path, capsys):
 @pytest.mark.parametrize("n_orders", [300, 1000])
 def test_load_log_peak_stays_within_five_times_the_file(tmp_path, n_orders):
     # The stream reads the text through a window of a chunk or two and frees
-    # each JSON entry once it has read it, so a streamed read holds little
-    # more than the log: 0.64-0.68x the file at these sizes (0.65x at 8k), and
-    # 0.63-0.68x when a fault of the log is found at the end. An emoji widens
-    # the window's 64 kB chunks to 4 bytes a character, which sets the peak of
-    # the 300-order log at 0.86x. The log itself, its attributes stored as
-    # columns, is 0.35-0.36x the file. Events before objects is read as the
-    # json.loads tree, whose entries are freed as they are read, from the
-    # whole text, which CPython widens to 2 or 4 bytes a character for one
-    # CJK letter or emoji: 4.18-4.19x, 5.18-5.19x and 7.18-7.19x (4.19x,
-    # 5.19x and 7.19x at 8k). Joining the whole text before the stream peaked
-    # at 2.32x, 3.32x with a CJK letter and 5.32x with an emoji.
+    # each JSON entry once it has read it, so a read holds little more than
+    # the log: 0.64-0.66x the file at these sizes (0.65x at 8k), also where
+    # the entries of the last objects and events lists are read again (events
+    # first, objects twice, a fault of the log), and where a fault ends the
+    # read (0.08-0.28x for a missing type in the first object). An emoji widens
+    # the window's 64 kB chunks to 4 bytes a character: 0.83x for the 300-order
+    # log, and 1.10x with events first, whose chunk with the emoji comes once
+    # the columns are full (0.64x at 1,000 orders). The log itself, its
+    # attributes stored as columns, is 0.35-0.36x the file. A JSON fault near
+    # the end peaks at 0.50-0.65x and a UTF-8 fault in the middle at
+    # 0.32-0.51x. A JSON fault in the first object grows the window to hold
+    # the rest of the text: 2.02-2.07x.
     out = tmp_path / "gen"
     assert main(["generate", "--n-orders", str(n_orders), "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
                  "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1", "--out", str(out)]) == 0
     path = out / "log.json"
     written = path.read_bytes()
-    streamed = [None, offset_last_stamp, non_ascii_object_id, cjk_object_id, emoji_object_id, unknown_last_object,
-                duplicate_object_id, missing_first_type]
-    tree = [(events_first, 4.5), (lambda data: events_first(cjk_object_id(data)), 5.5),
-            (lambda data: events_first(emoji_object_id(data)), 7.5)]
-    for rewrite, bound in [*((rewrite, 0.9) for rewrite in streamed), *tree]:
+    faulty = [unknown_last_object, duplicate_object_id, missing_first_type, missing_last_comma, not_utf8_in_the_middle,
+              broken_first_key]
+    bounds = [(None, 0.9), (offset_last_stamp, 0.9), (non_ascii_object_id, 0.9), (cjk_object_id, 0.9),
+              (emoji_object_id, 0.9), (events_first, 0.9), (lambda data: events_first(cjk_object_id(data)), 0.9),
+              (lambda data: events_first(emoji_object_id(data)), 1.2), (objects_twice, 0.9), (unknown_last_object, 0.9),
+              (duplicate_object_id, 0.9), (missing_first_type, 0.9), (missing_last_comma, 0.7),
+              (not_utf8_in_the_middle, 0.6), (broken_first_key, 2.2)]
+    for rewrite, bound in bounds:
         path.write_bytes(written if rewrite is None else rewrite(written))
         tracemalloc.start()
         try:
             try:
                 log = ocad.cli._load_log(str(path))
             except MalformedDocument:
-                assert rewrite in (unknown_last_object, duplicate_object_id, missing_first_type)
+                assert rewrite in faulty
                 log = None
             live, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= bound * path.stat().st_size, rewrite
-        if log is not None and rewrite in streamed:
+        if log is not None:
             assert live <= 0.5 * path.stat().st_size, rewrite
         del log
 
@@ -417,9 +422,10 @@ def test_log_over_the_input_bound_is_rejected_before_the_read(generated, tmp_pat
 
 
 def test_input_bound_keeps_the_parse_within_4_gb_and_admits_a_405_mb_log():
-    # test_load_log_peak_stays_within_five_times_the_file bounds the parse at
-    # 7.5 bytes per byte of log, the json.loads tree of a log with an emoji;
-    # the 128k-order log of ROADMAP.md is 405 MB.
+    # The bound was set for 7.5 bytes per byte of log, the json.loads tree of
+    # a log with an emoji that the parse once read; the 128k-order log of
+    # ROADMAP.md is 405 MB. test_load_log_peak_stays_within_five_times_the_file
+    # bounds every read of a generated log below that, at up to 2.2.
     assert 405_000_000 <= ocad.cli.MAX_INPUT_BYTES and 7.5 * ocad.cli.MAX_INPUT_BYTES <= 4_000_000_000
 
 

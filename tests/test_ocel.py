@@ -32,9 +32,10 @@ from ocad.ocel import (
     serialize_ocel_json,
 )
 
-from conftest import (attribute_dicts, build_log, cjk_object_id, collections_during, duplicate_object_id,
-                      emoji_object_id, events_first, log_dicts, missing_first_type, non_ascii_object_id,
-                      object_graphs, ocel_doc, offset_last_stamp, random_log, unknown_last_object)
+from conftest import (attribute_dicts, broken_first_key, build_log, cjk_object_id, collections_during,
+                      duplicate_object_id, emoji_object_id, events_first, log_dicts, missing_first_type,
+                      missing_last_comma, non_ascii_object_id, not_utf8_in_the_middle, object_graphs, ocel_doc,
+                      offset_last_stamp, random_log, unknown_last_object)
 from oracles import NaiveDerivations, datetime_iso, json_dumps_serialize, strict_parse
 from test_golden import LOGS
 
@@ -1124,12 +1125,8 @@ def _load_as_strict_parse(path):
 _FAULTS_OF_THE_LOG = [unknown_last_object, duplicate_object_id, missing_first_type]
 
 
-def _not_utf8_in_the_middle(data):
-    return data[:len(data) // 2] + b"\xff" + data[len(data) // 2 + 1:]
-
-
 _REWRITES = [lambda data: data, offset_last_stamp, non_ascii_object_id, cjk_object_id, emoji_object_id, events_first,
-             *_FAULTS_OF_THE_LOG, _not_utf8_in_the_middle,
+             *_FAULTS_OF_THE_LOG, not_utf8_in_the_middle,
              lambda data: data + "\U0001F600".encode()[:3]]  # a character cut by the end of the file
 
 
@@ -1182,7 +1179,7 @@ def test_load_log_names_a_utf8_fault_at_its_offset_in_the_file_without_reading_i
     the whole file, from the offsets of the stream's chunks, without a
     second read."""
     path = tmp_path / "log.json"
-    path.write_bytes(_not_utf8_in_the_middle(small_log))
+    path.write_bytes(not_utf8_in_the_middle(small_log))
     expected = _strict(path.read_bytes())
     monkeypatch.setattr(ocad.cli, "_READ_BYTES", 1000)  # the fault is past the first chunk
     monkeypatch.setattr(ocad.cli.Path, "read_bytes", lambda self: pytest.fail("read the file again whole"))
@@ -1223,20 +1220,17 @@ class _CountedChunks:
 # A JSON fault in the first object entry of a log: one that json.loads names
 # in a key, and a value that does not start as one; and one between the
 # last two events.
-_JSON_FAULTS = {"broken-key": (b'"id": "', b'"id: "', 1), "not-a-value": (b'"type": "', b'"type": x"', 1),
-                "missing-comma": (b'    },\n    {\n      "id": ', b'    }\n    {\n      "id": ', -1)}
+_JSON_FAULTS = {"broken-key": broken_first_key, "not-a-value": lambda data: data.replace(b'"type": "', b'"type": x"', 1),
+                "missing-comma": missing_last_comma}
 
 
-@pytest.mark.parametrize("fault", _JSON_FAULTS.values(), ids=_JSON_FAULTS.keys())
-def test_a_json_fault_is_named_by_one_more_read_of_the_text(monkeypatch, small_log, fault):
+@pytest.mark.parametrize("rewrite", _JSON_FAULTS.values(), ids=_JSON_FAULTS.keys())
+def test_a_json_fault_is_named_by_one_more_read_of_the_text(monkeypatch, small_log, rewrite):
     """The stream reads the text to its end, where a scan that still fails
     is a JSON fault, then one more read of the whole text counts the fault's
     line, and would find a fault of the UTF-8 after it. ``json.loads`` is
     never called."""
-    good, bad, which = fault
-    parts = small_log.split(good)
-    k = which % len(parts)  # after the first such text, or the last
-    data = good.join(parts[:k]) + bad + good.join(parts[k:])
+    data = rewrite(small_log)
     chunks = _CountedChunks(data, 64)
     monkeypatch.setattr(json, "loads", _no_json_loads)
     with pytest.raises(MalformedDocument) as got:
