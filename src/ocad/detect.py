@@ -25,12 +25,15 @@ MAX_TREES = 10_000
 DEFAULT_SUBSAMPLE = 256
 DEFAULT_LOF_K = 20
 # The most neighbor entries, rows times k, that lof accepts: it keeps one per
-# row and neighbor. Its tracemalloc peak is about 25 bytes an entry at large k
-# (2,000 rows of 8 columns at k = 1,999, 1,000 rows at k = 999, ties, copies,
-# 64 columns), and 32.5 at k = 20 on 40,000 rows and 38.6 on 8,000, where the
-# rows' own arrays weigh more. At 44 bytes 90 million entries stay within
-# 4 GB; the 8k bench at k = 20 takes 160,000.
+# row and neighbor, and counts a row as at least _ROW_ENTRIES. Its tracemalloc
+# peak is about 25 bytes an entry at large k (2,000 rows of 8 columns at
+# k = 1,999, 1,000 rows at k = 999, ties, copies, 64 columns), and 32.5 at
+# k = 20 on 40,000 rows and 38.6 on 8,000, where the rows' own arrays weigh
+# more. Below k = 20 they outweigh the entries: 331 bytes a row at k = 1 and
+# 396 at k = 5 on 40,000 rows, within 20 entries of 44 bytes. At 44 bytes 90
+# million entries stay within 4 GB; the 8k bench at k = 20 takes 160,000.
 MAX_LOF_ENTRIES = 90_000_000
+_ROW_ENTRIES = 20
 
 # Floor for mean reachability so coincident clusters (zero reach) get a huge
 # finite density instead of an infinite one; their density ratios are then
@@ -149,8 +152,8 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     distance exactly 0 from each other. Every distance takes one direct form,
     so the scores do not depend on the block size or the BLAS thread count,
     and memory is O(n*k) plus one block of ``_BLOCK_ELEMENTS``. More than
-    :data:`MAX_LOF_ENTRIES` rows times k raise :class:`InvalidConfig` before
-    anything is allocated.
+    :data:`MAX_LOF_ENTRIES` rows times k, at least 20 a row, raise
+    :class:`InvalidConfig` before anything is allocated.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -158,9 +161,9 @@ def lof(F, k: int = DEFAULT_LOF_K) -> ScoreVector:
     n = X.shape[0]
     if n < k + 1:
         raise TooFewRows(f"lof with k={k} needs at least {k + 1} rows, got {n}")
-    if n * k > MAX_LOF_ENTRIES:
-        raise InvalidConfig(f"lof with k={k} on {n} rows would keep {n * k} neighbor entries, "
-                            f"over the bound of {MAX_LOF_ENTRIES}")
+    if n * max(k, _ROW_ENTRIES) > MAX_LOF_ENTRIES:
+        raise InvalidConfig(f"lof with k={k} on {n} rows counts as {n * max(k, _ROW_ENTRIES)} neighbor entries, "
+                            f"at least {_ROW_ENTRIES} a row, over the bound of {MAX_LOF_ENTRIES}")
 
     # distinct rows in first-occurrence order, so that without copies U is X
     _, first, inverse, counts = np.unique(X, axis=0, return_index=True, return_inverse=True, return_counts=True)

@@ -366,32 +366,47 @@ def test_partner_bound_admits_the_bench_and_rejects_one_event_over_5000_objects(
     assert 49_600 <= ocad.ocel.MAX_PARTNER_ENTRIES < 5_000 ** 2
 
 
-def test_lof_over_the_entry_bound_is_rejected_before_writing(generated, tmp_path, capsys, monkeypatch):
-    # 40 orders at k = 5 keep 200 neighbor entries
-    argv = ["detect", "--log", str(generated / "log.json"), "--object-type", "order", "--reducer", "fastmap",
-            "--lof-k", "5", "--out", str(tmp_path / "o")]
-    monkeypatch.setattr(ocad.detect, "MAX_LOF_ENTRIES", 199)
-    monkeypatch.setattr(ocad.detect, "_neighborhoods", lambda *args: pytest.fail("allocated over the bound"))
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: lof with k=5 on 40 rows would keep 200 neighbor entries, over the bound of 199\n")
-    assert not (tmp_path / "o").exists()
-    monkeypatch.undo()
-    monkeypatch.setattr(ocad.detect, "MAX_LOF_ENTRIES", 200)
+def _lof_is_rejected_over_the_entry_bound(log, out, capsys, monkeypatch, k, entries):
+    """``detect`` at ``k`` on the 40 orders of ``log`` exits 1 before LOF
+    allocates under a bound one below ``entries``, and runs at ``entries``."""
+    argv = ["detect", "--log", str(log), "--object-type", "order", "--reducer", "fastmap", "--lof-k", str(k),
+            "--out", str(out)]
+    with monkeypatch.context() as patched:
+        patched.setattr(ocad.detect, "MAX_LOF_ENTRIES", entries - 1)
+        patched.setattr(ocad.detect, "_neighborhoods", lambda *args: pytest.fail("allocated over the bound"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: lof with k={k} on 40 rows counts as {entries} neighbor entries, "
+                                           f"at least 20 a row, over the bound of {entries - 1}\n")
+        assert not out.exists()
+    monkeypatch.setattr(ocad.detect, "MAX_LOF_ENTRIES", entries)
     assert main(argv) == 0
+
+
+def test_lof_over_the_entry_bound_is_rejected_before_writing(generated, tmp_path, capsys, monkeypatch):
+    # 40 orders at k = 5 count as 800 neighbor entries, 20 a row
+    _lof_is_rejected_over_the_entry_bound(generated / "log.json", tmp_path / "o", capsys, monkeypatch, 5, 800)
+
+
+def test_lof_counts_a_row_as_20_entries_below_k_20(generated, tmp_path, capsys, monkeypatch):
+    # Below k = 20 a row's own arrays weigh more than its entries: 331 bytes
+    # at k = 1 on 40,000 rows. Above it, rows times k.
+    _lof_is_rejected_over_the_entry_bound(generated / "log.json", tmp_path / "o", capsys, monkeypatch, 1, 800)
+    _lof_is_rejected_over_the_entry_bound(generated / "log.json", tmp_path / "o25", capsys, monkeypatch, 25, 1000)
 
 
 def test_lof_peak_per_entry_keeps_the_entry_bound_within_4_gb():
     # k = 20, where the rows' own arrays add most to an entry: 38.6 bytes
-    # (at k = n - 1 about 25)
+    # (at k = n - 1 about 25); at k = 1, which counts a row as 20 entries,
+    # the rows' own arrays take about 330 bytes a row
     F = make_matrix(np.random.default_rng(0).normal(size=(8000, 8)))
-    tracemalloc.start()
-    try:
-        ocad.detect.lof(F, k=20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 44 * 8000 * 20
+    for k in (20, 1):
+        tracemalloc.start()
+        try:
+            ocad.detect.lof(F, k=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44 * 8000 * 20, k
     assert 8000 * 20 <= ocad.detect.MAX_LOF_ENTRIES and ocad.detect.MAX_LOF_ENTRIES * 44 <= 4_000_000_000
 
 
