@@ -192,6 +192,8 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
             return
         if self.behavior == "garbage":
             payload = b'{"unexpected": true}'
+        elif self.behavior == "number":  # the schema's shape, but a content that is not text
+            payload = b'{"choices": [{"message": {"role": "assistant", "content": 42}}]}'
         else:
             reply = {
                 "choices": [
@@ -243,6 +245,12 @@ def test_llm_timeout(stub_server):
 def test_llm_schema_mismatch(stub_server):
     _StubHandler.behavior = "garbage"
     with pytest.raises(LlmSchemaError):
+        llm_oracle(stub_server, api_key="k", prompt="x", timeout=5.0)
+
+
+def test_llm_content_that_is_not_text_is_a_schema_mismatch(stub_server):
+    _StubHandler.behavior = "number"
+    with pytest.raises(LlmSchemaError, match="message content is not text"):
         llm_oracle(stub_server, api_key="k", prompt="x", timeout=5.0)
 
 
