@@ -1020,6 +1020,16 @@ def test_parse_reads_a_text_again_only_where_the_first_pass_cannot_stand(name, r
     assert len(chunks.handed) == reads
 
 
+def test_the_first_pass_parses_no_list_that_cannot_stand(monkeypatch):
+    """With ``events`` first, the first pass hands the parse no entry, so
+    each entry of the log is parsed once, on the second read."""
+    handed, parse = [], ocad.ocel._parse
+    monkeypatch.setattr(ocad.ocel, "_parse", lambda objects, events: parse(
+        (handed.append(e) or e for e in objects), (handed.append(e) or e for e in events)))
+    log = parse_ocel_json(_RAW_PARSE_TRAPS["events-before-objects"][0].encode("utf-8"))
+    assert len(handed) == len(log.objects) + len(log.events) == 2
+
+
 @pytest.mark.parametrize("rewrite", [None, offset_last_stamp, non_ascii_object_id, cjk_object_id, emoji_object_id],
                          ids=["plain", "offset-stamp", "non-ascii-id", "cjk-id", "emoji-id"])
 def test_load_log_streams_a_valid_log(tmp_path, monkeypatch, rewrite):
