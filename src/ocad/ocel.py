@@ -29,13 +29,15 @@ objects and an object's partners are both deduplicated by :func:`_distinct`
 over (row, code) keys. The log holds no dict and no container per entry: a
 reader indexes the arrays, and finds an object id or a type by bisection in
 the sorted tuple that holds it (:func:`_position`). :func:`_assemble` lays the
-columns out, for :meth:`OcelLog.build` and the parse alike: it sorts the codes,
-orders the events, builds the CSR and sorts each entry's attribute slots.
+columns out, for :meth:`OcelLog.build`, the parse and the synthetic generators
+alike: it sorts the codes, orders the events, builds the CSR and sorts each
+entry's attribute slots.
 
-Building a log pauses the cyclic garbage collector. The synthetic
-generators' records stay alive and form no cycles: without the pause, 8k
-orders run about 500 collections. The parse keeps no container per entry and
-runs none, but without the pause spawned ``ocad detect`` peaked 1 MB higher.
+Building a log pauses the cyclic garbage collector. The synthetic generators
+fill columns and keep no container per entry, but without the pause 8k orders
+still run about 10 collections (about 500 when they kept a record per event).
+The parse keeps no container per entry and runs none, but without the pause
+spawned ``ocad detect`` peaked 1 MB higher.
 
 :func:`parse_ocel_json` decodes the UTF-8 bytes as they come and reads the
 text through a window of a chunk or two (:class:`_Window`): each ``objects``
@@ -45,12 +47,15 @@ event stamps checked in bulk; a value that fails one goes to the checker that
 names its fault. Neither the bytes, nor the text, nor a JSON tree beyond one
 entry is ever whole. Another shape, or a fault of the log, reads the last
 lists again, and one more read names a JSON fault's line.
+:func:`serialize_ocel_json` renders the entries from pieces made once per log
+and encodes them a chunk at a time.
 """
 
 from __future__ import annotations
 
 import codecs
 import gc
+import io
 import json
 import json.encoder
 import math
@@ -61,7 +66,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -908,6 +913,27 @@ def _stamp_times(stamps: bytearray) -> np.ndarray:
 
 # The text of a JSON string, as json.dumps(ensure_ascii=False) writes it.
 _str = json.encoder.encode_basestring
+_CHUNK = 4096  # serialize_ocel_json renders and encodes this many entries at a time
+
+
+def _type_decls(log: OcelLog, kind: str, entry_type: np.ndarray, type_names: tuple[str, ...]) -> str:
+    """``objectTypes`` or ``eventTypes`` of the ``kind`` ("obj" or "ev")
+    entries, whose codes into ``type_names`` are ``entry_type``: types and
+    attribute names sorted by name, each attribute typed by its first slot
+    in the log's order."""
+    ptr, name, text = (getattr(log, f"{kind}_att_{f}") for f in ("ptr", "name", "str"))
+    key, first = np.unique(np.repeat(entry_type.astype(np.int64), np.diff(ptr)) * len(log.att_names) + name,
+                           return_index=True)
+    decls: dict[str, dict[str, str]] = {t: {} for t in type_names}
+    for k, f in zip(key.tolist(), first.tolist()):
+        t, n = divmod(k, len(log.att_names))
+        decls[type_names[t]][log.att_names[n]] = "float" if text[f] < 0 else "string"
+    items = []
+    for name, attrs in sorted(decls.items()):
+        rows = [f'        {{\n          "name": {_str(n)},\n          "type": "{t}"\n        }}'
+                for n, t in sorted(attrs.items())]
+        items.append(f'    {{\n      "name": {_str(name)},\n      "attributes": {_array(rows, "      ")}\n    }}')
+    return _array(items, "  ")
 
 
 def _array(items: list[str], indent: str) -> str:
@@ -915,39 +941,41 @@ def _array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
-def _type_decls(attrs_by_type: dict[str, dict[str, str]]) -> str:
-    """``objectTypes`` or ``eventTypes``: types and attribute names sorted by name."""
-    items = []
-    for name, attrs in sorted(attrs_by_type.items()):
-        rows = [f'        {{\n          "name": {_str(n)},\n          "type": "{t}"\n        }}'
-                for n, t in sorted(attrs.items())]
-        items.append(f'    {{\n      "name": {_str(name)},\n      "attributes": {_array(rows, "      ")}\n    }}')
-    return _array(items, "  ")
+def _lists(items: list[str], ptr: list[int]) -> list[str]:
+    """The JSON list of ``items[ptr[k] - ptr[0]:ptr[k + 1] - ptr[0]]`` for
+    each ``k``, its closing bracket at six spaces."""
+    a = ptr[0]
+    return ["[\n" + ",\n".join(items[i - a:j - a]) + "\n      ]" if i < j else "[]" for i, j in zip(ptr, ptr[1:])]
 
 
-def _attribute_lists(log: OcelLog, kind: str, types: list[str], decls: dict[str, dict[str, str]],
-                     time: str) -> Iterator[str]:
-    """The ``attributes`` list text of each ``kind`` ("obj" or "ev") entry of
-    ``log``, in the log's order, rendered from its slots one entry at a time.
-    ``types`` holds each entry's type; the OCEL type name of each attribute
-    is noted in ``decls[type]`` on its first use. ``time`` is written between
-    an attribute's name and its value."""
-    ptr, name, num, text = (getattr(log, f"{kind}_att_{f}").tolist() for f in ("ptr", "name", "num", "str"))
-    names, strings = [_str(n) for n in log.att_names], [_str(v) for v in log.att_strings]
-    for t, lo, hi in zip(types, ptr, ptr[1:]):
-        if lo == hi:
-            yield "[]"
-            continue
-        bucket, rows = decls[t], []
-        for k in range(lo, hi):
-            if text[k] < 0:
-                value, value_type = float.__repr__(num[k]), "float"
-            else:
-                value, value_type = strings[text[k]], "string"
-            bucket.setdefault(log.att_names[name[k]], value_type)
-            rows.append(f'        {{\n          "name": {names[name[k]]},{time}\n'
-                        f'          "value": {value}\n        }}')
-        yield _array(rows, "      ")
+def _attribute_lists(log: OcelLog, kind: str, strings: list[str], time: str) -> Callable[[int, int], list[str]]:
+    """``render(lo, hi)``: the ``attributes`` list text of the ``kind``
+    ("obj" or "ev") entries ``lo:hi`` of ``log``, one text per slot. A string
+    value's text is in ``strings``; ``time`` is written between an
+    attribute's name and its value."""
+    ptr, name, num, text = (getattr(log, f"{kind}_att_{f}") for f in ("ptr", "name", "num", "str"))
+    heads = [f'        {{\n          "name": {_str(n)},{time}\n          "value": ' for n in log.att_names]
+
+    def render(lo: int, hi: int) -> list[str]:
+        at = ptr[lo:hi + 1].tolist()
+        a, b = at[0], at[-1]
+        return _lists([heads[n] + (strings[s] if s >= 0 else float.__repr__(v)) + "\n        }"
+                       for n, v, s in zip(name[a:b].tolist(), num[a:b].tolist(), text[a:b].tolist())], at)
+
+    return render
+
+
+def _write_list(out: io.BytesIO, n: int, render: Callable[[int, int], list[str]]) -> None:
+    """Write the JSON list of ``n`` entries, its closing bracket at two
+    spaces, encoding :data:`_CHUNK` entries at a time: ``render(lo, hi)``
+    gives the texts of entries ``lo:hi``."""
+    if not n:
+        out.write(b"[]")
+        return
+    for lo in range(0, n, _CHUNK):
+        out.write(b"[\n" if lo == 0 else b",\n")
+        out.write(",\n".join(render(lo, min(lo + _CHUNK, n))).encode("utf-8"))
+    out.write(b"\n  ]")
 
 
 def serialize_ocel_json(log: OcelLog) -> bytes:
@@ -955,26 +983,39 @@ def serialize_ocel_json(log: OcelLog) -> bytes:
 
     The bytes are those of ``json.dumps(doc, indent=2, ensure_ascii=False)``
     on the document's dict tree, but written from fixed templates: with
-    ``indent`` set, ``json`` runs its pure-Python encoder. Object attribute
-    change times are not modeled, so object attributes are emitted with the
-    epoch as their time.
+    ``indent`` set, ``json`` runs its pure-Python encoder. The quoted ids,
+    the type and activity names, the string values and each object's
+    relationship text are rendered once; the entries are rendered and
+    encoded :data:`_CHUNK` at a time, so neither their texts nor the whole
+    document's text is ever alive at once. Object attribute change times are
+    not modeled, so object attributes are emitted with the epoch as their
+    time.
     """
-    ids = [_str(o) for o in log.objects]
-    otypes = list(map(log.object_types.__getitem__, log.obj_type.tolist()))
-    otype_attrs: dict[str, dict[str, str]] = {ot: {} for ot in log.object_types}
-    obj_atts = _attribute_lists(log, "obj", otypes, otype_attrs, f'\n          "time": "{_EPOCH_ISO}",')
-    objects = [f'    {{\n      "id": {o},\n      "type": {_str(ot)},\n      "attributes": {atts}\n    }}'
-               for atts, o, ot in zip(obj_atts, ids, otypes)]  # zip runs the generator first, to its end
-    acts = list(map(log.activities.__getitem__, log.ev_act.tolist()))
-    etype_attrs: dict[str, dict[str, str]] = {a: {} for a in log.activities}
-    ev_atts = _attribute_lists(log, "ev", acts, etype_attrs, "")
-    ptr, related = log.ev_ptr.tolist(), [ids[c] for c in log.ev_obj.tolist()]
-    events = []
-    for i, (atts, e, a, stamp) in enumerate(zip(ev_atts, log.events, acts, _iso_stamps(log.ev_time))):
-        rels = [f'        {{\n          "objectId": {o},\n          "qualifier": ""\n        }}'
-                for o in related[ptr[i]:ptr[i + 1]]]
-        events.append(f'    {{\n      "id": {_str(e)},\n      "type": {_str(a)},\n      "time": "{stamp}",\n'
-                      f'      "attributes": {atts},\n'
-                      f'      "relationships": {_array(rels, "      ")}\n    }}')
-    return (f'{{\n  "objectTypes": {_type_decls(otype_attrs)},\n  "eventTypes": {_type_decls(etype_attrs)},\n'
-            f'  "objects": {_array(objects, "  ")},\n  "events": {_array(events, "  ")}\n}}\n').encode("utf-8")
+    out = io.BytesIO()
+    out.write(f'{{\n  "objectTypes": {_type_decls(log, "obj", log.obj_type, log.object_types)},\n'
+              f'  "eventTypes": {_type_decls(log, "ev", log.ev_act, log.activities)},\n  "objects": '.encode("utf-8"))
+    ids, strings = [_str(o) for o in log.objects], [_str(v) for v in log.att_strings]
+    types = [f',\n      "type": {_str(t)},\n      "attributes": ' for t in log.object_types]
+    obj_atts = _attribute_lists(log, "obj", strings, f'\n          "time": "{_EPOCH_ISO}",')
+
+    def objects(lo: int, hi: int) -> list[str]:
+        return [f'    {{\n      "id": {o}{types[t]}{atts}\n    }}'
+                for o, t, atts in zip(ids[lo:hi], log.obj_type[lo:hi].tolist(), obj_atts(lo, hi))]
+
+    _write_list(out, len(log.objects), objects)
+    out.write(b',\n  "events": ')
+    rels = [f'        {{\n          "objectId": {o},\n          "qualifier": ""\n        }}' for o in ids]
+    acts = [f',\n      "type": {_str(a)},\n      "time": "' for a in log.activities]
+    ev_atts = _attribute_lists(log, "ev", strings, "")
+
+    def events(lo: int, hi: int) -> list[str]:
+        ptr = log.ev_ptr[lo:hi + 1].tolist()
+        related = _lists(list(map(rels.__getitem__, log.ev_obj[ptr[0]:ptr[-1]].tolist())), ptr)
+        return [f'    {{\n      "id": {_str(e)}{acts[a]}{stamp}",\n      "attributes": {atts},\n'
+                f'      "relationships": {rel}\n    }}'
+                for e, a, stamp, atts, rel in zip(log.events[lo:hi], log.ev_act[lo:hi].tolist(),
+                                                  _iso_stamps(log.ev_time[lo:hi]), ev_atts(lo, hi), related)]
+
+    _write_list(out, len(log.events), events)
+    out.write(b"\n}\n")
+    return out.getvalue()

@@ -3,7 +3,9 @@
 Everything here is written as straight-line loops over the raw log fields or
 plain arrays, deliberately sharing no code with the implementations under
 test, except :func:`strict_parse`, which reads the text with ``json.loads``,
-shares ocel's checkers and gives its records to ``OcelLog.build``. The log's attribute
+shares ocel's checkers and gives its records to ``OcelLog.build``, and
+:func:`record_generate`, which draws as synthgen does and also hands its
+records to ``OcelLog.build``. The log's attribute
 slot columns are read as per-entry dicts through ``conftest.attribute_dicts``.
 """
 
@@ -15,9 +17,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+import ocad.synthgen as sg
 from conftest import attribute_dicts
-from ocad.errors import MalformedDocument
-from ocad.ocel import OcelLog, _list, _parse_iso, _string
+from ocad.errors import InvalidConfig, MalformedDocument
+from ocad.ocel import T_MAX, T_MIN, OcelLog, _list, _parse_iso, _string
 
 
 class NaiveDerivations:
@@ -431,3 +434,93 @@ def strict_parse(text):
         event_records.append((eid, activity, ts, oids, attrs))
 
     return OcelLog.build(event_records, object_records)
+
+
+def record_generate(cfg, variant):
+    """``(log, truth)`` of the synthetic ``variant`` ("p2p" or
+    "blocked-invoices") for ``cfg``: the reference for
+    ``synthgen.generate_p2p`` and ``generate_blocked_invoices``. It draws
+    each order as the generator does, appends its events as
+    ``(time, order, step, activity, object ids, attrs)`` records, sorts them
+    and hands them, numbered in that order, to ``OcelLog.build``."""
+    cfg.validate()
+    if variant == "p2p" and cfg.anomaly_rates.get(sg.AnomalyKind.BLOCKED_INVOICE):
+        raise InvalidConfig("the p2p variant does not plant BlockedInvoice; the blocked-invoices variant does")
+    order = _record_p2p_order if variant == "p2p" else _record_blocked_order
+    rng = np.random.default_rng(cfg.seed)
+    perm = rng.permutation(cfg.n_orders)
+    assignment, pos = {}, 0
+    for kind in sorted(cfg.anomaly_rates, key=lambda k: k.value):
+        count = round(cfg.anomaly_rates[kind] * cfg.n_orders)
+        for idx in perm[pos:pos + count]:
+            assignment[int(idx)] = kind
+        pos += count
+    objects, records, labels = [], [], {}
+    chain_start = sg.TIME_ORIGIN
+    for i in range(cfg.n_orders):
+        chain_start += float(rng.exponential(cfg.mean_gap))
+        labelled, labels[labelled], chain, gaps = order(cfg, rng, i, assignment.get(i), objects)
+        t = chain_start
+        for step, ((activity, oids, attrs), gap) in enumerate(zip(chain, [0.0, *gaps])):
+            t += gap
+            if not T_MIN <= t <= T_MAX:
+                raise InvalidConfig(f"timestamp {t} falls outside years 0001-9999; mean_gap is too large")
+            records.append((round(t * 1000) / 1000.0, i, step, activity, oids, attrs))
+    records.sort(key=lambda rec: rec[:3])
+    log = OcelLog.build([(f"e{n:06d}", activity, t, oids, attrs)
+                         for n, (t, _, _, activity, oids, attrs) in enumerate(records)], objects)
+    return log, sg.SynthGroundTruth(labels=labels)
+
+
+def _record_p2p_order(cfg, rng, i, kind, objects):
+    req, po, inv, pay = f"req-{i:05d}", f"po-{i:05d}", f"inv-{i:05d}", f"pay-{i:05d}"
+    amount = round(float(rng.uniform(100.0, 10000.0)), 2)
+    vendor = sg._VENDORS[int(rng.integers(len(sg._VENDORS)))]
+    approver_req = sg._USERS[int(rng.integers(len(sg._USERS)))]
+    approver_po = sg._USERS[int(rng.integers(len(sg._USERS)))]
+    objects += [(req, "requisition", {"amount": amount}), (po, "order", {"amount": amount, "vendor": vendor}),
+                (inv, "invoice", {"amount": amount}), (pay, "payment", {"amount": amount})]
+    chain = [
+        (sg.ACT_CREATE_REQ, [req], {}),
+        (sg.ACT_APPROVE_REQ, [req], {"user": approver_req}),
+        (sg.ACT_CREATE_PO, [req, po], {}),
+        (sg.ACT_SUBMIT_PO, [po], {}),
+        (sg.ACT_APPROVE_PO, [po], {"user": approver_po}),
+        (sg.ACT_RECEIVE_INVOICE, [po, inv], {}),
+        (sg.ACT_PAY_INVOICE, [inv, pay], {}),
+    ]
+    if kind is sg.AnomalyKind.MAVERICK_BUYING:
+        chain = [chain[k] for k in (0, 2, 5, 6, 3, 4, 1)]
+    elif kind is sg.AnomalyKind.POST_MORTEM_PR_CHANGE:
+        chain.insert(5, (sg.ACT_CHANGE_REQ, [req, po], {}))
+    elif kind is sg.AnomalyKind.DOUBLE_INVOICE:
+        inv2, pay2 = f"inv-{i:05d}b", f"pay-{i:05d}b"
+        objects += [(inv2, "invoice", {"amount": amount}), (pay2, "payment", {"amount": amount})]
+        chain += [(sg.ACT_RECEIVE_INVOICE, [po, inv2], {}), (sg.ACT_PAY_INVOICE, [inv2, pay2], {})]
+    elif kind is sg.AnomalyKind.REOPEN_LONG_GAP:
+        chain += [(sg.ACT_CLOSE_PO, [po], {}), (sg.ACT_REOPEN_PO, [po], {})]
+    gaps = [float(rng.exponential(cfg.mean_gap)) for _ in chain[1:]]
+    if kind is sg.AnomalyKind.REOPEN_LONG_GAP:
+        gaps[-1] += sg.REOPEN_GAP_FACTOR * cfg.mean_gap
+    return po, frozenset([kind] if kind else []), chain, gaps
+
+
+def _record_blocked_order(cfg, rng, i, kind, objects):
+    po, inv, pay = f"po-{i:05d}", f"inv-{i:05d}", f"pay-{i:05d}"
+    amount = round(float(rng.uniform(100.0, 10000.0)), 2)
+    approver = sg._USERS[int(rng.integers(len(sg._USERS)))]
+    objects += [(po, "order", {"amount": amount}), (inv, "invoice", {"amount": amount}),
+                (pay, "payment", {"amount": amount})]
+    chain = [
+        (sg.ACT_CREATE_PO, [po], {}),
+        (sg.ACT_SUBMIT_PO, [po], {}),
+        (sg.ACT_APPROVE_PO, [po], {"user": approver}),
+        (sg.ACT_RECEIVE_INVOICE, [po, inv], {}),
+        (sg.ACT_PAY_INVOICE, [inv, pay], {}),
+    ]
+    blocked = kind is sg.AnomalyKind.BLOCKED_INVOICE
+    if blocked:
+        del chain[1:3]
+    invoice_gaps = [float(rng.exponential(cfg.mean_gap)) for _ in range(2)]
+    gaps = [float(rng.exponential(cfg.mean_gap)) for _ in chain[1:-2]] + invoice_gaps
+    return inv, frozenset([kind] if blocked else []), chain, gaps

@@ -36,6 +36,21 @@ def test_tracer_runs_a_detect_command(tmp_path):
     assert {"ocel.parse_ocel_json", "ocel.interaction_sets", "detect.lof"} <= names
 
 
+def test_tracer_runs_a_generate_command(tmp_path):
+    # The traced `ocad generate` is what the bench's set-up times; the tracer
+    # counts len() of what serialize_ocel_json returns as the bytes written.
+    spans = tmp_path / "spans.json"
+    argv = ["generate", "--n-orders", "30", "--maverick-rate", "0.1", "--seed", "1", "--out", str(tmp_path / "gen")]
+    proc = subprocess.run([sys.executable, str(BENCH / "tracer.py"), str(spans), *argv],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans.read_text())
+    assert doc["exit_code"] == 0
+    names = {span[0] for span in doc["spans"]}
+    assert {"synthgen.generate_p2p", "ocel.serialize_ocel_json"} <= names
+    assert doc["counts"]["ocel.document_bytes"] == (tmp_path / "gen" / "log.json").stat().st_size
+
+
 def _load(name, monkeypatch):
     """The top-level module ``perfbench/<name>.py``, as the bench imports it."""
     spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")

@@ -470,9 +470,19 @@ def test_generate_refuses_a_log_over_the_input_bound(tmp_path, capsys, monkeypat
     assert (out / "log.json").read_bytes() == written
 
 
+def test_generate_refuses_rates_that_round_up_past_the_orders(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert main(["generate", "--n-orders", "3", "--maverick-rate", "0.5", "--double-invoice-rate", "0.5",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: the anomaly rates plant 2 DoubleInvoice + 2 MaverickBuying = 4 orders, "
+                                       "more than n_orders 3\n")
+    assert not out.exists()
+
+
 def test_generate_peak_per_order_keeps_max_orders_within_4_gb(tmp_path):
-    # 12.5-13.9 kB per order at 1k-8k orders; the per-order peak falls with
-    # the count, so 1,000 orders bound it from above.
+    # 7.5 kB per order at 1k orders and 5.7 kB at 8k; the per-order peak
+    # falls with the count, so 1,000 orders bound it from above. The bound
+    # leaves 20 % over the 7,477 bytes measured.
     tracemalloc.start()
     try:
         assert main(["generate", "--n-orders", "1000", "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
@@ -481,7 +491,7 @@ def test_generate_peak_per_order_keeps_max_orders_within_4_gb(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1000 * 20_000
+    assert peak <= 1000 * 9_000
     assert ocad.synthgen.MAX_ORDERS * 16_000 <= 4_000_000_000
 
 

@@ -7,21 +7,30 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocad.errors import InvalidConfig
 from ocad.features import extract_features
-from ocad.ocel import parse_ocel_json, serialize_ocel_json
+from ocad.ocel import T_MAX, parse_ocel_json, serialize_ocel_json
 from ocad.synthgen import (
     ACT_APPROVE_PO,
     ACT_RECEIVE_INVOICE,
     DEFAULT_MEAN_GAP,
+    TIME_ORIGIN,
     AnomalyKind,
     SynthConfig,
+    _assign_kinds,
     generate_blocked_invoices,
     generate_p2p,
 )
 
 from conftest import collections_during, column, log_dicts
+from oracles import record_generate
+
+GENERATORS = {"p2p": generate_p2p, "blocked-invoices": generate_blocked_invoices}
+P2P_KINDS = [AnomalyKind.MAVERICK_BUYING, AnomalyKind.POST_MORTEM_PR_CHANGE, AnomalyKind.DOUBLE_INVOICE,
+             AnomalyKind.REOPEN_LONG_GAP]
 
 
 def test_happy_path_single_order():
@@ -193,3 +202,74 @@ def test_blocked_variant_labels_invoices_of_unapproved_orders():
         assert (ACT_APPROVE_PO not in order_acts) == (inv in blocked)
         # the invoice's own lifecycle shape is identical for both arms
         assert [act[e] for e in log.lifecycle(inv)] == [ACT_RECEIVE_INVOICE, "Pay Invoice"]
+
+
+@st.composite
+def _configs(draw, variant):
+    """A config of ``variant``, accepted or not: rates in eighths, whose sums
+    are exact and reach 1, or small floats; a mean gap that may put the last
+    stamps near or past year 9999."""
+    n = draw(st.integers(1, 12) | st.integers(1, 300))
+    kinds = P2P_KINDS + [AnomalyKind.BLOCKED_INVOICE] if variant == "blocked-invoices" else P2P_KINDS
+    chosen = draw(st.lists(st.sampled_from(kinds), unique=True, max_size=len(kinds)))
+    mix = draw(st.sampled_from(["eighths summing to 1", "eighths", "floats"]))
+    if mix == "floats":
+        rates = {k: draw(st.floats(0.0, 0.3)) for k in chosen}
+    else:
+        weights = [draw(st.integers(0, 8 // len(chosen))) for _ in chosen]
+        if chosen and mix == "eighths summing to 1":
+            weights[-1] += 8 - sum(weights)
+        rates = {k: w / 8 for k, w in zip(chosen, weights)}
+    # A chain ends about (n + 8) mean gaps after the origin, a reopened one 100 more.
+    edge = (T_MAX - TIME_ORIGIN) / (n + 8 + 100 * (AnomalyKind.REOPEN_LONG_GAP in rates))
+    mean_gap = draw(st.sampled_from([DEFAULT_MEAN_GAP, 0.0005, 7.0]) | st.floats(0.3, 3.0).map(lambda f: f * edge))
+    return SynthConfig(n_orders=n, anomaly_rates=rates, seed=draw(st.integers(0, 2**32 - 1)), mean_gap=mean_gap)
+
+
+def _outcome(generate, *args):
+    try:
+        return generate(*args)
+    except InvalidConfig as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)).flatmap(lambda v: st.tuples(st.just(v), _configs(v))))
+def test_generators_match_the_record_reference(case):
+    # The log and truth of the generator's columns equal those of per-event
+    # records given to OcelLog.build, or both raise the same InvalidConfig.
+    variant, cfg = case
+    assert _outcome(GENERATORS[variant], cfg) == _outcome(record_generate, cfg, variant)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)).flatmap(lambda v: st.tuples(st.just(v), _configs(v))))
+def test_every_accepted_config_plants_its_rounded_counts(case):
+    variant, cfg = case
+    counts = {kind: round(rate * cfg.n_orders) for kind, rate in cfg.anomaly_rates.items()}
+    try:
+        cfg.validate()
+    except InvalidConfig as exc:
+        if sum(cfg.anomaly_rates.values()) <= 1 and sum(counts.values()) > cfg.n_orders:
+            assert str(exc).startswith("the anomaly rates plant ")
+        return
+    assert sum(counts.values()) <= cfg.n_orders
+    kinds = _assign_kinds(cfg, np.random.default_rng(cfg.seed))
+    assert {kind: kinds.count(kind) for kind in counts} == counts
+    if variant == "p2p" and cfg.mean_gap == DEFAULT_MEAN_GAP:
+        _, truth = generate_p2p(cfg)
+        assert {kind: len(truth.labeled(kind)) for kind in counts} == counts
+
+
+@pytest.mark.parametrize("n, planted", [(3, "2 DoubleInvoice + 2 MaverickBuying = 4"),
+                                        (7, "4 DoubleInvoice + 4 MaverickBuying = 8")])
+def test_rates_that_round_up_past_the_orders_are_rejected(n, planted):
+    # Each half rounds up, so the counts of round(rate * n) exceed n: the
+    # last kind drawn would be planted fewer times than its rate says.
+    rates = {AnomalyKind.MAVERICK_BUYING: 0.5, AnomalyKind.DOUBLE_INVOICE: 0.5}
+    for generate in GENERATORS.values():
+        with pytest.raises(InvalidConfig) as exc:
+            generate(SynthConfig(n_orders=n, anomaly_rates=rates))
+        assert str(exc.value) == f"the anomaly rates plant {planted} orders, more than n_orders {n}"
+    _, truth = generate_p2p(SynthConfig(n_orders=n + 1, anomaly_rates=rates))
+    assert [len(truth.labeled(k)) for k in rates] == [(n + 1) // 2] * 2
