@@ -51,17 +51,17 @@ from .synthgen import DEFAULT_MEAN_GAP, AnomalyKind, SynthConfig, generate_block
 LLM_KEY_ENV = "OCAD_LLM_API_KEY"
 LIFECYCLE_DIR = "lifecycles"
 NAME_MAX = 255  # bytes in one file name on the common Linux file systems
-# The largest --log read. The parse streams every log an entry at a time, of
-# any shape and with any fault of the log: its tracemalloc peak is 0.7 bytes
-# per byte of the log (up to 1.1 for a small log with an emoji, whose read
-# chunks widen to 4 bytes a character), and 2.1 for a JSON fault in the first
-# entry, whose window grows to hold the rest of the text (7.0 with an emoji).
-# The bound was set for 7.5 bytes per byte, the json.loads tree that the
-# parse once read, within a 4 GB budget, half of an 8 GB machine. One entry
-# is still read whole as json's tree, so a log of one huge entry peaks
-# higher: 12.3 bytes per byte for one object of 300,000 attributes, 15.2 with
-# an emoji in its id. A bound on one entry would close that (ROADMAP.md,
-# item 3).
+# The largest --log read. The parse streams every log, of any shape and with
+# any fault of the log, a run of entries of at most 16k characters at a time:
+# its tracemalloc peak is 0.7 bytes per byte of the log (up to 1.1 for a small
+# log with an emoji, whose read chunks widen to 4 bytes a character), and 2.1
+# for a JSON fault in the first entry, whose window grows to hold the rest of
+# the text (7.0 with an emoji). The bound was set for 7.5 bytes per byte, the
+# json.loads tree that the parse once read, within a 4 GB budget, half of an
+# 8 GB machine. One entry is still read whole as json's tree, so a log of one
+# huge entry peaks higher: 12.3 bytes per byte for one object of 300,000
+# attributes, 15.2 with an emoji in its id. A bound on one entry would close
+# that (ROADMAP.md, item 5).
 MAX_INPUT_BYTES = 530_000_000
 _READ_BYTES = 1 << 16  # the chunk that _load_log reads and hashes at a time
 # The longest --llm-timeout, in seconds. A socket holds its timeout as 64-bit

@@ -40,13 +40,17 @@ The parse keeps no container per entry and runs none, but without the pause
 spawned ``ocad detect`` peaked 1 MB higher.
 
 :func:`parse_ocel_json` decodes the UTF-8 bytes as they come and reads the
-text through a window of a chunk or two (:class:`_Window`): each ``objects``
-and then ``events`` entry with ``json``'s C scanner, straight into the
+text through a window of a chunk or two (:class:`_Window`): the ``objects``
+and then the ``events`` entries with ``json``'s C scanner, straight into the
 columns, with inline checks such as ``type(v) is str and v.isascii()`` and
 event stamps checked in bulk; a value that fails one goes to the checker that
-names its fault. Neither the bytes, nor the text, nor a JSON tree beyond one
-entry is ever whole. Another shape, or a fault of the log, reads the last
-lists again, and one more read names a JSON fault's line.
+names its fault. The scanner reads a run of entries of at most
+:data:`_BATCH_CHARS` characters as one array, up to a guessed place between
+two entries, and takes the run only if the array scans whole; otherwise it
+reads the next entry alone, which names any fault. Neither the bytes, nor
+the text, nor a JSON tree beyond one run is ever whole. Another shape, or a
+fault of the log, reads the last lists again, and one more read names a JSON
+fault's line.
 :func:`serialize_ocel_json` renders the entries from pieces made once per log
 and encodes them a chunk at a time.
 """
@@ -66,6 +70,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -574,18 +579,19 @@ def _read(chunks: Iterable[bytes]) -> OcelLog:
     has one ``objects`` and then one ``events`` member and the log holds no
     fault, the entries of each key's last list are read again."""
     members: list[tuple[str, int]] = []
-    entries = _walk(_Window(_decoded(chunks)), members)
+    batches = _walk(_Window(_decoded(chunks)), members)
     try:
-        log = _parse(iter(entries.__next__, _END), entries)
+        log = _parse(chain.from_iterable(iter(batches.__next__, _END)), chain.from_iterable(batches))
     except MalformedDocument as exc:
         traceback.clear_frames(exc.__traceback__)  # frees the columns before the rest is read
         log = None
-    for _ in entries:  # the rest of the text, after a fault of the log
+    for _ in batches:  # the rest of the text, after a fault of the log
         pass
     if log is not None and [key for key, _ in members] == ["objects", "events"]:
         return log
     log, last = None, dict(members)
-    return _parse(*(_walk(_Window(_decoded(chunks)), [], last[key]) for key in ("objects", "events")))
+    return _parse(*(chain.from_iterable(_walk(_Window(_decoded(chunks)), [], last[key]))
+                    for key in ("objects", "events")))
 
 
 def _decoded(chunks: Iterable[bytes]) -> Iterator[str]:
@@ -625,7 +631,13 @@ _scan_once = _json.scan_once  # the scanner of json.loads
 # With the whitespace around it: a separator or a closing bracket, or none; an opening bracket, or none.
 _SEP = re.compile(r"[ \t\n\r]*([,:\]}]?)[ \t\n\r]*").match
 _OPEN = re.compile(r"[ \t\n\r]*([{[]?)[ \t\n\r]*").match
+_HEAD = re.compile(r'\{(?:[ \t\n\r]*"[^"\\]*")?').match  # an object's "{" and its first key, or its "{"
 _END = object()  # the end of the objects, between the two lists' entries
+# The most characters of list entries that one scan reads as one array. A
+# batch's trees take about 5-6 bytes a character of its text, on top of the
+# window, so the tracemalloc bounds of reading a 300-order log are what limit
+# it; 16k and 64k read an 8k log in the same time.
+_BATCH_CHARS = 1 << 14
 
 
 class _TextFault(Exception):
@@ -635,19 +647,21 @@ class _TextFault(Exception):
 class _Window:
     """The part of a text, read chunk by chunk from ``chunks``, that the
     stream reads: ``text`` holds its characters from the offset ``start`` on,
-    and through the text's end once ``done``. A match, or a value with its
-    separator matched after it, is taken only when it ends inside the window
-    or the window has reached the end of the text: a value cut by the
+    and through the text's end once ``done``. A match, a value with its
+    separator matched after it, or a run of entries with the start of the
+    next (:meth:`entries`), is taken only when it ends inside the window or
+    the window has reached the end of the text: a value cut by the
     window's end (``12`` of ``1234``, ``1.5`` of ``1.5e10``, ``tr`` of
     ``true``) fails to scan or ends there. Otherwise the window drops what was
     read before the value and grows by at least as much as it keeps, O(m) in
     all for m characters. A scan that fails on the whole rest of the text is
     a JSON fault."""
 
-    __slots__ = ("chunks", "text", "start", "done")
+    __slots__ = ("chunks", "text", "start", "done", "fence")
 
     def __init__(self, chunks: Iterator[str]) -> None:
         self.chunks, self.text, self.start, self.done = chunks, "", 0, False
+        self.fence = 0  # the offset up to which entries are taken one at a time
 
     def grow(self, pos: int) -> int:
         """Drop the characters before ``pos`` and read at least as many more
@@ -685,6 +699,24 @@ class _Window:
                     raise self.fault("", pos) from None
             pos = self.grow(pos)
 
+    def entries(self, pos: int, between: str) -> tuple[list, re.Match]:
+        """The list entries from ``pos`` to the last place, at most
+        :data:`_BATCH_CHARS` on, where ``between`` seems to end one and start
+        the next, scanned once as an array, and the match of :data:`_SEP`
+        there; else the one entry at ``pos`` and its match, by :meth:`value`.
+        ``between`` is a ``}`` and the text from the end of the list's first
+        entry to the first key of its second. Text that gave no batch is read
+        an entry at a time before the next try, so the tries scan each
+        character at most once."""
+        text, end = self.text, min(pos + _BATCH_CHARS, len(self.text))
+        if self.start + pos >= self.fence:
+            cut = text.rfind(between, pos, end) + 1  # past pos, after a "}"; 0 if none
+            if cut and (batch := _batch(text, pos, cut)):
+                return batch, _SEP(text, cut)
+            self.fence = self.start + (cut or end)
+        value, m = self.value(pos)
+        return [value], m
+
     def fault(self, prefix: str, pos: int, end: int | None = None) -> _TextFault | None:
         """The first JSON fault ``json`` finds in the text from ``pos`` (to
         ``end``, past a wrong character) after ``prefix``, which opens the
@@ -698,13 +730,40 @@ class _Window:
             return _TextFault(f"invalid JSON: {exc}", None)
 
 
+def _between(text: str, sep: re.Match) -> str:
+    """The text between a list's entries as it is between its first two: a
+    ``}``, the separator ``sep`` and the next entry's ``{`` and first key."""
+    head = _HEAD(text, sep.end())  # a match holds the window's text, so it is not kept
+    return "}" + sep[0] + (head[0] if head else "{")
+
+
+def _batch(text: str, pos: int, cut: int) -> list | None:
+    """The entries of ``text[pos:cut]``, scanned as one array, or None if
+    that array does not scan whole.
+
+    It scans whole only if the cut ends an entry. Each entry the scan reads
+    before the last is followed by the same characters as in the text, so it
+    is the entry the text holds there. The last ends at the "}" before the
+    cut, so it is an object, which ends at its "}" whatever follows. A cut
+    inside an entry leaves that entry (a "{", "[" or string) and the array's
+    "[" open, and the one "]" after the cut closes one of them at most. The
+    array nests one level deeper than an entry scanned alone, so it meets
+    too deep a nesting first."""
+    try:
+        batch, scanned = _scan_once("[" + text[pos:cut] + "]", 0)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    return batch if scanned == cut - pos + 2 else None
+
+
 def _walk(w: _Window, members: list[tuple[str, int]], wanted: int | None = None) -> Iterator:
     """Read the JSON text in ``w`` to its end, noting in ``members`` each
     ``objects`` and ``events`` member with its list's offset, -1 for another
-    value. Yield the entries of a first ``objects`` list, :data:`_END`, and
-    those of an ``events`` list given next; with ``wanted``, those of the
-    list at that offset, and stop. Raises :class:`_TextFault` at the first
-    JSON fault, else if the text is not an object with those last lists."""
+    value. Yield the entries of a first ``objects`` list, in lists of those
+    read at once (:meth:`_Window.entries`), :data:`_END`, and those of an
+    ``events`` list given next; with ``wanted``, those of the list at that
+    offset, and stop. Raises :class:`_TextFault` at the first JSON fault,
+    else if the text is not an object with those last lists."""
     m = w.match(_OPEN, 0)
     if w.text.startswith("\ufeff"):  # json.loads's own check, before it reads
         raise _TextFault("invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
@@ -735,12 +794,15 @@ def _walk(w: _Window, members: list[tuple[str, int]], wanted: int | None = None)
         if w.text.startswith("]", m.end()):
             m = w.match(_SEP, m.end())  # the "]" of an empty list
         else:
+            entry, m = w.value(m.end())
+            between, batch, w.fence = _between(w.text, m), [entry], 0
             while True:
-                entry, m = w.value(m.end())
                 if keep:
-                    yield entry
+                    yield batch
+                batch = None  # not held while the window grows
                 if m[1] != ",":
                     break
+                batch, m = w.entries(m.end(), between)
             if m[1] != "]":
                 raise w.fault("[0", m.start(), m.end() + 1)
         if at == wanted:

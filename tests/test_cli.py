@@ -278,19 +278,21 @@ def test_invalid_utf8_log_is_one_line_json_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_orders", [300, 1000])
 def test_load_log_peak_stays_within_five_times_the_file(tmp_path, n_orders):
-    # The stream reads the text through a window of a chunk or two and frees
-    # each JSON entry once it has read it, so a read holds little more than
-    # the log: 0.64-0.66x the file at these sizes (0.65x at 8k), also where
-    # the entries of the last objects and events lists are read again (events
-    # first, objects twice, a fault of the log), and where a fault ends the
-    # read (0.08-0.28x for a missing type in the first object). An emoji widens
-    # the window's 64 kB chunks to 4 bytes a character: 0.83x for the 300-order
-    # log, and 1.10x with events first, whose chunk with the emoji comes once
-    # the columns are full (0.64x at 1,000 orders). The log itself, its
-    # attributes stored as columns, is 0.35-0.36x the file. A JSON fault near
-    # the end peaks at 0.50-0.65x and a UTF-8 fault in the middle at
-    # 0.32-0.51x. A JSON fault in the first object grows the window to hold
-    # the rest of the text: 2.02-2.07x.
+    # The stream reads the text through a window of a chunk or two, a run of
+    # entries of at most 16k characters at a time, and frees a run's JSON
+    # trees once it has read them, so a read holds little more than the log:
+    # 0.65x the file at 1,000 orders and 0.67-0.72x at 300, where a run's
+    # trees weigh more beside the log (0.65x at 8k), also where the entries
+    # of the last objects and events lists are read again (events first,
+    # objects twice, a fault of the log), and where a fault ends the read
+    # (0.11-0.36x for a missing type in the first object). An emoji widens
+    # the window's 64 kB chunks to 4 bytes a character: 0.85x for the
+    # 300-order log, and 1.12x with events first, whose chunk with the emoji
+    # comes once the columns are full (0.65x at 1,000 orders). The log
+    # itself, its attributes stored as columns, is 0.36-0.37x the file. A
+    # JSON fault near the end peaks at 0.51-0.67x and a UTF-8 fault in the
+    # middle at 0.33-0.53x. A JSON fault in the first object grows the window
+    # to hold the rest of the text: 2.02-2.07x.
     out = tmp_path / "gen"
     assert main(["generate", "--n-orders", str(n_orders), "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
                  "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1", "--out", str(out)]) == 0

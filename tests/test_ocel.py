@@ -1074,8 +1074,19 @@ _CUT = ('{"n": 1234, "x": 1.5e10, "y": -2.5E-3, "t": true, "f": false, "z": null
         '"value": %s}], "relationships": [{"objectId": "\u00e9\U0001F600"}]}]}')
 _CUT_OBJECTS = ('{"id": "\\u00e9\U0001F600", "type": "a", "attributes": [{"name": "n", "value": 1234}, '
                 '{"name": "x", "value": 1.5e10}]},' + _WS_RUN + '{"id": "o2", "type": "b"}')
+# Then texts where the stream's guess of the place between two entries falls
+# inside an entry: a string value that holds the text between the list's first
+# two entries, which is then no JSON; a list of objects under an extra key; and
+# a compact list, whose only such place in reach is the current entry's start.
+_NEXT_ENTRY = '},\n    {\n      "id": '
 _CUT_TEXTS = {"valid": _CUT % (_CUT_OBJECTS, "-2.5E-3"), "true-value": _CUT % (_CUT_OBJECTS, "true"),
-              "minus-infinity-value": _CUT % (_CUT_OBJECTS, "-Infinity"), "number-entry": _CUT % ("1.5e10", "1")}
+              "minus-infinity-value": _CUT % (_CUT_OBJECTS, "-Infinity"), "number-entry": _CUT % ("1.5e10", "1"),
+              "separator-in-a-string": _CUT % ('{"id": "o0", "type": "a"},\n    {\n      "id": "o1", "type": "a", '
+                                               '"attributes": [{"name": "s", "value": "' + _NEXT_ENTRY + '"}]},'
+                                               + _WS_RUN + _CUT_OBJECTS, "1"),
+              "objects-in-an-extra-key": _CUT % ('{"id": "o0", "type": "a"}, {"id": "o1", "type": "a", '
+                                                 '"extra": [{"id": 1}, {"id": 2}]},' + _WS_RUN + _CUT_OBJECTS, "1"),
+              "compact-list": _CUT % ('{"id":"\\u00e9\U0001F600","type":"a"},{"id":"o2","type":"b"}', "1")}
 
 
 @pytest.mark.parametrize("text", _CUT_TEXTS.values(), ids=_CUT_TEXTS.keys())
@@ -1104,6 +1115,79 @@ def test_the_window_reads_a_long_entry_again_a_logarithmic_number_of_times(monke
     data = text.encode("utf-8")
     assert parse_ocel_json([data[i:i + 1] for i in range(len(data))]).objects == ("o1",)
     assert len(text) > 60_000 and len(scans) < 50, len(scans)
+
+
+@pytest.fixture(scope="module")
+def log_300(tmp_path_factory):
+    """The bytes of a 300-order log with the four P2P anomaly rates."""
+    out = tmp_path_factory.mktemp("gen")
+    assert main(["generate", "--n-orders", "300", "--maverick-rate", "0.05", "--postmortem-rate", "0.03",
+                 "--double-invoice-rate", "0.05", "--reopen-rate", "0.02", "--seed", "1", "--out", str(out)]) == 0
+    return (out / "log.json").read_bytes()
+
+
+def _counted_scans(monkeypatch, most):
+    """A list that gains an item at each call of ``ocel._scan_once``; the
+    call past ``most`` fails the test, so a stream that does not move forward
+    fails instead of scanning without end."""
+    scans, scan_once = [], ocad.ocel._json.scan_once
+
+    def counted(text, pos):
+        scans.append(pos)
+        if len(scans) > most:
+            pytest.fail(f"more than {most} scans")
+        return scan_once(text, pos)
+
+    monkeypatch.setattr(ocad.ocel, "_scan_once", counted)
+    return scans
+
+
+@pytest.mark.parametrize("layout", [{"indent": 2}, {"separators": (",", ":")}], ids=["indented", "compact"])
+def test_every_batch_moves_the_stream_forward(monkeypatch, log_300, layout):
+    """The 300-order log, in 64 kB chunks or in two cut at a few places, and
+    a complete log of its first 30 events, a byte at a time, give the strict
+    parse's log within ten scans an entry, written indented or compact."""
+    doc = json.loads(log_300)
+    events = doc["events"][:30]
+    related = {r["objectId"] for e in events for r in e["relationships"]}
+    short = {**doc, "objects": [o for o in doc["objects"] if o["id"] in related], "events": events}
+    data, short = (json.dumps(d, ensure_ascii=False, **layout).encode("utf-8") for d in (doc, short))
+    n = len(data)
+    for text, chunks in [(data, [data[i:i + (1 << 16)] for i in range(0, n, 1 << 16)]),
+                         *((data, [data[:k], data[k:]]) for k in (1, n // 3, n // 2 + 7, n - 2)),
+                         (short, [short[i:i + 1] for i in range(len(short))])]:
+        expected = strict_parse(text.decode("utf-8"))
+        _counted_scans(monkeypatch, 10 * (len(expected.objects) + len(expected.events)))
+        assert parse_ocel_json(chunks) == expected
+
+
+def test_the_stream_scans_a_run_of_entries_at_once(monkeypatch, log_300):
+    """Read in 64 kB chunks, the 300-order log takes fewer scans than a tenth
+    of its entries: the entries between two cuts are scanned as one array."""
+    scans = _counted_scans(monkeypatch, len(log_300))
+    log = parse_ocel_json([log_300[i:i + (1 << 16)] for i in range(0, len(log_300), 1 << 16)])
+    entries = len(log.objects) + len(log.events)
+    assert entries > 3000 and len(scans) < entries / 10, (len(scans), entries)
+
+
+def test_wrong_guesses_scan_each_character_once(monkeypatch):
+    """Where the guessed place between two entries falls inside an entry, as
+    in a list of objects under an extra key, the text up to it is read an
+    entry at a time before the next guess, so the arrays that fail to scan
+    hold no character twice."""
+    objects = [{"id": f"o{i}", "type": "a", "extra": [{"id": 1}, {"id": 2}]} for i in range(300)]
+    data = json.dumps({"objects": objects, "events": []}, separators=(",", ":")).encode("utf-8")
+    failed, batch = [], ocad.ocel._batch
+
+    def counted(text, pos, cut):
+        entries = batch(text, pos, cut)
+        if entries is None:
+            failed.append(cut - pos)
+        return entries
+
+    monkeypatch.setattr(ocad.ocel, "_batch", counted)
+    assert len(parse_ocel_json(data).objects) == 300
+    assert failed and sum(failed) <= len(data), (len(failed), sum(failed), len(data))
 
 
 @pytest.fixture(scope="module")
