@@ -28,10 +28,11 @@ them through both CSRs for the objects asked about, and
 objects and an object's partners are both deduplicated by :func:`_distinct`
 over (row, code) keys. The log holds no dict and no container per entry: a
 reader indexes the arrays, and finds an object id or a type by bisection in
-the sorted tuple that holds it (:func:`_position`). :func:`_assemble` lays the
-columns out, for :meth:`OcelLog.build`, the parse and the synthetic generators
-alike: it sorts the codes, orders the events, builds the CSR and sorts each
-entry's attribute slots.
+the sorted tuple that holds it (:func:`_position`). A log is made one way:
+the parse or a synthetic generator hands checked columns to
+:func:`_assemble`, which keeps the types, activities, attribute names and
+string values that some column uses, sorts the codes, orders the events,
+builds the CSR and sorts each entry's attribute slots.
 
 Building a log pauses the cyclic garbage collector. The synthetic generators
 fill columns and keep no container per entry, but without the pause 8k orders
@@ -70,7 +71,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -164,10 +165,16 @@ def _position(names: tuple[str, ...], name: str) -> int:
     return i if i < len(names) and names[i] == name else -1
 
 
-def _sorted_codes(first_seen: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Sorted names of ``first_seen``, and each name's sorted position at its value."""
-    names = tuple(sorted(first_seen))
-    code = np.empty(len(names), dtype=np.int32)
+def _sorted_codes(first_seen: dict[str, int], *columns) -> tuple[tuple[str, ...], np.ndarray]:
+    """The names of ``first_seen``, coded in first-seen order, that some
+    column of ``columns`` holds (all of them when none is given), sorted, and
+    each name's sorted position at its code, -1 at an unused one. A -1 in a
+    column holds no name."""
+    used = np.zeros(len(first_seen) + 1, dtype=bool)  # one more slot, the one a -1 marks
+    for column in columns:
+        used[column] = True
+    names = tuple(sorted(compress(first_seen, used.tolist()) if columns else first_seen))
+    code = np.full(len(first_seen), -1, dtype=np.int32)
     code[[first_seen[n] for n in names]] = np.arange(len(names), dtype=np.int32)
     return names, code
 
@@ -185,10 +192,11 @@ class OcelLog:
     slots, ascending by name. A slot's ``name`` is a code into the sorted
     ``att_names``; its ``str`` is a code into the sorted distinct string
     values ``att_strings``, or -1 for a number, whose float is its ``num``
-    (0.0 for a string). Instances must be built via :meth:`build` or
-    :func:`parse_ocel_json`, which enforce the invariants; after construction
-    the log is never mutated and all derivations are pure reads. Two logs are
-    equal when their fields are; the cached properties are not compared.
+    (0.0 for a string). Instances are made by :func:`_assemble` from columns
+    that :func:`parse_ocel_json` or a synthetic generator has checked; after
+    construction the log is never mutated and all derivations are pure reads.
+    Two logs are equal when their fields are; the cached properties are not
+    compared.
     """
 
     events: tuple[str, ...]
@@ -210,48 +218,6 @@ class OcelLog:
     ev_att_name: np.ndarray
     ev_att_num: np.ndarray
     ev_att_str: np.ndarray
-
-    @staticmethod
-    def build(
-        event_records: Iterable[tuple[str, str, float, Iterable[str], Mapping[str, AttributeValue]]],
-        object_records: Iterable[tuple[str, str, Mapping[str, AttributeValue]]],
-    ) -> "OcelLog":
-        """Construct a log from (id, activity, time, object ids, attrs) event
-        records and (id, type, attrs) object records, validating uniqueness,
-        reference integrity and attribute values (:func:`_coerce_value`) and
-        establishing the total event order."""
-        types: dict[str, int] = {}
-        obj_code: dict[str, int] = {}
-        obj_type, obj_slots = [], _Slots({}, {})
-        for oid, ot, attrs in object_records:
-            if obj_code.setdefault(oid, len(obj_type)) != len(obj_type):
-                raise DuplicateId(f"duplicate object id {oid!r}")
-            obj_type.append(types.setdefault(ot, len(types)))
-            obj_slots.add(attrs, "object", oid)
-
-        acts: dict[str, int] = {}
-        seen: set[str] = set()
-        ev_slots = _Slots(obj_slots.names, obj_slots.strings)
-        eids, times, ev_act, sizes, codes = [], [], [], [], []
-        for eid, activity, ts, oids, attrs in event_records:
-            if eid in seen:
-                raise DuplicateId(f"duplicate event id {eid!r}")
-            seen.add(eid)
-            try:
-                related = [obj_code[o] for o in oids]
-            except KeyError as exc:
-                raise DanglingReference(f"event {eid!r} references unknown object {exc.args[0]!r}") from None
-            eids.append(eid)
-            times.append(float(ts))
-            ev_act.append(acts.setdefault(activity, len(acts)))
-            if attrs:
-                ev_slots.add(attrs, "event", eid)
-            else:  # most events have no attributes
-                ev_slots.sizes.append(0)
-            sizes.append(len(related))
-            codes += related
-        del seen
-        return _assemble(obj_code, types, obj_type, obj_slots, eids, acts, ev_act, times, ev_slots, sizes, codes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OcelLog):
@@ -418,14 +384,15 @@ def _assemble(obj_code: dict[str, int], types: dict[str, int], obj_type, obj_slo
     ``obj_code`` (its position in ``obj_type`` and ``obj_slots``), its type
     code in ``types``; each event's id, activity code in ``acts``, time and
     attribute slots, and its number of objects in ``sizes``; the events'
-    object codes back to back in ``codes``. Sorts the objects, types,
-    activities, attribute names and string values, orders the events by
-    :func:`_order` and builds the event-to-object CSR."""
+    object codes back to back in ``codes``. Keeps the types, activities,
+    attribute names and string values that some column uses, sorts them and
+    the objects, orders the events by :func:`_order` and builds the
+    event-to-object CSR."""
     objects, obj_rank = _sorted_codes(obj_code)
-    object_types, type_code = _sorted_codes(types)
-    activities, act_code = _sorted_codes(acts)
-    att_names, name_rank = _sorted_codes(obj_slots.names)
-    att_strings, text_rank = _sorted_codes(obj_slots.strings)
+    object_types, type_code = _sorted_codes(types, obj_type)
+    activities, act_code = _sorted_codes(acts, ev_act)
+    att_names, name_rank = _sorted_codes(obj_slots.names, obj_slots.name, ev_slots.name)
+    att_strings, text_rank = _sorted_codes(obj_slots.strings, obj_slots.text, ev_slots.text)
     n, by_code, order = len(objects), np.argsort(obj_rank), _order(eids, times)
     ev_rank = np.argsort(order)
     obj_att = obj_slots.columns("obj", obj_rank, name_rank, text_rank)
@@ -506,10 +473,10 @@ def _list(entry: dict, key: str) -> list:
 
 def _coerce_value(v: object, kind: str, ident: str) -> AttributeValue:
     # The one rule for the attribute values of the ``kind`` ("object" or
-    # "event") ``ident``, applied by _Slots.add for OcelLog.build and the
-    # parse alike, which checks inline first: a finite number, stored as
-    # float, or a string that UTF-8 can encode. Booleans (JSON true/false) are
-    # neither. A finite float or an ASCII string returns first.
+    # "event") ``ident``, applied by _Slots.add, which checks inline first: a
+    # finite number, stored as float, or a string that UTF-8 can encode.
+    # Booleans (JSON true/false) are neither. A finite float or an ASCII
+    # string returns first.
     if type(v) is float and math.isfinite(v):
         return v
     if isinstance(v, str):
@@ -834,10 +801,12 @@ def _parse(objects: Iterable, events: Iterable) -> OcelLog:
     or the :class:`MalformedDocument` that names the first fault. A fault of
     form is raised where it is read, after any invalid event stamp read
     before it (those of 24 characters ending in ``Z`` are checked in bulk).
-    The faults that :meth:`OcelLog.build` finds, a duplicate id, an unknown
-    object or an attribute value, are held back: the first in build's order
-    is raised once the whole document has been read. Nothing here holds an
-    entry after it has been read."""
+    A duplicate id, an unknown object or a bad attribute value is held back,
+    and the first held fault is raised once the whole document has been
+    read. Held faults are ordered objects first, in document order, each
+    duplicate id before its values; then events, in document order, each
+    duplicate id before its unknown objects, before its values. Nothing here
+    holds an entry after it has been read."""
     obj_code: dict[str, int] = {}
     types: dict[str, int] = {}
     obj_type, obj_slots, att_times = array("i"), _Slots({}, {}), {_EPOCH_ISO: 0.0}
@@ -845,7 +814,7 @@ def _parse(objects: Iterable, events: Iterable) -> OcelLog:
     ev_slots = _Slots(obj_slots.names, obj_slots.strings)
     eids, stamps, ev_act, sizes, codes = [], bytearray(), array("i"), array("i"), array("i")
     other_times = []  # (event position, time) of each event stamp not checked in bulk
-    held = []  # (event position, fault) of build's faults in document order, -1 for an object's
+    held = []  # (event position, fault) of the held faults in document order, -1 for an object's
     try:
         for entry in objects:
             try:  # an id that is not a string is reported before a missing type
@@ -945,7 +914,7 @@ def _parse(objects: Iterable, events: Iterable) -> OcelLog:
     del stamps  # before _assemble allocates: the log's arrays take its place
     for e, t in other_times:
         times[e] = t
-    if duplicated:  # build checks an event's id before its objects and values
+    if duplicated:  # an event's duplicate id comes before its unknown objects and values
         seen: set[str] = set()
         e = next(e for e, eid in enumerate(eids) if eid in seen or seen.add(eid))
         held.insert(0, (e, DuplicateId(f"duplicate event id {eids[e]!r}")))

@@ -134,8 +134,8 @@ def _assign_kinds(cfg: SynthConfig, rng) -> list[AnomalyKind | None]:
 # An attribute's value in an order's shape: the order's amount, or the string
 # of the order's pick at that position (see the variants' draws).
 _AMOUNT = -1
-_NAMES = ("amount", "vendor", "user")
-_STRINGS = _VENDORS + _USERS  # a pick is a code into these
+_NAMES = {"amount": 0, "vendor": 1, "user": 2}
+_STRINGS = {s: k for k, s in enumerate(_VENDORS + _USERS)}  # a pick is a code into these
 _USER = len(_VENDORS)
 
 
@@ -172,7 +172,7 @@ def _ptr(sizes: list[int]) -> np.ndarray:
 
 def _slot_table(attrs: list[dict[str, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each row's slots start, and each slot's name code and value."""
-    return (_ptr([len(a) for a in attrs]), np.array([_NAMES.index(n) for a in attrs for n in a], dtype=np.int64),
+    return (_ptr([len(a) for a in attrs]), np.array([_NAMES[n] for a in attrs for n in a], dtype=np.int64),
             np.array([v for a in attrs for v in a.values()], dtype=np.int64))
 
 
@@ -195,20 +195,8 @@ def _slot_columns(table: tuple, rows: np.ndarray, order: np.ndarray, amounts: np
             np.where(amount, -1, picks[order, value])]
 
 
-def _used(names: tuple[str, ...], *codes: np.ndarray) -> tuple[dict[str, int], list[np.ndarray]]:
-    """The ``names`` that some array of ``codes`` holds, coded 0, 1, ... in
-    their order, and each array in those codes; -1 stays -1."""
-    used = np.zeros(len(names) + 1, dtype=bool)
-    for c in codes:
-        used[c] = True
-    used[-1] = False  # where a -1 marked
-    new = np.cumsum(used) - 1
-    new[-1] = -1
-    return {n: int(new[k]) for k, n in enumerate(names) if used[k]}, [new[c] for c in codes]
-
-
-def _filled(names: dict[str, int], strings: dict[str, int], sizes, name, num, text) -> _Slots:
-    slots = _Slots(names, strings)
+def _filled(sizes, name, num, text) -> _Slots:
+    slots = _Slots(_NAMES, _STRINGS)
     slots.sizes, slots.name, slots.num, slots.text = sizes, name, num, text
     return slots
 
@@ -268,13 +256,9 @@ def _generate(cfg: SynthConfig, variant: _Variant) -> tuple[OcelLog, SynthGround
 
         obj_slots = _slot_columns(shapes.obj_slots, obj_rows, obj_order, amounts, picks)
         ev_slots = _slot_columns(shapes.ev_slots, step_rows, ev_order, amounts, picks)
-        names, (obj_slots[1], ev_slots[1]) = _used(_NAMES, obj_slots[1], ev_slots[1])
-        strings, (obj_slots[3], ev_slots[3]) = _used(_STRINGS, obj_slots[3], ev_slots[3])
-        types, (obj_type,) = _used(tuple(shapes.types), shapes.obj_type[obj_rows])
-        acts, (ev_act,) = _used(tuple(shapes.acts), shapes.act[step_rows])
-        log = _assemble(dict(zip(ids, range(len(ids)))), types, obj_type, _filled(names, strings, *obj_slots),
-                        list(map("e%06d".__mod__, range(len(t)))), acts, ev_act, t,
-                        _filled(names, strings, *ev_slots), np.diff(shapes.rel_ptr)[step_rows],
+        log = _assemble(dict(zip(ids, range(len(ids)))), shapes.types, shapes.obj_type[obj_rows],
+                        _filled(*obj_slots), list(map("e%06d".__mod__, range(len(t)))), shapes.acts,
+                        shapes.act[step_rows], t, _filled(*ev_slots), np.diff(shapes.rel_ptr)[step_rows],
                         shapes.rel[rel] + base[ev_order[rel_ev]])
         label = {kind: frozenset([kind]) for kind in variant.kinds[1:]}
         labelled = map(ids.__getitem__, (base + variant.labelled).tolist())

@@ -10,15 +10,46 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ocad.errors import DanglingReference, DuplicateId
 from ocad.features import FeatureMatrix
-from ocad.ocel import OcelLog
+from ocad.ocel import _assemble, _Slots
 
 
 def build_log(events, objects):
-    """events: (id, activity, time, [object ids], attrs?); objects: (id, type, attrs?)."""
-    ev = [(e[0], e[1], e[2], e[3], e[4] if len(e) > 4 else {}) for e in events]
-    ob = [(o[0], o[1], o[2] if len(o) > 2 else {}) for o in objects]
-    return OcelLog.build(ev, ob)
+    """The log of (id, activity, time, [object ids], attrs?) event records and
+    (id, type, attrs?) object records: the record path, and the reference
+    for the order of the parse's held faults. It checks uniqueness, reference
+    integrity and attribute values (``ocel._Slots.add``) record by record,
+    raising the first fault, and hands the columns to ``ocel._assemble``,
+    which establishes the total event order."""
+    types: dict[str, int] = {}
+    obj_code: dict[str, int] = {}
+    obj_type, obj_slots = [], _Slots({}, {})
+    for oid, ot, *attrs in objects:
+        if obj_code.setdefault(oid, len(obj_type)) != len(obj_type):
+            raise DuplicateId(f"duplicate object id {oid!r}")
+        obj_type.append(types.setdefault(ot, len(types)))
+        obj_slots.add(attrs[0] if attrs else {}, "object", oid)
+
+    acts: dict[str, int] = {}
+    seen: set[str] = set()
+    ev_slots = _Slots(obj_slots.names, obj_slots.strings)
+    eids, times, ev_act, sizes, codes = [], [], [], [], []
+    for eid, activity, ts, oids, *attrs in events:
+        if eid in seen:
+            raise DuplicateId(f"duplicate event id {eid!r}")
+        seen.add(eid)
+        try:
+            related = [obj_code[o] for o in oids]
+        except KeyError as exc:
+            raise DanglingReference(f"event {eid!r} references unknown object {exc.args[0]!r}") from None
+        eids.append(eid)
+        times.append(float(ts))
+        ev_act.append(acts.setdefault(activity, len(acts)))
+        ev_slots.add(attrs[0] if attrs else {}, "event", eid)
+        sizes.append(len(related))
+        codes += related
+    return _assemble(obj_code, types, obj_type, obj_slots, eids, acts, ev_act, times, ev_slots, sizes, codes)
 
 
 def attribute_dicts(log, kind):

@@ -3,10 +3,12 @@
 Everything here is written as straight-line loops over the raw log fields or
 plain arrays, deliberately sharing no code with the implementations under
 test, except :func:`strict_parse`, which reads the text with ``json.loads``,
-shares ocel's checkers and gives its records to ``OcelLog.build``, and
+shares ocel's checkers and gives its records to ``conftest.build_log``, and
 :func:`record_generate`, which draws as synthgen does and also hands its
-records to ``OcelLog.build``. The log's attribute
-slot columns are read as per-entry dicts through ``conftest.attribute_dicts``.
+records to ``conftest.build_log``. ``build_log`` checks each record and hands
+the columns to ``ocel._assemble``, as the parse and the generators do. The
+log's attribute slot columns are read as per-entry dicts through
+``conftest.attribute_dicts``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 import ocad.synthgen as sg
-from conftest import attribute_dicts
+from conftest import attribute_dicts, build_log
 from ocad.errors import InvalidConfig, MalformedDocument
-from ocad.ocel import T_MAX, T_MIN, OcelLog, _list, _parse_iso, _string
+from ocad.ocel import T_MAX, T_MIN, _list, _parse_iso, _string
 
 
 class NaiveDerivations:
@@ -380,7 +382,7 @@ def strict_parse(text):
     :class:`MalformedDocument` that names the first fault: the reference
     for ``ocel.parse_ocel_json``. It reads the whole text as one
     ``json.loads`` tree, then the tree into records, one check at a time,
-    and hands them to ``OcelLog.build``; it shares ocel's checkers
+    and hands them to ``conftest.build_log``; it shares ocel's checkers
     (``_string``, ``_list``, ``_parse_iso``), which name each fault."""
     try:
         doc = json.loads(text)
@@ -433,7 +435,7 @@ def strict_parse(text):
                 raise MalformedDocument(f"bad relationship on event {eid!r}") from exc
         event_records.append((eid, activity, ts, oids, attrs))
 
-    return OcelLog.build(event_records, object_records)
+    return build_log(event_records, object_records)
 
 
 def record_generate(cfg, variant):
@@ -442,7 +444,7 @@ def record_generate(cfg, variant):
     ``synthgen.generate_p2p`` and ``generate_blocked_invoices``. It draws
     each order as the generator does, appends its events as
     ``(time, order, step, activity, object ids, attrs)`` records, sorts them
-    and hands them, numbered in that order, to ``OcelLog.build``."""
+    and hands them, numbered in that order, to ``conftest.build_log``."""
     cfg.validate()
     if variant == "p2p" and cfg.anomaly_rates.get(sg.AnomalyKind.BLOCKED_INVOICE):
         raise InvalidConfig("the p2p variant does not plant BlockedInvoice; the blocked-invoices variant does")
@@ -467,8 +469,8 @@ def record_generate(cfg, variant):
                 raise InvalidConfig(f"timestamp {t} falls outside years 0001-9999; mean_gap is too large")
             records.append((round(t * 1000) / 1000.0, i, step, activity, oids, attrs))
     records.sort(key=lambda rec: rec[:3])
-    log = OcelLog.build([(f"e{n:06d}", activity, t, oids, attrs)
-                         for n, (t, _, _, activity, oids, attrs) in enumerate(records)], objects)
+    log = build_log([(f"e{n:06d}", activity, t, oids, attrs)
+                     for n, (t, _, _, activity, oids, attrs) in enumerate(records)], objects)
     return log, sg.SynthGroundTruth(labels=labels)
 
 

@@ -26,7 +26,9 @@ from ocad.ocel import (
     T_MAX,
     T_MIN,
     OcelLog,
+    _assemble,
     _iso_stamps,
+    _Slots,
     format_iso,
     parse_ocel_json,
     serialize_ocel_json,
@@ -95,7 +97,7 @@ def test_parse_order_breaks_time_ties_lexicographically():
 
 def test_log_order_is_the_python_sort_by_time_then_id():
     """A trailing NUL sorts after the bare id and -0.0 ties 0.0, through both
-    OcelLog.build and the parse; events without objects keep integer CSR arrays."""
+    the record path and the parse; events without objects keep integer CSR arrays."""
     cases = [
         [("b", 1.0, ["o1"]), ("a\x00", 1.0, []), ("a", 1.0, ["o2", "o1", "o2"])],
         [("z", 0.0, ["o1"]), ("y", -0.0, []), ("x", 0.0, ["o2"]), ("w", -0.0, ["o1"])],
@@ -462,23 +464,23 @@ def test_lifecycle_matches_membership_scan_on_synthetic_log():
 def test_log_equality_compares_every_field():
     objects = [("o1", "order", {"amount": 5.0}), ("o2", "invoice", {"n": "a"})]
     events = [("e1", "A", 1.0, ["o1", "o2"], {"user": "u"}), ("e2", "B", 2.0, ["o1"], {})]
-    log = OcelLog.build(events, objects)
+    log = build_log(events, objects)
 
     def changed(i, j, value, records=events):
         return [r[:j] + (value,) + r[j + 1:] if k == i else r for k, r in enumerate(records)]
 
-    assert log != OcelLog.build(events, changed(0, 2, {"amount": 6.0}, objects))  # an object attribute
-    assert log != OcelLog.build(events, changed(1, 1, "order", objects))  # an object type
-    assert log != OcelLog.build(changed(1, 2, 2.5), objects)  # an event time
-    assert log != OcelLog.build(changed(1, 1, "C"), objects)  # an activity; the activity codes stay equal
-    assert log != OcelLog.build(changed(1, 3, ["o2"]), objects)  # a relation to another object
-    assert log != OcelLog.build(changed(1, 3, ["o1", "o2"]), objects)  # one more relation
-    assert log != OcelLog.build(changed(0, 4, {"user": "v"}), objects)  # an event attribute
+    assert log != build_log(events, changed(0, 2, {"amount": 6.0}, objects))  # an object attribute
+    assert log != build_log(events, changed(1, 1, "order", objects))  # an object type
+    assert log != build_log(changed(1, 2, 2.5), objects)  # an event time
+    assert log != build_log(changed(1, 1, "C"), objects)  # an activity; the activity codes stay equal
+    assert log != build_log(changed(1, 3, ["o2"]), objects)  # a relation to another object
+    assert log != build_log(changed(1, 3, ["o1", "o2"]), objects)  # one more relation
+    assert log != build_log(changed(0, 4, {"user": "v"}), objects)  # an event attribute
     assert log != None and log != "log"  # noqa: E711
     # Relationships in another order or repeated, and records in another order,
     # give the same log.
-    assert log == OcelLog.build(changed(0, 3, ["o2", "o1", "o2"]), objects)
-    assert log == OcelLog.build(changed(1, 3, ["o1", "o1"])[::-1], objects[::-1])
+    assert log == build_log(changed(0, 3, ["o2", "o1", "o2"]), objects)
+    assert log == build_log(changed(1, 3, ["o1", "o1"])[::-1], objects[::-1])
 
 
 def test_object_graphs_single_event():
@@ -679,7 +681,7 @@ def _logs(draw):
     related = st.lists(st.sampled_from([o[0] for o in objects]), max_size=3) if objects else st.just([])
     events = draw(st.lists(st.tuples(_names, _names, _stamps, related, _attrs), max_size=6,
                            unique_by=lambda r: r[0]))
-    return OcelLog.build(events, objects)
+    return build_log(events, objects)
 
 
 @given(_logs())
@@ -719,9 +721,9 @@ _ORDER_EVENTS = [("e1", "A", 1.0, ["o1"], {"v": 1.0, "u": "z"}), ("e2", "A", 2.0
 def test_records_with_attributes_in_another_order_give_the_same_log_and_bytes():
     # Each entry's slots are ascending by name, so the order in which a record
     # gives an entry's attributes does not reach the log.
-    log = OcelLog.build(_ORDER_EVENTS, _ORDER_OBJECTS)
-    reversed_attrs = OcelLog.build([(*r[:4], dict(reversed(r[4].items()))) for r in _ORDER_EVENTS],
-                                   [(*r[:2], dict(reversed(r[2].items()))) for r in _ORDER_OBJECTS])
+    log = build_log(_ORDER_EVENTS, _ORDER_OBJECTS)
+    reversed_attrs = build_log([(*r[:4], dict(reversed(r[4].items()))) for r in _ORDER_EVENTS],
+                               [(*r[:2], dict(reversed(r[2].items()))) for r in _ORDER_OBJECTS])
     assert reversed_attrs == log and serialize_ocel_json(reversed_attrs) == serialize_ocel_json(log)
 
 
@@ -729,7 +731,7 @@ def test_documents_with_attributes_in_another_order_give_the_same_log_and_bytes(
     # Of a document's object entries for one name, the latest wins, and of
     # those that tie in time the later one; the order of the entries does not
     # reach the log otherwise.
-    log = OcelLog.build(_ORDER_EVENTS, _ORDER_OBJECTS)
+    log = build_log(_ORDER_EVENTS, _ORDER_OBJECTS)
     t0, t1 = "1970-01-01T00:00:00.000Z", "2024-01-01T00:00:00.000Z"
     tied_first, tied_last = {"name": "a", "time": t0, "value": 0.0}, {"name": "a", "time": t0, "value": 1.0}
     o1 = [tied_first, tied_last, {"name": "b", "time": t0, "value": "x"},
@@ -754,16 +756,47 @@ def test_attribute_columns_decode_to_the_records():
     objects = [("o2", "t", {"amount": 5.0, "grade": "x"}), ("o1", "u", {}), ("o3", "t", {"grade": "y"})]
     events = [("e2", "B", 2.0, ["o1"], {"grade": "x", "note": "late"}), ("e1", "A", 1.0, ["o2"], {"amount": -1.5}),
               ("e3", "A", 3.0, [], {})]
-    log = OcelLog.build(events, objects)
+    log = build_log(events, objects)
     assert log.att_names == ("amount", "grade", "note") and log.att_strings == ("late", "x", "y")
     assert attribute_dicts(log, "obj") == [{}, {"amount": 5.0, "grade": "x"}, {"grade": "y"}]
     assert attribute_dicts(log, "ev") == [{"amount": -1.5}, {"grade": "x", "note": "late"}, {}]
     assert parse_ocel_json(serialize_ocel_json(log)) == log
 
 
+def test_assemble_keeps_only_the_names_that_some_column_uses():
+    # A type, an activity, an attribute name and a string value that the
+    # first-seen codes hold but no column uses do not reach the log. One is
+    # coded first and one last: the last string is where a float's -1 would
+    # point if it were taken for a code.
+    unused = ("0-unused", "~unused")
+
+    def assembled(pad):
+        types, acts, names, strings = ({unused[0]: 0} if pad else {} for _ in range(4))
+        obj_slots, ev_slots = _Slots(names, strings), _Slots(names, strings)
+        obj_type = [types.setdefault(t, len(types)) for t in ("order", "invoice")]
+        obj_slots.add({"amount": 5.0}, "object", "o1")
+        obj_slots.add({"n": "a"}, "object", "o2")
+        ev_act = [acts.setdefault(a, len(acts)) for a in ("A", "B")]
+        ev_slots.add({"user": "u"}, "event", "e1")
+        ev_slots.add({"cost": 2.5}, "event", "e2")
+        if pad:
+            for codes in (types, acts, names, strings):
+                codes[unused[1]] = len(codes)
+        return _assemble({"o1": 0, "o2": 1}, types, obj_type, obj_slots, ["e1", "e2"], acts, ev_act, [1.0, 2.0],
+                         ev_slots, [2, 1], [0, 1, 0])
+
+    log = assembled(False)
+    padded = assembled(True)
+    for field in ("object_types", "activities", "att_names", "att_strings"):
+        assert not set(unused) & set(getattr(padded, field))
+    assert padded == log
+    assert log == build_log([("e1", "A", 1.0, ["o1", "o2"], {"user": "u"}), ("e2", "B", 2.0, ["o1"], {"cost": 2.5})],
+                            [("o1", "order", {"amount": 5.0}), ("o2", "invoice", {"n": "a"})])
+
+
 def test_attribute_columns_are_sorted_and_ascending_per_entry(p2p_small):
     logs = [p2p_small[0], parse_ocel_json(serialize_ocel_json(p2p_small[0])), build_log([], []),
-            OcelLog.build(_ORDER_EVENTS, _ORDER_OBJECTS), *(random_log(seed=s) for s in range(3))]
+            build_log(_ORDER_EVENTS, _ORDER_OBJECTS), *(random_log(seed=s) for s in range(3))]
     for log in logs:
         assert list(log.att_names) == sorted(set(log.att_names))
         assert list(log.att_strings) == sorted(set(log.att_strings))
@@ -890,7 +923,9 @@ _PARSE_TRAPS = {
     "event-attribute-without-value-or-string-name": ([_OBJ], [{**_EV, "attributes": [{"name": 1}]}], False),
     "object-attribute-without-value-or-string-name": ([{**_OBJ, "attributes": [{"name": 1}]}], [_EV], False),
     # Two faults each: the strict parse reports the first fault of form in
-    # document order, then the first fault that OcelLog.build finds.
+    # document order, then the first held fault: objects in document order,
+    # each duplicate id before its values; then events, each duplicate id
+    # before its unknown objects, before its values.
     "invalid-stamp-then-non-string-id": (
         [_OBJ], [{**_EV, "time": "2023-02-29T00:00:00.000Z"}, {**_EV, "id": 2}], False),
     "duplicate-object-then-malformed-event": ([_OBJ, _OBJ], [{**_EV, "type": 5}], False),

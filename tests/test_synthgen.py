@@ -237,7 +237,7 @@ def _outcome(generate, *args):
 @given(st.sampled_from(sorted(GENERATORS)).flatmap(lambda v: st.tuples(st.just(v), _configs(v))))
 def test_generators_match_the_record_reference(case):
     # The log and truth of the generator's columns equal those of per-event
-    # records given to OcelLog.build, or both raise the same InvalidConfig.
+    # records given to conftest.build_log, or both raise the same InvalidConfig.
     variant, cfg = case
     assert _outcome(GENERATORS[variant], cfg) == _outcome(record_generate, cfg, variant)
 
